@@ -14,7 +14,7 @@ from .errors import (
     MetagradError,
     NumericalFailure,
 )
-from .numerics import RngStream, gaussian, matvec, spectral_norm
+from .numerics import RngStream, gaussian, spectral_norm
 
 __all__ = [
     "DivergenceDetected",
@@ -24,6 +24,5 @@ __all__ = [
     "NumericalFailure",
     "RngStream",
     "gaussian",
-    "matvec",
     "spectral_norm",
 ]

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -252,28 +250,6 @@ def _emit_with_sidecar(path: Path, text: str, command: str, resolved: dict, seed
     _write(path.with_suffix(path.suffix + ".config.json"), _json_text(sidecar))
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("METAGRAD_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"METAGRAD_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ConfigError("METAGRAD_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
-def _map_seeds(fn, seeds: list[int]):
-    """Apply fn to each seed, concurrently when more than one worker helps."""
-    workers = _worker_count(len(seeds))
-    if workers == 1 or len(seeds) == 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def _say(args, line: str) -> None:
     if not args.quiet:
         print(line)
@@ -297,14 +273,11 @@ def cmd_run(args) -> int:
     family = build_family(resolved["family"], config_dir)
     out = Path(args.out)
 
-    def one(seed: int):
+    for seed in resolved["seeds"]:
         rec = run(family, build_optimizer_config(resolved, algorithm, seed))
         path = out / f"run_{algorithm}_seed{seed}.csv"
         _emit_with_sidecar(path, rec.to_csv(), "run", resolved, seed, algorithm)
-        return _record_line(f"run {algorithm}", rec, path)
-
-    for line in _map_seeds(one, resolved["seeds"]):
-        _say(args, line)
+        _say(args, _record_line(f"run {algorithm}", rec, path))
     return 0
 
 
@@ -328,14 +301,13 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     algorithms = tuple(resolved["algorithms"])
 
-    def one(seed: int):
+    for seed in resolved["seeds"]:
         base = build_optimizer_config(resolved, algorithms[0], seed)
         records = run_comparison(family, base, algorithms=algorithms)
-        lines = []
         for algo in algorithms:
             path = out / f"compare_{algo}_seed{seed}.csv"
             _emit_with_sidecar(path, records[algo].to_csv(), "compare", resolved, seed, algo)
-            lines.append(_record_line(f"compare {algo}", records[algo], path))
+            _say(args, _record_line(f"compare {algo}", records[algo], path))
         summary = {
             "seed": seed,
             "alpha": float(resolved["alpha"]),
@@ -344,16 +316,11 @@ def cmd_compare(args) -> int:
         }
         spath = out / f"compare_summary_seed{seed}.json"
         _emit_with_sidecar(spath, _json_text(summary), "compare", resolved, seed)
-        lines.append(f"compare summary seed={seed} -> {spath}")
+        _say(args, f"compare summary seed={seed} -> {spath}")
         if args.gnuplot:
             gpath = out / f"compare_seed{seed}.gp"
             _emit_with_sidecar(gpath, _gnuplot_script(algorithms, seed), "compare", resolved, seed)
-            lines.append(f"compare plot script seed={seed} -> {gpath}")
-        return lines
-
-    for lines in _map_seeds(one, resolved["seeds"]):
-        for line in lines:
-            _say(args, line)
+            _say(args, f"compare plot script seed={seed} -> {gpath}")
     return 0
 
 
@@ -421,7 +388,7 @@ def run_audit_battery(family: TaskFamily, resolved: dict, seed: int) -> dict:
                                      profile, root.child("grad_gap", int(d_test))),
                 f"[D_test={int(d_test)}]",
             )
-    if "hvp_probe" in select:
+    if "hvp_probe" in select and profile.rho > 0.0:  # constant Hessians: nothing to probe
         add(
             audit_hvp_probe_error(family, profile, alpha, w0, trust * a["w_scale"],
                                   int(a["n_probes"]), root.child("hvp_probe"))
@@ -465,15 +432,12 @@ def cmd_audit(args) -> int:
     family = build_family(resolved["family"], config_dir)
     out = Path(args.out)
 
-    def one(seed: int):
+    for seed in resolved["seeds"]:
         report = run_audit_battery(family, resolved, seed)
         path = out / f"audit_seed{seed}.json"
         _emit_with_sidecar(path, _json_text(report), "audit", resolved, seed)
         verdict = "all passed" if report["all_passed"] else "FAILURES"
-        return f"audit seed={seed}: {len(report['audits'])} checks, {verdict} -> {path}"
-
-    for line in _map_seeds(one, resolved["seeds"]):
-        _say(args, line)
+        _say(args, f"audit seed={seed}: {len(report['audits'])} checks, {verdict} -> {path}")
     return 0
 
 

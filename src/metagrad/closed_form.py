@@ -38,8 +38,6 @@ def _solve_spd(h: Mat, rhs: Vec) -> Vec:
         factor = scipy.linalg.cho_factor(h)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"coefficient matrix is not positive definite: {exc}") from exc
-    except scipy.linalg.LinAlgError as exc:  # scipy raises its own flavor
-        raise IllConditioned(f"coefficient matrix is not positive definite: {exc}") from exc
     x = scipy.linalg.cho_solve(factor, rhs)
     scale = max(1.0, float(np.linalg.norm(rhs)))
     for _ in range(3):  # iterative refinement, usually a no-op
@@ -85,23 +83,6 @@ class QuadraticAnalysis:
     fo_gap: float
     meta_matrix: Mat
     fo_matrix: Mat
-
-
-def solve_quadratic_maml(family: TaskFamily, alpha: float) -> Vec:
-    """Stationary point of the adapted objective: grad F(w*) = 0."""
-    meta_m, meta_r, _, _ = _weighted_systems(family, alpha)
-    return _solve_spd(meta_m, -meta_r)
-
-
-def solve_quadratic_fo(family: TaskFamily, alpha: float) -> Vec:
-    """Fixed point of the first-order iteration map (stepsize-independent)."""
-    _, _, fo_m, fo_r = _weighted_systems(family, alpha)
-    return _solve_spd(fo_m, -fo_r)
-
-
-def fo_gap(family: TaskFamily, alpha: float) -> float:
-    """||grad F(w_fo)||: the first-order method's exact convergence floor."""
-    return float(np.linalg.norm(exact_grad_F(family, solve_quadratic_fo(family, alpha), alpha)))
 
 
 def analyze_quadratic(family: TaskFamily, alpha: float) -> QuadraticAnalysis:

@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
-Numerical routines raise IllConditioned when an iterative method cannot
-reach its tolerance.  Configuration validation raises InvalidBatchConfig
+The closed-form quadratic solver raises IllConditioned when a system
+matrix is not positive definite or its solve misses the residual
+tolerance.  Configuration validation raises InvalidBatchConfig
 when batch sizes violate a precondition of the adaptive stepsize rule or
 of the convergence guarantees.  The optimizer raises DivergenceDetected
 or NumericalFailure when a run leaves its trust region or produces
@@ -14,7 +15,7 @@ class MetagradError(Exception):
 
 
 class IllConditioned(MetagradError):
-    """An iterative numerical routine failed to converge to tolerance."""
+    """A linear system is singular, indefinite, or unsolvable to tolerance."""
 
 
 class InvalidBatchConfig(MetagradError):

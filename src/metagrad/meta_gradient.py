@@ -149,13 +149,6 @@ def direction(
 # --------------------------------------------------------- exact oracles
 
 
-def exact_grad_F_i(task, w: Vec, alpha: float) -> Vec:
-    """Exact per-task meta-gradient (I - alpha H(w)) grad f(w - alpha grad f(w))."""
-    g = task.grad(w)
-    go = task.grad(w - alpha * g)
-    return go - alpha * (task.hess(w) @ go)
-
-
 def exact_grad_F(family: TaskFamily, w: Vec, alpha: float) -> Vec:
     """Exact meta-gradient, the weighted sum of per-task meta-gradients."""
     g = family.grads(w)  # (n, d)
@@ -186,11 +179,22 @@ def mc_grad_F_hat_draws(
     realization; the mean over rows is the Monte Carlo estimate and the
     row dispersion yields its standard error.  Memory grows as
     n_mc * d^2; intended for desk-scale dimensions.
+
+    The surrogate replaces the exact inner step and Hessian with
+    batch-D_test noisy versions while keeping the outer gradient exact:
+
+        grad F_hat(w) = E [ (I - alpha H_tilde(w)) grad f_i(w - alpha g_tilde(w)) ].
+
+    The expectation over tasks is a finite weighted sum and is computed
+    exactly; only the data noise is sampled.  A noiseless oracle has no
+    noise to sample, so every row is exact_grad_F itself.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     if D_test < 1:
         raise ValueError("D_test must be >= 1")
+    if oracle.exact:
+        return np.tile(exact_grad_F(family, w, alpha), (n_mc, 1))
     d = family.dim
     g_scale = grad_noise_scale(d, D_test, oracle.sigma_tilde)
     h_scale = hess_noise_scale(d, D_test, oracle.sigma_H)
@@ -211,27 +215,3 @@ def mc_grad_F_hat_draws(
         dirs = go - alpha * (go @ task.hess(w).T + corr)
         draws += family.weights[i] * dirs
     return draws
-
-
-def mc_grad_F_hat(
-    family: TaskFamily,
-    w: Vec,
-    alpha: float,
-    D_test: int,
-    n_mc: int,
-    oracle: StochasticOracle,
-    rng: RngStream,
-) -> Vec:
-    """Monte Carlo estimate of the evaluation-time surrogate gradient.
-
-    The surrogate replaces the exact inner step and Hessian with
-    batch-D_test noisy versions while keeping the outer gradient exact:
-
-        grad F_hat(w) = E [ (I - alpha H_tilde(w)) grad f_i(w - alpha g_tilde(w)) ].
-
-    The expectation over tasks is a finite weighted sum and is computed
-    exactly; Monte Carlo averaging (n_mc draws per task, vectorized) is
-    applied only to the data noise, so with zero noise the result equals
-    exact_grad_F for any n_mc.
-    """
-    return mc_grad_F_hat_draws(family, w, alpha, D_test, n_mc, oracle, rng).mean(axis=0)

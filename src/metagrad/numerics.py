@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned
-
 Vec = np.ndarray  # shape (d,)
 Mat = np.ndarray  # shape (d, d) or (m, n)
 
@@ -137,66 +135,22 @@ def gaussian(rng: RngStream, n: int, stddev: float = 1.0) -> Vec:
     return stddev * standard_normals(rng, n)
 
 
-def matvec(m: Mat, v: Vec) -> Vec:
-    """Matrix-vector product with shape validation."""
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"matrix must be 2-d, got ndim={m.ndim}")
-    if v.ndim != 1:
-        raise ValueError(f"vector must be 1-d, got ndim={v.ndim}")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"shape mismatch: {m.shape} @ {v.shape}")
-    return m @ v
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of symmetric matrices via eigvalsh."""
+    eigs = np.linalg.eigvalsh(stack)
+    return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
 
 
-def check_symmetric(m: Mat, tol: float = 1e-12) -> None:
-    """Raise ValueError unless m is square and symmetric within tol."""
+def spectral_norm(m: Mat) -> float:
+    """Largest singular value (largest |eigenvalue|) of a symmetric matrix.
+
+    Raises ValueError unless m is square and symmetric to 1e-12 relative.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    if m.size and float(np.max(np.abs(m - m.T))) > tol * scale:
+    if m.size == 0:
+        return 0.0
+    if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("matrix is not symmetric within tolerance")
-
-
-def spectral_norm(m: Mat, tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """Largest singular value of a symmetric matrix.
-
-    Runs power iteration on m @ m (positive semidefinite even when m is
-    indefinite) from a fixed pseudo-random start and returns the square
-    root of the top eigenvalue.  Raises IllConditioned if the residual
-    has not fallen below tol within max_iters sweeps, which happens when
-    the two leading eigenvalues of m @ m are too close to separate.
-    """
-    m = np.asarray(m, dtype=float)
-    check_symmetric(m)
-    d = m.shape[0]
-    if d == 0:
-        return 0.0
-    if not np.any(m):
-        return 0.0
-
-    b = m @ m
-    for attempt in range(3):
-        # Fixed stream makes the start vector deterministic yet generic
-        # (a structured start like all-ones can be orthogonal to the top
-        # eigenvector of adversarial inputs).
-        v = standard_normals(RngStream(0, ("spectral_norm_start", d, attempt)), d)
-        v /= np.linalg.norm(v)
-        restart = False
-        for _ in range(max_iters):
-            y = b @ v
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:
-                restart = True  # start landed in the null space, retry
-                break
-            theta = float(v @ y)  # Rayleigh quotient of b, equals ||m v||^2
-            if float(np.linalg.norm(y - theta * v)) <= 0.5 * tol * theta:
-                return float(np.sqrt(theta))
-            v = y / ny
-        if not restart:
-            raise IllConditioned(
-                f"power iteration did not reach tol={tol:g} within {max_iters} iterations"
-            )
-    return 0.0
+    return float(spectral_norms(m))

@@ -168,10 +168,6 @@ class RunRecord:
         """F(w_0) minus the best objective value seen."""
         return float(self.loss_F[0] - np.min(self.loss_F))
 
-    def iterations_to(self, target: float) -> int | None:
-        hits = np.nonzero(self.grad_norm_F <= target)[0]
-        return int(hits[0]) if hits.size else None
-
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for k in range(len(self.iters)):
@@ -218,11 +214,6 @@ class RunRecord:
         }
 
 
-def default_profile(family: TaskFamily, center: Vec, radius: float) -> SmoothnessProfile:
-    """Smoothness constants over the run's trust region."""
-    return local_smoothness(family, center, radius)
-
-
 def _full_batch_direction(family, w, alpha, rho, oracle, batches, rng, algorithm):
     """Exact weighted sweep over all tasks."""
     if oracle.exact:
@@ -254,7 +245,7 @@ def run(
     if w0.shape != (d,):
         raise ValueError(f"w0 has shape {w0.shape}, family dimension is {d}")
     if profile is None:
-        profile = default_profile(family, w0, config.trust_radius)
+        profile = local_smoothness(family, w0, config.trust_radius)
     profile = profile.with_noise(config.sigma_tilde, config.sigma_H)
     validate_config(config, profile, family)
     oracle = StochasticOracle(sigma_tilde=config.sigma_tilde, sigma_H=config.sigma_H)

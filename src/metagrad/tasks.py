@@ -24,11 +24,11 @@ convergence floors) computable to machine precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, spectral_norm, standard_normals, uniforms
+from .numerics import Mat, RngStream, Vec, spectral_norms, standard_normals, uniforms
 
 QUADRATIC = "quadratic"
 RANK1MF = "rank1mf"
@@ -185,10 +185,6 @@ class TaskFamily:
         m2 = np.einsum("nij,nij->n", self._Ms, self._Ms)
         return 0.25 * (nx2 * nx2 - 2.0 * xmx + m2)
 
-    def mean_grad(self, w: Vec) -> Vec:
-        """Weighted mean gradient across tasks."""
-        return self.weights @ self.grads(w)
-
     # ---------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
@@ -270,19 +266,6 @@ def rank1_mf_family(n: int, d: int, rng: RngStream, scale: float = 1.0) -> TaskF
     return TaskFamily(RANK1MF, tasks)
 
 
-# ------------------------------------------------- convenience wrappers
-
-
-def quad_grad(task: QuadraticTask, w: Vec) -> Vec:
-    """Gradient A w + b of a quadratic task."""
-    return task.grad(w)
-
-
-def mf_value_grad_hess(task: MatrixFactorizationTask, x: Vec) -> tuple[float, Vec, Mat]:
-    """Value, gradient, and Hessian of a factorization task at x."""
-    return task.value(x), task.grad(x), task.hess(x)
-
-
 # ------------------------------------------------- smoothness profiling
 
 
@@ -316,20 +299,12 @@ def ball_points(center: Vec, radius: float, n: int, rng: RngStream) -> np.ndarra
     return center + radii[:, None] * dirs
 
 
-def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of symmetric matrices via eigvalsh."""
-    eigs = np.linalg.eigvalsh(stack)
-    return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
+SMOOTHNESS_SAMPLES = 96  # ball points per profile
+SMOOTHNESS_INFLATION = 1.5  # hedge from sample maxima to suprema
+SMOOTHNESS_SEED = 0
 
 
-def local_smoothness(
-    family: TaskFamily,
-    center: Vec,
-    radius: float,
-    n_samples: int = 96,
-    inflation: float = 1.5,
-    seed: int = 0,
-) -> SmoothnessProfile:
+def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> SmoothnessProfile:
     """Conservative smoothness constants on the ball around center.
 
     Quadratic families get L = max_i ||A_i|| exactly and rho = 0 (their
@@ -337,18 +312,16 @@ def local_smoothness(
     suprema of Hessian norms and Hessian-difference ratios, and sigma
     from the sampled worst task-vs-mean gradient deviation; each sampled
     estimate is inflated to hedge the gap between a finite sample
-    maximum and the true supremum.  At least 64 sample points are used.
+    maximum and the true supremum.
     """
-    if n_samples < 64:
-        raise ValueError("need at least 64 sample points")
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
-    rng = RngStream(seed, ("local_smoothness",))
-    points = ball_points(center, radius, n_samples, rng)
+    rng = RngStream(SMOOTHNESS_SEED, ("local_smoothness",))
+    points = ball_points(center, radius, SMOOTHNESS_SAMPLES, rng)
 
     if family.kind == QUADRATIC:
-        L = max(spectral_norm(t.A) for t in family.tasks)
+        L = float(np.max(spectral_norms(family._As)))
         rho = 0.0
     else:
         hess_sup = 0.0
@@ -359,7 +332,7 @@ def local_smoothness(
         offsets = standard_normals(rng.child("tight"), points.shape)
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
         tight = points + 0.01 * radius * offsets
-        radial_hi = ball_points(center, radius, n_samples, rng.child("radial"))
+        radial_hi = ball_points(center, radius, SMOOTHNESS_SAMPLES, rng.child("radial"))
         radial_lo = center + 0.5 * (radial_hi - center)
         pair_sets = [
             (points[:-1], points[1:]),
@@ -368,18 +341,18 @@ def local_smoothness(
         ]
         for task in family.tasks:
             h_pts = np.stack([task.hess(p) for p in points])
-            hess_sup = max(hess_sup, float(np.max(_spectral_norms(h_pts))))
+            hess_sup = max(hess_sup, float(np.max(spectral_norms(h_pts))))
             for xs, ys in pair_sets:
                 hx = np.stack([task.hess(p) for p in xs])
                 hy = np.stack([task.hess(p) for p in ys])
-                num = _spectral_norms(hx - hy)
+                num = spectral_norms(hx - hy)
                 den = np.linalg.norm(xs - ys, axis=1)
                 ratio_sup = max(ratio_sup, float(np.max(num / den)))
-        L = inflation * hess_sup
-        rho = inflation * ratio_sup
+        L = SMOOTHNESS_INFLATION * hess_sup
+        rho = SMOOTHNESS_INFLATION * ratio_sup
 
     per_task = np.stack([family.grads(p) for p in points])  # (m, n, d)
     mean = np.einsum("n,mnd->md", family.weights, per_task)
     dev = np.linalg.norm(per_task - mean[:, None, :], axis=2)
-    sigma = inflation * float(np.max(dev))
+    sigma = SMOOTHNESS_INFLATION * float(np.max(dev))
     return SmoothnessProfile(L=L, rho=rho, sigma=sigma)

@@ -6,13 +6,7 @@ import pytest
 from metagrad.errors import IllConditioned
 from metagrad.meta_gradient import exact_grad_F, fomaml_direction
 from metagrad.numerics import RngStream
-from metagrad.closed_form import (
-    QuadraticAnalysis,
-    analyze_quadratic,
-    fo_gap,
-    solve_quadratic_fo,
-    solve_quadratic_maml,
-)
+from metagrad.closed_form import QuadraticAnalysis, analyze_quadratic
 from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
     QUADRATIC,
@@ -55,24 +49,24 @@ def test_identical_tasks_collapse_to_task_minimizer():
     fam = TaskFamily(QUADRATIC, [t, QuadraticTask(t.A.copy(), t.b.copy())])
     want = np.linalg.solve(t.A, -t.b)
     for alpha in (0.0, 0.05, 0.2):
-        assert np.allclose(solve_quadratic_maml(fam, alpha), want, atol=1e-12)
-        assert np.allclose(solve_quadratic_fo(fam, alpha), want, atol=1e-12)
-    assert fo_gap(fam, 0.1) <= 1e-12
+        an = analyze_quadratic(fam, alpha)
+        assert np.allclose(an.w_star, want, atol=1e-12)
+        assert np.allclose(an.w_fo, want, atol=1e-12)
+    assert analyze_quadratic(fam, 0.1).fo_gap <= 1e-12
 
 
 def test_one_dimensional_example_values():
     fam = one_d_family()
-    w_star = solve_quadratic_maml(fam, 0.1)
-    w_fo = solve_quadratic_fo(fam, 0.1)
-    assert w_star[0] == pytest.approx(-0.085 / 1.045, rel=1e-12)
-    assert w_fo[0] == pytest.approx(-0.04, rel=1e-12)
-    assert fo_gap(fam, 0.1) == pytest.approx(0.0432, rel=1e-10)
+    an = analyze_quadratic(fam, 0.1)
+    assert an.w_star[0] == pytest.approx(-0.085 / 1.045, rel=1e-12)
+    assert an.w_fo[0] == pytest.approx(-0.04, rel=1e-12)
+    assert an.fo_gap == pytest.approx(0.0432, rel=1e-10)
 
 
 def test_one_dimensional_star_against_bisection():
     fam = one_d_family()
     root = bisect_root(lambda w: exact_grad_F(fam, np.array([w]), 0.1)[0], -1.0, 1.0)
-    assert abs(root - solve_quadratic_maml(fam, 0.1)[0]) <= 1e-10
+    assert abs(root - analyze_quadratic(fam, 0.1).w_star[0]) <= 1e-10
 
 
 def test_w_fo_against_fixed_point_iteration():
@@ -87,7 +81,7 @@ def test_w_fo_against_fixed_point_iteration():
             for p, t in zip(fam.weights, fam.tasks)
         )
         w = w - beta * step
-    assert np.linalg.norm(w - solve_quadratic_fo(fam, alpha)) <= 1e-10
+    assert np.linalg.norm(w - analyze_quadratic(fam, alpha).w_fo) <= 1e-10
 
 
 def test_w_star_against_gradient_descent_root_finding():
@@ -98,7 +92,7 @@ def test_w_star_against_gradient_descent_root_finding():
         eta = 1.0 / (8.0 * 2.0)  # safe for ||meta matrix|| <= 4 L, L <= 2
         for _ in range(5000):
             w = w - eta * exact_grad_F(fam, w, alpha)
-        w_star = solve_quadratic_maml(fam, alpha)
+        w_star = analyze_quadratic(fam, alpha).w_star
         assert np.linalg.norm(w - w_star) <= 1e-8
         assert np.linalg.norm(exact_grad_F(fam, w_star, alpha)) <= 1e-10
 
@@ -106,7 +100,7 @@ def test_w_star_against_gradient_descent_root_finding():
 def test_meta_gradient_vanishes_only_at_w_star():
     fam = random_quadratic_family(4, 3, RngStream(204))
     alpha = 0.1
-    w_star = solve_quadratic_maml(fam, alpha)
+    w_star = analyze_quadratic(fam, alpha).w_star
     assert np.linalg.norm(exact_grad_F(fam, w_star, alpha)) <= 1e-11
     off = w_star + 0.1
     assert np.linalg.norm(exact_grad_F(fam, off, alpha)) > 1e-3
@@ -119,7 +113,8 @@ def test_fo_gap_consistent_with_meta_matrix():
     # grad F is linear: grad F(w_fo) = meta_matrix (w_fo - w_star).
     want = np.linalg.norm(an.meta_matrix @ (an.w_fo - an.w_star))
     assert an.fo_gap == pytest.approx(want, rel=1e-9)
-    assert an.fo_gap == pytest.approx(fo_gap(fam, alpha), rel=1e-12)
+    gap_at_w_fo = np.linalg.norm(exact_grad_F(fam, an.w_fo, alpha))
+    assert an.fo_gap == pytest.approx(gap_at_w_fo, rel=1e-12)
 
 
 def test_system_matrices_positive_definite():
@@ -136,20 +131,21 @@ def test_alpha_zero_limit_matches_mean_minimizer():
     a_bar = sum(p * t.A for p, t in zip(fam.weights, fam.tasks))
     b_bar = sum(p * t.b for p, t in zip(fam.weights, fam.tasks))
     want = np.linalg.solve(a_bar, -b_bar)
-    assert np.allclose(solve_quadratic_maml(fam, 0.0), want, atol=1e-12)
-    assert np.allclose(solve_quadratic_fo(fam, 0.0), want, atol=1e-12)
+    an = analyze_quadratic(fam, 0.0)
+    assert np.allclose(an.w_star, want, atol=1e-12)
+    assert np.allclose(an.w_fo, want, atol=1e-12)
     # Continuity in alpha near zero.
-    assert np.linalg.norm(solve_quadratic_maml(fam, 1e-6) - want) <= 1e-4
+    assert np.linalg.norm(analyze_quadratic(fam, 1e-6).w_star - want) <= 1e-4
 
 
 def test_rejects_non_quadratic_family():
     fam = rank1_mf_family(3, 3, RngStream(208))
     with pytest.raises(ValueError):
-        solve_quadratic_maml(fam, 0.1)
+        analyze_quadratic(fam, 0.1)
 
 
 def test_degenerate_alpha_raises_ill_conditioned():
     # alpha = 1/lambda zeroes the lone eigendirection: singular system.
     fam = TaskFamily(QUADRATIC, [QuadraticTask(np.array([[2.0]]), np.array([1.0]))])
     with pytest.raises(IllConditioned):
-        solve_quadratic_maml(fam, 0.5)
+        analyze_quadratic(fam, 0.5)

@@ -1,6 +1,7 @@
 """CLI behaviors: exit codes, emitted files, determinism, overrides."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from metagrad.meta_gradient import exact_grad_F
 from metagrad.numerics import RngStream
 from metagrad.optimizer import CSV_HEADER, RunRecord
 from metagrad.tasks import TaskFamily, random_quadratic_family
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quad_family_dict(seed=0, n=3, d=2):
@@ -277,30 +281,46 @@ class TestAuditCommand:
         assert [a["name"] for a in report["audits"]] == ["hvp_probe_error", "smoothness_ratio"]
         assert report["kshot_floors"] is None
 
+    def test_noiseless_fig1_family_passes_grad_gap(self, tmp_path, capsys):
+        # zero noise: the surrogate gradient is the exact meta-gradient, so
+        # the gap is exactly zero against a zero bound
+        cfg = json.loads((CONFIGS / "fig1.json").read_text())
+        cfg["audit"] = {"select": ["grad_gap"], "n_mc": 50}
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "audit_seed0.json").read_text())
+        assert len(report["audits"]) == 3
+        assert all(a["measured"] == 0.0 for a in report["audits"])
+        assert report["all_passed"] is True
+
+    def test_default_battery_skips_probe_on_quadratics(self, tmp_path, capsys):
+        # constant Hessians give rho = 0: there is no probe error to audit
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "audit_seed0.json").read_text())
+        names = [a["name"] for a in report["audits"]]
+        assert "hvp_probe_error" not in names
+        assert "smoothness_ratio" in names
+
     def test_unknown_audit_name_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, audit={"select": ["biass"]})
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "biass" in capsys.readouterr().err
 
 
-class TestConcurrency:
-    def test_threaded_replicates_match_serial(self, tmp_path, capsys, monkeypatch):
+class TestReplicateSeeds:
+    def test_three_seed_run_matches_single_seed_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[0, 1, 2])
-        monkeypatch.setenv("METAGRAD_THREADS", "1")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "serial"), "--quiet"]) == 0
-        monkeypatch.setenv("METAGRAD_THREADS", "3")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "pooled"), "--quiet"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "all"), "--quiet"]) == 0
         for seed in (0, 1, 2):
+            single = tmp_path / f"single{seed}"
+            argv = ["run", "--config", str(cfg), "--seed", str(seed), "--out", str(single)]
+            assert main(argv + ["--quiet"]) == 0
             name = f"run_maml_seed{seed}.csv"
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "pooled" / name
-            ).read_bytes()
-
-    def test_bad_threads_env_rejected(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path, seeds=[0, 1])
-        monkeypatch.setenv("METAGRAD_THREADS", "many")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "METAGRAD_THREADS" in capsys.readouterr().err
+            assert (tmp_path / "all" / name).read_bytes() == (single / name).read_bytes()
 
 
 class TestEmptyRecordEmission:

@@ -7,13 +7,12 @@ from metagrad.meta_gradient import (
     ALGORITHMS,
     direction,
     exact_grad_F,
-    exact_grad_F_i,
     fomaml_direction,
     hfmaml_direction,
     hvp_finite_diff,
     inner_step,
     maml_direction,
-    mc_grad_F_hat,
+    mc_grad_F_hat_draws,
     probe_delta,
     value_F,
 )
@@ -21,6 +20,7 @@ from metagrad.numerics import RngStream, standard_normals
 from metagrad.stochastic import BatchSpec, StochasticOracle, hess_noise_scale
 from metagrad.tasks import (
     QUADRATIC,
+    RANK1MF,
     MatrixFactorizationTask,
     QuadraticTask,
     TaskFamily,
@@ -94,7 +94,8 @@ def test_fomaml_direction_exact_quadratic_identity():
 
 def test_maml_direction_unbiased_given_exact_inner():
     # With the inner step exact, the estimator's mean is the exact
-    # per-task meta-gradient: E[(I - aH~)(grad f(w_i) + z)] = exact_grad_F_i.
+    # per-task meta-gradient: E[(I - aH~)(grad f(w_i) + z)] = exact_grad_F of
+    # the one-task family.
     task = MatrixFactorizationTask(np.array([1.0, -0.5, 0.25, 0.8]))
     d = 4
     w = np.array([0.6, 0.2, -0.4, 0.1])
@@ -111,7 +112,7 @@ def test_maml_direction_unbiased_given_exact_inner():
     go = g_wi + z
     dirs = go - alpha * (go @ h.T + np.einsum("mij,mj->mi", e, go))
 
-    exact = exact_grad_F_i(task, w, alpha)
+    exact = exact_grad_F(TaskFamily(RANK1MF, [task]), w, alpha)
     err = np.linalg.norm(dirs.mean(axis=0) - exact)
     se = np.sqrt(np.sum(dirs.var(axis=0)) / n)
     assert err <= 4.0 * se
@@ -235,7 +236,8 @@ def test_exact_grad_F_matches_weighted_per_task():
     w = np.random.default_rng(51).normal(size=3)
     alpha = 0.03
     want = sum(
-        p * exact_grad_F_i(t, w, alpha) for p, t in zip(fam.weights, fam.tasks)
+        p * exact_grad_F(TaskFamily(RANK1MF, [t]), w, alpha)
+        for p, t in zip(fam.weights, fam.tasks)
     )
     assert np.max(np.abs(exact_grad_F(fam, w, alpha) - want)) <= 1e-12
 
@@ -263,7 +265,7 @@ def test_exact_grad_F_is_gradient_of_value_F():
 def test_exact_grad_F_alpha_zero_is_mean_gradient():
     fam = rank1_mf_family(5, 3, RngStream(56))
     w = np.random.default_rng(57).normal(size=3)
-    assert np.allclose(exact_grad_F(fam, w, 0.0), fam.mean_grad(w), atol=1e-13)
+    assert np.allclose(exact_grad_F(fam, w, 0.0), fam.weights @ fam.grads(w), atol=1e-13)
 
 
 # ----------------------------------------------------------- mc_grad_F_hat
@@ -273,7 +275,9 @@ def test_mc_grad_F_hat_zero_noise_equals_exact():
     fam = rank1_mf_family(4, 3, RngStream(60))
     w = np.random.default_rng(61).normal(size=3)
     for n_mc in (1, 7):
-        got = mc_grad_F_hat(fam, w, 0.05, D_test=3, n_mc=n_mc, oracle=EXACT, rng=RngStream(0))
+        draws = mc_grad_F_hat_draws(fam, w, 0.05, D_test=3, n_mc=n_mc, oracle=EXACT,
+                                    rng=RngStream(0))
+        got = draws.mean(axis=0)
         assert np.max(np.abs(got - exact_grad_F(fam, w, 0.05))) <= 1e-12
 
 
@@ -287,7 +291,9 @@ def test_mc_grad_F_hat_gap_within_surrogate_bound():
     w = 0.4 * np.random.default_rng(63).normal(size=4)
     D = 4
     n_mc = 60_000
-    got = mc_grad_F_hat(fam, w, alpha, D_test=D, n_mc=n_mc, oracle=oracle, rng=RngStream(64))
+    draws = mc_grad_F_hat_draws(fam, w, alpha, D_test=D, n_mc=n_mc, oracle=oracle,
+                                rng=RngStream(64))
+    got = draws.mean(axis=0)
     gap = np.linalg.norm(got - exact_grad_F(fam, w, alpha))
     bound = (
         2.0 * alpha * prof.L * oracle.sigma_tilde / np.sqrt(D)
@@ -301,13 +307,13 @@ def test_mc_grad_F_hat_deterministic():
     fam = rank1_mf_family(3, 3, RngStream(65))
     w = np.zeros(3)
     oracle = StochasticOracle(sigma_tilde=0.7, sigma_H=0.3)
-    a = mc_grad_F_hat(fam, w, 0.05, 2, 500, oracle, RngStream(66))
-    b = mc_grad_F_hat(fam, w, 0.05, 2, 500, oracle, RngStream(66))
+    a = mc_grad_F_hat_draws(fam, w, 0.05, 2, 500, oracle, RngStream(66)).mean(axis=0)
+    b = mc_grad_F_hat_draws(fam, w, 0.05, 2, 500, oracle, RngStream(66)).mean(axis=0)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        mc_grad_F_hat(fam, w, 0.05, 2, 0, oracle, RngStream(66))
+        mc_grad_F_hat_draws(fam, w, 0.05, 2, 0, oracle, RngStream(66))
     with pytest.raises(ValueError):
-        mc_grad_F_hat(fam, w, 0.05, 0, 5, oracle, RngStream(66))
+        mc_grad_F_hat_draws(fam, w, 0.05, 0, 5, oracle, RngStream(66))
 
 
 # -------------------------------------------------------------- dispatch

@@ -3,26 +3,13 @@
 import numpy as np
 import pytest
 
-from metagrad.errors import IllConditioned
 from metagrad.numerics import (
     RngStream,
     gaussian,
-    matvec,
     spectral_norm,
     standard_normals,
     uniforms,
 )
-
-
-def matvec_oracle(m, v):
-    """Triple-loop product, no vectorization."""
-    out = np.zeros(m.shape[0])
-    for i in range(m.shape[0]):
-        acc = 0.0
-        for j in range(m.shape[1]):
-            acc += m[i, j] * v[j]
-        out[i] = acc
-    return out
 
 
 def jacobi_eigenvalues(a, max_sweeps=200):
@@ -53,43 +40,6 @@ def jacobi_eigenvalues(a, max_sweeps=200):
                 j[q, p] = -s
                 a = j.T @ a @ j
     return np.sort(np.diag(a))
-
-
-# ---------------------------------------------------------------- matvec
-
-
-def test_matvec_matches_triple_loop():
-    gen = np.random.default_rng(0)
-    for _ in range(20):
-        m = gen.normal(size=(4, 4))
-        v = gen.normal(size=4)
-        assert np.max(np.abs(matvec(m, v) - matvec_oracle(m, v))) <= 1e-14
-
-
-def test_matvec_rectangular():
-    gen = np.random.default_rng(1)
-    m = gen.normal(size=(3, 5))
-    v = gen.normal(size=5)
-    assert np.allclose(matvec(m, v), matvec_oracle(m, v), atol=1e-14)
-
-
-def test_matvec_linearity():
-    gen = np.random.default_rng(2)
-    for _ in range(50):
-        m = gen.normal(size=(6, 6))
-        v = gen.normal(size=6)
-        u = gen.normal(size=6)
-        a, b = gen.normal(size=2)
-        lhs = matvec(m, a * v + b * u)
-        rhs = a * matvec(m, v) + b * matvec(m, u)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.ones(4))
-    with pytest.raises(ValueError):
-        matvec(np.ones(3), np.ones(3))
 
 
 # ---------------------------------------------------------- spectral_norm
@@ -141,10 +91,9 @@ def test_spectral_norm_rejects_nonsymmetric():
         spectral_norm(np.ones((2, 3)))
 
 
-def test_spectral_norm_ill_conditioned_gap():
-    # Eigenvalue ratio 0.99995 needs far more than the iteration cap.
-    with pytest.raises(IllConditioned):
-        spectral_norm(np.diag([1.0, 0.99995]), tol=1e-10, max_iters=10_000)
+def test_spectral_norm_close_leading_eigenvalues():
+    # A 0.99995 eigenvalue ratio stalls power iteration; eigvalsh is exact.
+    assert spectral_norm(np.diag([1.0, 0.99995])) == 1.0
 
 
 # -------------------------------------------------------------- RngStream

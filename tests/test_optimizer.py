@@ -64,6 +64,14 @@ class TestExactConvergence:
         assert np.linalg.norm(rec.w_final - analysis.w_star) <= 1e-10
         assert rec.dist_wstar[-1] <= 1e-10
 
+    @pytest.mark.parametrize("gap", [1e-7, 1e-5])
+    def test_nearly_repeated_leading_eigenvalue_sets_up(self, gap):
+        # two leading eigenvalues this close once stalled the set-up eigen-solver
+        family = TaskFamily(QUADRATIC, [QuadraticTask(np.diag([1.0, 1.0 + gap]), np.ones(2))])
+        rec = run(family, exact_config(MAML, 0.5, max_iters=5))
+        assert rec.steps_taken == 5
+        assert np.all(np.isfinite(rec.grad_norm_F))
+
     def test_hfmaml_matches_maml_trajectory_noise_free(self):
         # exact finite differences on quadratics make the probe an exact
         # Hessian-vector product, so the two methods coincide pointwise
@@ -218,7 +226,7 @@ class TestRecordAndStops:
         rec = run(family, exact_config(MAML, beta, target_grad_norm=1e-6, max_iters=500))
         assert rec.stop_reason == "target"
         assert rec.final_grad_norm <= 1e-6
-        assert rec.iterations_to(1e-6) == rec.steps_taken
+        assert np.all(rec.grad_norm_F[:-1] > 1e-6)  # first hit is the last row
         assert rec.grad_norm_F[rec.steps_taken - 1] > 1e-6
         full = run(family, exact_config(MAML, beta, max_iters=7))
         assert full.stop_reason == "max_iters"
