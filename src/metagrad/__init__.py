@@ -14,7 +14,7 @@ from .errors import (
     MetagradError,
     NumericalFailure,
 )
-from .numerics import RngStream, gaussian, spectral_norm
+from .numerics import RngStream, spectral_norm
 
 __all__ = [
     "DivergenceDetected",
@@ -23,6 +23,5 @@ __all__ = [
     "MetagradError",
     "NumericalFailure",
     "RngStream",
-    "gaussian",
     "spectral_norm",
 ]

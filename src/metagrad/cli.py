@@ -106,6 +106,28 @@ EXAMPLE_1D_FAMILY = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integral(default, value, name: str) -> None:
+    """ConfigError unless value is integral where the default is an int (or list of ints).
+
+    Floats such as 4.0 pass; 20.9, 2.5 and booleans fail rather than being truncated.
+    """
+    if isinstance(default, list) and default and _is_int(default[0]):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+        values = value
+    elif _is_int(default):
+        values = [value]
+    else:
+        return
+    for v in values:
+        if not (_is_int(v) or isinstance(v, float) and v.is_integer()):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+
+
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     """Defaults overlaid with given values; unknown keys are errors."""
     out = {}
@@ -116,6 +138,7 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
                 raise ConfigError(f"{path}{key} must be an object")
             out[key] = _merge(base, value, f"{path}{key}.")
         elif key in given:
+            _check_integral(base, given[key], f"{path}{key}")
             out[key] = given[key]
         else:
             out[key] = json.loads(json.dumps(base))  # deep copy of the default
@@ -199,6 +222,8 @@ def generate_family(knobs: dict) -> TaskFamily:
     )
     rng = RngStream(int(merged["seed"]), ("gen_family",))
     n, dim, s = int(merged["n"]), int(merged["dim"]), float(merged["similarity"])
+    if n < 1 or dim < 1:
+        raise ConfigError(f"family.generate needs n >= 1 and dim >= 1, got n={n}, dim={dim}")
     if merged["kind"] == RANK1MF:
         return rank1_mf_family(n, dim, rng, scale=s)
     if merged["kind"] == QUADRATIC:

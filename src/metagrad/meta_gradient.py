@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, standard_normals
+from .numerics import Mat, RngStream, Vec
 from .stochastic import (
     HESS,
     INNER,
@@ -38,8 +38,8 @@ from .stochastic import (
     PROBE,
     BatchSpec,
     StochasticOracle,
-    grad_noise_scale,
-    hess_noise_scale,
+    grad_noise,
+    hess_noise,
 )
 from .tasks import TaskFamily
 
@@ -196,22 +196,12 @@ def mc_grad_F_hat_draws(
     if oracle.exact:
         return np.tile(exact_grad_F(family, w, alpha), (n_mc, 1))
     d = family.dim
-    g_scale = grad_noise_scale(d, D_test, oracle.sigma_tilde)
-    h_scale = hess_noise_scale(d, D_test, oracle.sigma_H)
     draws = np.zeros((n_mc, d))
     for i, task in enumerate(family.tasks):
-        g = task.grad(w)
-        if g_scale > 0.0:
-            z = g_scale * standard_normals(rng.child("task", i, "test_grad"), (n_mc, d))
-        else:
-            z = np.zeros((n_mc, d))
-        go = task.grad_many(w - alpha * (g + z))  # exact outer gradient, (n_mc, d)
-        if h_scale > 0.0:
-            raw = standard_normals(rng.child("task", i, "test_hess"), (n_mc, d, d))
-            e = h_scale * 0.5 * (raw + np.swapaxes(raw, 1, 2))
-            corr = np.einsum("mij,mj->mi", e, go)
-        else:
-            corr = np.zeros((n_mc, d))
-        dirs = go - alpha * (go @ task.hess(w).T + corr)
+        g = np.broadcast_to(task.grad(w), (n_mc, d))
+        g_in = grad_noise(g, D_test, oracle.sigma_tilde, rng.child("task", i, "test_grad"))
+        go = task.grad_many(w - alpha * g_in)  # exact outer gradient, (n_mc, d)
+        e = hess_noise((n_mc, d, d), D_test, oracle.sigma_H, rng.child("task", i, "test_hess"))
+        dirs = go - alpha * (go @ task.hess(w).T + np.einsum("mij,mj->mi", e, go))
         draws += family.weights[i] * dirs
     return draws

@@ -9,15 +9,14 @@ consumed.  Branch randomness by deriving children, never by drawing a
 variable amount and hoping call order stays fixed.
 
 Gaussians come from a Box-Muller transform applied to uniforms from a
-keyed Philox generator, so every draw is reproducible under parallel or
-reordered evaluation.
+keyed Philox generator, so every draw is reproducible however the draws
+are ordered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,35 +70,31 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=self._key()))
 
 
-_BORROWED = threading.local()
+_BITS = np.random.Philox(key=0)
+_GEN = np.random.Generator(_BITS)
+_STATE = _BITS.state
 
 
 def _borrowed_generator(rng: RngStream) -> np.random.Generator:
-    """A thread-local generator repointed at the stream's start.
+    """The module's one generator, repointed at the stream's start.
 
     Constructing a keyed Philox costs more than the small draws made in
-    the hot loops, so one bit generator per thread is rewound by state
+    the hot loops, so a single bit generator is rewound by state
     assignment instead.  The draws are identical to generator()'s.  The
-    returned object is only valid until the next call on this thread;
-    callers must finish drawing before returning.
+    returned object is only valid until the next call; callers must
+    finish drawing before returning.
     """
-    slot = getattr(_BORROWED, "slot", None)
-    if slot is None:
-        bits = np.random.Philox(key=0)
-        slot = (bits, np.random.Generator(bits), bits.state)
-        _BORROWED.slot = slot
-    bits, gen, state = slot
     key = rng._key()
-    state["state"] = {
+    _STATE["state"] = {
         "counter": np.zeros(4, dtype=np.uint64),
         "key": np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64),
     }
-    state["buffer"] = np.zeros(4, dtype=np.uint64)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bits.state = state
-    return gen
+    _STATE["buffer"] = np.zeros(4, dtype=np.uint64)
+    _STATE["buffer_pos"] = 4
+    _STATE["has_uint32"] = 0
+    _STATE["uinteger"] = 0
+    _BITS.state = _STATE
+    return _GEN
 
 
 def uniforms(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -114,6 +109,8 @@ def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray
         shape = (shape,)
     n = 1
     for dim in shape:
+        if dim < 0:
+            raise ValueError(f"negative dimension in shape {shape}")
         n *= int(dim)
     pairs = (n + 1) // 2
     gen = _borrowed_generator(rng)
@@ -124,15 +121,6 @@ def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray
     z[0::2] = r * np.cos(2.0 * np.pi * u2)
     z[1::2] = r * np.sin(2.0 * np.pi * u2)
     return z[:n].reshape(shape)
-
-
-def gaussian(rng: RngStream, n: int, stddev: float = 1.0) -> Vec:
-    """An n-vector with i.i.d. N(0, stddev^2) entries."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if stddev < 0:
-        raise ValueError("stddev must be nonnegative")
-    return stddev * standard_normals(rng, n)
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:

@@ -25,14 +25,7 @@ from .closed_form import analyze_quadratic
 from .errors import DivergenceDetected, IllConditioned, InvalidBatchConfig, NumericalFailure
 from .meta_gradient import ALGORITHMS, FOMAML, HFMAML, MAML, direction, exact_grad_F, value_F
 from .numerics import RngStream, Vec
-from .stepsize import (
-    ALPHA_CAPS,
-    StepsizeRule,
-    beta_tilde,
-    required_B_prime,
-    required_D_beta,
-    required_D_h,
-)
+from .stepsize import ALPHA_CAPS, StepsizeRule, beta_tilde, check_stepsize_batches, required_D_h
 from .stochastic import BatchSpec, StochasticOracle, sample_task_batch
 from .tasks import QUADRATIC, SmoothnessProfile, TaskFamily, local_smoothness
 
@@ -80,30 +73,17 @@ class OptimizerConfig:
             self.w0 = np.asarray(self.w0, dtype=float)
 
 
-def validate_config(
-    config: OptimizerConfig, profile: SmoothnessProfile, family: TaskFamily
-) -> None:
+def validate_config(config: OptimizerConfig, profile: SmoothnessProfile) -> None:
     """Enforce the preconditions the adaptive-stepsize guarantees assume.
 
     Raises InvalidBatchConfig naming the violated inequality.  The inner
     stepsize cap is advisory (constant-stepsize experiments routinely
     exceed it), so it only warns.
     """
-    if config.w0 is not None and config.w0.shape != (family.dim,):
-        raise ValueError(f"w0 has shape {config.w0.shape}, family dimension is {family.dim}")
     if config.stepsize.kind != "adaptive":
         return
     b = config.batches
-    need_bp = required_B_prime(profile, config.alpha)
-    if b.B_prime < need_bp:
-        raise InvalidBatchConfig(
-            f"B_prime={b.B_prime} < ceil(0.5*(rho*alpha*sigma/L)^2)={need_bp}"
-        )
-    need_db = required_D_beta(profile, config.alpha)
-    if b.D_beta < need_db:
-        raise InvalidBatchConfig(
-            f"D_beta={b.D_beta} < ceil((2*rho*alpha*sigma_tilde/L)^2)={need_db}"
-        )
+    check_stepsize_batches(profile, config.alpha, b.B_prime, b.D_beta)
     if not config.full_task_batch and b.B < 20:
         raise InvalidBatchConfig(f"B={b.B} < 20 (task-batch precondition)")
     need_dh = required_D_h(profile, config.alpha, config.algorithm)
@@ -247,7 +227,7 @@ def run(
     if profile is None:
         profile = local_smoothness(family, w0, config.trust_radius)
     profile = profile.with_noise(config.sigma_tilde, config.sigma_H)
-    validate_config(config, profile, family)
+    validate_config(config, profile)
     oracle = StochasticOracle(sigma_tilde=config.sigma_tilde, sigma_H=config.sigma_H)
 
     analysis = None

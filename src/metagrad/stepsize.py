@@ -18,8 +18,9 @@ to tame gradient dispersion and noise:
     D_beta >= ceil((2 rho alpha sigma_tilde / L)^2),
 
 under which E[beta_tilde] >= 0.8 / L(w) and
-E[beta_tilde^2] <= 3.125 / L(w)^2.  ``batch_conditions_ok`` checks the
-two inequalities and ``beta_tilde`` refuses to run without them.
+E[beta_tilde^2] <= 3.125 / L(w)^2.  ``check_stepsize_batches`` raises
+when either inequality fails; the samplers and the optimizer's config
+validation all go through it.
 
 ``recommended_batches`` inverts the convergence guarantees: given a
 target gradient norm eps it returns batch sizes under which the floors
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig
-from .numerics import RngStream, Vec, standard_normals, uniforms
-from .stochastic import STEPSIZE, BatchSpec, TASKS, grad_noise_scale, noisy_grad, sample_task_batch
+from .numerics import RngStream, Vec
+from .stochastic import STEPSIZE, BatchSpec, TASKS, grad_noise, noisy_grad, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
 # Fractions of beta_tilde each algorithm may take per iteration, and the
@@ -119,13 +120,20 @@ def required_D_h(profile: SmoothnessProfile, alpha: float, algorithm: str) -> in
     return max(1, _ceil(2.0 * alpha**2 * profile.sigma_H**2))
 
 
-def batch_conditions_ok(
+def check_stepsize_batches(
     profile: SmoothnessProfile, alpha: float, B_prime: int, D_beta: int
-) -> bool:
-    """True when B' and D_beta satisfy the moment-control inequalities."""
-    return B_prime >= required_B_prime(profile, alpha) and D_beta >= required_D_beta(
-        profile, alpha
-    )
+) -> None:
+    """Raise InvalidBatchConfig unless B' and D_beta control the moments."""
+    need_bp = required_B_prime(profile, alpha)
+    if B_prime < need_bp:
+        raise InvalidBatchConfig(
+            f"B_prime={B_prime} < ceil(0.5*(rho*alpha*sigma/L)^2)={need_bp}"
+        )
+    need_db = required_D_beta(profile, alpha)
+    if D_beta < need_db:
+        raise InvalidBatchConfig(
+            f"D_beta={D_beta} < ceil((2*rho*alpha*sigma_tilde/L)^2)={need_db}"
+        )
 
 
 def beta_tilde(
@@ -144,12 +152,7 @@ def beta_tilde(
     vanishes and the sample is deterministically 1 / (4L): no randomness
     is consumed, which keeps exact-oracle runs free of RNG cost.
     """
-    if not batch_conditions_ok(profile, alpha, B_prime, D_beta):
-        raise InvalidBatchConfig(
-            f"B_prime={B_prime} < {required_B_prime(profile, alpha)} or "
-            f"D_beta={D_beta} < {required_D_beta(profile, alpha)} "
-            "(stepsize moment-control preconditions)"
-        )
+    check_stepsize_batches(profile, alpha, B_prime, D_beta)
     coeff = 2.0 * profile.rho * alpha
     if coeff == 0.0:
         l_tilde = 4.0 * profile.L
@@ -181,24 +184,12 @@ def sample_beta_tilde(
     task sampling, same noise law), batched so moment audits with 1e5
     samples stay fast.
     """
-    if not batch_conditions_ok(profile, alpha, B_prime, D_beta):
-        raise InvalidBatchConfig(
-            f"B_prime={B_prime} < {required_B_prime(profile, alpha)} or "
-            f"D_beta={D_beta} < {required_D_beta(profile, alpha)} "
-            "(stepsize moment-control preconditions)"
-        )
+    check_stepsize_batches(profile, alpha, B_prime, D_beta)
     coeff = 2.0 * profile.rho * alpha
     if coeff == 0.0:
         return np.full(n, 0.25 / profile.L)
-    d = family.dim
-    cum = np.cumsum(family.weights)
-    u = uniforms(rng.child(TASKS), (n, B_prime))
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), family.n_tasks - 1)
-    grads = family.grads(w)  # (n_tasks, d)
-    sel = grads[idx]  # (n, B', d)
-    scale = grad_noise_scale(d, D_beta, profile.sigma_tilde)
-    if scale > 0.0:
-        sel = sel + scale * standard_normals(rng.child(STEPSIZE), (n, B_prime, d))
+    idx = sample_task_batch(family, (n, B_prime), rng.child(TASKS))
+    sel = grad_noise(family.grads(w)[idx], D_beta, profile.sigma_tilde, rng.child(STEPSIZE))
     norms = np.linalg.norm(sel, axis=2).mean(axis=1)
     return 1.0 / (4.0 * profile.L + coeff * norms)
 

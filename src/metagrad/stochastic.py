@@ -11,6 +11,10 @@ so E||z||^2 = sigma_tilde^2 / D, and
     noisy_hess:  hess f(w) + E,   E symmetric Gaussian with
                  E||E||_F^2 = sigma_H^2 / D.
 
+These two laws live only in ``grad_noise`` and ``hess_noise``, which
+act on whole stacks of draws; the per-task oracles and the vectorized
+audit and stepsize samplers all call them.
+
 Noise is drawn from the stream passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
 consumed.  Callers that want two evaluations to share a data batch (the
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, gaussian, standard_normals, uniforms
+from .numerics import Mat, RngStream, Vec, standard_normals, uniforms
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -34,7 +38,6 @@ OUTER = "outer"
 HESS = "hess"
 PROBE = "hvp"
 STEPSIZE = "stepsize"
-TEST = "test"
 TASKS = "tasks"
 
 
@@ -63,42 +66,48 @@ class BatchSpec:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-def grad_noise_scale(d: int, D: int, sigma_tilde: float) -> float:
-    """Per-coordinate stddev giving E||z||^2 = sigma_tilde^2 / D in d dims."""
-    return sigma_tilde / np.sqrt(d * D)
+def grad_noise(g: np.ndarray, D: int, sigma_tilde: float, rng: RngStream) -> np.ndarray:
+    """g plus batch-size-D gradient noise on each row along the last axis.
 
-
-def hess_noise_scale(d: int, D: int, sigma_H: float) -> float:
-    """Pre-symmetrization entry stddev giving E||E||_F^2 = sigma_H^2 / D.
-
-    For E = kappa (G + G') / 2 with i.i.d. standard normal G, the
-    Frobenius energy is kappa^2 d (d + 1) / 2; solve for kappa.
+    Entries are i.i.d. N(0, sigma_tilde^2 / (d D)), one draw on rng for
+    all rows.  With sigma_tilde = 0, g itself is returned and nothing is
+    drawn.
     """
-    return sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
+    if D < 1:
+        raise ValueError("D must be >= 1")
+    if sigma_tilde == 0.0:
+        return g
+    d = g.shape[-1]
+    return g + sigma_tilde / np.sqrt(d * D) * standard_normals(rng, g.shape)
+
+
+def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: RngStream) -> np.ndarray:
+    """Symmetric batch-size-D Hessian noise over the last two axes.
+
+    E = kappa (G + G') / 2 with i.i.d. standard normal G has Frobenius
+    energy kappa^2 d (d + 1) / 2, so kappa = sigma_H sqrt(2 / (D d (d + 1))).
+    One draw on rng for all matrices; with sigma_H = 0 the noise is zero
+    and nothing is drawn.
+    """
+    if D < 1:
+        raise ValueError("D must be >= 1")
+    if sigma_H == 0.0:
+        return np.zeros(shape)
+    d = shape[-1]
+    kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
+    g = standard_normals(rng, shape)
+    return kappa * 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def noisy_grad(task, w: Vec, D: int, sigma_tilde: float, rng: RngStream) -> Vec:
     """Gradient of the task plus batch-size-D Gaussian noise."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    g = task.grad(w)
-    if sigma_tilde == 0.0:
-        return g
-    d = g.shape[0]
-    return g + gaussian(rng, d, grad_noise_scale(d, D, sigma_tilde))
+    return grad_noise(task.grad(w), D, sigma_tilde, rng)
 
 
 def noisy_hess(task, w: Vec, D: int, sigma_H: float, rng: RngStream) -> Mat:
     """Hessian of the task plus symmetric Gaussian noise."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
     h = task.hess(w)
-    if sigma_H == 0.0:
-        return h
-    d = h.shape[0]
-    kappa = hess_noise_scale(d, D, sigma_H)
-    g = standard_normals(rng, (d, d))
-    return h + kappa * 0.5 * (g + g.T)
+    return h + hess_noise(h.shape, D, sigma_H, rng)
 
 
 @dataclass(frozen=True)
@@ -123,10 +132,12 @@ class StochasticOracle:
         return noisy_hess(task, w, D, self.sigma_H, rng)
 
 
-def sample_task_batch(family: TaskFamily, B: int, rng: RngStream) -> np.ndarray:
-    """B task indices drawn i.i.d. from the family weights, with replacement."""
-    if B < 1:
-        raise ValueError("B must be >= 1")
+def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...], rng: RngStream) -> np.ndarray:
+    """Task indices of the given shape, i.i.d. from the family weights by inverse CDF."""
+    if isinstance(shape, int):
+        shape = (shape,)
+    if min(shape) < 1:
+        raise ValueError(f"batch shape must be positive, got {shape}")
     cum = np.cumsum(family.weights)
-    u = uniforms(rng, B)
+    u = uniforms(rng, shape)
     return np.minimum(np.searchsorted(cum, u, side="right"), family.n_tasks - 1)

@@ -12,7 +12,6 @@ All audits are deterministic functions of their RngStream argument.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from .meta_gradient import exact_grad_F, hvp_finite_diff, mc_grad_F_hat_draws, p
 from .numerics import RngStream, Vec, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
-from .stochastic import StochasticOracle, grad_noise_scale
+from .stochastic import StochasticOracle, grad_noise
 from .tasks import SmoothnessProfile, TaskFamily, ball_points
 
 
@@ -51,11 +50,6 @@ class BoundAudit:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def audits_to_json(audits: list[BoundAudit]) -> str:
-    """Machine-readable audit report, stable across repeated runs."""
-    return json.dumps([a.to_dict() for a in audits], indent=2, sort_keys=True) + "\n"
-
-
 def _mean_vector_se(draws: np.ndarray) -> float:
     """Standard error of the norm-of-mean: sqrt(trace(cov) / n)."""
     n = draws.shape[0]
@@ -82,20 +76,19 @@ def _adapted_outer_draws(
     norm (the second-moment integrand, which is not ||draws[m]||^2).
     """
     d = family.dim
-    s_in = grad_noise_scale(d, D_in, sigma_tilde)
-    s_out = grad_noise_scale(d, D_o, sigma_tilde)
     draws = np.zeros((n_mc, d))
     sq = np.zeros(n_mc)
     for i, task in enumerate(family.tasks):
         g = task.grad(w)
-        if s_in > 0.0:
-            z = s_in * standard_normals(rng.child("task", i, "inner"), (n_mc, d))
-            inner = w - alpha * (g + z)
+        if sigma_tilde > 0.0:
+            g_in = np.broadcast_to(g, (n_mc, d))
+            inner = w - alpha * grad_noise(g_in, D_in, sigma_tilde, rng.child("task", i, "inner"))
         else:
+            # one shared point as a broadcast view: grad_many then
+            # computes every row identically, so noiseless draws agree
+            # bit for bit with the n_mc = 1 reference in audit_bias
             inner = np.broadcast_to(w - alpha * g, (n_mc, d))
-        go = task.grad_many(inner)
-        if s_out > 0.0:
-            go = go + s_out * standard_normals(rng.child("task", i, "outer"), (n_mc, d))
+        go = grad_noise(task.grad_many(inner), D_o, sigma_tilde, rng.child("task", i, "outer"))
         draws += family.weights[i] * go
         sq += family.weights[i] * np.einsum("md,md->m", go, go)
     return draws, sq

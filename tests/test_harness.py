@@ -84,6 +84,22 @@ class TestGenFamily:
         b = (tmp_path / "b" / "family_quadratic_n3_d2.json").read_text()
         assert a != b
 
+    @pytest.mark.parametrize("n, dim", [(0, 5), (5, 0), (5, -1)])
+    def test_bad_sizes_are_config_errors(self, tmp_path, capsys, n, dim):
+        out = tmp_path / "out"
+        argv = ["gen-family", "--kind", "rank1mf", "--n", str(n), "--dim", str(dim),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "n >= 1 and dim >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_dim_generated_family_in_config_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, family={"generate": {"kind": "rank1mf", "n": 3, "dim": 0}}, w0=None
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "dim=0" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_emits_csv_and_sidecar(self, tmp_path, capsys):
@@ -193,6 +209,38 @@ class TestExitCodes:
         cfg = write_config(tmp_path, seeds=[1, 1])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"batches": {"B": 20.9}}, "batches.B"),
+            ({"max_iters": 2.5}, "max_iters"),
+            ({"max_iters": True}, "max_iters"),
+        ],
+    )
+    def test_non_integral_integer_fields_rejected(self, tmp_path, capsys, override, field):
+        cfg = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "audit, field",
+        [
+            ({"select": ["bias"], "n_mc": 100.5}, "audit.n_mc"),
+            ({"select": ["bias"], "n_mc": 100, "D_in": [4, 2.5]}, "audit.D_in"),
+            ({"select": ["kshot"], "K_list": [True]}, "audit.K_list"),
+        ],
+    )
+    def test_non_integral_audit_fields_rejected(self, tmp_path, capsys, audit, field):
+        cfg = write_config(tmp_path, audit=audit)
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_fields_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, max_iters=5.0, batches={"B": 4.0, "D_in": 2, "D_o": 2})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        cols = RunRecord.parse_csv((tmp_path / "o" / "run_maml_seed0.csv").read_text())
+        assert len(cols["iter"]) == 6
 
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -17,7 +17,7 @@ from metagrad.meta_gradient import (
     value_F,
 )
 from metagrad.numerics import RngStream, standard_normals
-from metagrad.stochastic import BatchSpec, StochasticOracle, hess_noise_scale
+from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
     QUADRATIC,
     RANK1MF,
@@ -108,7 +108,8 @@ def test_maml_direction_unbiased_given_exact_inner():
     rng = RngStream(77)
     z = (sigma_tilde / np.sqrt(d * D)) * standard_normals(rng.child("z"), (n, d))
     raw = standard_normals(rng.child("e"), (n, d, d))
-    e = hess_noise_scale(d, D, sigma_H) * 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
+    e = kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2))
     go = g_wi + z
     dirs = go - alpha * (go @ h.T + np.einsum("mij,mj->mi", e, go))
 
@@ -314,6 +315,31 @@ def test_mc_grad_F_hat_deterministic():
         mc_grad_F_hat_draws(fam, w, 0.05, 2, 0, oracle, RngStream(66))
     with pytest.raises(ValueError):
         mc_grad_F_hat_draws(fam, w, 0.05, 0, 5, oracle, RngStream(66))
+
+
+@pytest.mark.parametrize("sigma_H", [0.6, 0.0])
+def test_mc_grad_F_hat_draws_replay_documented_streams(sigma_H):
+    # white box: rebuild every row from the per-task streams
+    # ("task", i, "test_grad") and ("task", i, "test_hess") with the noise
+    # scales written out; sigma_H = 0 must add no Hessian term at all
+    fam = rank1_mf_family(3, 4, RngStream(67))
+    w = 0.3 * np.random.default_rng(68).normal(size=4)
+    alpha, D, n_mc, sigma_tilde = 0.05, 3, 9, 0.8
+    rng = RngStream(69)
+    got = mc_grad_F_hat_draws(fam, w, alpha, D, n_mc, StochasticOracle(sigma_tilde, sigma_H), rng)
+
+    d = fam.dim
+    want = np.zeros((n_mc, d))
+    for i, task in enumerate(fam.tasks):
+        z = sigma_tilde / np.sqrt(d * D) * standard_normals(rng.child("task", i, "test_grad"), (n_mc, d))
+        go = task.grad_many(w - alpha * (task.grad(w) + z))
+        corr = np.zeros((n_mc, d))
+        if sigma_H > 0.0:
+            raw = standard_normals(rng.child("task", i, "test_hess"), (n_mc, d, d))
+            kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
+            corr = np.einsum("mij,mj->mi", kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2)), go)
+        want += fam.weights[i] * (go - alpha * (go @ task.hess(w).T + corr))
+    assert np.array_equal(got, want)
 
 
 # -------------------------------------------------------------- dispatch

@@ -280,7 +280,6 @@ class TestGuards:
             run(family, cfg)
 
     def test_adaptive_rejects_undersized_probe_budget(self):
-        family = random_quadratic_family(4, 2, RngStream(0))
         profile = SmoothnessProfile(L=2.0, rho=2.0, sigma=0.0, sigma_tilde=1.0)
         cfg = OptimizerConfig(
             algorithm=HFMAML,
@@ -290,7 +289,7 @@ class TestGuards:
             sigma_tilde=1.0,
         )
         with pytest.raises(InvalidBatchConfig, match=r"D_h=1 < ceil\(36"):
-            validate_config(cfg, profile.with_noise(1.0, 0.0), family)
+            validate_config(cfg, profile.with_noise(1.0, 0.0))
 
     def test_adaptive_warns_past_stepsize_cap(self):
         family = one_d_example_family()

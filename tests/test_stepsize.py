@@ -1,15 +1,17 @@
 """Adaptive stepsize rule: formulas, preconditions, moments, sizing."""
 
+import re
+
 import numpy as np
 import pytest
 
 from metagrad.errors import InvalidBatchConfig
-from metagrad.numerics import RngStream
+from metagrad.numerics import RngStream, standard_normals, uniforms
 from metagrad.stepsize import (
     ADAPTIVE_FRACTIONS,
     StepsizeRule,
-    batch_conditions_ok,
     beta_tilde,
+    check_stepsize_batches,
     recommended_batches,
     required_B_prime,
     required_D_beta,
@@ -79,7 +81,8 @@ def test_beta_tilde_rejects_undersized_batches():
     )
     need = required_B_prime(prof, alpha)
     assert need > 1
-    assert not batch_conditions_ok(prof, alpha, need - 1, 1)
+    with pytest.raises(InvalidBatchConfig, match=re.escape(f"B_prime={need - 1} < ceil(0.5")):
+        check_stepsize_batches(prof, alpha, need - 1, 1)
     with pytest.raises(InvalidBatchConfig):
         beta_tilde(fam, prof, np.zeros(4), alpha, need - 1, 1, RngStream(0))
     with pytest.raises(InvalidBatchConfig):
@@ -93,9 +96,11 @@ def test_batch_condition_thresholds():
     assert required_B_prime(prof, alpha) == 2
     # 2*rho*alpha*sigma_tilde/L = 2 requires D_beta >= 4.
     assert required_D_beta(prof, alpha) == 4
-    assert batch_conditions_ok(prof, alpha, 2, 4)
-    assert not batch_conditions_ok(prof, alpha, 1, 4)
-    assert not batch_conditions_ok(prof, alpha, 2, 3)
+    check_stepsize_batches(prof, alpha, 2, 4)
+    with pytest.raises(InvalidBatchConfig, match=re.escape("B_prime=1 < ceil(0.5*(rho*alpha*sigma/L)^2)=2")):
+        check_stepsize_batches(prof, alpha, 1, 4)
+    with pytest.raises(InvalidBatchConfig, match=re.escape("D_beta=3 < ceil((2*rho*alpha*sigma_tilde/L)^2)=4")):
+        check_stepsize_batches(prof, alpha, 2, 3)
 
 
 def test_vectorized_sampler_matches_looped_rule_in_distribution():
@@ -120,6 +125,25 @@ def test_vectorized_sampler_matches_looped_rule_in_distribution():
     assert vec.std() == pytest.approx(loop.std(), rel=0.15)
 
 
+def test_sample_beta_tilde_replays_documented_streams():
+    # white box: tasks by inverse CDF on the TASKS stream, one noise draw
+    # on the STEPSIZE stream with the scale written out
+    fam, prof = mf_setup(seed=105)
+    alpha = 1.0 / (6.0 * prof.L)
+    bp, db, n = 3, 2, 40
+    w = 0.5 * np.random.default_rng(106).normal(size=4)
+    rng = RngStream(107)
+    got = sample_beta_tilde(fam, prof, w, alpha, bp, db, n, rng)
+
+    u = uniforms(rng.child(TASKS), (n, bp))
+    idx = np.minimum(np.searchsorted(np.cumsum(fam.weights), u, side="right"), fam.n_tasks - 1)
+    d = fam.dim
+    z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(rng.child(STEPSIZE), (n, bp, d))
+    norms = np.linalg.norm(fam.grads(w)[idx] + z, axis=2).mean(axis=1)
+    want = 1.0 / (4.0 * prof.L + 2.0 * prof.rho * alpha * norms)
+    assert np.array_equal(got, want)
+
+
 def test_beta_tilde_moment_bounds_light():
     fam, prof = mf_setup(seed=99)
     alpha = 1.0 / (6.0 * prof.L)
@@ -141,7 +165,7 @@ def test_inflated_gradient_norms_weakly_decrease_beta_tilde():
     fam, prof = mf_setup(seed=102)
     alpha = 1.0 / (6.0 * prof.L)
     bp, db = 3, 2
-    assert batch_conditions_ok(prof, alpha, bp, db)
+    check_stepsize_batches(prof, alpha, bp, db)
     w = 0.5 * np.random.default_rng(103).normal(size=4)
     rng = RngStream(104).child("draw")
     got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
@@ -216,7 +240,7 @@ def test_recommended_batches_stepsize_conditions_propagated():
     spec = recommended_batches(prof, 0.1, 0.5, "maml")
     assert spec.B_prime == required_B_prime(prof, 0.1) == 2
     assert spec.D_beta == required_D_beta(prof, 0.1) == 4
-    assert batch_conditions_ok(prof, 0.1, spec.B_prime, spec.D_beta)
+    check_stepsize_batches(prof, 0.1, spec.B_prime, spec.D_beta)
 
 
 def test_recommended_batches_validation():

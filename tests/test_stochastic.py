@@ -144,8 +144,13 @@ def test_sample_task_batch_deterministic_and_validated():
     b = sample_task_batch(fam, 64, RngStream(9).child("t"))
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 5
+    # any shape reads the same stream in row-major order
+    grid = sample_task_batch(fam, (8, 8), RngStream(9).child("t"))
+    assert np.array_equal(grid, a.reshape(8, 8))
     with pytest.raises(ValueError):
         sample_task_batch(fam, 0, RngStream(9))
+    with pytest.raises(ValueError):
+        sample_task_batch(fam, (3, 0), RngStream(9))
 
 
 def test_batch_spec_validation():
