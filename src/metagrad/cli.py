@@ -84,6 +84,20 @@ AUDIT_DEFAULTS = {
     "w_scale": 0.3,
 }
 
+# Smallest value each audit count accepts (every entry, for lists): the
+# Monte Carlo audits need two draws to estimate a margin.
+AUDIT_MINIMA = {
+    "n_mc": 2,
+    "stepsize_samples": 2,
+    "D_in": 1,
+    "D_o": 1,
+    "D_test": 1,
+    "n_probes": 1,
+    "n_pairs": 1,
+    "stepsize_points": 1,
+    "K_list": 1,
+}
+
 CONFIG_DEFAULTS = {
     "family": None,
     "algorithms": list(ALGORITHMS),
@@ -190,9 +204,16 @@ def validate_resolved(resolved: dict) -> None:
         raise ConfigError("seeds must be nonnegative integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct across replicates")
-    bad = [k for k in resolved["audit"]["select"] if k not in AUDIT_NAMES]
+    audit = resolved["audit"]
+    bad = [k for k in audit["select"] if k not in AUDIT_NAMES]
     if bad:
         raise ConfigError(f"unknown audit selection {bad}; choose from {', '.join(AUDIT_NAMES)}")
+    for key, low in AUDIT_MINIMA.items():
+        values = audit[key] if isinstance(audit[key], list) else [audit[key]]
+        if any(v < low for v in values):
+            raise ConfigError(f"audit.{key} must be >= {low}, got {audit[key]!r}")
+    if not audit["K_list"] or audit["K_list"] != sorted(audit["K_list"]):
+        raise ConfigError(f"audit.K_list must be nonempty and ascending, got {audit['K_list']!r}")
 
 
 def build_family(spec, config_dir: Path) -> TaskFamily:
@@ -381,7 +402,7 @@ def run_audit_battery(family: TaskFamily, resolved: dict, seed: int) -> dict:
     if a["alpha_times_L"] is not None:
         alpha = float(a["alpha_times_L"]) / profile.L
     root = RngStream(seed, ("audit",))
-    points = ball_points(w0, a["w_scale"] * trust, max(1, int(a["stepsize_points"])),
+    points = ball_points(w0, a["w_scale"] * trust, int(a["stepsize_points"]),
                          root.child("points"))
     w = points[0]
     entries = []

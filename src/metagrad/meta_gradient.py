@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec
+from .numerics import Mat, RngStream, Vec, row_dots
 from .stochastic import (
     HESS,
     INNER,
@@ -92,6 +92,18 @@ def hvp_finite_diff(
     return (gp - gm) / (2.0 * delta)
 
 
+def probe_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||v|| = sqrt(v . v), of one vector or of each row of a stack, and
+    whether it exceeds ZERO_PROBE_TOL (at or below it there is nothing to
+    probe along and the correction is zero).
+
+    Each norm is rounded as np.linalg.norm rounds that row alone, so the
+    per-task and the stacked exact HF-MAML sweeps agree bit for bit.
+    """
+    nv = np.sqrt(row_dots(v))
+    return nv, nv > ZERO_PROBE_TOL
+
+
 def probe_delta(rho: float, alpha: float, v_norm: float, w: Vec) -> float:
     """Probe width for the Hessian-free correction.
 
@@ -118,8 +130,8 @@ def hfmaml_direction(
     """Outer gradient corrected by a finite-difference curvature probe."""
     w_i = inner_step(task, w, alpha, batches.D_in, oracle, rng)
     v = oracle.grad(task, w_i, batches.D_o, rng.child(OUTER))
-    nv = float(np.linalg.norm(v))
-    if nv <= ZERO_PROBE_TOL:
+    nv, probing = probe_norms(v)
+    if not probing:
         return v  # nothing to probe along, correction is zero
     delta = probe_delta(rho, alpha, nv, w)
     dk = hvp_finite_diff(task, w, v, delta, batches.D_h, oracle, rng)
@@ -149,18 +161,28 @@ def direction(
 # --------------------------------------------------------- exact oracles
 
 
-def exact_grad_F(family: TaskFamily, w: Vec, alpha: float) -> Vec:
-    """Exact meta-gradient, the weighted sum of per-task meta-gradients."""
-    g = family.grads(w)  # (n, d)
+def exact_grad_F(
+    family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray | None = None
+) -> Vec:
+    """Exact meta-gradient, the weighted sum of per-task meta-gradients.
+
+    grads, when given, are family.grads(w), already computed by the caller.
+    """
+    g = family.grads(w) if grads is None else grads  # (n, d)
     go = family.grads_rowwise(w - alpha * g)  # (n, d)
     h = family.hessians(w)  # (n, d, d)
     dirs = go - alpha * np.einsum("nij,nj->ni", h, go)
     return family.weights @ dirs
 
 
-def value_F(family: TaskFamily, w: Vec, alpha: float) -> float:
-    """Exact meta-objective sum_i p_i f_i(w - alpha grad f_i(w))."""
-    g = family.grads(w)
+def value_F(
+    family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray | None = None
+) -> float:
+    """Exact meta-objective sum_i p_i f_i(w - alpha grad f_i(w)).
+
+    grads, when given, are family.grads(w), already computed by the caller.
+    """
+    g = family.grads(w) if grads is None else grads
     return float(family.weights @ family.values_rowwise(w - alpha * g))
 
 

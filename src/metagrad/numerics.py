@@ -123,6 +123,15 @@ def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray
     return z[:n].reshape(shape)
 
 
+def row_dots(X: np.ndarray) -> np.ndarray:
+    """x . x for each row x of X along the last axis (a scalar for one vector).
+
+    The stacked (1, d) @ (d, 1) matmul rounds every row as ``x @ x`` and
+    ``np.linalg.norm(x)`` do on that row alone; einsum and np.sum do not.
+    """
+    return (X[..., None, :] @ X[..., :, None])[..., 0, 0]
+
+
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of symmetric matrices via eigvalsh."""
     eigs = np.linalg.eigvalsh(stack)

@@ -4,7 +4,15 @@ Every iteration logs the exact meta-gradient norm and meta-objective
 value (cheap on finite synthetic families), so convergence floors are
 measured against ground truth rather than against the noisy estimates
 the algorithm itself consumes.  On quadratic families the per-iterate
-distances to both closed-form fixed points are logged as well.
+distances to both closed-form fixed points are logged as well.  The
+task gradients at the iterate are computed once per iteration and
+shared by the instrumentation and the step.
+
+With full_task_batch and an exact oracle, every algorithm's step is one
+stacked sweep over all tasks (see _full_batch_direction).  HF-MAML's
+matches its per-task oracles bit for bit; MAML's and FO-MAML's round
+differently in the last bits.  Noisy full-batch steps and sampled task
+batches call the per-task oracles one task at a time.
 
 Randomness is organized so paired runs are comparable: iteration k of a
 run with seed s derives the task batch from (s, k, "tasks"), the
@@ -23,7 +31,17 @@ import numpy as np
 
 from .closed_form import analyze_quadratic
 from .errors import DivergenceDetected, IllConditioned, InvalidBatchConfig, NumericalFailure
-from .meta_gradient import ALGORITHMS, FOMAML, HFMAML, MAML, direction, exact_grad_F, value_F
+from .meta_gradient import (
+    ALGORITHMS,
+    FOMAML,
+    HFMAML,
+    MAML,
+    direction,
+    exact_grad_F,
+    probe_delta,
+    probe_norms,
+    value_F,
+)
 from .numerics import RngStream, Vec
 from .stepsize import ALPHA_CAPS, StepsizeRule, beta_tilde, check_stepsize_batches, required_D_h
 from .stochastic import BatchSpec, StochasticOracle, sample_task_batch
@@ -194,18 +212,41 @@ class RunRecord:
         }
 
 
-def _full_batch_direction(family, w, alpha, rho, oracle, batches, rng, algorithm):
-    """Exact weighted sweep over all tasks."""
+def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
+    """sum_i weights[i] * dirs[i], added from zero in task order as a
+    per-task loop adds it (a matmul or np.sum would round differently)."""
+    terms = np.concatenate([np.zeros((1, dirs.shape[1])), weights[:, None] * dirs])
+    return np.add.accumulate(terms)[-1]
+
+
+def _full_batch_direction(family, w, grads, grad_F, alpha, rho, oracle, batches, rng, algorithm):
+    """Exact weighted sweep over all tasks at w.
+
+    grads are family.grads(w) and grad_F is exact_grad_F there, both
+    already computed for the instrumentation.  With an exact oracle each
+    algorithm is one stacked sweep.  HF-MAML's equals the task-order sum
+    of its per-task directions bit for bit.  MAML's step is grad_F itself
+    and FO-MAML's the same einsum form without the Hessian factor; both
+    differ from the sum of per-task oracle directions in the last bits,
+    and the recorded fig1 bytes depend on that rounding.  Noisy oracles
+    loop over tasks.
+    """
     if oracle.exact:
         if algorithm == MAML:
-            return exact_grad_F(family, w, alpha)
+            return grad_F
         if algorithm == FOMAML:
-            return family.weights @ family.grads_rowwise(w - alpha * family.grads(w))
-    acc = np.zeros(family.dim)
-    for i, task in enumerate(family.tasks):
-        g = direction(algorithm, task, w, alpha, rho, oracle, batches, rng.child("slot", i))
-        acc += family.weights[i] * g
-    return acc
+            return family.weights @ family.grads_rowwise(w - alpha * grads)
+        v = family.task_grads_rowwise(w - alpha * grads)
+        nv, probing = probe_norms(v)
+        delta = np.array([probe_delta(rho, alpha, x, w) for x in nv.tolist()])[:, None]
+        dk = (family.task_grads_rowwise(w + delta * v)
+              - family.task_grads_rowwise(w - delta * v)) / (2.0 * delta)
+        return _task_order_sum(family.weights, np.where(probing[:, None], v - alpha * dk, v))
+    dirs = np.array([
+        direction(algorithm, task, w, alpha, rho, oracle, batches, rng.child("slot", i))
+        for i, task in enumerate(family.tasks)
+    ])
+    return _task_order_sum(family.weights, dirs)
 
 
 def run(
@@ -251,9 +292,10 @@ def run(
     stop_reason = "max_iters"
     k = 0
     while True:
-        g_exact = exact_grad_F(family, w, config.alpha)
-        grad_norms[k] = np.linalg.norm(g_exact)
-        losses[k] = value_F(family, w, config.alpha)
+        grads = family.grads(w)  # shared by the instrumentation and the step
+        grad_F = exact_grad_F(family, w, config.alpha, grads)
+        grad_norms[k] = np.linalg.norm(grad_F)
+        losses[k] = value_F(family, w, config.alpha, grads)
         if analysis is not None:
             d_star[k] = np.linalg.norm(w - analysis.w_star)
             d_fo[k] = np.linalg.norm(w - analysis.w_fo)
@@ -282,7 +324,7 @@ def run(
 
         if config.full_task_batch:
             step_dir = _full_batch_direction(
-                family, w, config.alpha, profile.rho, oracle, config.batches,
+                family, w, grads, grad_F, config.alpha, profile.rho, oracle, config.batches,
                 root.child(k), config.algorithm,
             )
         else:

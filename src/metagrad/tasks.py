@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, spectral_norms, standard_normals, uniforms
+from .numerics import Mat, RngStream, Vec, row_dots, spectral_norms, standard_normals, uniforms
 
 QUADRATIC = "quadratic"
 RANK1MF = "rank1mf"
@@ -162,11 +162,29 @@ class TaskFamily:
         return (w @ w) * w - self._Ms @ w
 
     def grads_rowwise(self, W: np.ndarray) -> np.ndarray:
-        """Gradient of task i at row W[i], shape (n, d)."""
+        """Gradient of task i at row W[i], shape (n, d).
+
+        The einsum and np.sum here round differently from ``task.grad`` in
+        the last bit; ``task_grads_rowwise`` does not.  ``exact_grad_F``,
+        and so every recorded grad_norm_F, is built on this form.
+        """
         if self.kind == QUADRATIC:
             return np.einsum("nij,nj->ni", self._As, W) + self._bs
         nx2 = np.sum(W * W, axis=1, keepdims=True)
         return nx2 * W - np.einsum("nij,nj->ni", self._Ms, W)
+
+    def task_grads_rowwise(self, W: np.ndarray) -> np.ndarray:
+        """Gradient of task i at row W[i], shape (n, d), equal bit for bit
+        to ``tasks[i].grad(W[i])``.
+
+        Stacked matmuls round each row as the task's own matrix-vector and
+        dot products do, so a stacked sweep built on this reproduces a
+        per-task loop exactly.
+        """
+        X = W[:, :, None]
+        if self.kind == QUADRATIC:
+            return (self._As @ X)[..., 0] + self._bs
+        return row_dots(W)[:, None] * W - (self._Ms @ X)[..., 0]
 
     def hessians(self, w: Vec) -> np.ndarray:
         """All task Hessians at one point, shape (n, d, d)."""

@@ -236,6 +236,28 @@ class TestExitCodes:
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "audit, message",
+        [
+            ({"D_in": [4, 0]}, "audit.D_in must be >= 1"),
+            ({"D_test": [0]}, "audit.D_test must be >= 1"),
+            ({"D_o": 0}, "audit.D_o must be >= 1"),
+            ({"K_list": [0]}, "audit.K_list must be >= 1"),
+            ({"K_list": []}, "audit.K_list must be nonempty and ascending"),
+            ({"K_list": [8, 2]}, "audit.K_list must be nonempty and ascending"),
+            ({"n_mc": 0}, "audit.n_mc must be >= 2"),
+            ({"n_mc": 1}, "audit.n_mc must be >= 2"),
+            ({"stepsize_samples": 0}, "audit.stepsize_samples must be >= 2"),
+            ({"n_probes": 0}, "audit.n_probes must be >= 1"),
+            ({"n_pairs": 0}, "audit.n_pairs must be >= 1"),
+            ({"stepsize_points": 0}, "audit.stepsize_points must be >= 1"),
+        ],
+    )
+    def test_out_of_range_audit_counts_rejected(self, tmp_path, capsys, audit, message):
+        cfg = write_config(tmp_path, audit=audit)
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_integral_float_fields_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, max_iters=5.0, batches={"B": 4.0, "D_in": 2, "D_o": 2})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -1,7 +1,12 @@
 """Optimizer loop: convergence to closed-form targets, pairing, logging."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from metagrad.cli import generate_family
 
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
@@ -11,6 +16,7 @@ from metagrad.optimizer import (
     CSV_HEADER,
     OptimizerConfig,
     RunRecord,
+    _full_batch_direction,
     run,
     run_comparison,
     validate_config,
@@ -19,12 +25,16 @@ from metagrad.stepsize import ADAPTIVE_FRACTIONS, StepsizeRule
 from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
     QUADRATIC,
+    RANK1MF,
     QuadraticTask,
     SmoothnessProfile,
     TaskFamily,
+    local_smoothness,
     random_quadratic_family,
     rank1_mf_family,
 )
+
+FIG1 = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig1.json").read_text())
 
 
 def one_d_example_family():
@@ -118,6 +128,78 @@ class TestExactConvergence:
         beta = safe_constant_beta(family, 0.1)
         rec = run(family, exact_config(MAML, beta, max_iters=60))
         assert np.all(np.diff(rec.loss_F) <= 1e-15)
+
+
+def fig1_family():
+    return generate_family(FIG1["family"]["generate"])
+
+
+class TestStackedExactSweep:
+    """The exact full-batch steps against the public per-task and family oracles."""
+
+    @staticmethod
+    def stacked_and_looped(family, w, alpha, rho):
+        oracle, batches, rng = StochasticOracle(0.0, 0.0), BatchSpec(), RngStream(5)
+        grads = family.grads(w)
+        grad_F = exact_grad_F(family, w, alpha, grads)
+        stacked = _full_batch_direction(
+            family, w, grads, grad_F, alpha, rho, oracle, batches, rng, HFMAML
+        )
+        looped = np.zeros(family.dim)
+        for i, task in enumerate(family.tasks):
+            looped += family.weights[i] * direction(
+                HFMAML, task, w, alpha, rho, oracle, batches, rng.child("slot", i)
+            )
+        return stacked, looped
+
+    @pytest.mark.parametrize("alpha", [FIG1["alpha"], 0.05])
+    def test_hfmaml_matches_per_task_loop_on_fig1_family(self, alpha):
+        family = fig1_family()
+        w0 = np.array(FIG1["w0"])
+        rho = local_smoothness(family, w0, FIG1["trust_radius"]).rho
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            w = w0 + rng.uniform(0.1, 2.0) * rng.normal(size=family.dim)
+            stacked, looped = self.stacked_and_looped(family, w, alpha, rho)
+            assert np.array_equal(stacked, looped)
+
+    def test_hfmaml_matches_per_task_loop_at_zero_curvature_bound(self):
+        # rho = 0 on quadratics: every probe takes the fallback width
+        family = generate_family({"kind": "quadratic", "n": 20, "dim": 5, "seed": 7})
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            w = rng.uniform(0.1, 3.0) * rng.normal(size=family.dim)
+            stacked, looped = self.stacked_and_looped(family, w, 0.1, 0.0)
+            assert np.array_equal(stacked, looped)
+
+    def test_hfmaml_matches_per_task_loop_at_zero_probe(self):
+        # every task gradient vanishes at the origin, so no task is probed
+        family = fig1_family()
+        stacked, looped = self.stacked_and_looped(family, np.zeros(family.dim), 0.05, 20.0)
+        assert np.array_equal(stacked, looped)
+        assert not np.any(stacked)
+
+    def test_hfmaml_matches_per_task_loop_below_probe_tolerance(self):
+        # at a planted solution the probe vector is rounding noise, nonzero
+        # but below ZERO_PROBE_TOL, so the guard alone decides the step
+        for task in fig1_family().tasks[:5]:
+            family = TaskFamily(RANK1MF, [task])
+            stacked, looped = self.stacked_and_looped(family, task.g, 0.05, 20.0)
+            assert np.array_equal(stacked, looped)
+
+    def test_fused_maml_step_is_exact_grad_F(self):
+        alpha, beta = FIG1["alpha"], FIG1["stepsize"]["beta"]
+        family = fig1_family()
+        rec = run(family, exact_config(
+            MAML, beta, alpha=alpha, w0=np.array(FIG1["w0"]), trust_radius=FIG1["trust_radius"],
+            max_iters=40, record_iterates=True,
+        ))
+        assert rec.steps_taken == 40
+        for k in range(rec.steps_taken):
+            w = rec.iterates[k]
+            g = exact_grad_F(family, w, alpha)
+            assert rec.grad_norm_F[k] == np.linalg.norm(g)
+            assert np.array_equal(rec.iterates[k + 1], w - beta * g)
 
 
 class TestStochasticRuns:

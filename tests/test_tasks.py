@@ -148,6 +148,30 @@ def test_family_quadratic_vectorized_oracles_match_loops():
     assert np.max(np.abs(fam.values_rowwise(W) - vals_loop)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        rank1_mf_family(20, 5, RngStream(101)),
+        rank1_mf_family(9, 1, RngStream(102)),
+        random_quadratic_family(20, 5, RngStream(103)),
+        random_quadratic_family(6, 17, RngStream(104)),
+    ],
+    ids=["mf-20x5", "mf-9x1", "quad-20x5", "quad-6x17"],
+)
+def test_task_grads_rowwise_is_task_grad_bit_for_bit(family):
+    # the stacked exact HF-MAML sweep relies on both of these being exact
+    rng = np.random.default_rng(27)
+    n, d = family.n_tasks, family.dim
+    for _ in range(100):
+        scale = rng.uniform(0.1, 3.0)
+        W = scale * rng.normal(size=(n, d))
+        w = scale * rng.normal(size=d)
+        rowwise, grads = family.task_grads_rowwise(W), family.grads(w)
+        for i, t in enumerate(family.tasks):
+            assert np.array_equal(rowwise[i], t.grad(W[i]))
+            assert np.array_equal(grads[i], t.grad(w))
+
+
 def test_family_validation():
     t = make_quad(30, d=3)
     with pytest.raises(ValueError):
