@@ -42,6 +42,7 @@ from .tasks import (
     QUADRATIC,
     RANK1MF,
     QuadraticTask,
+    SmoothnessProfile,
     TaskFamily,
     ball_points,
     local_smoothness,
@@ -122,6 +123,10 @@ EXAMPLE_1D_FAMILY = (
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf
 
 
 def _check_integral(default, value, name: str) -> None:
@@ -214,6 +219,11 @@ def validate_resolved(resolved: dict) -> None:
             raise ConfigError(f"audit.{key} must be >= {low}, got {audit[key]!r}")
     if not audit["K_list"] or audit["K_list"] != sorted(audit["K_list"]):
         raise ConfigError(f"audit.K_list must be nonempty and ascending, got {audit['K_list']!r}")
+    for key in ("phi", "w_scale", "alpha_times_L"):
+        if not (_is_positive_real(audit[key]) or key == "alpha_times_L" and audit[key] is None):
+            raise ConfigError(f"audit.{key} must be a positive number, got {audit[key]!r}")
+    if not isinstance(resolved["full_task_batch"], bool):
+        raise ConfigError(f"full_task_batch must be true or false, got {resolved['full_task_batch']!r}")
 
 
 def build_family(spec, config_dir: Path) -> TaskFamily:
@@ -271,12 +281,23 @@ def build_optimizer_config(resolved: dict, algorithm: str, seed: int) -> Optimiz
             seed=seed,
             w0=None if resolved["w0"] is None else np.asarray(resolved["w0"], dtype=float),
             trust_radius=float(resolved["trust_radius"]),
-            full_task_batch=bool(resolved["full_task_batch"]),
+            full_task_batch=resolved["full_task_batch"],
             sigma_tilde=float(resolved["noise"]["sigma_tilde"]),
             sigma_H=float(resolved["noise"]["sigma_H"]),
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
+
+
+def prepare(resolved: dict, config_dir: Path) -> tuple[TaskFamily, OptimizerConfig, SmoothnessProfile]:
+    """Family, typed base config (first algorithm and seed) and smoothness
+    profile, which depends only on the family, w0 and trust_radius."""
+    family = build_family(resolved["family"], config_dir)
+    base = build_optimizer_config(resolved, resolved["algorithms"][0], resolved["seeds"][0])
+    w0 = np.zeros(family.dim) if base.w0 is None else base.w0
+    if w0.shape != (family.dim,):
+        raise ConfigError(f"w0 has shape {w0.shape}, family dimension is {family.dim}")
+    return family, base, local_smoothness(family, w0, base.trust_radius)
 
 
 def _json_text(obj) -> str:
@@ -316,11 +337,11 @@ def cmd_run(args) -> int:
             f"(got {resolved['algorithms']}); use compare or --algorithms"
         )
     algorithm = resolved["algorithms"][0]
-    family = build_family(resolved["family"], config_dir)
+    family, base, profile = prepare(resolved, config_dir)
     out = Path(args.out)
 
     for seed in resolved["seeds"]:
-        rec = run(family, build_optimizer_config(resolved, algorithm, seed))
+        rec = run(family, dc_replace(base, seed=seed), profile=profile)
         path = out / f"run_{algorithm}_seed{seed}.csv"
         _emit_with_sidecar(path, rec.to_csv(), "run", resolved, seed, algorithm)
         _say(args, _record_line(f"run {algorithm}", rec, path))
@@ -343,20 +364,21 @@ def _floor_ratios(records: dict[str, RunRecord]) -> dict:
 
 def cmd_compare(args) -> int:
     resolved, config_dir = load_config(args.config, args)
-    family = build_family(resolved["family"], config_dir)
+    family, base, profile = prepare(resolved, config_dir)
     out = Path(args.out)
     algorithms = tuple(resolved["algorithms"])
 
     for seed in resolved["seeds"]:
-        base = build_optimizer_config(resolved, algorithms[0], seed)
-        records = run_comparison(family, base, algorithms=algorithms)
+        records = run_comparison(
+            family, dc_replace(base, seed=seed), algorithms=algorithms, profile=profile
+        )
         for algo in algorithms:
             path = out / f"compare_{algo}_seed{seed}.csv"
             _emit_with_sidecar(path, records[algo].to_csv(), "compare", resolved, seed, algo)
             _say(args, _record_line(f"compare {algo}", records[algo], path))
         summary = {
             "seed": seed,
-            "alpha": float(resolved["alpha"]),
+            "alpha": base.alpha,
             "records": {a: records[a].summary() for a in algorithms},
             "floor_ratios": _floor_ratios(records),
         }
@@ -384,23 +406,20 @@ def _gnuplot_script(algorithms: tuple[str, ...], seed: int) -> str:
     )
 
 
-def run_audit_battery(family: TaskFamily, resolved: dict, seed: int) -> dict:
-    """Execute the selected audits and return a JSON-ready report."""
+def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
+                      profile: SmoothnessProfile, seed: int) -> dict:
+    """Execute the selected audits and return a JSON-ready report.
+
+    family, base and profile are ``prepare``'s; resolved supplies the audit section.
+    """
     a = resolved["audit"]
     select = a["select"]
-    d = family.dim
-    w0 = (
-        np.zeros(d)
-        if resolved["w0"] is None
-        else np.asarray(resolved["w0"], dtype=float)
-    )
-    trust = float(resolved["trust_radius"])
-    profile = local_smoothness(family, w0, trust).with_noise(
-        float(resolved["noise"]["sigma_tilde"]), float(resolved["noise"]["sigma_H"])
-    )
-    alpha = float(resolved["alpha"])
+    w0 = np.zeros(family.dim) if base.w0 is None else base.w0
+    trust = base.trust_radius
+    profile = profile.with_noise(base.sigma_tilde, base.sigma_H)
+    alpha = base.alpha
     if a["alpha_times_L"] is not None:
-        alpha = float(a["alpha_times_L"]) / profile.L
+        alpha = a["alpha_times_L"] / profile.L
     root = RngStream(seed, ("audit",))
     points = ball_points(w0, a["w_scale"] * trust, int(a["stepsize_points"]),
                          root.child("points"))
@@ -447,14 +466,14 @@ def run_audit_battery(family: TaskFamily, resolved: dict, seed: int) -> dict:
     if "stepsize_moments" in select:
         for b in audit_stepsize_moments(
             family, profile, alpha, points,
-            int(resolved["batches"]["B_prime"]), int(resolved["batches"]["D_beta"]),
+            base.batches.B_prime, base.batches.D_beta,
             int(a["stepsize_samples"]), root.child("stepsize_moments"),
         ):
             add(b)
     kshot = None
     if "kshot" in select:
-        cfg = build_optimizer_config(resolved, MAML, seed)
-        if resolved["w0"] is None:
+        cfg = dc_replace(base, algorithm=MAML, seed=seed)
+        if base.w0 is None:
             # the all-zeros default is a stationary point of the
             # factorization families; start at the battery's probe point
             cfg = dc_replace(cfg, w0=w)
@@ -475,11 +494,11 @@ def run_audit_battery(family: TaskFamily, resolved: dict, seed: int) -> dict:
 
 def cmd_audit(args) -> int:
     resolved, config_dir = load_config(args.config, args)
-    family = build_family(resolved["family"], config_dir)
+    family, base, profile = prepare(resolved, config_dir)
     out = Path(args.out)
 
     for seed in resolved["seeds"]:
-        report = run_audit_battery(family, resolved, seed)
+        report = run_audit_battery(family, resolved, base, profile, seed)
         path = out / f"audit_seed{seed}.json"
         _emit_with_sidecar(path, _json_text(report), "audit", resolved, seed)
         verdict = "all passed" if report["all_passed"] else "FAILURES"

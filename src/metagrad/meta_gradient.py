@@ -9,12 +9,15 @@ whose exact gradient is
 
     grad F(w) = sum_i p_i (I - alpha hess f_i(w)) grad f_i(w - alpha grad f_i(w)).
 
-Three per-task descent directions estimate this from noisy oracles:
+One per-task estimator, ``direction``, serves all three algorithms.
+It takes a noisy inner step w_i = w - alpha g~(w) and a noisy outer
+gradient v = g~(w_i), then applies the algorithm's rule to v:
 
-  * maml_direction      uses a noisy Hessian in (I - alpha H) v,
-  * fomaml_direction    drops the Hessian factor entirely,
-  * hfmaml_direction    replaces H v by a central finite difference of
-                        two noisy gradients that share one data batch.
+  * MAML       returns (I - alpha H~(w)) v with a noisy Hessian H~,
+  * FO-MAML    returns v itself, the Hessian factor dropped,
+  * HF-MAML    returns v - alpha d, where d estimates H v by a central
+               finite difference of two noisy gradients that share one
+               data batch.
 
 Sharing the batch means the additive noise cancels in the difference,
 so on quadratics the probe reproduces A v exactly for any probe width.
@@ -40,6 +43,8 @@ from .stochastic import (
     StochasticOracle,
     grad_noise,
     hess_noise,
+    noisy_grad,
+    noisy_hess,
 )
 from .tasks import TaskFamily
 
@@ -49,29 +54,6 @@ HFMAML = "hfmaml"
 ALGORITHMS = (MAML, FOMAML, HFMAML)
 
 ZERO_PROBE_TOL = 1e-12
-
-
-def inner_step(task, w: Vec, alpha: float, D_in: int, oracle: StochasticOracle, rng: RngStream) -> Vec:
-    """One stochastic adaptation step: w - alpha * noisy grad."""
-    return w - alpha * oracle.grad(task, w, D_in, rng.child(INNER))
-
-
-def maml_direction(
-    task, w: Vec, alpha: float, oracle: StochasticOracle, batches: BatchSpec, rng: RngStream
-) -> Vec:
-    """(I - alpha H_tilde(w)) applied to the outer gradient at the adapted point."""
-    w_i = inner_step(task, w, alpha, batches.D_in, oracle, rng)
-    go = oracle.grad(task, w_i, batches.D_o, rng.child(OUTER))
-    h = oracle.hess(task, w, batches.D_h, rng.child(HESS))
-    return go - alpha * (h @ go)
-
-
-def fomaml_direction(
-    task, w: Vec, alpha: float, oracle: StochasticOracle, batches: BatchSpec, rng: RngStream
-) -> Vec:
-    """Outer gradient at the adapted point, Hessian factor dropped."""
-    w_i = inner_step(task, w, alpha, batches.D_in, oracle, rng)
-    return oracle.grad(task, w_i, batches.D_o, rng.child(OUTER))
 
 
 def hvp_finite_diff(
@@ -87,8 +69,8 @@ def hvp_finite_diff(
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     probe = rng.child(PROBE)
-    gp = oracle.grad(task, w + delta * v, D, probe)
-    gm = oracle.grad(task, w - delta * v, D, probe)
+    gp = noisy_grad(task, w + delta * v, D, oracle.sigma_tilde, probe)
+    gm = noisy_grad(task, w - delta * v, D, oracle.sigma_tilde, probe)
     return (gp - gm) / (2.0 * delta)
 
 
@@ -118,26 +100,6 @@ def probe_delta(rho: float, alpha: float, v_norm: float, w: Vec) -> float:
     return 1.0 / (6.0 * base)
 
 
-def hfmaml_direction(
-    task,
-    w: Vec,
-    alpha: float,
-    rho: float,
-    oracle: StochasticOracle,
-    batches: BatchSpec,
-    rng: RngStream,
-) -> Vec:
-    """Outer gradient corrected by a finite-difference curvature probe."""
-    w_i = inner_step(task, w, alpha, batches.D_in, oracle, rng)
-    v = oracle.grad(task, w_i, batches.D_o, rng.child(OUTER))
-    nv, probing = probe_norms(v)
-    if not probing:
-        return v  # nothing to probe along, correction is zero
-    delta = probe_delta(rho, alpha, nv, w)
-    dk = hvp_finite_diff(task, w, v, delta, batches.D_h, oracle, rng)
-    return v - alpha * dk
-
-
 def direction(
     algorithm: str,
     task,
@@ -148,14 +110,22 @@ def direction(
     batches: BatchSpec,
     rng: RngStream,
 ) -> Vec:
-    """Per-task descent direction for the named algorithm."""
+    """Per-task descent direction for the named algorithm (rules in the
+    module docstring).  Each noise site draws once, on its own child of
+    rng, so algorithms run on one stream share w_i and v bit for bit."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    w_i = w - alpha * noisy_grad(task, w, batches.D_in, oracle.sigma_tilde, rng.child(INNER))
+    v = noisy_grad(task, w_i, batches.D_o, oracle.sigma_tilde, rng.child(OUTER))
     if algorithm == MAML:
-        return maml_direction(task, w, alpha, oracle, batches, rng)
-    if algorithm == FOMAML:
-        return fomaml_direction(task, w, alpha, oracle, batches, rng)
+        h = noisy_hess(task, w, batches.D_h, oracle.sigma_H, rng.child(HESS))
+        return v - alpha * (h @ v)
     if algorithm == HFMAML:
-        return hfmaml_direction(task, w, alpha, rho, oracle, batches, rng)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        nv, probing = probe_norms(v)
+        if probing:  # else there is nothing to probe along and the correction is zero
+            delta = probe_delta(rho, alpha, nv, w)
+            return v - alpha * hvp_finite_diff(task, w, v, delta, batches.D_h, oracle, rng)
+    return v
 
 
 # --------------------------------------------------------- exact oracles

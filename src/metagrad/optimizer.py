@@ -12,7 +12,8 @@ With full_task_batch and an exact oracle, every algorithm's step is one
 stacked sweep over all tasks (see _full_batch_direction).  HF-MAML's
 matches its per-task oracles bit for bit; MAML's and FO-MAML's round
 differently in the last bits.  Noisy full-batch steps and sampled task
-batches call the per-task oracles one task at a time.
+batches share one slot loop (_slot_direction) that calls the per-task
+estimator ``direction`` once per slot.
 
 Randomness is organized so paired runs are comparable: iteration k of a
 run with seed s derives the task batch from (s, k, "tasks"), the
@@ -44,7 +45,7 @@ from .meta_gradient import (
 )
 from .numerics import RngStream, Vec
 from .stepsize import ALPHA_CAPS, StepsizeRule, beta_tilde, check_stepsize_batches, required_D_h
-from .stochastic import BatchSpec, StochasticOracle, sample_task_batch
+from .stochastic import TASKS, BatchSpec, StochasticOracle, sample_task_batch
 from .tasks import QUADRATIC, SmoothnessProfile, TaskFamily, local_smoothness
 
 CSV_HEADER = "iter,grad_norm_F,loss_F,beta,dist_wstar,dist_wfo"
@@ -219,34 +220,44 @@ def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
     return np.add.accumulate(terms)[-1]
 
 
-def _full_batch_direction(family, w, grads, grad_F, alpha, rho, oracle, batches, rng, algorithm):
-    """Exact weighted sweep over all tasks at w.
+def _full_batch_direction(family, w, grads, grad_F, alpha, rho, algorithm):
+    """Exact weighted sweep over all tasks at w, for an exact oracle.
 
     grads are family.grads(w) and grad_F is exact_grad_F there, both
-    already computed for the instrumentation.  With an exact oracle each
-    algorithm is one stacked sweep.  HF-MAML's equals the task-order sum
-    of its per-task directions bit for bit.  MAML's step is grad_F itself
-    and FO-MAML's the same einsum form without the Hessian factor; both
-    differ from the sum of per-task oracle directions in the last bits,
-    and the recorded fig1 bytes depend on that rounding.  Noisy oracles
-    loop over tasks.
+    already computed for the instrumentation.  Each algorithm is one
+    stacked sweep.  HF-MAML's equals the task-order sum of its per-task
+    directions bit for bit.  MAML's step is grad_F itself and FO-MAML's
+    the same einsum form without the Hessian factor; both differ from the
+    sum of per-task oracle directions in the last bits, and the recorded
+    fig1 bytes depend on that rounding.
     """
-    if oracle.exact:
-        if algorithm == MAML:
-            return grad_F
-        if algorithm == FOMAML:
-            return family.weights @ family.grads_rowwise(w - alpha * grads)
-        v = family.task_grads_rowwise(w - alpha * grads)
-        nv, probing = probe_norms(v)
-        delta = np.array([probe_delta(rho, alpha, x, w) for x in nv.tolist()])[:, None]
-        dk = (family.task_grads_rowwise(w + delta * v)
-              - family.task_grads_rowwise(w - delta * v)) / (2.0 * delta)
-        return _task_order_sum(family.weights, np.where(probing[:, None], v - alpha * dk, v))
-    dirs = np.array([
-        direction(algorithm, task, w, alpha, rho, oracle, batches, rng.child("slot", i))
-        for i, task in enumerate(family.tasks)
-    ])
-    return _task_order_sum(family.weights, dirs)
+    if algorithm == MAML:
+        return grad_F
+    if algorithm == FOMAML:
+        return family.weights @ family.grads_rowwise(w - alpha * grads)
+    v = family.task_grads_rowwise(w - alpha * grads)
+    nv, probing = probe_norms(v)
+    delta = np.array([probe_delta(rho, alpha, x, w) for x in nv.tolist()])[:, None]
+    dk = (family.task_grads_rowwise(w + delta * v)
+          - family.task_grads_rowwise(w - delta * v)) / (2.0 * delta)
+    return _task_order_sum(family.weights, np.where(probing[:, None], v - alpha * dk, v))
+
+
+def _slot_direction(family, config, w, rho, oracle, rng):
+    """sum_j p_j direction_j / B, added from zero in slot order, slot j's
+    noise on rng.child("slot", j).  A full batch's slots are tasks 0..n-1
+    with task weights p and B = 1; a sampled batch's are B tasks drawn on
+    rng.child("tasks"), each with p_j = 1."""
+    if config.full_task_batch:
+        tasks, weights, B = range(family.n_tasks), family.weights.tolist(), 1
+    else:
+        B = config.batches.B
+        tasks, weights = sample_task_batch(family, B, rng.child(TASKS)).tolist(), [1.0] * B
+    acc = np.zeros(family.dim)
+    for j, (i, p) in enumerate(zip(tasks, weights)):
+        acc += p * direction(config.algorithm, family.tasks[i], w, config.alpha, rho, oracle,
+                             config.batches, rng.child("slot", j))
+    return acc / B
 
 
 def run(
@@ -322,26 +333,12 @@ def run(
             beta_k = config.stepsize.resolve_fraction(config.algorithm) * sample.beta_tilde
         betas[k] = beta_k
 
-        if config.full_task_batch:
+        if config.full_task_batch and oracle.exact:
             step_dir = _full_batch_direction(
-                family, w, grads, grad_F, config.alpha, profile.rho, oracle, config.batches,
-                root.child(k), config.algorithm,
+                family, w, grads, grad_F, config.alpha, profile.rho, config.algorithm
             )
         else:
-            idx = sample_task_batch(family, config.batches.B, root.child(k, "tasks"))
-            acc = np.zeros(d)
-            for j, i in enumerate(idx):
-                acc += direction(
-                    config.algorithm,
-                    family.tasks[i],
-                    w,
-                    config.alpha,
-                    profile.rho,
-                    oracle,
-                    config.batches,
-                    root.child(k, "slot", j),
-                )
-            step_dir = acc / config.batches.B
+            step_dir = _slot_direction(family, config, w, profile.rho, oracle, root.child(k))
 
         with np.errstate(over="ignore", invalid="ignore"):
             w = w - beta_k * step_dir

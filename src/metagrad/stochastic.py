@@ -112,7 +112,7 @@ def noisy_hess(task, w: Vec, D: int, sigma_H: float, rng: RngStream) -> Mat:
 
 @dataclass(frozen=True)
 class StochasticOracle:
-    """Noise levels bundled with the oracle calls that realize them."""
+    """The noise levels of the gradient and Hessian oracles."""
 
     sigma_tilde: float = 0.0
     sigma_H: float = 0.0
@@ -124,12 +124,6 @@ class StochasticOracle:
     @property
     def exact(self) -> bool:
         return self.sigma_tilde == 0.0 and self.sigma_H == 0.0
-
-    def grad(self, task, w: Vec, D: int, rng: RngStream) -> Vec:
-        return noisy_grad(task, w, D, self.sigma_tilde, rng)
-
-    def hess(self, task, w: Vec, D: int, rng: RngStream) -> Mat:
-        return noisy_hess(task, w, D, self.sigma_H, rng)
 
 
 def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...], rng: RngStream) -> np.ndarray:

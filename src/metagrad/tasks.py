@@ -342,7 +342,8 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
         L = float(np.max(spectral_norms(family._As)))
         rho = 0.0
     else:
-        hess_sup = 0.0
+        # One Hessian sweep over all tasks per point, never all points at once.
+        hess_sup = max(float(np.max(spectral_norms(family.hessians(p)))) for p in points)
         ratio_sup = 0.0
         # Pair points for Lipschitz ratios three ways: consecutive sample
         # pairs, radially aligned pairs (where the factorization Hessian
@@ -357,15 +358,13 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
             (points, tight),
             (radial_lo, radial_hi),
         ]
-        for task in family.tasks:
-            h_pts = np.stack([task.hess(p) for p in points])
-            hess_sup = max(hess_sup, float(np.max(spectral_norms(h_pts))))
-            for xs, ys in pair_sets:
-                hx = np.stack([task.hess(p) for p in xs])
-                hy = np.stack([task.hess(p) for p in ys])
-                num = spectral_norms(hx - hy)
-                den = np.linalg.norm(xs - ys, axis=1)
-                ratio_sup = max(ratio_sup, float(np.max(num / den)))
+        for xs, ys in pair_sets:
+            den = np.linalg.norm(xs - ys, axis=1)
+            for x, y, dist in zip(xs, ys, den):
+                # max over tasks, then / dist: dividing by a positive number
+                # keeps the maximum under rounding
+                num = np.max(spectral_norms(family.hessians(x) - family.hessians(y)))
+                ratio_sup = max(ratio_sup, float(num / dist))
         L = SMOOTHNESS_INFLATION * hess_sup
         rho = SMOOTHNESS_INFLATION * ratio_sup
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metagrad.errors import IllConditioned
-from metagrad.meta_gradient import exact_grad_F, fomaml_direction
+from metagrad.meta_gradient import FOMAML, direction, exact_grad_F
 from metagrad.numerics import RngStream
 from metagrad.closed_form import QuadraticAnalysis, analyze_quadratic
 from metagrad.stochastic import BatchSpec, StochasticOracle
@@ -77,7 +77,7 @@ def test_w_fo_against_fixed_point_iteration():
     batches = BatchSpec()
     for _ in range(2000):
         step = sum(
-            p * fomaml_direction(t, w, alpha, EXACT, batches, RngStream(0))
+            p * direction(FOMAML, t, w, alpha, 0.0, EXACT, batches, RngStream(0))
             for p, t in zip(fam.weights, fam.tasks)
         )
         w = w - beta * step

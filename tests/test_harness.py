@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metagrad import cli, optimizer
 from metagrad.cli import main
 from metagrad.meta_gradient import exact_grad_F
 from metagrad.numerics import RngStream
 from metagrad.optimizer import CSV_HEADER, RunRecord
-from metagrad.tasks import TaskFamily, random_quadratic_family
+from metagrad.tasks import TaskFamily, local_smoothness, random_quadratic_family
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -258,6 +259,34 @@ class TestExitCodes:
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("audit", {"audit": {"phi": 0}}, "audit.phi must be a positive number"),
+            ("audit", {"audit": {"phi": "x"}}, "audit.phi must be a positive number"),
+            ("audit", {"audit": {"phi": True}}, "audit.phi must be a positive number"),
+            ("audit", {"audit": {"w_scale": "x"}}, "audit.w_scale must be a positive number"),
+            ("audit", {"audit": {"w_scale": -1}}, "audit.w_scale must be a positive number"),
+            ("audit", {"audit": {"alpha_times_L": -1}},
+             "audit.alpha_times_L must be a positive number"),
+            ("audit", {"audit": {"alpha_times_L": "x"}},
+             "audit.alpha_times_L must be a positive number"),
+            ("run", {"full_task_batch": "false"}, "full_task_batch must be true or false"),
+            ("audit", {"alpha": "abc"}, "could not convert"),
+            ("audit", {"trust_radius": -1}, "trust_radius must be positive"),
+            ("compare", {"w0": [0.3, -0.2, 0.1]}, "w0 has shape (3,), family dimension is 2"),
+            ("audit", {"w0": [0.3, -0.2, 0.1]}, "w0 has shape (3,), family dimension is 2"),
+        ],
+    )
+    def test_invalid_scalars_are_config_errors(self, tmp_path, capsys, command, override,
+                                               message):
+        cfg = write_config(tmp_path, **override)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_fields_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, max_iters=5.0, batches={"B": 4.0, "D_in": 2, "D_o": 2})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -379,6 +408,26 @@ class TestAuditCommand:
         cfg = write_config(tmp_path, audit={"select": ["biass"]})
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "biass" in capsys.readouterr().err
+
+
+class TestSetUp:
+    @pytest.mark.parametrize("command", ["run", "compare", "audit"])
+    def test_profile_computed_once_per_command(self, tmp_path, capsys, monkeypatch, command):
+        # the profile depends on the family, w0 and trust_radius only, so
+        # one is shared by every seed and algorithm
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return local_smoothness(*args)
+
+        monkeypatch.setattr(cli, "local_smoothness", counting)
+        monkeypatch.setattr(optimizer, "local_smoothness", counting)
+        algorithms = ["maml"] if command == "run" else ["maml", "fomaml", "hfmaml"]
+        cfg = write_config(tmp_path, algorithms=algorithms, seeds=[0, 1], max_iters=3,
+                           audit={"select": ["kshot"], "K_list": [2, 4]})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert len(calls) == 1
 
 
 class TestReplicateSeeds:

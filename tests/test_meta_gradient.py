@@ -5,13 +5,12 @@ import pytest
 
 from metagrad.meta_gradient import (
     ALGORITHMS,
+    FOMAML,
+    HFMAML,
+    MAML,
     direction,
     exact_grad_F,
-    fomaml_direction,
-    hfmaml_direction,
     hvp_finite_diff,
-    inner_step,
-    maml_direction,
     mc_grad_F_hat_draws,
     probe_delta,
     value_F,
@@ -65,10 +64,11 @@ EXACT = StochasticOracle()
 
 
 def test_inner_step_exact():
+    # FO-MAML's exact direction is the outer gradient at the inner step
     t = make_quad_task(1)
     w = np.random.default_rng(2).normal(size=t.dim)
-    out = inner_step(t, w, 0.05, 3, EXACT, RngStream(0))
-    assert np.allclose(out, w - 0.05 * t.grad(w), atol=1e-14)
+    out = direction(FOMAML, t, w, 0.05, 0.0, EXACT, BatchSpec(D_in=3), RngStream(0))
+    assert np.allclose(out, t.grad(w - 0.05 * t.grad(w)), atol=1e-14)
 
 
 def test_maml_direction_exact_quadratic_identity():
@@ -77,7 +77,7 @@ def test_maml_direction_exact_quadratic_identity():
         t = make_quad_task(seed)
         w = np.random.default_rng(50 + seed).normal(size=t.dim)
         alpha = 0.04
-        got = maml_direction(t, w, alpha, EXACT, BatchSpec(), RngStream(seed))
+        got = direction(MAML, t, w, alpha, 0.0, EXACT, BatchSpec(), RngStream(seed))
         m = np.eye(t.dim) - alpha * t.A
         want = m @ m @ (t.A @ w + t.b)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -87,7 +87,7 @@ def test_fomaml_direction_exact_quadratic_identity():
     t = make_quad_task(9)
     w = np.random.default_rng(10).normal(size=t.dim)
     alpha = 0.04
-    got = fomaml_direction(t, w, alpha, EXACT, BatchSpec(), RngStream(0))
+    got = direction(FOMAML, t, w, alpha, 0.0, EXACT, BatchSpec(), RngStream(0))
     want = (np.eye(t.dim) - alpha * t.A) @ (t.A @ w + t.b)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -193,8 +193,8 @@ def test_hfmaml_within_sixth_of_probe_norm_from_maml():
     gen = np.random.default_rng(41)
     for i, task in enumerate(fam.tasks):
         w = 0.8 * gen.normal(size=4)
-        hf = hfmaml_direction(task, w, alpha, prof.rho, EXACT, batches, RngStream(42).child(i))
-        ml = maml_direction(task, w, alpha, EXACT, batches, RngStream(42).child(i))
+        hf = direction(HFMAML, task, w, alpha, prof.rho, EXACT, batches, RngStream(42).child(i))
+        ml = direction(MAML, task, w, alpha, prof.rho, EXACT, batches, RngStream(42).child(i))
         v = task.grad(w - alpha * task.grad(w))
         assert np.linalg.norm(hf - ml) <= np.linalg.norm(v) / 6.0 + 1e-12
 
@@ -204,7 +204,7 @@ def test_hfmaml_zero_probe_returns_zero():
     # outer gradient vanishes, so there is nothing to probe.
     t = make_quad_task(45)
     w_min = np.linalg.solve(t.A, -t.b)
-    out = hfmaml_direction(t, w_min, 0.05, 1.0, EXACT, BatchSpec(), RngStream(0))
+    out = direction(HFMAML, t, w_min, 0.05, 1.0, EXACT, BatchSpec(), RngStream(0))
     assert np.linalg.norm(out) <= 1e-10
 
 
@@ -218,8 +218,8 @@ def test_hfmaml_equals_maml_on_quadratic_with_shared_streams():
     for i in range(5):
         w = gen.normal(size=t.dim)
         rng = RngStream(48).child(i)
-        hf = hfmaml_direction(t, w, 0.04, 2.0, oracle, batches, rng)
-        ml = maml_direction(t, w, 0.04, oracle, batches, rng)
+        hf = direction(HFMAML, t, w, 0.04, 2.0, oracle, batches, rng)
+        ml = direction(MAML, t, w, 0.04, 2.0, oracle, batches, rng)
         assert np.max(np.abs(hf - ml)) <= 1e-10
 
 
@@ -369,8 +369,8 @@ def test_directions_share_inner_outer_noise_across_algorithms():
     oracle = StochasticOracle(sigma_tilde=1.0)
     batches = BatchSpec(D_in=2, D_o=2)
     rng = RngStream(75).child("slot")
-    fo = fomaml_direction(t, w, 0.04, oracle, batches, rng)
-    ml = maml_direction(t, w, 0.04, oracle, batches, rng)
+    fo = direction(FOMAML, t, w, 0.04, 0.0, oracle, batches, rng)
+    ml = direction(MAML, t, w, 0.04, 0.0, oracle, batches, rng)
     # With sigma_H = 0 the Hessian factor is exact: ml = (I - aA) fo.
     want = fo - 0.04 * (t.A @ fo)
     assert np.max(np.abs(ml - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

@@ -17,12 +17,13 @@ from metagrad.optimizer import (
     OptimizerConfig,
     RunRecord,
     _full_batch_direction,
+    _slot_direction,
     run,
     run_comparison,
     validate_config,
 )
 from metagrad.stepsize import ADAPTIVE_FRACTIONS, StepsizeRule
-from metagrad.stochastic import BatchSpec, StochasticOracle
+from metagrad.stochastic import BatchSpec, StochasticOracle, sample_task_batch
 from metagrad.tasks import (
     QUADRATIC,
     RANK1MF,
@@ -34,7 +35,9 @@ from metagrad.tasks import (
     rank1_mf_family,
 )
 
-FIG1 = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig1.json").read_text())
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FIG1 = json.loads((CONFIGS / "fig1.json").read_text())
+FIG2 = json.loads((CONFIGS / "fig2.json").read_text())
 
 
 def one_d_example_family():
@@ -142,9 +145,7 @@ class TestStackedExactSweep:
         oracle, batches, rng = StochasticOracle(0.0, 0.0), BatchSpec(), RngStream(5)
         grads = family.grads(w)
         grad_F = exact_grad_F(family, w, alpha, grads)
-        stacked = _full_batch_direction(
-            family, w, grads, grad_F, alpha, rho, oracle, batches, rng, HFMAML
-        )
+        stacked = _full_batch_direction(family, w, grads, grad_F, alpha, rho, HFMAML)
         looped = np.zeros(family.dim)
         for i, task in enumerate(family.tasks):
             looped += family.weights[i] * direction(
@@ -200,6 +201,59 @@ class TestStackedExactSweep:
             g = exact_grad_F(family, w, alpha)
             assert rec.grad_norm_F[k] == np.linalg.norm(g)
             assert np.array_equal(rec.iterates[k + 1], w - beta * g)
+
+
+class TestSlotLoopReplay:
+    """Noisy steps against a slot loop written out from the documented streams."""
+
+    @staticmethod
+    def replayed_step(family, cfg, rho, w, k):
+        oracle = StochasticOracle(cfg.sigma_tilde, cfg.sigma_H)
+        root = RngStream(cfg.seed)
+
+        def slot(j, i):
+            return direction(cfg.algorithm, family.tasks[i], w, cfg.alpha, rho, oracle,
+                             cfg.batches, root.child(k, "slot", j))
+
+        acc = np.zeros(family.dim)
+        if cfg.full_task_batch:
+            for i in range(family.n_tasks):
+                acc += family.weights[i] * slot(i, i)
+            return acc
+        for j, i in enumerate(sample_task_batch(family, cfg.batches.B, root.child(k, "tasks"))):
+            acc += slot(j, i)
+        return acc / cfg.batches.B
+
+    @pytest.mark.parametrize("full_task_batch", [False, True], ids=["sampled", "full-batch"])
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    def test_steps_replay_bit_for_bit(self, algorithm, full_task_batch):
+        family = generate_family(FIG2["family"]["generate"])
+        w0, beta = np.array(FIG2["w0"]), FIG2["stepsize"]["beta"]
+        profile = local_smoothness(family, w0, FIG2["trust_radius"])
+        cfg = OptimizerConfig(
+            algorithm=algorithm,
+            alpha=FIG2["alpha"],
+            stepsize=StepsizeRule(kind="constant", beta=beta),
+            batches=BatchSpec(B=5, D_in=4, D_o=4, D_h=4),
+            max_iters=20,
+            seed=3,
+            w0=w0,
+            trust_radius=FIG2["trust_radius"],
+            full_task_batch=full_task_batch,
+            sigma_tilde=0.5,
+            sigma_H=0.5,
+            record_iterates=True,
+        )
+        rec = run(family, cfg, profile=profile)
+        assert rec.steps_taken == 20
+        oracle = StochasticOracle(cfg.sigma_tilde, cfg.sigma_H)
+        for k in range(rec.steps_taken):
+            w = rec.iterates[k]
+            step = self.replayed_step(family, cfg, profile.rho, w, k)
+            assert np.array_equal(rec.iterates[k + 1], w - beta * step)
+            # the iterate absorbs the step's last bits; compare the step itself
+            got = _slot_direction(family, cfg, w, profile.rho, oracle, RngStream(cfg.seed).child(k))
+            assert np.array_equal(got, step)
 
 
 class TestStochasticRuns:

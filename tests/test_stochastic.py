@@ -110,13 +110,8 @@ def test_noisy_hess_exact_when_sigma_zero():
     assert np.array_equal(noisy_hess(task, x, 1, 0.0, RngStream(0)), task.hess(x))
 
 
-def test_oracle_wrapper_delegates():
-    task = zero_grad_task(3)
-    w = np.zeros(3)
-    rng = RngStream(5).child("x")
+def test_oracle_exact_flag_and_validation():
     oracle = StochasticOracle(sigma_tilde=0.5, sigma_H=0.25)
-    assert np.array_equal(oracle.grad(task, w, 3, rng), noisy_grad(task, w, 3, 0.5, rng))
-    assert np.array_equal(oracle.hess(task, w, 3, rng), noisy_hess(task, w, 3, 0.25, rng))
     assert not oracle.exact
     assert StochasticOracle().exact
     with pytest.raises(ValueError):

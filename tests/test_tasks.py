@@ -1,20 +1,30 @@
 """Task oracles validated by finite differences and fresh-sample audits."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from metagrad.numerics import RngStream, spectral_norm, standard_normals
+from metagrad.cli import generate_family
+from metagrad.numerics import RngStream, spectral_norm, spectral_norms, standard_normals
 from metagrad.tasks import (
     QUADRATIC,
     RANK1MF,
+    SMOOTHNESS_INFLATION,
+    SMOOTHNESS_SAMPLES,
+    SMOOTHNESS_SEED,
     MatrixFactorizationTask,
     QuadraticTask,
     SmoothnessProfile,
     TaskFamily,
+    ball_points,
     local_smoothness,
     random_quadratic_family,
     rank1_mf_family,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fd_grad(f, x, h=1e-5):
@@ -289,6 +299,61 @@ def test_local_smoothness_mf_dominates_fresh_samples():
         for t in fam.tasks:
             ratio = spectral_norm(t.hess(p) - t.hess(q)) / np.linalg.norm(p - q)
             assert ratio <= prof.rho + 1e-9
+
+
+def per_task_local_smoothness(family, center, radius):
+    """Reference: each task's Hessians over every point and pair set, one
+    task at a time, then the sampled suprema times SMOOTHNESS_INFLATION."""
+    rng = RngStream(SMOOTHNESS_SEED, ("local_smoothness",))
+    points = ball_points(center, radius, SMOOTHNESS_SAMPLES, rng)
+    offsets = standard_normals(rng.child("tight"), points.shape)
+    offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+    tight = points + 0.01 * radius * offsets
+    radial_hi = ball_points(center, radius, SMOOTHNESS_SAMPLES, rng.child("radial"))
+    radial_lo = center + 0.5 * (radial_hi - center)
+    pair_sets = [(points[:-1], points[1:]), (points, tight), (radial_lo, radial_hi)]
+    hess_sup = ratio_sup = 0.0
+    for task in family.tasks:
+        h_pts = np.stack([task.hess(p) for p in points])
+        hess_sup = max(hess_sup, float(np.max(spectral_norms(h_pts))))
+        for xs, ys in pair_sets:
+            hx = np.stack([task.hess(p) for p in xs])
+            hy = np.stack([task.hess(p) for p in ys])
+            num = spectral_norms(hx - hy)
+            den = np.linalg.norm(xs - ys, axis=1)
+            ratio_sup = max(ratio_sup, float(np.max(num / den)))
+    per_task = np.stack([family.grads(p) for p in points])
+    mean = np.einsum("n,mnd->md", family.weights, per_task)
+    dev = np.linalg.norm(per_task - mean[:, None, :], axis=2)
+    return (SMOOTHNESS_INFLATION * hess_sup, SMOOTHNESS_INFLATION * ratio_sup,
+            SMOOTHNESS_INFLATION * float(np.max(dev)))
+
+
+def config_family(name):
+    cfg = json.loads((CONFIGS / name).read_text())
+    return generate_family(cfg["family"]["generate"]), np.array(cfg["w0"]), cfg["trust_radius"]
+
+
+@pytest.mark.parametrize(
+    "family, center, radius",
+    [
+        config_family("fig1.json"),
+        config_family("fig2.json"),
+        (TaskFamily(RANK1MF, [MatrixFactorizationTask(np.array([1.0, -0.5, 0.25]))]),
+         np.array([0.2, 0.1, -0.3]), 1.5),
+    ],
+    ids=["fig1", "fig2", "mf-one-task"],
+)
+def test_local_smoothness_equals_per_task_reference(family, center, radius):
+    prof = local_smoothness(family, center, radius)
+    assert (prof.L, prof.rho, prof.sigma) == per_task_local_smoothness(family, center, radius)
+
+
+def test_local_smoothness_generated_quadratic_family_exact():
+    fam = generate_family({"kind": "quadratic", "n": 20, "dim": 5, "seed": 7})
+    prof = local_smoothness(fam, np.zeros(5), radius=3.0)
+    assert prof.rho == 0.0
+    assert prof.L == max(spectral_norm(t.A) for t in fam.tasks)
 
 
 def test_local_smoothness_validation():
