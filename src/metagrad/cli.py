@@ -294,7 +294,7 @@ def prepare(resolved: dict, config_dir: Path) -> tuple[TaskFamily, OptimizerConf
     profile, which depends only on the family, w0 and trust_radius."""
     family = build_family(resolved["family"], config_dir)
     base = build_optimizer_config(resolved, resolved["algorithms"][0], resolved["seeds"][0])
-    w0 = np.zeros(family.dim) if base.w0 is None else base.w0
+    w0 = base.start_point(family.dim)
     if w0.shape != (family.dim,):
         raise ConfigError(f"w0 has shape {w0.shape}, family dimension is {family.dim}")
     return family, base, local_smoothness(family, w0, base.trust_radius)
@@ -414,7 +414,7 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
     """
     a = resolved["audit"]
     select = a["select"]
-    w0 = np.zeros(family.dim) if base.w0 is None else base.w0
+    w0 = base.start_point(family.dim)
     trust = base.trust_radius
     profile = profile.with_noise(base.sigma_tilde, base.sigma_H)
     alpha = base.alpha

@@ -9,9 +9,10 @@ whose exact gradient is
 
     grad F(w) = sum_i p_i (I - alpha hess f_i(w)) grad f_i(w - alpha grad f_i(w)).
 
-One per-task estimator, ``direction``, serves all three algorithms.
-It takes a noisy inner step w_i = w - alpha g~(w) and a noisy outer
-gradient v = g~(w_i), then applies the algorithm's rule to v:
+One estimator, ``slot_directions``, serves all three algorithms and
+every slot of a step at once, as (B, d) stacks.  For each slot it takes
+a noisy inner step w_i = w - alpha g~(w) and a noisy outer gradient
+v = g~(w_i), then applies the algorithm's rule to v:
 
   * MAML       returns (I - alpha H~(w)) v with a noisy Hessian H~,
   * FO-MAML    returns v itself, the Hessian factor dropped,
@@ -25,8 +26,10 @@ The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
 
-Everything here is a pure function of its inputs and the RNG stream, so
-repeated evaluation is reproducible and parallel evaluation is safe.
+Slot j's noise is drawn on its own stream, so each row equals that slot
+evaluated alone; ``direction`` is the one-slot case.  Everything here is
+a pure function of its inputs and the RNG streams, so repeated
+evaluation is reproducible and parallel evaluation is safe.
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ from .stochastic import (
     PROBE,
     BatchSpec,
     StochasticOracle,
+    Streams,
     grad_noise,
     hess_noise,
     noisy_grad,
     noisy_hess,
 )
-from .tasks import TaskFamily
+from .tasks import QUADRATIC, RANK1MF, QuadraticTask, TaskFamily
 
 MAML = "maml"
 FOMAML = "fomaml"
@@ -57,20 +61,23 @@ ZERO_PROBE_TOL = 1e-12
 
 
 def hvp_finite_diff(
-    task, w: Vec, v: Vec, delta: float, D: int, oracle: StochasticOracle, rng: RngStream
-) -> Vec:
-    """Central-difference estimate of hess f(w) @ v from two noisy gradients.
+    family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray, D: int, sigma_tilde: float,
+    rng: Streams,
+) -> Mat:
+    """Central-difference estimates of hess f_idx[j](W[j]) @ V[j] from two
+    noisy gradients per row, row j with probe width delta[j].  W is one
+    point per row, or one point (d,) shared by every row.
 
-    Both probe gradients are evaluated on the same stream, i.e. the same
+    Both probe gradients are evaluated on the same streams, i.e. the same
     data batch, so their additive noise is identical and cancels in the
     difference.  The surviving error is curvature-only: at most
     rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
     """
-    if delta <= 0.0:
+    if (delta <= 0.0).any():
         raise ValueError("delta must be positive")
-    probe = rng.child(PROBE)
-    gp = noisy_grad(task, w + delta * v, D, oracle.sigma_tilde, probe)
-    gm = noisy_grad(task, w - delta * v, D, oracle.sigma_tilde, probe)
+    delta = delta[:, None]
+    gp = noisy_grad(family, idx, W + delta * V, D, sigma_tilde, rng)
+    gm = noisy_grad(family, idx, W - delta * V, D, sigma_tilde, rng)
     return (gp - gm) / (2.0 * delta)
 
 
@@ -79,25 +86,64 @@ def probe_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whether it exceeds ZERO_PROBE_TOL (at or below it there is nothing to
     probe along and the correction is zero).
 
-    Each norm is rounded as np.linalg.norm rounds that row alone, so the
-    per-task and the stacked exact HF-MAML sweeps agree bit for bit.
+    Each norm is rounded as np.linalg.norm rounds that row alone, so a
+    stacked row's norm equals the norm of that vector on its own.
     """
     nv = np.sqrt(row_dots(v))
     return nv, nv > ZERO_PROBE_TOL
 
 
-def probe_delta(rho: float, alpha: float, v_norm: float, w: Vec) -> float:
-    """Probe width for the Hessian-free correction.
+def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Probe width for the Hessian-free correction, per probe norm.
 
     1/(6 rho alpha ||v||) balances the curvature error against the size
     of the correction term.  When the calibration product vanishes (flat
     curvature, zero stepsize, or zero probe vector) fall back to a small
-    width scaled to the current iterate.
+    width scaled to the iterate, 1e-3 (1 + ||w||); w is one iterate or
+    one per row.
     """
-    base = rho * alpha * v_norm
-    if base <= 0.0:
-        return 1e-3 * (1.0 + float(np.linalg.norm(w)))
-    return 1.0 / (6.0 * base)
+    base = rho * alpha * np.asarray(v_norm, dtype=float)
+    flat = base <= 0.0
+    if not flat.any():
+        return 1.0 / (6.0 * base)
+    fallback = 1e-3 * (1.0 + np.sqrt(row_dots(w)))
+    return np.where(flat, fallback, 1.0 / (6.0 * np.where(flat, 1.0, base)))
+
+
+def slot_directions(
+    algorithm: str, family: TaskFamily, idx, w: Vec, g: Mat, alpha: float, rho: float,
+    oracle: StochasticOracle, batches: BatchSpec, streams: list[RngStream] | None,
+) -> Mat:
+    """Descent direction of each slot at w for the named algorithm (rules
+    in the module docstring), shape (B, d).
+
+    Slot j is task idx[j] (an index array, or a slice for every task in
+    order) with task gradient g[j] at w, as family.grads(w)[idx] gives it.
+    Each noise site of slot j draws once, on its own child of streams[j],
+    so algorithms run on one stream share w_i and v bit for bit.  An
+    exact oracle draws nothing and takes streams = None.  Every slot is
+    probed; a slot whose ||v|| is at or below ZERO_PROBE_TOL discards its
+    probe and returns v.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+
+    def site(purpose):
+        return None if streams is None else [s.child(purpose) for s in streams]
+
+    w_i = w - alpha * grad_noise(g, batches.D_in, oracle.sigma_tilde, site(INNER))
+    v = noisy_grad(family, idx, w_i, batches.D_o, oracle.sigma_tilde, site(OUTER))
+    if algorithm == MAML:
+        at_w = np.broadcast_to(w, v.shape)
+        h = noisy_hess(family, idx, at_w, batches.D_h, oracle.sigma_H, site(HESS))
+        return v - alpha * (h @ v[:, :, None])[..., 0]
+    if algorithm == HFMAML:
+        nv, probing = probe_norms(v)
+        delta = probe_delta(rho, alpha, nv, w)
+        hv = hvp_finite_diff(family, idx, w, v, delta, batches.D_h, oracle.sigma_tilde,
+                             site(PROBE))
+        return np.where(probing[:, None], v - alpha * hv, v)
+    return v
 
 
 def direction(
@@ -110,22 +156,11 @@ def direction(
     batches: BatchSpec,
     rng: RngStream,
 ) -> Vec:
-    """Per-task descent direction for the named algorithm (rules in the
-    module docstring).  Each noise site draws once, on its own child of
-    rng, so algorithms run on one stream share w_i and v bit for bit."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    w_i = w - alpha * noisy_grad(task, w, batches.D_in, oracle.sigma_tilde, rng.child(INNER))
-    v = noisy_grad(task, w_i, batches.D_o, oracle.sigma_tilde, rng.child(OUTER))
-    if algorithm == MAML:
-        h = noisy_hess(task, w, batches.D_h, oracle.sigma_H, rng.child(HESS))
-        return v - alpha * (h @ v)
-    if algorithm == HFMAML:
-        nv, probing = probe_norms(v)
-        if probing:  # else there is nothing to probe along and the correction is zero
-            delta = probe_delta(rho, alpha, nv, w)
-            return v - alpha * hvp_finite_diff(task, w, v, delta, batches.D_h, oracle, rng)
-    return v
+    """One task's direction at w: slot_directions with one slot, its noise
+    on rng's children."""
+    family = TaskFamily(QUADRATIC if isinstance(task, QuadraticTask) else RANK1MF, [task])
+    return slot_directions(algorithm, family, slice(None), w, family.grads(w), alpha, rho,
+                           oracle, batches, [rng])[0]
 
 
 # --------------------------------------------------------- exact oracles

@@ -8,12 +8,13 @@ distances to both closed-form fixed points are logged as well.  The
 task gradients at the iterate are computed once per iteration and
 shared by the instrumentation and the step.
 
-With full_task_batch and an exact oracle, every algorithm's step is one
-stacked sweep over all tasks (see _full_batch_direction).  HF-MAML's
-matches its per-task oracles bit for bit; MAML's and FO-MAML's round
-differently in the last bits.  Noisy full-batch steps and sampled task
-batches share one slot loop (_slot_direction) that calls the per-task
-estimator ``direction`` once per slot.
+Every step but two is one call of the stacked slot estimator
+``slot_directions`` (see _slot_direction): sampled task batches, noisy
+full batches and HF-MAML's exact full batch.  With full_task_batch and
+an exact oracle, MAML's step is exact_grad_F itself and FO-MAML's the
+same einsum form without the Hessian factor; both round differently
+from the slot sum in the last bits, and fig1's recorded bytes depend on
+that rounding.
 
 Randomness is organized so paired runs are comparable: iteration k of a
 run with seed s derives the task batch from (s, k, "tasks"), the
@@ -37,10 +38,8 @@ from .meta_gradient import (
     FOMAML,
     HFMAML,
     MAML,
-    direction,
     exact_grad_F,
-    probe_delta,
-    probe_norms,
+    slot_directions,
     value_F,
 )
 from .numerics import RngStream, Vec
@@ -80,6 +79,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("alpha", "target_grad_norm", "trust_radius", "sigma_tilde", "sigma_H"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.max_iters < 1:
@@ -90,6 +93,12 @@ class OptimizerConfig:
             raise ValueError("noise levels must be nonnegative")
         if self.w0 is not None:
             self.w0 = np.asarray(self.w0, dtype=float)
+            if not np.all(np.isfinite(self.w0)):
+                raise ValueError("w0 must hold finite numbers")
+
+    def start_point(self, dim: int) -> Vec:
+        """w0, or the origin when no start point was given."""
+        return np.zeros(dim) if self.w0 is None else np.asarray(self.w0, dtype=float)
 
 
 def validate_config(config: OptimizerConfig, profile: SmoothnessProfile) -> None:
@@ -183,21 +192,6 @@ class RunRecord:
             )
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def parse_csv(text: str) -> dict[str, np.ndarray]:
-        """Columns of a serialized record, keyed by header name."""
-        lines = [ln for ln in text.strip().split("\n") if ln]
-        names = lines[0].split(",")
-        if names != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected CSV header {lines[0]!r}")
-        cols = {name: [] for name in names}
-        for ln in lines[1:]:
-            for name, valtext in zip(names, ln.split(",")):
-                cols[name].append(float(valtext))
-        out = {name: np.array(vals) for name, vals in cols.items()}
-        out["iter"] = out["iter"].astype(int)
-        return out
-
     def summary(self) -> dict:
         return {
             "algorithm": self.algorithm,
@@ -220,44 +214,20 @@ def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
     return np.add.accumulate(terms)[-1]
 
 
-def _full_batch_direction(family, w, grads, grad_F, alpha, rho, algorithm):
-    """Exact weighted sweep over all tasks at w, for an exact oracle.
-
-    grads are family.grads(w) and grad_F is exact_grad_F there, both
-    already computed for the instrumentation.  Each algorithm is one
-    stacked sweep.  HF-MAML's equals the task-order sum of its per-task
-    directions bit for bit.  MAML's step is grad_F itself and FO-MAML's
-    the same einsum form without the Hessian factor; both differ from the
-    sum of per-task oracle directions in the last bits, and the recorded
-    fig1 bytes depend on that rounding.
-    """
-    if algorithm == MAML:
-        return grad_F
-    if algorithm == FOMAML:
-        return family.weights @ family.grads_rowwise(w - alpha * grads)
-    v = family.task_grads_rowwise(w - alpha * grads)
-    nv, probing = probe_norms(v)
-    delta = np.array([probe_delta(rho, alpha, x, w) for x in nv.tolist()])[:, None]
-    dk = (family.task_grads_rowwise(w + delta * v)
-          - family.task_grads_rowwise(w - delta * v)) / (2.0 * delta)
-    return _task_order_sum(family.weights, np.where(probing[:, None], v - alpha * dk, v))
-
-
-def _slot_direction(family, config, w, rho, oracle, rng):
+def _slot_direction(family, config, w, grads, rho, oracle, rng):
     """sum_j p_j direction_j / B, added from zero in slot order, slot j's
     noise on rng.child("slot", j).  A full batch's slots are tasks 0..n-1
     with task weights p and B = 1; a sampled batch's are B tasks drawn on
-    rng.child("tasks"), each with p_j = 1."""
+    rng.child("tasks"), each with p_j = 1.  grads are family.grads(w)."""
     if config.full_task_batch:
-        tasks, weights, B = range(family.n_tasks), family.weights.tolist(), 1
+        idx, weights, B = slice(None), family.weights, 1
     else:
         B = config.batches.B
-        tasks, weights = sample_task_batch(family, B, rng.child(TASKS)).tolist(), [1.0] * B
-    acc = np.zeros(family.dim)
-    for j, (i, p) in enumerate(zip(tasks, weights)):
-        acc += p * direction(config.algorithm, family.tasks[i], w, config.alpha, rho, oracle,
-                             config.batches, rng.child("slot", j))
-    return acc / B
+        idx, weights = sample_task_batch(family, B, rng.child(TASKS)), np.ones(B)
+    streams = None if oracle.exact else [rng.child("slot", j) for j in range(len(weights))]
+    dirs = slot_directions(config.algorithm, family, idx, w, grads[idx], config.alpha, rho,
+                           oracle, config.batches, streams)
+    return _task_order_sum(weights, dirs) / B
 
 
 def run(
@@ -273,7 +243,7 @@ def run(
     the iterate leaves 10x the trust region.
     """
     d = family.dim
-    w0 = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=float)
+    w0 = config.start_point(d)
     if w0.shape != (d,):
         raise ValueError(f"w0 has shape {w0.shape}, family dimension is {d}")
     if profile is None:
@@ -333,12 +303,12 @@ def run(
             beta_k = config.stepsize.resolve_fraction(config.algorithm) * sample.beta_tilde
         betas[k] = beta_k
 
-        if config.full_task_batch and oracle.exact:
-            step_dir = _full_batch_direction(
-                family, w, grads, grad_F, config.alpha, profile.rho, config.algorithm
-            )
+        if config.full_task_batch and oracle.exact and config.algorithm == MAML:
+            step_dir = grad_F
+        elif config.full_task_batch and oracle.exact and config.algorithm == FOMAML:
+            step_dir = family.weights @ family.grads_rowwise(w - config.alpha * grads)
         else:
-            step_dir = _slot_direction(family, config, w, profile.rho, oracle, root.child(k))
+            step_dir = _slot_direction(family, config, w, grads, profile.rho, oracle, root.child(k))
 
         with np.errstate(over="ignore", invalid="ignore"):
             w = w - beta_k * step_dir

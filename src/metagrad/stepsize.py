@@ -21,11 +21,6 @@ under which E[beta_tilde] >= 0.8 / L(w) and
 E[beta_tilde^2] <= 3.125 / L(w)^2.  ``check_stepsize_batches`` raises
 when either inequality fails; the samplers and the optimizer's config
 validation all go through it.
-
-``recommended_batches`` inverts the convergence guarantees: given a
-target gradient norm eps it returns batch sizes under which the floors
-of the guarantee drop below eps (up to the first-order method's
-irreducible sigma floor, which no batch size can remove).
 """
 
 from __future__ import annotations
@@ -36,18 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig
-from .numerics import RngStream, Vec
-from .stochastic import STEPSIZE, BatchSpec, TASKS, grad_noise, noisy_grad, sample_task_batch
+from .numerics import RngStream, Vec, row_dots
+from .stochastic import STEPSIZE, TASKS, grad_noise, noisy_grad, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
 # Fractions of beta_tilde each algorithm may take per iteration, and the
 # inner-stepsize caps (alpha * L at most this) its guarantee assumes.
 ADAPTIVE_FRACTIONS = {"maml": 1.0 / 12.0, "fomaml": 1.0 / 18.0, "hfmaml": 1.0 / 25.0}
 ALPHA_CAPS = {"maml": 1.0 / 6.0, "fomaml": 1.0 / 10.0, "hfmaml": 1.0 / 6.0}
-
-# Leading constants of the convergence guarantees used to size batches:
-# second-order variants carry 61, the first-order variant carries 14.
-FLOOR_CONSTANT = {"maml": 61.0, "fomaml": 14.0, "hfmaml": 61.0}
 
 
 def _ceil(x: float) -> int:
@@ -70,6 +61,10 @@ class StepsizeRule:
     fraction: float | None = None
 
     def __post_init__(self):
+        for name in ("beta", "fraction"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"stepsize {name} must be finite, got {value!r}")
         if self.kind not in ("constant", "adaptive"):
             raise ValueError(f"unknown stepsize kind {self.kind!r}")
         if self.kind == "constant":
@@ -158,12 +153,11 @@ def beta_tilde(
         l_tilde = 4.0 * profile.L
         return StepsizeSample(l_tilde, 1.0 / l_tilde)
     idx = sample_task_batch(family, B_prime, rng.child(TASKS))
-    acc = 0.0
-    for slot, i in enumerate(idx):
-        g = noisy_grad(
-            family.tasks[i], w, D_beta, profile.sigma_tilde, rng.child(STEPSIZE, slot)
-        )
-        acc += float(np.linalg.norm(g))
+    at_w = np.broadcast_to(w, (B_prime, family.dim))
+    streams = [rng.child(STEPSIZE, slot) for slot in range(B_prime)]
+    g = noisy_grad(family, idx, at_w, D_beta, profile.sigma_tilde, streams)
+    # each norm as np.linalg.norm rounds it, added from zero in slot order
+    acc = float(np.cumsum(np.sqrt(row_dots(g)))[-1])
     l_tilde = 4.0 * profile.L + coeff * acc / B_prime
     return StepsizeSample(l_tilde, 1.0 / l_tilde)
 
@@ -193,36 +187,3 @@ def sample_beta_tilde(
     norms = np.linalg.norm(sel, axis=2).mean(axis=1)
     return 1.0 / (4.0 * profile.L + coeff * norms)
 
-
-def recommended_batches(
-    profile: SmoothnessProfile, alpha: float, eps: float, algorithm: str
-) -> BatchSpec:
-    """Smallest batch sizes under which the guarantee's floors reach eps.
-
-    Second-order variants size B, D_in, and B * D_o so each noise floor
-    contributes at most eps^2 / 61; the first-order variant uses its own
-    constant 14.  The Hessian budget follows the relevant precondition:
-    ceil(2 alpha^2 sigma_H^2) where a noisy Hessian is drawn, and
-    ceil(36 (alpha rho sigma_tilde)^2) for the probe-based variant.  The
-    stepsize batches B' and D_beta come from the moment-control
-    inequalities.  Note the first-order variant retains an irreducible
-    floor proportional to alpha L sigma that no batch size removes.
-    """
-    if algorithm not in FLOOR_CONSTANT:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    c = FLOOR_CONSTANT[algorithm]
-    s2, st2 = profile.sigma**2, profile.sigma_tilde**2
-    B = max(20, _ceil(c * s2 / eps**2))
-    D_in = max(1, _ceil(c * st2 / eps**2))
-    D_o = max(1, _ceil(c * st2 / (B * eps**2)))
-    D_h = required_D_h(profile, alpha, algorithm)
-    return BatchSpec(
-        B=B,
-        D_in=D_in,
-        D_o=D_o,
-        D_h=D_h,
-        B_prime=required_B_prime(profile, alpha),
-        D_beta=required_D_beta(profile, alpha),
-    )

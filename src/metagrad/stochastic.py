@@ -12,14 +12,17 @@ so E||z||^2 = sigma_tilde^2 / D, and
                  E||E||_F^2 = sigma_H^2 / D.
 
 These two laws live only in ``grad_noise`` and ``hess_noise``, which
-act on whole stacks of draws; the per-task oracles and the vectorized
-audit and stepsize samplers all call them.
+act on whole stacks of draws; the stacked slot oracles ``noisy_grad``
+and ``noisy_hess`` and the vectorized audit and stepsize samplers all
+call them.  A stack is drawn either in one draw on one stream (the bulk
+Monte Carlo samplers) or row by row, row j on the j-th of a list of
+streams (the slots of an optimizer step, each on its own stream).
 
-Noise is drawn from the stream passed in and nothing else, so a fixed
+Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
 consumed.  Callers that want two evaluations to share a data batch (the
 two probes of a finite-difference Hessian-vector product) simply pass
-the same stream to both calls.
+the same streams to both calls.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, standard_normals, uniforms
+from .numerics import RngStream, standard_normals, uniforms
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -66,28 +69,39 @@ class BatchSpec:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-def grad_noise(g: np.ndarray, D: int, sigma_tilde: float, rng: RngStream) -> np.ndarray:
+Streams = RngStream | list[RngStream] | None
+
+
+def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of the given shape: one draw on one stream, or, for
+    a list of streams, row j drawn alone on rng[j]."""
+    if isinstance(rng, RngStream):
+        return standard_normals(rng, shape)
+    return np.stack([standard_normals(s, shape[1:]) for s in rng])
+
+
+def grad_noise(g: np.ndarray, D: int, sigma_tilde: float, rng: Streams) -> np.ndarray:
     """g plus batch-size-D gradient noise on each row along the last axis.
 
-    Entries are i.i.d. N(0, sigma_tilde^2 / (d D)), one draw on rng for
-    all rows.  With sigma_tilde = 0, g itself is returned and nothing is
-    drawn.
+    Entries are i.i.d. N(0, sigma_tilde^2 / (d D)), drawn on rng as
+    ``_normals`` draws them.  With sigma_tilde = 0, g itself is returned,
+    nothing is drawn and rng may be None.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
     if sigma_tilde == 0.0:
         return g
     d = g.shape[-1]
-    return g + sigma_tilde / np.sqrt(d * D) * standard_normals(rng, g.shape)
+    return g + sigma_tilde / np.sqrt(d * D) * _normals(rng, g.shape)
 
 
-def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: RngStream) -> np.ndarray:
+def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> np.ndarray:
     """Symmetric batch-size-D Hessian noise over the last two axes.
 
     E = kappa (G + G') / 2 with i.i.d. standard normal G has Frobenius
     energy kappa^2 d (d + 1) / 2, so kappa = sigma_H sqrt(2 / (D d (d + 1))).
-    One draw on rng for all matrices; with sigma_H = 0 the noise is zero
-    and nothing is drawn.
+    G is drawn on rng as ``_normals`` draws it; with sigma_H = 0 the noise
+    is zero, nothing is drawn and rng may be None.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
@@ -95,18 +109,22 @@ def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: RngStream) -
         return np.zeros(shape)
     d = shape[-1]
     kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
-    g = standard_normals(rng, shape)
+    g = _normals(rng, shape)
     return kappa * 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def noisy_grad(task, w: Vec, D: int, sigma_tilde: float, rng: RngStream) -> Vec:
-    """Gradient of the task plus batch-size-D Gaussian noise."""
-    return grad_noise(task.grad(w), D, sigma_tilde, rng)
+def noisy_grad(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_tilde: float,
+               rng: Streams) -> np.ndarray:
+    """Gradient of task idx[j] at row W[j] plus batch-size-D Gaussian noise,
+    shape (B, d); row j is that task's gradient evaluated alone."""
+    return grad_noise(family.task_grads_rowwise(idx, W), D, sigma_tilde, rng)
 
 
-def noisy_hess(task, w: Vec, D: int, sigma_H: float, rng: RngStream) -> Mat:
-    """Hessian of the task plus symmetric Gaussian noise."""
-    h = task.hess(w)
+def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
+               rng: Streams) -> np.ndarray:
+    """Hessian of task idx[j] at row W[j] plus symmetric Gaussian noise,
+    shape (B, d, d)."""
+    h = family.task_hessians(idx, W)
     return h + hess_noise(h.shape, D, sigma_H, rng)
 
 

@@ -173,9 +173,10 @@ class TaskFamily:
         nx2 = np.sum(W * W, axis=1, keepdims=True)
         return nx2 * W - np.einsum("nij,nj->ni", self._Ms, W)
 
-    def task_grads_rowwise(self, W: np.ndarray) -> np.ndarray:
-        """Gradient of task i at row W[i], shape (n, d), equal bit for bit
-        to ``tasks[i].grad(W[i])``.
+    def task_grads_rowwise(self, idx, W: np.ndarray) -> np.ndarray:
+        """Gradient of task idx[j] at row W[j], shape (B, d), equal bit for
+        bit to ``tasks[idx[j]].grad(W[j])``.  idx is an index array, or a
+        slice (a view of the stacked arrays) for every task in order.
 
         Stacked matmuls round each row as the task's own matrix-vector and
         dot products do, so a stacked sweep built on this reproduces a
@@ -183,8 +184,17 @@ class TaskFamily:
         """
         X = W[:, :, None]
         if self.kind == QUADRATIC:
-            return (self._As @ X)[..., 0] + self._bs
-        return row_dots(W)[:, None] * W - (self._Ms @ X)[..., 0]
+            return (self._As[idx] @ X)[..., 0] + self._bs[idx]
+        return row_dots(W)[:, None] * W - (self._Ms[idx] @ X)[..., 0]
+
+    def task_hessians(self, idx, W: np.ndarray) -> np.ndarray:
+        """Hessian of task idx[j] at row W[j], shape (B, d, d), equal bit
+        for bit to ``tasks[idx[j]].hess(W[j])``; idx as in task_grads_rowwise.
+        Quadratic Hessians are the stacked matrices themselves (read-only)."""
+        if self.kind == QUADRATIC:
+            return self._As[idx]
+        outer = 2.0 * (W[:, :, None] * W[:, None, :])
+        return row_dots(W)[:, None, None] * np.eye(self.dim) + outer - self._Ms[idx]
 
     def hessians(self, w: Vec) -> np.ndarray:
         """All task Hessians at one point, shape (n, d, d)."""

@@ -16,8 +16,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .meta_gradient import exact_grad_F, hvp_finite_diff, mc_grad_F_hat_draws, probe_delta
-from .numerics import RngStream, Vec, standard_normals
+from .meta_gradient import (
+    exact_grad_F,
+    hvp_finite_diff,
+    mc_grad_F_hat_draws,
+    probe_delta,
+    probe_norms,
+)
+from .numerics import RngStream, Vec, row_dots, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
 from .stochastic import StochasticOracle, grad_noise
@@ -240,19 +246,17 @@ def audit_hvp_probe_error(
         raise ValueError("probe-error audit needs a curvature-variation bound rho > 0")
     points = ball_points(center, radius, n_probes, rng.child("points"))
     dirs = standard_normals(rng.child("dirs"), (n_probes, family.dim))
-    oracle = StochasticOracle(0.0, 0.0)
-    worst = 0.0
-    for j in range(n_probes):
-        task = family.tasks[j % len(family.tasks)]
-        w, v = points[j], dirs[j]
-        delta = probe_delta(profile.rho, alpha, float(np.linalg.norm(v)), w)
-        fd = hvp_finite_diff(task, w, v, delta, 1, oracle, rng.child("probe", j))
-        err = np.linalg.norm(fd - task.hess(w) @ v)
-        allowed = profile.rho * delta * float(np.linalg.norm(v)) ** 2
-        worst = max(worst, float(err / allowed))
+    idx = np.arange(n_probes) % family.n_tasks  # probe j tests task j mod n
+    nv = probe_norms(dirs)[0]
+    delta = probe_delta(profile.rho, alpha, nv, points)
+    fd = hvp_finite_diff(family, idx, points, dirs, delta, 1, 0.0, None)
+    err = np.sqrt(row_dots(fd - (family.task_hessians(idx, points) @ dirs[:, :, None])[..., 0]))
+    # float_power squares through libm's pow, as float ** 2 does; nv**2 is nv * nv,
+    # which rounds differently in about one case in a thousand
+    allowed = profile.rho * delta * np.float_power(nv, 2)
     return BoundAudit(
         name="hvp_probe_error",
-        measured=worst,
+        measured=float(np.max(err / allowed)),
         bound=1.0,
         mc_margin=0.0,
         samples=n_probes,

@@ -12,6 +12,7 @@ from metagrad.meta_gradient import exact_grad_F
 from metagrad.numerics import RngStream
 from metagrad.optimizer import CSV_HEADER, RunRecord
 from metagrad.tasks import TaskFamily, local_smoothness, random_quadratic_family
+from records import parse_csv
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -108,7 +109,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         csv_path = out / "run_maml_seed0.csv"
-        cols = RunRecord.parse_csv(csv_path.read_text())
+        cols = parse_csv(csv_path.read_text())
         assert len(cols["iter"]) == 21  # max_iters rows plus the final state
         sidecar = json.loads((out / "run_maml_seed0.csv.config.json").read_text())
         assert sidecar["command"] == "run"
@@ -122,7 +123,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        cols = RunRecord.parse_csv((out / "run_maml_seed0.csv").read_text())
+        cols = parse_csv((out / "run_maml_seed0.csv").read_text())
         family = TaskFamily.from_dict(quad_family_dict())
         want = np.linalg.norm(exact_grad_F(family, np.array([0.3, -0.2]), 0.05))
         assert cols["grad_norm_F"][0] == pytest.approx(want, rel=1e-15)
@@ -151,7 +152,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out), "--max-iters", "5", "--quiet"])
         assert code == 0
-        cols = RunRecord.parse_csv((out / "run_maml_seed0.csv").read_text())
+        cols = parse_csv((out / "run_maml_seed0.csv").read_text())
         assert len(cols["iter"]) == 6
 
 
@@ -287,10 +288,33 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"w0": [float("nan"), 0.2]}, "w0 must hold finite numbers"),
+            ({"trust_radius": float("inf")}, "trust_radius must be finite"),
+            ({"alpha": float("nan")}, "alpha must be finite"),
+            ({"stepsize": {"kind": "constant", "beta": float("nan")}},
+             "stepsize beta must be finite"),
+            ({"noise": {"sigma_tilde": float("nan")}}, "sigma_tilde must be finite"),
+        ],
+        ids=["w0", "trust_radius", "alpha", "beta", "sigma_tilde"],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, override, message):
+        # a factorization family: its smoothness profile runs eigvalsh on
+        # points around w0 inside trust_radius
+        family = {"generate": {"kind": "rank1mf", "n": 4, "dim": 2, "seed": 1}}
+        cfg = write_config(tmp_path, family=family, **override)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_fields_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, max_iters=5.0, batches={"B": 4.0, "D_in": 2, "D_o": 2})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        cols = RunRecord.parse_csv((tmp_path / "o" / "run_maml_seed0.csv").read_text())
+        cols = parse_csv((tmp_path / "o" / "run_maml_seed0.csv").read_text())
         assert len(cols["iter"]) == 6
 
     def test_invalid_json_config(self, tmp_path, capsys):

@@ -28,19 +28,16 @@ from metagrad.tasks import (
 )
 
 
-class QuarticTask:
-    """Scalar f(w) = w^4 / 12 with third derivative 2w, for probe-width checks."""
+def quartic_family():
+    """The 1-d rank-1 task with g = 0: f(x) = x^4 / 4, f'(x) = x^3, third derivative 6x."""
+    return TaskFamily(RANK1MF, [MatrixFactorizationTask(np.array([0.0]))])
 
-    dim = 1
 
-    def value(self, w):
-        return float(w[0] ** 4 / 12.0)
-
-    def grad(self, w):
-        return np.array([w[0] ** 3 / 3.0])
-
-    def hess(self, w):
-        return np.array([[w[0] ** 2]])
+def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
+    """hvp_finite_diff on one row of a one-task family."""
+    kind = RANK1MF if isinstance(task, MatrixFactorizationTask) else QUADRATIC
+    return hvp_finite_diff(TaskFamily(kind, [task]), [0], w[None], v[None], np.array([delta]),
+                           1, sigma_tilde, None if rng is None else [rng])[0]
 
 
 def one_d_example_family():
@@ -123,14 +120,14 @@ def test_maml_direction_unbiased_given_exact_inner():
 
 
 def test_hvp_scalar_quartic_example():
-    t = QuarticTask()
+    family = quartic_family()
     w = np.array([1.0])
     v = np.array([1.0])
-    got = hvp_finite_diff(t, w, v, delta=0.5, D=1, oracle=EXACT, rng=RngStream(0))
-    assert got[0] == pytest.approx(1.0833333333333333, rel=1e-12)
-    exact = t.hess(w) @ v
-    # |f'''| <= 3 on the probe interval [0.5, 1.5].
-    assert abs(got[0] - exact[0]) <= 3.0 * 0.5 * 1.0
+    got = hvp_finite_diff(family, [0], w[None], v[None], np.array([0.5]), 1, 0.0, None)[0]
+    assert got[0] == 3.25  # (1.5^3 - 0.5^3) / (2 * 0.5)
+    exact = family.tasks[0].hess(w) @ v
+    # the third derivative is at most 9 on the probe interval [0.5, 1.5].
+    assert abs(got[0] - exact[0]) <= 9.0 * 0.5 * 1.0
 
 
 def test_hvp_exact_on_quadratic_for_any_delta_even_with_noise():
@@ -140,10 +137,9 @@ def test_hvp_exact_on_quadratic_for_any_delta_even_with_noise():
     gen = np.random.default_rng(21)
     w = gen.normal(size=t.dim)
     v = gen.normal(size=t.dim)
-    oracle = StochasticOracle(sigma_tilde=5.0)
     want = t.A @ v
     for j, delta in enumerate([1e-3, 0.1, 10.0]):
-        got = hvp_finite_diff(t, w, v, delta, D=1, oracle=oracle, rng=RngStream(22).child(j))
+        got = one_task_hvp(t, w, v, delta, sigma_tilde=5.0, rng=RngStream(22).child(j))
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
@@ -159,7 +155,7 @@ def test_hvp_error_bound_and_shrinks_on_mf():
     exact = task.hess(w) @ v
     errs = []
     for delta in (1e-1, 1e-2, 1e-3):
-        got = hvp_finite_diff(task, w, v, delta, D=1, oracle=EXACT, rng=RngStream(0))
+        got = one_task_hvp(task, w, v, delta)
         err = np.linalg.norm(got - exact)
         assert err <= prof.rho * delta * 1.0**2
         errs.append(err)
@@ -168,7 +164,8 @@ def test_hvp_error_bound_and_shrinks_on_mf():
 
 def test_hvp_rejects_bad_delta():
     with pytest.raises(ValueError):
-        hvp_finite_diff(QuarticTask(), np.array([1.0]), np.array([1.0]), 0.0, 1, EXACT, RngStream(0))
+        hvp_finite_diff(quartic_family(), [0], np.ones((1, 1)), np.ones((1, 1)), np.zeros(1),
+                        1, 0.0, None)
 
 
 # ---------------------------------------------------------------- hfmaml
@@ -206,6 +203,45 @@ def test_hfmaml_zero_probe_returns_zero():
     w_min = np.linalg.solve(t.A, -t.b)
     out = direction(HFMAML, t, w_min, 0.05, 1.0, EXACT, BatchSpec(), RngStream(0))
     assert np.linalg.norm(out) <= 1e-10
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_direction_replays_documented_streams(algorithm):
+    # white box: each rule written out on one task with the noise of every
+    # site drawn on its documented child stream and the scales spelled out
+    task = MatrixFactorizationTask(np.array([0.9, -0.4, 0.3, 0.6]))
+    d, alpha, rho, st, sH = 4, 0.05, 3.0, 0.7, 0.4
+    batches = BatchSpec(D_in=2, D_o=3, D_h=5)
+    rng = RngStream(80).child("slot", 3)
+    for k in range(10):
+        w = 0.7 * np.random.default_rng(81 + k).normal(size=d)
+        got = direction(algorithm, task, w, alpha, rho, StochasticOracle(st, sH), batches,
+                        rng.child(k))
+        z_in = st / np.sqrt(d * 2) * standard_normals(rng.child(k, "inner"), d)
+        w_i = w - alpha * (task.grad(w) + z_in)
+        v = task.grad(w_i) + st / np.sqrt(d * 3) * standard_normals(rng.child(k, "outer"), d)
+        want = v
+        if algorithm == MAML:
+            raw = standard_normals(rng.child(k, "hess"), (d, d))
+            kappa = sH * np.sqrt(2.0 / (5 * d * (d + 1)))
+            want = v - alpha * ((task.hess(w) + kappa * 0.5 * (raw + raw.T)) @ v)
+        if algorithm == HFMAML:
+            delta = 1.0 / (6.0 * (rho * alpha * float(np.linalg.norm(v))))
+            z = st / np.sqrt(d * 5) * standard_normals(rng.child(k, "hvp"), d)
+            gp, gm = task.grad(w + delta * v) + z, task.grad(w - delta * v) + z
+            want = v - alpha * ((gp - gm) / (2.0 * delta))
+        assert np.array_equal(got, want)
+
+
+def test_hfmaml_below_probe_tolerance_returns_v():
+    # at a planted solution the outer gradient is rounding noise below
+    # ZERO_PROBE_TOL, and the direction is that gradient itself
+    task = rank1_mf_family(1, 4, RngStream(82)).tasks[0]
+    w, alpha = task.g, 0.05
+    v = task.grad(w - alpha * task.grad(w))
+    assert 0.0 < np.linalg.norm(v) <= 1e-12
+    got = direction(HFMAML, task, w, alpha, 20.0, EXACT, BatchSpec(), RngStream(0))
+    assert np.array_equal(got, v)
 
 
 def test_hfmaml_equals_maml_on_quadratic_with_shared_streams():

@@ -1,12 +1,18 @@
 """Optimizer loop: convergence to closed-form targets, pairing, logging."""
 
+import argparse
+import importlib
 import json
+import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metagrad.cli import generate_family
+import metagrad
+from metagrad import numerics
+from metagrad.cli import generate_family, load_config, prepare
 
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
@@ -15,8 +21,6 @@ from metagrad.numerics import RngStream
 from metagrad.optimizer import (
     CSV_HEADER,
     OptimizerConfig,
-    RunRecord,
-    _full_batch_direction,
     _slot_direction,
     run,
     run_comparison,
@@ -34,6 +38,7 @@ from metagrad.tasks import (
     random_quadratic_family,
     rank1_mf_family,
 )
+from records import parse_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FIG1 = json.loads((CONFIGS / "fig1.json").read_text())
@@ -143,9 +148,10 @@ class TestStackedExactSweep:
     @staticmethod
     def stacked_and_looped(family, w, alpha, rho):
         oracle, batches, rng = StochasticOracle(0.0, 0.0), BatchSpec(), RngStream(5)
-        grads = family.grads(w)
-        grad_F = exact_grad_F(family, w, alpha, grads)
-        stacked = _full_batch_direction(family, w, grads, grad_F, alpha, rho, HFMAML)
+        cfg = OptimizerConfig(algorithm=HFMAML, alpha=alpha, batches=batches,
+                              stepsize=StepsizeRule(kind="constant", beta=0.1),
+                              full_task_batch=True)
+        stacked = _slot_direction(family, cfg, w, family.grads(w), rho, oracle, rng)
         looped = np.zeros(family.dim)
         for i, task in enumerate(family.tasks):
             looped += family.weights[i] * direction(
@@ -252,8 +258,42 @@ class TestSlotLoopReplay:
             step = self.replayed_step(family, cfg, profile.rho, w, k)
             assert np.array_equal(rec.iterates[k + 1], w - beta * step)
             # the iterate absorbs the step's last bits; compare the step itself
-            got = _slot_direction(family, cfg, w, profile.rho, oracle, RngStream(cfg.seed).child(k))
+            got = _slot_direction(family, cfg, w, family.grads(w), profile.rho, oracle,
+                                  RngStream(cfg.seed).child(k))
             assert np.array_equal(got, step)
+
+
+class TestKeyedDraws:
+    """Keyed RNG draws per step of run(), the counts the benchmark's traced
+    run checks: one per uniforms or standard_normals call, wherever a
+    metagrad module calls it from."""
+
+    @pytest.mark.parametrize("name, per_step", [
+        ("fig1", {MAML: 0, FOMAML: 0, HFMAML: 0}),
+        ("fig2", {MAML: 31, FOMAML: 21, HFMAML: 41}),
+    ])
+    def test_draws_per_step_at_seed_0(self, monkeypatch, name, per_step):
+        resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
+        family, base, profile = prepare(resolved, config_dir)
+        calls = []
+        modules = [importlib.import_module(f"metagrad.{m.name}")
+                   for m in pkgutil.iter_modules(metagrad.__path__)]
+        for draw in ("uniforms", "standard_normals"):
+            original = getattr(numerics, draw)
+
+            def counted(*args, _draw=original, **kwargs):
+                calls.append(1)
+                return _draw(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, draw, None) is original:
+                    monkeypatch.setattr(module, draw, counted)
+        for algorithm, expected in per_step.items():
+            calls.clear()
+            cfg = replace(base, algorithm=algorithm, seed=0, max_iters=20)
+            rec = run(family, cfg, profile=profile)
+            assert rec.steps_taken == 20
+            assert len(calls) == 20 * expected, algorithm
 
 
 class TestStochasticRuns:
@@ -323,7 +363,7 @@ class TestRecordAndStops:
         rec = run(family, cfg)
         text = rec.to_csv()
         assert text.splitlines()[0] == CSV_HEADER
-        cols = RunRecord.parse_csv(text)
+        cols = parse_csv(text)
         assert np.array_equal(cols["iter"], rec.iters)
         assert np.array_equal(cols["grad_norm_F"], rec.grad_norm_F)
         assert np.array_equal(cols["loss_F"], rec.loss_F)

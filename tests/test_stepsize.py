@@ -1,4 +1,4 @@
-"""Adaptive stepsize rule: formulas, preconditions, moments, sizing."""
+"""Adaptive stepsize rule: formulas, preconditions, moments."""
 
 import re
 
@@ -12,7 +12,6 @@ from metagrad.stepsize import (
     StepsizeRule,
     beta_tilde,
     check_stepsize_batches,
-    recommended_batches,
     required_B_prime,
     required_D_beta,
     sample_beta_tilde,
@@ -144,6 +143,27 @@ def test_sample_beta_tilde_replays_documented_streams():
     assert np.array_equal(got, want)
 
 
+def test_beta_tilde_replays_slot_loop_bit_for_bit():
+    # white box: slot j's gradient is task idx[j]'s at w plus noise on
+    # (STEPSIZE, j), and the norms are added from zero in slot order
+    fam, prof = mf_setup(seed=108)
+    # a small L lets the summed norms, not 4L, set the last bits of L_tilde
+    prof = SmoothnessProfile(L=1e-3, rho=prof.rho, sigma=0.0, sigma_tilde=1.0)
+    alpha, bp, d = 0.05, 20, fam.dim
+    db = required_D_beta(prof, alpha)
+    gen = np.random.default_rng(109)
+    for k in range(20):
+        w = gen.normal(size=d)
+        rng = RngStream(110).child(k)
+        got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
+        acc = 0.0
+        for slot, i in enumerate(sample_task_batch(fam, bp, rng.child(TASKS))):
+            z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(rng.child(STEPSIZE, slot), d)
+            acc += float(np.linalg.norm(fam.tasks[i].grad(w) + z))
+        l_tilde = 4.0 * prof.L + 2.0 * prof.rho * alpha * acc / bp
+        assert got.L_tilde == l_tilde and got.beta_tilde == 1.0 / l_tilde
+
+
 def test_beta_tilde_moment_bounds_light():
     fam, prof = mf_setup(seed=99)
     alpha = 1.0 / (6.0 * prof.L)
@@ -173,7 +193,7 @@ def test_inflated_gradient_norms_weakly_decrease_beta_tilde():
     idx = sample_task_batch(fam, bp, rng.child(TASKS))
     norms = [
         np.linalg.norm(
-            noisy_grad(fam.tasks[i], w, db, prof.sigma_tilde, rng.child(STEPSIZE, slot))
+            noisy_grad(fam, [i], w[None], db, prof.sigma_tilde, [rng.child(STEPSIZE, slot)])[0]
         )
         for slot, i in enumerate(idx)
     ]
@@ -199,53 +219,3 @@ def test_stepsize_rule_validation_and_fractions():
     with pytest.raises(ValueError):
         StepsizeRule("adaptive", fraction=0.0)
 
-
-def test_recommended_batches_noise_free():
-    prof = SmoothnessProfile(L=1.0, rho=1.0, sigma=0.0, sigma_tilde=0.0, sigma_H=0.0)
-    for algo in ("maml", "fomaml", "hfmaml"):
-        spec = recommended_batches(prof, 0.1, 0.5, algo)
-        assert spec.B == 20
-        assert spec.D_in == spec.D_o == spec.D_h == spec.B_prime == spec.D_beta == 1
-
-
-def test_recommended_batches_task_noise_examples():
-    prof = SmoothnessProfile(L=1.0, rho=0.0, sigma=1.0, sigma_tilde=0.0, sigma_H=0.0)
-    assert recommended_batches(prof, 0.1, 0.5, "maml").B == 244  # ceil(61 / 0.25)
-    assert recommended_batches(prof, 0.1, 0.5, "hfmaml").B == 244
-    assert recommended_batches(prof, 0.1, 0.5, "fomaml").B == 56  # ceil(14 / 0.25)
-
-
-def test_recommended_batches_data_noise_coverage():
-    prof = SmoothnessProfile(L=1.0, rho=0.0, sigma=0.5, sigma_tilde=2.0, sigma_H=0.0)
-    eps = 0.3
-    spec = recommended_batches(prof, 0.1, eps, "maml")
-    assert spec.D_in >= 61.0 * prof.sigma_tilde**2 / eps**2 - 1
-    assert spec.B * spec.D_o >= 61.0 * prof.sigma_tilde**2 / eps**2 - spec.B
-    # D_o accounts for the already-chosen B.
-    assert spec.D_o == max(1, int(np.ceil(61.0 * 4.0 / (spec.B * eps**2) - 1e-9)))
-
-
-def test_recommended_batches_hessian_budgets():
-    # alpha * rho * sigma_tilde = 1 gives the probe variant D_h = 36.
-    prof = SmoothnessProfile(L=1.0, rho=2.0, sigma=0.0, sigma_tilde=1.0, sigma_H=0.0)
-    assert recommended_batches(prof, 0.5, 0.5, "hfmaml").D_h == 36
-    # 2 alpha^2 sigma_H^2 = 2 * 0.25 * 16 = 8 for the Hessian-sampling variant.
-    prof_h = SmoothnessProfile(L=1.0, rho=0.0, sigma=0.0, sigma_tilde=0.0, sigma_H=4.0)
-    assert recommended_batches(prof_h, 0.5, 0.5, "maml").D_h == 8
-    assert recommended_batches(prof_h, 0.5, 0.5, "fomaml").D_h == 8
-
-
-def test_recommended_batches_stepsize_conditions_propagated():
-    prof = SmoothnessProfile(L=1.0, rho=2.0, sigma=10.0, sigma_tilde=5.0)
-    spec = recommended_batches(prof, 0.1, 0.5, "maml")
-    assert spec.B_prime == required_B_prime(prof, 0.1) == 2
-    assert spec.D_beta == required_D_beta(prof, 0.1) == 4
-    check_stepsize_batches(prof, 0.1, spec.B_prime, spec.D_beta)
-
-
-def test_recommended_batches_validation():
-    prof = SmoothnessProfile(L=1.0, rho=0.0, sigma=0.0)
-    with pytest.raises(ValueError):
-        recommended_batches(prof, 0.1, 0.0, "maml")
-    with pytest.raises(ValueError):
-        recommended_batches(prof, 0.1, 0.5, "reptile")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metagrad.numerics import RngStream
+from metagrad.numerics import RngStream, standard_normals
 from metagrad.stochastic import (
     BatchSpec,
     StochasticOracle,
@@ -12,6 +12,7 @@ from metagrad.stochastic import (
     sample_task_batch,
 )
 from metagrad.tasks import (
+    QUADRATIC,
     RANK1MF,
     MatrixFactorizationTask,
     QuadraticTask,
@@ -25,14 +26,19 @@ def zero_grad_task(d=4):
     return QuadraticTask(np.eye(d), np.zeros(d))
 
 
+def rows_of(task, n):
+    """A one-task family and n slots of its only task."""
+    return TaskFamily(QUADRATIC if isinstance(task, QuadraticTask) else RANK1MF, [task]), np.zeros(
+        n, dtype=int)
+
+
 def test_noisy_grad_noise_energy_and_mean():
     d = 4
-    task = zero_grad_task(d)
-    w = np.zeros(d)
+    n = 100_000
+    fam, idx = rows_of(zero_grad_task(d), n)
     root = RngStream(1000)
-    draws = np.empty((100_000, d))
-    for i in range(draws.shape[0]):
-        draws[i] = noisy_grad(task, w, D=1, sigma_tilde=1.0, rng=root.child(i))
+    draws = noisy_grad(fam, idx, np.zeros((n, d)), D=1, sigma_tilde=1.0,
+                       rng=[root.child(i) for i in range(n)])
     energy = np.mean(np.sum(draws**2, axis=1))
     assert energy == pytest.approx(1.0, rel=0.02)
     mean = draws.mean(axis=0)
@@ -42,72 +48,86 @@ def test_noisy_grad_noise_energy_and_mean():
 
 def test_noisy_grad_variance_quarters_with_batch():
     d = 4
-    task = zero_grad_task(d)
-    w = np.zeros(d)
-    root = RngStream(1001)
     n = 20_000
+    fam, idx = rows_of(zero_grad_task(d), n)
+    W = np.zeros((n, d))
+    root = RngStream(1001)
     e1 = np.mean(
-        [np.sum(noisy_grad(task, w, 1, 1.0, root.child("a", i)) ** 2) for i in range(n)]
+        np.sum(noisy_grad(fam, idx, W, 1, 1.0, [root.child("a", i) for i in range(n)]) ** 2, axis=1)
     )
     e16 = np.mean(
-        [np.sum(noisy_grad(task, w, 16, 1.0, root.child("b", i)) ** 2) for i in range(n)]
+        np.sum(noisy_grad(fam, idx, W, 16, 1.0, [root.child("b", i) for i in range(n)]) ** 2, axis=1)
     )
     assert e1 / e16 == pytest.approx(16.0, rel=0.10)
 
 
 def test_noisy_grad_exact_when_sigma_zero():
     task = QuadraticTask(np.diag([1.0, 2.0]), np.array([0.5, -0.5]))
+    fam, idx = rows_of(task, 1)
     w = np.array([1.0, 1.0])
-    out = noisy_grad(task, w, D=1, sigma_tilde=0.0, rng=RngStream(0))
-    assert np.array_equal(out, task.grad(w))
+    out = noisy_grad(fam, idx, w[None], D=1, sigma_tilde=0.0, rng=None)
+    assert np.array_equal(out[0], task.grad(w))
 
 
 def test_noisy_grad_shared_stream_shares_noise():
     # Same stream at two different points: identical additive noise.
     # This is the shared-batch semantics the probe-based Hessian product relies on.
-    task = zero_grad_task(3)
+    fam, idx = rows_of(zero_grad_task(3), 1)
     rng = RngStream(7).child("shared")
-    z1 = noisy_grad(task, np.zeros(3), 2, 1.0, rng)
-    z2 = noisy_grad(task, np.zeros(3), 2, 1.0, rng)
+    z1 = noisy_grad(fam, idx, np.zeros((1, 3)), 2, 1.0, [rng])
+    z2 = noisy_grad(fam, idx, np.zeros((1, 3)), 2, 1.0, [rng])
     assert np.array_equal(z1, z2)
-    z3 = noisy_grad(task, np.zeros(3), 2, 1.0, RngStream(7).child("other"))
+    z3 = noisy_grad(fam, idx, np.zeros((1, 3)), 2, 1.0, [RngStream(7).child("other")])
     assert not np.array_equal(z1, z3)
+
+
+def test_stacked_rows_equal_slots_drawn_alone():
+    # row j of a stacked call is task idx[j] at W[j] with its noise on
+    # stream j, the same bits as a one-row call on that stream
+    fam = rank1_mf_family(4, 3, RngStream(1004))
+    gen = np.random.default_rng(1005)
+    idx = np.array([2, 0, 2, 3, 1])
+    W = gen.normal(size=(5, 3))
+    streams = [RngStream(1006).child("slot", j) for j in range(5)]
+    grads = noisy_grad(fam, idx, W, 3, 0.7, streams)
+    hess = noisy_hess(fam, idx, W, 3, 0.7, streams)
+    for j, i in enumerate(idx):
+        assert np.array_equal(grads[j], noisy_grad(fam, [i], W[j:j + 1], 3, 0.7, [streams[j]])[0])
+        assert np.array_equal(hess[j], noisy_hess(fam, [i], W[j:j + 1], 3, 0.7, [streams[j]])[0])
+        z = 0.7 / np.sqrt(3 * 3) * standard_normals(streams[j], 3)
+        assert np.array_equal(grads[j], fam.tasks[i].grad(W[j]) + z)
 
 
 def test_noisy_hess_symmetric_and_energy():
     d = 5
-    task = zero_grad_task(d)
-    w = np.zeros(d)
-    root = RngStream(1002)
     n = 10_000
-    energies = np.empty(n)
-    for i in range(n):
-        h = noisy_hess(task, w, D=1, sigma_H=1.0, rng=root.child(i))
-        e = h - task.hess(w)
-        assert np.array_equal(e, e.T)
-        energies[i] = np.sum(e * e)
+    task = zero_grad_task(d)
+    fam, idx = rows_of(task, n)
+    root = RngStream(1002)
+    h = noisy_hess(fam, idx, np.zeros((n, d)), D=1, sigma_H=1.0,
+                   rng=[root.child(i) for i in range(n)])
+    e = h - task.hess(np.zeros(d))
+    assert np.array_equal(e, np.swapaxes(e, 1, 2))
+    energies = np.sum(e * e, axis=(1, 2))
     assert energies.mean() == pytest.approx(1.0, rel=0.05)
 
 
 def test_noisy_hess_batch_scaling():
     d = 3
-    task = zero_grad_task(d)
-    w = np.zeros(d)
-    root = RngStream(1003)
     n = 10_000
-    e4 = np.mean(
-        [
-            np.sum((noisy_hess(task, w, 4, 1.0, root.child(i)) - task.hess(w)) ** 2)
-            for i in range(n)
-        ]
-    )
+    task = zero_grad_task(d)
+    fam, idx = rows_of(task, n)
+    root = RngStream(1003)
+    h = noisy_hess(fam, idx, np.zeros((n, d)), 4, 1.0, [root.child(i) for i in range(n)])
+    e4 = np.mean(np.sum((h - task.hess(np.zeros(d))) ** 2, axis=(1, 2)))
     assert e4 == pytest.approx(0.25, rel=0.05)
 
 
 def test_noisy_hess_exact_when_sigma_zero():
     task = MatrixFactorizationTask(np.array([1.0, -2.0]))
+    fam, idx = rows_of(task, 1)
     x = np.array([0.3, 0.7])
-    assert np.array_equal(noisy_hess(task, x, 1, 0.0, RngStream(0)), task.hess(x))
+    assert np.array_equal(noisy_hess(fam, idx, x[None], 1, 0.0, None)[0], task.hess(x))
 
 
 def test_oracle_exact_flag_and_validation():
@@ -160,7 +180,8 @@ def test_batch_spec_validation():
 
 
 def test_noisy_grad_rejects_bad_batch():
+    fam, idx = rows_of(zero_grad_task(), 1)
     with pytest.raises(ValueError):
-        noisy_grad(zero_grad_task(), np.zeros(4), 0, 1.0, RngStream(0))
+        noisy_grad(fam, idx, np.zeros((1, 4)), 0, 1.0, [RngStream(0)])
     with pytest.raises(ValueError):
-        noisy_hess(zero_grad_task(), np.zeros(4), 0, 1.0, RngStream(0))
+        noisy_hess(fam, idx, np.zeros((1, 4)), 0, 1.0, [RngStream(0)])

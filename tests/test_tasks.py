@@ -169,17 +169,30 @@ def test_family_quadratic_vectorized_oracles_match_loops():
     ids=["mf-20x5", "mf-9x1", "quad-20x5", "quad-6x17"],
 )
 def test_task_grads_rowwise_is_task_grad_bit_for_bit(family):
-    # the stacked exact HF-MAML sweep relies on both of these being exact
+    # the stacked slot estimator relies on all of these being exact, for
+    # every task in order (a slice) and for a gather of sampled slots
     rng = np.random.default_rng(27)
     n, d = family.n_tasks, family.dim
     for _ in range(100):
         scale = rng.uniform(0.1, 3.0)
         W = scale * rng.normal(size=(n, d))
         w = scale * rng.normal(size=d)
-        rowwise, grads = family.task_grads_rowwise(W), family.grads(w)
+        rowwise, grads = family.task_grads_rowwise(slice(None), W), family.grads(w)
+        hessians = family.task_hessians(slice(None), W)
         for i, t in enumerate(family.tasks):
             assert np.array_equal(rowwise[i], t.grad(W[i]))
             assert np.array_equal(grads[i], t.grad(w))
+            assert np.array_equal(hessians[i], t.hess(W[i]))
+        idx = rng.integers(0, n, size=rng.integers(1, 12))
+        at_w = np.broadcast_to(w, (idx.size, d))
+        gathered = family.task_grads_rowwise(idx, at_w)
+        hessians = family.task_hessians(idx, at_w)
+        V = rng.normal(size=(idx.size, d))
+        hv = (hessians @ V[:, :, None])[..., 0]
+        for j, i in enumerate(idx):
+            assert np.array_equal(gathered[j], family.tasks[i].grad(w))
+            assert np.array_equal(hessians[j], family.tasks[i].hess(w))
+            assert np.array_equal(hv[j], family.tasks[i].hess(w) @ V[j])
 
 
 def test_family_validation():

@@ -14,6 +14,7 @@ from metagrad.tasks import (
     QuadraticTask,
     SmoothnessProfile,
     TaskFamily,
+    ball_points,
     local_smoothness,
     random_quadratic_family,
     rank1_mf_family,
@@ -193,6 +194,25 @@ class TestProbeErrorAudit:
         assert a.measured <= 1.0
         assert a.passed
         assert a.samples == 50
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.0], ids=["calibrated", "fallback-width"])
+    def test_replays_per_probe_loop_bit_for_bit(self, alpha):
+        # white box: probe j tests task j mod n at the j-th ball point along
+        # the j-th normal direction, one task and one probe at a time
+        family, center, profile = mf_setup(seed=5, n=3, sigma_tilde=0.0)
+        n_probes, rng = 40, RngStream(12)
+        got = audit_hvp_probe_error(family, profile, alpha, center, 1.5, n_probes, rng)
+        points = ball_points(center, 1.5, n_probes, rng.child("points"))
+        dirs = standard_normals(rng.child("dirs"), (n_probes, family.dim))
+        worst = 0.0
+        for j in range(n_probes):
+            task, w, v = family.tasks[j % family.n_tasks], points[j], dirs[j]
+            base = profile.rho * alpha * float(np.linalg.norm(v))
+            delta = 1.0 / (6.0 * base) if base > 0.0 else 1e-3 * (1.0 + float(np.linalg.norm(w)))
+            fd = (task.grad(w + delta * v) - task.grad(w - delta * v)) / (2.0 * delta)
+            err = np.linalg.norm(fd - task.hess(w) @ v)
+            worst = max(worst, float(err / (profile.rho * delta * float(np.linalg.norm(v)) ** 2)))
+        assert got.measured == worst
 
     def test_requires_positive_rho(self):
         family = random_quadratic_family(2, 2, RngStream(0))
