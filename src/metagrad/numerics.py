@@ -6,18 +6,22 @@ stream keyed by a base seed plus a path of labels.  A stream is a value,
 not a mutable cursor: materializing the same (seed, path) twice yields
 the same draws, regardless of when or in what order other streams were
 consumed.  Branch randomness by deriving children, never by drawing a
-variable amount and hoping call order stays fixed.
+variable amount and hoping call order stays fixed.  A stream encodes
+its seed and path once, as it is made, so its key is one hash call.
 
 Gaussians come from a Box-Muller transform applied to uniforms from a
 keyed Philox generator, so every draw is reproducible however the draws
-are ordered.
+are ordered.  A stack of draws on a list of streams takes one
+``uniforms`` call per stream and one Box-Muller pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +31,15 @@ Mat = np.ndarray  # shape (d, d) or (m, n)
 PathLabel = int | str
 
 
+def _encode_label(lab: PathLabel) -> bytes:
+    if isinstance(lab, int):
+        return struct.pack("<cq", b"i", lab)
+    if isinstance(lab, str):
+        data = lab.encode("utf-8")
+        return struct.pack("<cI", b"s", len(data)) + data
+    raise TypeError(f"path labels must be int or str, got {type(lab).__name__}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A deterministic random stream identified by (base_seed, path).
@@ -34,32 +47,28 @@ class RngStream:
     The stream's generator is Philox keyed by a 128-bit hash of the seed
     and path, so draws depend only on the identity of the stream.  Equal
     (seed, path) always reproduce equal values; distinct paths give
-    independent-behaving streams.
+    independent-behaving streams.  The seed and path are encoded once, as
+    the stream is made (a child extends its parent's bytes by its own
+    labels), so the key is one blake2b call on those bytes.
     """
 
     base_seed: int
     path: tuple[PathLabel, ...] = ()
+    _encoded: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        encoded = struct.pack("<q", self.base_seed) + b"".join(map(_encode_label, self.path))
+        object.__setattr__(self, "_encoded", encoded)
 
     def child(self, *labels: PathLabel) -> "RngStream":
         """Derive a sub-stream by appending labels to the path."""
-        for lab in labels:
-            if not isinstance(lab, (int, str)):
-                raise TypeError(f"path labels must be int or str, got {type(lab).__name__}")
-        return RngStream(self.base_seed, self.path + tuple(labels))
+        stream = object.__new__(RngStream)  # skips __post_init__: the parent's bytes are reused
+        stream.__dict__.update(base_seed=self.base_seed, path=self.path + labels,
+                               _encoded=self._encoded + b"".join(map(_encode_label, labels)))
+        return stream
 
     def _key(self) -> int:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(struct.pack("<q", self.base_seed))
-        for lab in self.path:
-            if isinstance(lab, int):
-                h.update(b"i")
-                h.update(struct.pack("<q", lab))
-            else:
-                data = lab.encode("utf-8")
-                h.update(b"s")
-                h.update(struct.pack("<I", len(data)))
-                h.update(data)
-        return int.from_bytes(h.digest(), "little")
+        return int.from_bytes(hashlib.blake2b(self._encoded, digest_size=16).digest(), "little")
 
     def generator(self) -> np.random.Generator:
         """Materialize the stream from its start.
@@ -103,24 +112,41 @@ def uniforms(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
     return gen.random(shape)
 
 
+def _normal_shape(shape) -> tuple[tuple[int, ...], int]:
+    """shape as a tuple of ints, and its number of entries."""
+    shape = tuple(map(operator.index, shape if isinstance(shape, (tuple, list)) else (shape,)))
+    if min(shape, default=0) < 0:
+        raise ValueError(f"negative dimension in shape {shape}")
+    return shape, math.prod(shape)
+
+
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """The first n normals of each row of 2p uniforms: pair i takes its
+    radius from u[i] and its angle from u[p + i] and fills 2i and 2i + 1."""
+    pairs = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :pairs]))  # 1 - u in (0, 1], keeps log finite
+    theta = 2.0 * np.pi * u[..., pairs:]
+    z = np.empty(u.shape)
+    z[..., 0::2] = r * np.cos(theta)
+    z[..., 1::2] = r * np.sin(theta)
+    return z[..., :n]
+
+
 def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via Box-Muller on the stream's uniforms."""
-    if isinstance(shape, int):
-        shape = (shape,)
-    n = 1
-    for dim in shape:
-        if dim < 0:
-            raise ValueError(f"negative dimension in shape {shape}")
-        n *= int(dim)
-    pairs = (n + 1) // 2
-    gen = _borrowed_generator(rng)
-    u1 = 1.0 - gen.random(pairs)  # in (0, 1], keeps log finite
-    u2 = gen.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:n].reshape(shape)
+    shape, n = _normal_shape(shape)
+    u = _borrowed_generator(rng).random(2 * ((n + 1) // 2))
+    return _box_muller(u, n).reshape(shape)
+
+
+def standard_normal_rows(streams: list[RngStream], shape: int | tuple[int, ...]) -> np.ndarray:
+    """Normals of shape (len(streams),) + shape; row j is, bit for bit,
+    ``standard_normals(streams[j], shape)``, drawn by one ``uniforms`` call."""
+    shape, n = _normal_shape(shape)
+    u = np.empty((len(streams), 2 * ((n + 1) // 2)))
+    for j, stream in enumerate(streams):
+        u[j] = uniforms(stream, u.shape[1])
+    return _box_muller(u, n).reshape((len(streams),) + shape)
 
 
 def row_dots(X: np.ndarray) -> np.ndarray:

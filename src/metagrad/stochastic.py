@@ -15,8 +15,9 @@ These two laws live only in ``grad_noise`` and ``hess_noise``, which
 act on whole stacks of draws; the stacked slot oracles ``noisy_grad``
 and ``noisy_hess`` and the vectorized audit and stepsize samplers all
 call them.  A stack is drawn either in one draw on one stream (the bulk
-Monte Carlo samplers) or row by row, row j on the j-th of a list of
-streams (the slots of an optimizer step, each on its own stream).
+Monte Carlo samplers) or on a list of streams, row j on the j-th (the
+slots of an optimizer step, each on its own stream): one ``uniforms``
+call per stream, one Box-Muller pass over the stack.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, standard_normals, uniforms
+from .numerics import RngStream, standard_normal_rows, standard_normals, uniforms
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -73,11 +74,11 @@ Streams = RngStream | list[RngStream] | None
 
 
 def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of the given shape: one draw on one stream, or, for
-    a list of streams, row j drawn alone on rng[j]."""
+    """Standard normals of the given shape: one draw on one stream, or row j
+    on rng[j] of a list, one ``uniforms`` call per stream, one Box-Muller pass."""
     if isinstance(rng, RngStream):
         return standard_normals(rng, shape)
-    return np.stack([standard_normals(s, shape[1:]) for s in rng])
+    return standard_normal_rows(rng, shape[1:])
 
 
 def grad_noise(g: np.ndarray, D: int, sigma_tilde: float, rng: Streams) -> np.ndarray:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from metagrad import numerics
 from metagrad.numerics import (
     RngStream,
     spectral_norm,
+    standard_normal_rows,
     standard_normals,
     uniforms,
 )
@@ -147,6 +149,38 @@ def test_stream_seed_changes_values():
 def test_stream_rejects_bad_labels():
     with pytest.raises(TypeError):
         RngStream(0).child(1.5)
+    for bad in (None, b"x", (1,), np.int64(1)):
+        with pytest.raises(TypeError):
+            RngStream(0).child("ok", bad)
+        with pytest.raises(TypeError):
+            RngStream(0, ("ok", bad))
+
+
+# Every stream's draws follow from its 128-bit key, so these values pin the
+# draws of every run: the seed as "<q", then per label b"i" and "<q" for an
+# int or b"s", "<I" byte length and UTF-8 bytes for a str, hashed by blake2b.
+PINNED_KEYS = [
+    (0, (), 0xCEAE091ADD2B76DCE337C38E19CE04C8),
+    (-5, (), 0x51FEB3A86D4F6AE70BA61DF259458DFA),
+    (7, (-3,), 0xEE873376BBC04898E11FF53F47738E29),
+    (7, ("βeta ñ 試",), 0xD2D10F25F34785072DCC32AB9A407242),
+    (123, ("audit", 4, "task", -1, ""), 0xFB7067ABCCCDD65160C03F1DA7B28B8E),
+    (2019, (17, "slot", 3, "hvp"), 0xE65D9035A66F04D3AAEFD816A3A380E6),
+]
+
+
+@pytest.mark.parametrize("seed, path, key", PINNED_KEYS)
+def test_stream_keys_pinned(seed, path, key):
+    direct = RngStream(seed, path)
+    derived = RngStream(seed).child(*path)
+    stepwise = RngStream(seed)
+    for label in path:
+        stepwise = stepwise.child(label)
+    for stream in (direct, derived, stepwise):
+        assert stream._key() == key
+        assert stream == direct and hash(stream) == hash(direct)
+        assert stream.path == path and repr(stream) == repr(direct)
+    assert direct != RngStream(seed + 1, path)
 
 
 # --------------------------------------------------------------- gaussian
@@ -174,6 +208,48 @@ def test_gaussian_shapes_and_edges():
         standard_normals(RngStream(0), -1)
     with pytest.raises(ValueError):
         standard_normals(RngStream(0), (-1, -2))
+
+
+def test_sizes_accept_numpy_integers():
+    stream = RngStream(14).child("size")
+    assert np.array_equal(standard_normals(stream, np.int64(3)), standard_normals(stream, 3))
+    assert np.array_equal(standard_normals(stream, (np.int32(2), np.int64(3))),
+                          standard_normals(stream, (2, 3)))
+    assert np.array_equal(standard_normal_rows([stream], np.int64(3)),
+                          standard_normal_rows([stream], 3))
+    with pytest.raises(TypeError):
+        standard_normals(stream, 3.0)
+
+
+@pytest.mark.parametrize("B", [1, 10, 30])
+@pytest.mark.parametrize("shape", [(1,), (4,), (5,), (25,), (5, 5), (0,)])
+def test_stacked_rows_equal_streams_drawn_alone(shape, B):
+    # odd and even draw counts, one stack per step key: row j of the one
+    # Box-Muller pass must carry the bits of stream j's own draw
+    for k in range(40):
+        streams = [RngStream(15).child(k, "slot", j, "inner") for j in range(B)]
+        rows = standard_normal_rows(streams, shape)
+        assert rows.shape == (B,) + shape
+        for j, stream in enumerate(streams):
+            assert np.array_equal(rows[j], standard_normals(stream, shape))
+
+
+def test_each_stream_is_one_keyed_draw(monkeypatch):
+    # the benchmark's tracer counts keyed draws as calls to uniforms and
+    # standard_normals; a stack draws through uniforms once per stream
+    calls = []
+    monkeypatch.setattr(numerics, "uniforms", lambda *a: calls.append(a) or uniforms(*a))
+    standard_normals(RngStream(16), (3, 5))
+    assert calls == []
+    streams = [RngStream(16).child(j) for j in range(3)]
+    standard_normal_rows(streams, (5,))
+    assert [a[0] for a in calls] == streams
+
+
+def test_stacked_rows_edges():
+    assert standard_normal_rows([], (3,)).shape == (0, 3)
+    with pytest.raises(ValueError):
+        standard_normal_rows([RngStream(0)], (-1,))
 
 
 def test_uniforms_range_and_mean():

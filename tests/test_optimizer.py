@@ -273,8 +273,19 @@ class TestKeyedDraws:
         ("fig2", {MAML: 31, FOMAML: 21, HFMAML: 41}),
     ])
     def test_draws_per_step_at_seed_0(self, monkeypatch, name, per_step):
+        self.check_draws(monkeypatch, name, per_step)
+
+    def test_adaptive_stepsize_draws_per_step(self, monkeypatch):
+        # audit-mf's shape: 1 + 3 B for a MAML step, and 1 + B' for the
+        # stepsize sample, one uniforms call per slot stream of beta_tilde
+        batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
+        self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 102},
+                         stepsize=StepsizeRule(kind="adaptive"), batches=batches)
+
+    def check_draws(self, monkeypatch, name, per_step, **overrides):
         resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
         family, base, profile = prepare(resolved, config_dir)
+        base = replace(base, **overrides)
         calls = []
         modules = [importlib.import_module(f"metagrad.{m.name}")
                    for m in pkgutil.iter_modules(metagrad.__path__)]
