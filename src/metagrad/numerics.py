@@ -11,17 +11,20 @@ its seed and path once, as it is made, so its key is one hash call.
 
 Gaussians come from a Box-Muller transform applied to uniforms from a
 keyed Philox generator, so every draw is reproducible however the draws
-are ordered.  A stack of draws on a list of streams takes one
-``uniforms`` call per stream and one Box-Muller pass.
+are ordered.  One module-level Philox serves every draw, re-keyed by
+assigning one reused state dict of Python ints in which only the key
+words change; its buffer and carry state are reset on every draw.  A
+stack of draws on a list of streams takes one ``uniforms`` call per
+stream and one Box-Muller pass.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import struct
 from dataclasses import dataclass, field
+from hashlib import blake2b
 
 import numpy as np
 
@@ -29,14 +32,18 @@ Vec = np.ndarray  # shape (d,)
 Mat = np.ndarray  # shape (d, d) or (m, n)
 
 PathLabel = int | str
+_STR_LABELS: dict[str, bytes] = {}  # str label -> encoding; labels are names in the code, so few
 
 
 def _encode_label(lab: PathLabel) -> bytes:
+    if isinstance(lab, str):  # type first: an equal non-str label never reaches the memo
+        encoded = _STR_LABELS.get(lab)
+        if encoded is None:
+            data = lab.encode("utf-8")
+            encoded = _STR_LABELS[lab] = struct.pack("<cI", b"s", len(data)) + data
+        return encoded
     if isinstance(lab, int):
         return struct.pack("<cq", b"i", lab)
-    if isinstance(lab, str):
-        data = lab.encode("utf-8")
-        return struct.pack("<cI", b"s", len(data)) + data
     raise TypeError(f"path labels must be int or str, got {type(lab).__name__}")
 
 
@@ -62,13 +69,18 @@ class RngStream:
 
     def child(self, *labels: PathLabel) -> "RngStream":
         """Derive a sub-stream by appending labels to the path."""
+        encoded = self._encoded
+        for lab in labels:  # no join: most children add one label
+            encoded += _encode_label(lab)
         stream = object.__new__(RngStream)  # skips __post_init__: the parent's bytes are reused
-        stream.__dict__.update(base_seed=self.base_seed, path=self.path + labels,
-                               _encoded=self._encoded + b"".join(map(_encode_label, labels)))
+        fields = stream.__dict__
+        fields["base_seed"] = self.base_seed
+        fields["path"] = self.path + labels
+        fields["_encoded"] = encoded
         return stream
 
     def _key(self) -> int:
-        return int.from_bytes(hashlib.blake2b(self._encoded, digest_size=16).digest(), "little")
+        return int.from_bytes(blake2b(self._encoded, digest_size=16).digest(), "little")
 
     def generator(self) -> np.random.Generator:
         """Materialize the stream from its start.
@@ -81,35 +93,31 @@ class RngStream:
 
 _BITS = np.random.Philox(key=0)
 _GEN = np.random.Generator(_BITS)
-_STATE = _BITS.state
+_KEY_WORDS = struct.Struct("<QQ")  # the key's low 64-bit word first, as Philox(key=...) splits it
+_PHILOX = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+_STATE = {"bit_generator": "Philox", "state": _PHILOX, "buffer": (0, 0, 0, 0),
+          "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _borrowed_generator(rng: RngStream) -> np.random.Generator:
     """The module's one generator, repointed at the stream's start.
 
     Constructing a keyed Philox costs more than the small draws made in
-    the hot loops, so a single bit generator is rewound by state
-    assignment instead.  The draws are identical to generator()'s.  The
-    returned object is only valid until the next call; callers must
-    finish drawing before returning.
+    the hot loops, so a single bit generator is rewound by assigning one
+    reused state dict of Python ints (numpy arrays make the setter's reads
+    slow) in which only the two key words change: the counter, buffer and
+    32-bit carry restart as a fresh Philox's on every call.  The draws are
+    identical to generator()'s.  The returned object is only valid until
+    the next call; callers must finish drawing before returning.
     """
-    key = rng._key()
-    _STATE["state"] = {
-        "counter": np.zeros(4, dtype=np.uint64),
-        "key": np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64),
-    }
-    _STATE["buffer"] = np.zeros(4, dtype=np.uint64)
-    _STATE["buffer_pos"] = 4
-    _STATE["has_uint32"] = 0
-    _STATE["uinteger"] = 0
+    _PHILOX["key"] = _KEY_WORDS.unpack(blake2b(rng._encoded, digest_size=16).digest())
     _BITS.state = _STATE
     return _GEN
 
 
 def uniforms(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
     """Uniform [0, 1) draws of the given shape from the stream."""
-    gen = _borrowed_generator(rng)
-    return gen.random(shape)
+    return _borrowed_generator(rng).random(shape)
 
 
 def _normal_shape(shape) -> tuple[tuple[int, ...], int]:

@@ -224,7 +224,7 @@ def _slot_direction(family, config, w, grads, rho, oracle, rng):
     else:
         B = config.batches.B
         idx, weights = sample_task_batch(family, B, rng.child(TASKS)), np.ones(B)
-    streams = None if oracle.exact else [rng.child("slot", j) for j in range(len(weights))]
+    streams = None if oracle.exact else list(map(rng.child("slot").child, range(len(weights))))
     dirs = slot_directions(config.algorithm, family, idx, w, grads[idx], config.alpha, rho,
                            oracle, config.batches, streams)
     return _task_order_sum(weights, dirs) / B

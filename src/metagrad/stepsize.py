@@ -154,7 +154,7 @@ def beta_tilde(
         return StepsizeSample(l_tilde, 1.0 / l_tilde)
     idx = sample_task_batch(family, B_prime, rng.child(TASKS))
     at_w = np.broadcast_to(w, (B_prime, family.dim))
-    streams = [rng.child(STEPSIZE, slot) for slot in range(B_prime)]
+    streams = list(map(rng.child(STEPSIZE).child, range(B_prime)))
     g = noisy_grad(family, idx, at_w, D_beta, profile.sigma_tilde, streams)
     # each norm as np.linalg.norm rounds it, added from zero in slot order
     acc = float(np.cumsum(np.sqrt(row_dots(g)))[-1])

@@ -57,9 +57,6 @@ class QuadraticTask:
     def dim(self) -> int:
         return self.b.shape[0]
 
-    def value(self, w: Vec) -> float:
-        return float(0.5 * w @ self.A @ w + self.b @ w + self.c)
-
     def grad(self, w: Vec) -> Vec:
         return self.A @ w + self.b
 
@@ -86,11 +83,6 @@ class MatrixFactorizationTask:
     @property
     def dim(self) -> int:
         return self.g.shape[0]
-
-    def value(self, x: Vec) -> float:
-        # ||xx' - M||_F^2 expands to ||x||^4 - 2 x'Mx + ||M||_F^2.
-        nx2 = float(x @ x)
-        return 0.25 * (nx2 * nx2 - 2.0 * float(x @ self.M @ x) + float(np.sum(self.M * self.M)))
 
     def grad(self, x: Vec) -> Vec:
         return (x @ x) * x - self.M @ x

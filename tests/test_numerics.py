@@ -268,8 +268,13 @@ def test_flat_and_shaped_draws_agree():
 def test_draws_match_materialized_generator():
     # The fast path rewinds a shared bit generator; its output must be
     # indistinguishable from drawing on a freshly materialized one,
-    # including across interleaved streams and odd draw counts.
-    streams = [RngStream(7).child("a", i) for i in range(6)]
+    # including across interleaved streams and odd draw counts.  The
+    # re-key hands Philox its key as two unsigned 64-bit words, so streams
+    # whose words are at or above 2**63 are among them.
+    top = [s for s in (RngStream(8).child("top", i) for i in range(64))
+           if min(s._key() & (2**64 - 1), s._key() >> 64) >= 2**63]
+    assert top
+    streams = [RngStream(7).child("a", i) for i in range(6)] + top
     for n in (1, 3, 8, 5, 2, 7):
         for st in streams:
             got_u = uniforms(st, n)
@@ -277,3 +282,57 @@ def test_draws_match_materialized_generator():
             assert np.array_equal(got_u, want_u)
             got_z = standard_normals(st, n)
             assert np.array_equal(got_z, standard_normals(st, n))
+    # A 32-bit draw leaves the shared Philox mid-block with a carried half
+    # word; the next stream must start as a fresh generator all the same.
+    s, t = RngStream(9).child("dirty"), RngStream(9).child("clean")
+    for n in (1, 2, 7):
+        numerics._borrowed_generator(s).integers(2**32, dtype=np.uint32)
+        state = numerics._BITS.state
+        assert state["buffer_pos"] != 4 and state["has_uint32"] == 1 and state["uinteger"] != 0
+        assert np.array_equal(uniforms(t, n), t.generator().random(n))
+        numerics._borrowed_generator(s).integers(2**32, dtype=np.uint32)
+        got = numerics._borrowed_generator(t).integers(2**32, size=n, dtype=np.uint32)
+        assert np.array_equal(got, t.generator().integers(2**32, size=n, dtype=np.uint32))
+
+
+PURPOSE_LABELS = ("inner", "outer", "hess", "hvp", "slot", "stepsize", "tasks")
+
+
+def _random_path(gen):
+    labels = []
+    for _ in range(gen.integers(0, 6)):
+        kind = gen.integers(0, 3)
+        if kind == 0:
+            labels.append(int(gen.integers(-(2**63), 2**63 - 1, endpoint=True)))
+        elif kind == 1:
+            labels.append(PURPOSE_LABELS[gen.integers(0, len(PURPOSE_LABELS))])
+        else:
+            labels.append("".join(gen.choice(list("ab1 βñ試"), size=gen.integers(0, 4))))
+    return tuple(labels)
+
+
+def test_label_memo_keeps_type_checks_and_keys():
+    root = RngStream(3)
+    for label in PURPOSE_LABELS + (1,):
+        root.child(label)
+    assert set(PURPOSE_LABELS) <= set(numerics._STR_LABELS)
+    # labels equal (or hash-equal) to a cached str or int still fail the type check
+    for bad in (1.0, np.int64(1), b"outer", None):
+        with pytest.raises(TypeError):
+            root.child(bad)
+        with pytest.raises(TypeError):
+            root.child("outer", bad)
+    assert root.child(np.str_("outer"))._key() == root.child("outer")._key()
+    gen = np.random.default_rng(17)
+    for _ in range(200):
+        seed = int(gen.integers(-(2**63), 2**63 - 1, endpoint=True))
+        path = _random_path(gen)
+        direct, derived = RngStream(seed, path), RngStream(seed).child(*path)
+        stepwise = RngStream(seed)
+        for label in path:
+            stepwise = stepwise.child(label)
+        for stream in (derived, stepwise):
+            assert stream._encoded == direct._encoded and stream._key() == direct._key()
+            assert stream == direct
+    for seed, path, key in PINNED_KEYS:
+        assert RngStream(seed, path)._key() == RngStream(seed).child(*path)._key() == key

@@ -1,6 +1,7 @@
 """Task oracles validated by finite differences and fresh-sample audits."""
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from metagrad.tasks import (
     random_quadratic_family,
     rank1_mf_family,
 )
+from task_values import task_value
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,7 +68,7 @@ def test_quad_grad_matches_finite_differences():
     for seed in range(5):
         t = make_quad(seed)
         x = np.random.default_rng(100 + seed).normal(size=t.dim)
-        assert np.max(np.abs(t.grad(x) - fd_grad(t.value, x))) <= 1e-7
+        assert np.max(np.abs(t.grad(x) - fd_grad(partial(task_value, t), x))) <= 1e-7
 
 
 def test_quad_hess_is_A():
@@ -98,7 +100,7 @@ def test_mf_gradient_matches_finite_differences():
     for seed in range(5):
         t = make_mf(seed)
         x = np.random.default_rng(200 + seed).normal(size=t.dim)
-        assert np.max(np.abs(t.grad(x) - fd_grad(t.value, x))) <= 1e-6
+        assert np.max(np.abs(t.grad(x) - fd_grad(partial(task_value, t), x))) <= 1e-6
 
 
 def test_mf_hessian_matches_finite_differences():
@@ -112,7 +114,7 @@ def test_mf_hessian_matches_finite_differences():
 
 def test_mf_value_at_planted_solution_is_zero():
     t = make_mf(11)
-    assert t.value(t.g) == pytest.approx(0.0, abs=1e-12)
+    assert task_value(t, t.g) == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(t.grad(t.g))) <= 1e-12
 
 
@@ -140,7 +142,7 @@ def test_family_vectorized_oracles_match_loops():
     hess_loop = np.stack([t.hess(w) for t in fam.tasks])
     assert np.max(np.abs(fam.hessians(w) - hess_loop)) <= 1e-12
 
-    vals_loop = np.array([t.value(W[i]) for i, t in enumerate(fam.tasks)])
+    vals_loop = np.array([task_value(t, W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.values_rowwise(W) - vals_loop)) <= 1e-10
 
     mean_loop = sum(p * t.grad(w) for p, t in zip(fam.weights, fam.tasks))
@@ -154,7 +156,7 @@ def test_family_quadratic_vectorized_oracles_match_loops():
     assert np.max(np.abs(fam.grads(w) - np.stack([t.grad(w) for t in fam.tasks]))) <= 1e-12
     rowwise_loop = np.stack([t.grad(W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.grads_rowwise(W) - rowwise_loop)) <= 1e-12
-    vals_loop = np.array([t.value(W[i]) for i, t in enumerate(fam.tasks)])
+    vals_loop = np.array([task_value(t, W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.values_rowwise(W) - vals_loop)) <= 1e-10
 
 
