@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, row_dots
+from .numerics import Mat, RngStream, Vec, row_blocks, row_dots
 from .stochastic import (
     HESS,
     INNER,
     OUTER,
     PROBE,
     BatchSpec,
+    RowBlock,
     StochasticOracle,
     Streams,
     grad_noise,
@@ -204,8 +205,12 @@ def mc_grad_F_hat_draws(
 
     Row m is the weighted task sweep under the m-th independent noise
     realization; the mean over rows is the Monte Carlo estimate and the
-    row dispersion yields its standard error.  Memory grows as
-    n_mc * d^2; intended for desk-scale dimensions.
+    row dispersion yields its standard error.  The (n_mc, d, d) Hessian
+    noise is drawn and contracted in windows of ``numerics.BLOCK_ROWS``
+    rows, each equal bit for bit to those rows of the whole draw, so
+    memory is O(n_mc * d + BLOCK_ROWS * d^2).  The (n_mc, d) products
+    stay whole: BLAS may round a row differently by where it falls in a
+    call, while the einsum contraction rounds each row alone.
 
     The surrogate replaces the exact inner step and Hessian with
     batch-D_test noisy versions while keeping the outer gradient exact:
@@ -228,7 +233,10 @@ def mc_grad_F_hat_draws(
         g = np.broadcast_to(task.grad(w), (n_mc, d))
         g_in = grad_noise(g, D_test, oracle.sigma_tilde, rng.child("task", i, "test_grad"))
         go = task.grad_many(w - alpha * g_in)  # exact outer gradient, (n_mc, d)
-        e = hess_noise((n_mc, d, d), D_test, oracle.sigma_H, rng.child("task", i, "test_hess"))
-        dirs = go - alpha * (go @ task.hess(w).T + np.einsum("mij,mj->mi", e, go))
-        draws += family.weights[i] * dirs
+        corr = go @ task.hess(w).T
+        hess_rng = rng.child("task", i, "test_hess")
+        for r0, r1 in row_blocks(n_mc):
+            e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, RowBlock(hess_rng, n_mc, r0))
+            corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
+        draws += family.weights[i] * (go - alpha * corr)
     return draws

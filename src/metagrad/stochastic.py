@@ -14,10 +14,13 @@ so E||z||^2 = sigma_tilde^2 / D, and
 These two laws live only in ``grad_noise`` and ``hess_noise``, which
 act on whole stacks of draws; the stacked slot oracles ``noisy_grad``
 and ``noisy_hess`` and the vectorized audit and stepsize samplers all
-call them.  A stack is drawn either in one draw on one stream (the bulk
-Monte Carlo samplers) or on a list of streams, row j on the j-th (the
-slots of an optimizer step, each on its own stream): one ``uniforms``
-call per stream, one Box-Muller pass over the stack.
+call them.  A stack is drawn either in one draw on one stream, or on a
+list of streams, row j on the j-th (the slots of an optimizer step, each
+on its own stream): one ``uniforms`` call per stream, one Box-Muller pass
+over the stack.  The bulk Monte Carlo samplers take their one-stream
+draws in windows of rows, a ``RowBlock`` at a time, so their memory is
+bounded by ``numerics.BLOCK_ROWS`` rows and not by the sample count; a
+window's rows are those rows of the whole draw bit for bit.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
@@ -29,10 +32,18 @@ the same streams to both calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import RngStream, standard_normal_rows, standard_normals, uniforms
+from .numerics import (
+    RngStream,
+    normal_window,
+    standard_normal_rows,
+    standard_normals,
+    uniform_window,
+    uniforms,
+)
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -70,14 +81,30 @@ class BatchSpec:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-Streams = RngStream | list[RngStream] | None
+class RowBlock(NamedTuple):  # a tuple class: a dataclass costs about 1 ms more to import
+    """Rows [start, start + k) of an n-row draw on stream, k being the
+    leading dimension of the shape drawn from it."""
+
+    stream: RngStream
+    n: int
+    start: int
+
+    def window(self, shape: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+        """The whole draw's shape and the rows a block of this shape takes."""
+        return (self.n,) + tuple(shape[1:]), self.start, self.start + shape[0]
+
+
+Streams = RngStream | RowBlock | list[RngStream] | None
 
 
 def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of the given shape: one draw on one stream, or row j
-    on rng[j] of a list, one ``uniforms`` call per stream, one Box-Muller pass."""
+    """Standard normals of the given shape: one draw on one stream, a window
+    of one, or row j on rng[j] of a list, one ``uniforms`` call per stream,
+    one Box-Muller pass."""
     if isinstance(rng, RngStream):
         return standard_normals(rng, shape)
+    if isinstance(rng, RowBlock):
+        return normal_window(rng.stream, *rng.window(shape))
     return standard_normal_rows(rng, shape[1:])
 
 
@@ -145,12 +172,16 @@ class StochasticOracle:
         return self.sigma_tilde == 0.0 and self.sigma_H == 0.0
 
 
-def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...], rng: RngStream) -> np.ndarray:
-    """Task indices of the given shape, i.i.d. from the family weights by inverse CDF."""
+def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
+                      rng: RngStream | RowBlock) -> np.ndarray:
+    """Task indices of the given shape, i.i.d. from the family weights by
+    inverse CDF on the uniforms of rng (a stream, or a window of one)."""
     if isinstance(shape, int):
         shape = (shape,)
     if min(shape) < 1:
         raise ValueError(f"batch shape must be positive, got {shape}")
-    cum = np.cumsum(family.weights)
-    u = uniforms(rng, shape)
-    return np.minimum(np.searchsorted(cum, u, side="right"), family.n_tasks - 1)
+    if isinstance(rng, RowBlock):
+        u = uniform_window(rng.stream, *rng.window(shape))
+    else:
+        u = uniforms(rng, shape)
+    return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

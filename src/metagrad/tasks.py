@@ -130,12 +130,14 @@ class TaskFamily:
             raise ValueError("weights must be positive")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        self.cum_weights = np.cumsum(self.weights)  # the inverse-CDF task sampler's table
         if self.kind == QUADRATIC:
             self._As = np.stack([t.A for t in self.tasks])  # (n, d, d)
             self._bs = np.stack([t.b for t in self.tasks])  # (n, d)
             self._cs = np.array([t.c for t in self.tasks])
         else:
             self._Ms = np.stack([t.M for t in self.tasks])  # (n, d, d)
+            self._m2 = np.einsum("nij,nij->n", self._Ms, self._Ms)  # ||M_i||_F^2
 
     @property
     def n_tasks(self) -> int:
@@ -202,8 +204,7 @@ class TaskFamily:
             return quad + np.einsum("ni,ni->n", self._bs, W) + self._cs
         nx2 = np.sum(W * W, axis=1)
         xmx = np.einsum("ni,nij,nj->n", W, self._Ms, W)
-        m2 = np.einsum("nij,nij->n", self._Ms, self._Ms)
-        return 0.25 * (nx2 * nx2 - 2.0 * xmx + m2)
+        return 0.25 * (nx2 * nx2 - 2.0 * xmx + self._m2)
 
     # ---------------------------------------------------- serialization
 

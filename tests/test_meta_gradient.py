@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metagrad import numerics
 from metagrad.meta_gradient import (
     ALGORITHMS,
     FOMAML,
@@ -24,6 +25,7 @@ from metagrad.tasks import (
     QuadraticTask,
     TaskFamily,
     local_smoothness,
+    random_quadratic_family,
     rank1_mf_family,
 )
 
@@ -354,28 +356,33 @@ def test_mc_grad_F_hat_deterministic():
 
 
 @pytest.mark.parametrize("sigma_H", [0.6, 0.0])
-def test_mc_grad_F_hat_draws_replay_documented_streams(sigma_H):
+def test_mc_grad_F_hat_draws_replay_documented_streams(monkeypatch, sigma_H):
     # white box: rebuild every row from the per-task streams
     # ("task", i, "test_grad") and ("task", i, "test_hess") with the noise
-    # scales written out; sigma_H = 0 must add no Hessian term at all
-    fam = rank1_mf_family(3, 4, RngStream(67))
+    # scales written out; sigma_H = 0 must add no Hessian term at all.
+    # Both family kinds, drawn in one block and in 4-row blocks: 3 windows
+    # of which the last has one row.
     w = 0.3 * np.random.default_rng(68).normal(size=4)
     alpha, D, n_mc, sigma_tilde = 0.05, 3, 9, 0.8
     rng = RngStream(69)
-    got = mc_grad_F_hat_draws(fam, w, alpha, D, n_mc, StochasticOracle(sigma_tilde, sigma_H), rng)
-
-    d = fam.dim
-    want = np.zeros((n_mc, d))
-    for i, task in enumerate(fam.tasks):
-        z = sigma_tilde / np.sqrt(d * D) * standard_normals(rng.child("task", i, "test_grad"), (n_mc, d))
-        go = task.grad_many(w - alpha * (task.grad(w) + z))
-        corr = np.zeros((n_mc, d))
-        if sigma_H > 0.0:
-            raw = standard_normals(rng.child("task", i, "test_hess"), (n_mc, d, d))
-            kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
-            corr = np.einsum("mij,mj->mi", kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2)), go)
-        want += fam.weights[i] * (go - alpha * (go @ task.hess(w).T + corr))
-    assert np.array_equal(got, want)
+    for fam in (rank1_mf_family(3, 4, RngStream(67)), random_quadratic_family(3, 4, RngStream(67))):
+        d = fam.dim
+        want = np.zeros((n_mc, d))
+        for i, task in enumerate(fam.tasks):
+            z = sigma_tilde / np.sqrt(d * D) * standard_normals(rng.child("task", i, "test_grad"),
+                                                                (n_mc, d))
+            go = task.grad_many(w - alpha * (task.grad(w) + z))
+            corr = np.zeros((n_mc, d))
+            if sigma_H > 0.0:
+                raw = standard_normals(rng.child("task", i, "test_hess"), (n_mc, d, d))
+                kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
+                corr = np.einsum("mij,mj->mi", kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2)), go)
+            want += fam.weights[i] * (go - alpha * (go @ task.hess(w).T + corr))
+        for block_rows in (numerics.BLOCK_ROWS, 4):
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+            oracle = StochasticOracle(sigma_tilde, sigma_H)
+            got = mc_grad_F_hat_draws(fam, w, alpha, D, n_mc, oracle, rng)
+            assert np.array_equal(got, want), (fam.kind, block_rows)
 
 
 # -------------------------------------------------------------- dispatch

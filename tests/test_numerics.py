@@ -6,9 +6,12 @@ import pytest
 from metagrad import numerics
 from metagrad.numerics import (
     RngStream,
+    normal_window,
+    row_blocks,
     spectral_norm,
     standard_normal_rows,
     standard_normals,
+    uniform_window,
     uniforms,
 )
 
@@ -293,6 +296,63 @@ def test_draws_match_materialized_generator():
         numerics._borrowed_generator(s).integers(2**32, dtype=np.uint32)
         got = numerics._borrowed_generator(t).integers(2**32, size=n, dtype=np.uint32)
         assert np.array_equal(got, t.generator().integers(2**32, size=n, dtype=np.uint32))
+
+
+# ---------------------------------------------------------------- windows
+
+# (shape, row windows): row sizes 1 and 3 put window starts off the 4-word
+# Philox blocks and on odd entries, where a window splits a Box-Muller pair;
+# 7 and 5 x 3 x 3 have odd totals, so a window can end on the unpaired normal.
+WINDOW_CASES = [
+    ((7,), [(0, 7), (1, 2), (1, 6), (2, 7), (3, 4), (5, 7), (6, 7), (4, 4)]),
+    ((9, 3), [(0, 9), (1, 2), (1, 8), (3, 9), (5, 6), (8, 9), (0, 0), (9, 9)]),
+    ((5, 3, 3), [(0, 5), (1, 4), (2, 5), (3, 4), (4, 5), (2, 2)]),
+    ((12, 4), [(0, 1), (1, 3), (3, 12), (11, 12), (6, 6)]),
+    ((1,), [(0, 1), (0, 0), (1, 1)]),
+]
+
+
+@pytest.mark.parametrize("shape, windows", WINDOW_CASES)
+def test_windows_equal_slices_of_the_whole_draw(shape, windows):
+    for k in range(8):
+        stream = RngStream(18).child("window", k)
+        u, z = uniforms(stream, shape), standard_normals(stream, shape)
+        for r0, r1 in windows:
+            got_u = uniform_window(stream, shape, r0, r1)
+            got_z = normal_window(stream, shape, r0, r1)
+            assert got_u.shape == got_z.shape == (r1 - r0,) + shape[1:]
+            assert np.array_equal(got_u, u[r0:r1]), (r0, r1)
+            assert np.array_equal(got_z, z[r0:r1]), (r0, r1)
+
+
+def test_windows_leave_the_next_draw_fresh():
+    # a window starts the shared Philox past block 0; the next ordinary draw,
+    # on any stream, must start as a freshly materialized generator does
+    s = RngStream(19).child("window")
+    streams = [s, RngStream(19).child("next"), RngStream(20)]
+    for r0 in (1, 2, 5, 9):
+        for t in streams:
+            uniform_window(s, (40, 3), r0, r0 + 3)
+            assert np.array_equal(uniforms(t, 6), t.generator().random(6))
+            normal_window(s, (40, 3), r0, r0 + 1)
+            want = numerics._box_muller(t.generator().random(6), 6)
+            assert np.array_equal(standard_normals(t, 6), want)
+    for seed, path, key in PINNED_KEYS:
+        assert RngStream(seed, path)._key() == key
+
+
+def test_window_edges():
+    stream = RngStream(21)
+    for bad in [(-1, 2), (2, 1), (0, 6)]:
+        with pytest.raises(ValueError):
+            uniform_window(stream, (5, 2), *bad)
+        with pytest.raises(ValueError):
+            normal_window(stream, (5, 2), *bad)
+    assert normal_window(stream, (5, 0), 1, 4).shape == (3, 0)
+    assert list(row_blocks(0)) == []
+    blocks = list(row_blocks(3 * numerics.BLOCK_ROWS + 1))
+    assert [r1 - r0 for r0, r1 in blocks] == [numerics.BLOCK_ROWS] * 3 + [1]
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 PURPOSE_LABELS = ("inner", "outer", "hess", "hvp", "slot", "stepsize", "tasks")

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from metagrad import numerics
 from metagrad.errors import InvalidBatchConfig
 from metagrad.numerics import RngStream, standard_normals, uniforms
 from metagrad.stepsize import (
@@ -124,15 +125,15 @@ def test_vectorized_sampler_matches_looped_rule_in_distribution():
     assert vec.std() == pytest.approx(loop.std(), rel=0.15)
 
 
-def test_sample_beta_tilde_replays_documented_streams():
+def test_sample_beta_tilde_replays_documented_streams(monkeypatch):
     # white box: tasks by inverse CDF on the TASKS stream, one noise draw
-    # on the STEPSIZE stream with the scale written out
+    # on the STEPSIZE stream with the scale written out; drawn in one block
+    # and in 3-row blocks, 14 windows of which the last has one row
     fam, prof = mf_setup(seed=105)
     alpha = 1.0 / (6.0 * prof.L)
     bp, db, n = 3, 2, 40
     w = 0.5 * np.random.default_rng(106).normal(size=4)
     rng = RngStream(107)
-    got = sample_beta_tilde(fam, prof, w, alpha, bp, db, n, rng)
 
     u = uniforms(rng.child(TASKS), (n, bp))
     idx = np.minimum(np.searchsorted(np.cumsum(fam.weights), u, side="right"), fam.n_tasks - 1)
@@ -140,7 +141,10 @@ def test_sample_beta_tilde_replays_documented_streams():
     z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(rng.child(STEPSIZE), (n, bp, d))
     norms = np.linalg.norm(fam.grads(w)[idx] + z, axis=2).mean(axis=1)
     want = 1.0 / (4.0 * prof.L + 2.0 * prof.rho * alpha * norms)
-    assert np.array_equal(got, want)
+    for block_rows in (numerics.BLOCK_ROWS, 3):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
+        got = sample_beta_tilde(fam, prof, w, alpha, bp, db, n, rng)
+        assert np.array_equal(got, want), block_rows
 
 
 def test_beta_tilde_replays_slot_loop_bit_for_bit():
