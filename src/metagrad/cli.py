@@ -202,6 +202,8 @@ def validate_resolved(resolved: dict) -> None:
     for a in algos:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
+    if len(set(algos)) != len(algos):
+        raise ConfigError(f"algorithms must be distinct, got {algos}")
     seeds = resolved["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a nonempty list")
@@ -255,6 +257,8 @@ def generate_family(knobs: dict) -> TaskFamily:
     n, dim, s = int(merged["n"]), int(merged["dim"]), float(merged["similarity"])
     if n < 1 or dim < 1:
         raise ConfigError(f"family.generate needs n >= 1 and dim >= 1, got n={n}, dim={dim}")
+    if not np.isfinite(s):
+        raise ConfigError(f"family.generate.similarity must be finite, got {s!r}")
     if merged["kind"] == RANK1MF:
         return rank1_mf_family(n, dim, rng, scale=s)
     if merged["kind"] == QUADRATIC:
@@ -516,11 +520,14 @@ def cmd_quadratic_oracle(args) -> int:
         family = build_family(resolved["family"], config_dir)
         if family.kind != QUADRATIC:
             raise ConfigError("quadratic-oracle needs a quadratic family")
-        alpha = float(resolved["alpha"]) if args.alpha is None else args.alpha
+        alpha = resolved["alpha"] if args.alpha is None else args.alpha
     else:
-        tasks = [QuadraticTask(A, b) for A, b in EXAMPLE_1D_FAMILY]
-        family = TaskFamily(QUADRATIC, tasks)
+        family = TaskFamily([QuadraticTask(A, b) for A, b in EXAMPLE_1D_FAMILY])
         alpha = 0.1 if args.alpha is None else args.alpha
+    try:  # alpha as every command checks it
+        alpha = OptimizerConfig(MAML, float(alpha), StepsizeRule()).alpha
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e)) from e
     try:
         analysis = analyze_quadratic(family, alpha)
     except IllConditioned as e:

@@ -77,7 +77,6 @@ def _weighted_systems(family: TaskFamily, alpha: float):
 class QuadraticAnalysis:
     """Both fixed points, the floor separating them, and the system matrices."""
 
-    alpha: float
     w_star: Vec
     w_fo: Vec
     fo_gap: float
@@ -91,11 +90,5 @@ def analyze_quadratic(family: TaskFamily, alpha: float) -> QuadraticAnalysis:
     w_star = _solve_spd(meta_m, -meta_r)
     w_fo = _solve_spd(fo_m, -fo_r)
     gap = float(np.linalg.norm(exact_grad_F(family, w_fo, alpha)))
-    return QuadraticAnalysis(
-        alpha=alpha,
-        w_star=w_star,
-        w_fo=w_fo,
-        fo_gap=gap,
-        meta_matrix=meta_m,
-        fo_matrix=fo_m,
-    )
+    return QuadraticAnalysis(w_star=w_star, w_fo=w_fo, fo_gap=gap, meta_matrix=meta_m,
+                             fo_matrix=fo_m)

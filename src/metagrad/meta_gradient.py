@@ -51,7 +51,7 @@ from .stochastic import (
     noisy_grad,
     noisy_hess,
 )
-from .tasks import QUADRATIC, RANK1MF, QuadraticTask, TaskFamily
+from .tasks import TaskFamily
 
 MAML = "maml"
 FOMAML = "fomaml"
@@ -159,7 +159,7 @@ def direction(
 ) -> Vec:
     """One task's direction at w: slot_directions with one slot, its noise
     on rng's children."""
-    family = TaskFamily(QUADRATIC if isinstance(task, QuadraticTask) else RANK1MF, [task])
+    family = TaskFamily([task])
     return slot_directions(algorithm, family, slice(None), w, family.grads(w), alpha, rho,
                            oracle, batches, [rng])[0]
 

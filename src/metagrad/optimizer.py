@@ -74,7 +74,6 @@ class OptimizerConfig:
     full_task_batch: bool = False
     sigma_tilde: float = 0.0
     sigma_H: float = 0.0
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -136,27 +135,30 @@ class RunRecord:
     """Per-iteration log plus summary of one optimizer run.
 
     Arrays share length K + 1 where K is the number of steps taken; row
-    k describes iterate w_k before stepping.  beta[k] is the stepsize
-    used to leave w_k, NaN on the terminal row.  Distance columns are
-    NaN for families without closed-form fixed points.
+    k describes iterate w_k = iterates[k] before stepping, and w_final
+    is the last row.  beta[k] is the stepsize used to leave w_k, NaN on
+    the terminal row.  Distance columns are NaN for families without
+    closed-form fixed points.
     """
 
     algorithm: str
     seed: int
     alpha: float
-    iters: np.ndarray
     grad_norm_F: np.ndarray
     loss_F: np.ndarray
     beta: np.ndarray
     dist_wstar: np.ndarray
     dist_wfo: np.ndarray
-    w_final: Vec
     stop_reason: str
-    iterates: np.ndarray | None = None
+    iterates: np.ndarray
 
     @property
     def steps_taken(self) -> int:
-        return len(self.iters) - 1
+        return len(self.grad_norm_F) - 1
+
+    @property
+    def w_final(self) -> Vec:
+        return self.iterates[-1]
 
     @property
     def final_grad_norm(self) -> float:
@@ -177,19 +179,9 @@ class RunRecord:
         return float(self.loss_F[0] - np.min(self.loss_F))
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for k in range(len(self.iters)):
-            lines.append(
-                "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (
-                    self.iters[k],
-                    self.grad_norm_F[k],
-                    self.loss_F[k],
-                    self.beta[k],
-                    self.dist_wstar[k],
-                    self.dist_wfo[k],
-                )
-            )
+        rows = zip(self.grad_norm_F, self.loss_F, self.beta, self.dist_wstar, self.dist_wfo)
+        lines = [CSV_HEADER] + ["%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (k, *row)
+                                for k, row in enumerate(rows)]
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
@@ -262,13 +254,12 @@ def run(
     root = RngStream(config.seed)
     w = w0.copy()
     n_rows = config.max_iters + 1
-    iters = np.arange(n_rows)
     grad_norms = np.empty(n_rows)
     losses = np.empty(n_rows)
     betas = np.full(n_rows, np.nan)
     d_star = np.full(n_rows, np.nan)
     d_fo = np.full(n_rows, np.nan)
-    trail = np.empty((n_rows, d)) if config.record_iterates else None
+    trail = np.empty((n_rows, d))
 
     stop_reason = "max_iters"
     k = 0
@@ -280,8 +271,7 @@ def run(
         if analysis is not None:
             d_star[k] = np.linalg.norm(w - analysis.w_star)
             d_fo[k] = np.linalg.norm(w - analysis.w_fo)
-        if trail is not None:
-            trail[k] = w
+        trail[k] = w
         if config.target_grad_norm > 0.0 and grad_norms[k] <= config.target_grad_norm:
             stop_reason = "target"
             break
@@ -291,16 +281,9 @@ def run(
         if config.stepsize.kind == "constant":
             beta_k = config.stepsize.beta
         else:
-            sample = beta_tilde(
-                family,
-                profile,
-                w,
-                config.alpha,
-                config.batches.B_prime,
-                config.batches.D_beta,
-                root.child(k, "stepsize"),
-            )
-            beta_k = config.stepsize.resolve_fraction(config.algorithm) * sample.beta_tilde
+            beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_tilde(
+                family, profile, w, config.alpha, config.batches.B_prime,
+                config.batches.D_beta, root.child(k, "stepsize"))
         betas[k] = beta_k
 
         if config.full_task_batch and oracle.exact and config.algorithm == MAML:
@@ -327,15 +310,13 @@ def run(
         algorithm=config.algorithm,
         seed=config.seed,
         alpha=config.alpha,
-        iters=iters[:last],
         grad_norm_F=grad_norms[:last],
         loss_F=losses[:last],
         beta=betas[:last],
         dist_wstar=d_star[:last],
         dist_wfo=d_fo[:last],
-        w_final=w.copy(),
         stop_reason=stop_reason,
-        iterates=trail[:last].copy() if trail is not None else None,
+        iterates=trail[:last],
     )
 
 
@@ -351,9 +332,7 @@ def run_comparison(
     that do not mention the algorithm, so every variant sees the same
     draws; differences in the records are differences in the methods.
     """
-    out = {}
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-        out[algo] = run(family, replace(base_config, algorithm=algo), profile=profile)
-    return out
+    return {
+        algo: run(family, replace(base_config, algorithm=algo), profile=profile)
+        for algo in algorithms
+    }

@@ -79,14 +79,6 @@ class StepsizeRule:
         return ADAPTIVE_FRACTIONS[algorithm]
 
 
-@dataclass(frozen=True)
-class StepsizeSample:
-    """One draw of the smoothness estimate and its implied stepsize."""
-
-    L_tilde: float
-    beta_tilde: float
-
-
 def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: float) -> float:
     """Exact state-dependent modulus 4L + 2 rho alpha E_i ||grad f_i(w)||."""
     norms = np.linalg.norm(family.grads(w), axis=1)
@@ -139,8 +131,8 @@ def beta_tilde(
     B_prime: int,
     D_beta: int,
     rng: RngStream,
-) -> StepsizeSample:
-    """One sample of the adaptive stepsize at w.
+) -> float:
+    """One sample of the adaptive stepsize beta_tilde(w) = 1 / L_tilde(w).
 
     Raises InvalidBatchConfig when the batch sizes cannot control the
     estimate's moments.  With rho = 0 (or alpha = 0) the dispersion term
@@ -150,16 +142,14 @@ def beta_tilde(
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
     coeff = 2.0 * profile.rho * alpha
     if coeff == 0.0:
-        l_tilde = 4.0 * profile.L
-        return StepsizeSample(l_tilde, 1.0 / l_tilde)
+        return 1.0 / (4.0 * profile.L)
     idx = sample_task_batch(family, B_prime, rng.child(TASKS))
     at_w = np.broadcast_to(w, (B_prime, family.dim))
     streams = list(map(rng.child(STEPSIZE).child, range(B_prime)))
     g = noisy_grad(family, idx, at_w, D_beta, profile.sigma_tilde, streams)
     # each norm as np.linalg.norm rounds it, added from zero in slot order
     acc = float(np.cumsum(np.sqrt(row_dots(g)))[-1])
-    l_tilde = 4.0 * profile.L + coeff * acc / B_prime
-    return StepsizeSample(l_tilde, 1.0 / l_tilde)
+    return 1.0 / (4.0 * profile.L + coeff * acc / B_prime)
 
 
 def sample_beta_tilde(

@@ -62,8 +62,7 @@ class BatchSpec:
 
     B tasks per iteration; D_in, D_o, D_h data budgets for the inner
     step, outer gradient, and Hessian (or probe) estimates; B_prime and
-    D_beta budgets for the adaptive stepsize estimate; D_test the budget
-    of the evaluation-time surrogate objective.
+    D_beta budgets for the adaptive stepsize estimate.
     """
 
     B: int = 1
@@ -72,10 +71,9 @@ class BatchSpec:
     D_h: int = 1
     B_prime: int = 1
     D_beta: int = 1
-    D_test: int = 1
 
     def __post_init__(self):
-        for name in ("B", "D_in", "D_o", "D_h", "B_prime", "D_beta", "D_test"):
+        for name in ("B", "D_in", "D_o", "D_h", "B_prime", "D_beta"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")

@@ -38,6 +38,7 @@ RANK1MF = "rank1mf"
 class QuadraticTask:
     """f(w) = 0.5 w'Aw + b'w + c with A symmetric positive definite."""
 
+    kind = QUADRATIC
     A: Mat
     b: Vec
     c: float = 0.0
@@ -48,6 +49,8 @@ class QuadraticTask:
         d = self.b.shape[0]
         if self.A.shape != (d, d):
             raise ValueError(f"A has shape {self.A.shape}, expected {(d, d)}")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all() and np.isfinite(self.c)):
+            raise ValueError("A, b and c must be finite")
         if np.max(np.abs(self.A - self.A.T)) > 1e-12 * max(1.0, np.max(np.abs(self.A))):
             raise ValueError("A must be symmetric")
         if np.min(np.linalg.eigvalsh(self.A)) <= 0.0:
@@ -72,12 +75,15 @@ class QuadraticTask:
 class MatrixFactorizationTask:
     """f(x) = 0.25 ||x x' - g g'||_F^2, the planted rank-1 recovery loss."""
 
+    kind = RANK1MF
     g: Vec
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
         if self.g.ndim != 1:
             raise ValueError("g must be a vector")
+        if not np.isfinite(self.g).all():
+            raise ValueError("g must be finite")
         self.M = np.outer(self.g, self.g)
 
     @property
@@ -103,20 +109,23 @@ Task = QuadraticTask | MatrixFactorizationTask
 class TaskFamily:
     """A finite weighted family of tasks of one kind.
 
-    Weights are the sampling distribution p over tasks; they must be
-    positive and sum to one.  Stacked per-task arrays are precomputed so
-    family-wide expectations are single vectorized expressions.
+    The kind is the tasks' class attribute; mixing classes is an error.
+    Weights are the sampling distribution p over tasks (uniform when
+    omitted); they must be finite, positive and sum to one.  Stacked
+    per-task arrays are precomputed so family-wide expectations are
+    single vectorized expressions.
     """
 
-    kind: str
     tasks: list
     weights: Vec = None
 
     def __post_init__(self):
-        if self.kind not in (QUADRATIC, RANK1MF):
-            raise ValueError(f"unknown family kind {self.kind!r}")
         if not self.tasks:
             raise ValueError("family needs at least one task")
+        kinds = {t.kind for t in self.tasks}
+        if len(kinds) != 1:
+            raise ValueError(f"tasks mix kinds: {sorted(kinds)}")
+        self.kind = kinds.pop()
         dims = {t.dim for t in self.tasks}
         if len(dims) != 1:
             raise ValueError(f"tasks disagree on dimension: {sorted(dims)}")
@@ -126,6 +135,8 @@ class TaskFamily:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (n,):
             raise ValueError("weights length must match task count")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be positive")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
@@ -234,7 +245,7 @@ class TaskFamily:
             tasks = [MatrixFactorizationTask(np.array(t["g"])) for t in data["tasks"]]
         else:
             raise ValueError(f"unknown family kind {kind!r}")
-        fam = cls(kind=kind, tasks=tasks, weights=np.array(data["weights"], dtype=float))
+        fam = cls(tasks, weights=np.array(data["weights"], dtype=float))
         if fam.dim != int(data["dim"]):
             raise ValueError("dim field disagrees with task payloads")
         return fam
@@ -271,7 +282,7 @@ def random_quadratic_family(
         a = 0.5 * (a + a.T)  # kill rounding asymmetry
         b = b_scale * standard_normals(sub.child("b"), d)
         tasks.append(QuadraticTask(a, b))
-    return TaskFamily(QUADRATIC, tasks)
+    return TaskFamily(tasks)
 
 
 def rank1_mf_family(n: int, d: int, rng: RngStream, scale: float = 1.0) -> TaskFamily:
@@ -284,7 +295,7 @@ def rank1_mf_family(n: int, d: int, rng: RngStream, scale: float = 1.0) -> TaskF
         MatrixFactorizationTask(scale * standard_normals(rng.child("mf_task", i), d))
         for i in range(n)
     ]
-    return TaskFamily(RANK1MF, tasks)
+    return TaskFamily(tasks)
 
 
 # ------------------------------------------------- smoothness profiling

@@ -144,7 +144,7 @@ def test_criterion_02_convergence_floor_separation(capsys):
         QuadraticTask(np.array([[1.0]]), np.array([1.0])),
         QuadraticTask(np.array([[2.0]]), np.array([-1.0])),
     ]
-    family = TaskFamily("quadratic", tasks)
+    family = TaskFamily(tasks)
     alpha = 0.1
     analysis = analyze_quadratic(family, alpha)
     # a step below 1/nu_max of the first-order iteration matrix keeps
@@ -183,7 +183,6 @@ def test_criterion_03_hf_equals_maml_on_quadratics(capsys):
         seed=0,
         sigma_tilde=0.5,
         sigma_H=0.0,
-        record_iterates=True,
     )
     recs = run_comparison(family, cfg, algorithms=("maml", "hfmaml"))
     gap = float(np.max(np.abs(recs["maml"].iterates - recs["hfmaml"].iterates)))

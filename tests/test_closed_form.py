@@ -9,7 +9,6 @@ from metagrad.numerics import RngStream
 from metagrad.closed_form import QuadraticAnalysis, analyze_quadratic
 from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
-    QUADRATIC,
     QuadraticTask,
     TaskFamily,
     random_quadratic_family,
@@ -21,7 +20,6 @@ EXACT = StochasticOracle()
 
 def one_d_family():
     return TaskFamily(
-        QUADRATIC,
         [
             QuadraticTask(np.array([[1.0]]), np.array([1.0])),
             QuadraticTask(np.array([[2.0]]), np.array([-1.0])),
@@ -46,7 +44,7 @@ def bisect_root(fn, lo, hi, tol=1e-13):
 
 def test_identical_tasks_collapse_to_task_minimizer():
     t = QuadraticTask(np.diag([2.0, 3.0]), np.array([1.0, -2.0]))
-    fam = TaskFamily(QUADRATIC, [t, QuadraticTask(t.A.copy(), t.b.copy())])
+    fam = TaskFamily([t, QuadraticTask(t.A.copy(), t.b.copy())])
     want = np.linalg.solve(t.A, -t.b)
     for alpha in (0.0, 0.05, 0.2):
         an = analyze_quadratic(fam, alpha)
@@ -146,6 +144,6 @@ def test_rejects_non_quadratic_family():
 
 def test_degenerate_alpha_raises_ill_conditioned():
     # alpha = 1/lambda zeroes the lone eigendirection: singular system.
-    fam = TaskFamily(QUADRATIC, [QuadraticTask(np.array([[2.0]]), np.array([1.0]))])
+    fam = TaskFamily([QuadraticTask(np.array([[2.0]]), np.array([1.0]))])
     with pytest.raises(IllConditioned):
         analyze_quadratic(fam, 0.5)

@@ -22,6 +22,15 @@ def quad_family_dict(seed=0, n=3, d=2):
     return random_quadratic_family(n, d, RngStream(seed)).to_dict()
 
 
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity that strict JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "family": quad_family_dict(),
@@ -58,6 +67,25 @@ class TestQuadraticOracle:
         w_star = float(out.split("w_star: [")[1].split("]")[0])
         assert w_star != pytest.approx(-0.085 / 1.045, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "extra, config_alpha, message",
+        [
+            (["--alpha", "nan"], None, "alpha must be finite"),
+            (["--alpha", "inf"], None, "alpha must be finite"),
+            (["--alpha", "-1"], None, "alpha must be nonnegative"),
+            ([], float("nan"), "alpha must be finite"),
+        ],
+        ids=["nan", "inf", "negative", "config-nan"],
+    )
+    def test_bad_alpha_is_config_error(self, tmp_path, capsys, extra, config_alpha, message):
+        if config_alpha is not None:
+            extra = ["--config", str(write_config(tmp_path, alpha=config_alpha))]
+        assert main(["quadratic-oracle", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestGenFamily:
     def test_writes_loadable_family_deterministically(self, tmp_path, capsys):
@@ -85,6 +113,17 @@ class TestGenFamily:
         a = (tmp_path / "a" / "family_quadratic_n3_d2.json").read_text()
         b = (tmp_path / "b" / "family_quadratic_n3_d2.json").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("similarity", ["nan", "inf"])
+    def test_non_finite_similarity_is_config_error(self, tmp_path, capsys, similarity):
+        out = tmp_path / "out"
+        argv = ["gen-family", "--kind", "rank1mf", "--n", "3", "--dim", "2",
+                "--similarity", similarity, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "family.generate.similarity must be finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, dim", [(0, 5), (5, 0), (5, -1)])
     def test_bad_sizes_are_config_errors(self, tmp_path, capsys, n, dim):
@@ -207,6 +246,14 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 
+    def test_duplicate_algorithms_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--algorithms", "maml,maml"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "algorithms must be distinct" in err
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_seeds_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=[1, 1])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -277,6 +324,7 @@ class TestExitCodes:
             ("audit", {"trust_radius": -1}, "trust_radius must be positive"),
             ("compare", {"w0": [0.3, -0.2, 0.1]}, "w0 has shape (3,), family dimension is 2"),
             ("audit", {"w0": [0.3, -0.2, 0.1]}, "w0 has shape (3,), family dimension is 2"),
+            ("compare", {"algorithms": ["maml", "maml"]}, "algorithms must be distinct"),
         ],
     )
     def test_invalid_scalars_are_config_errors(self, tmp_path, capsys, command, override,
@@ -297,14 +345,26 @@ class TestExitCodes:
             ({"stepsize": {"kind": "constant", "beta": float("nan")}},
              "stepsize beta must be finite"),
             ({"noise": {"sigma_tilde": float("nan")}}, "sigma_tilde must be finite"),
+            ({"family": {"kind": "rank1mf", "dim": 1, "tasks": [{"g": [1.0]}, {"g": [0.2]}],
+                         "weights": [1.0, float("nan")]}}, "weights must be finite"),
+            ({"family": {"kind": "rank1mf", "dim": 2, "tasks": [{"g": [1.0, float("inf")]}],
+                         "weights": [1.0]}}, "g must be finite"),
+            ({"family": {"kind": "quadratic", "dim": 1, "weights": [1.0],
+                         "tasks": [{"A": [[float("nan")]], "b": [1.0]}]}},
+             "A, b and c must be finite"),
+            ({"family": {"generate": {"kind": "rank1mf", "similarity": float("nan")}}},
+             "family.generate.similarity must be finite"),
+            ({"family": {"generate": {"kind": "quadratic", "similarity": float("inf")}}},
+             "family.generate.similarity must be finite"),
         ],
-        ids=["w0", "trust_radius", "alpha", "beta", "sigma_tilde"],
+        ids=["w0", "trust_radius", "alpha", "beta", "sigma_tilde", "weights", "g", "A",
+             "similarity-nan", "similarity-inf"],
     )
     def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, override, message):
         # a factorization family: its smoothness profile runs eigvalsh on
         # points around w0 inside trust_radius
         family = {"generate": {"kind": "rank1mf", "n": 4, "dim": 2, "seed": 1}}
-        cfg = write_config(tmp_path, family=family, **override)
+        cfg = write_config(tmp_path, **{"family": family, **override})
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
@@ -330,8 +390,10 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
         for algo in ("maml", "fomaml", "hfmaml"):
             assert (out / f"compare_{algo}_seed0.csv").is_file()
-        summary = json.loads((out / "compare_summary_seed0.json").read_text())
+        summary = strict_json(out / "compare_summary_seed0.json")
         assert set(summary["records"]) == {"maml", "fomaml", "hfmaml"}
+        for path in out.glob("*.config.json"):
+            strict_json(path)
         assert "fomaml_over_worst_other" in summary["floor_ratios"]
 
     def test_algorithms_flag_restricts(self, tmp_path, capsys):
@@ -378,7 +440,8 @@ class TestAuditCommand:
         )
         out = tmp_path / "out"
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "audit_seed0.json").read_text())
+        report = strict_json(out / "audit_seed0.json")
+        strict_json(out / "audit_seed0.json.config.json")
         names = [a["name"] for a in report["audits"]]
         assert "estimator_bias[D_in=4]" in names
         assert "surrogate_grad_gap[D_test=16]" in names
@@ -472,13 +535,12 @@ class TestEmptyRecordEmission:
             algorithm="maml",
             seed=0,
             alpha=0.1,
-            iters=np.array([], dtype=int),
             grad_norm_F=np.array([]),
             loss_F=np.array([]),
             beta=np.array([]),
             dist_wstar=np.array([]),
             dist_wfo=np.array([]),
-            w_final=np.array([0.0]),
             stop_reason="max_iters",
+            iterates=np.empty((0, 1)),
         )
         assert empty.to_csv() == CSV_HEADER + "\n"

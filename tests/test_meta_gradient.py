@@ -19,8 +19,6 @@ from metagrad.meta_gradient import (
 from metagrad.numerics import RngStream, standard_normals
 from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
-    QUADRATIC,
-    RANK1MF,
     MatrixFactorizationTask,
     QuadraticTask,
     TaskFamily,
@@ -32,13 +30,12 @@ from metagrad.tasks import (
 
 def quartic_family():
     """The 1-d rank-1 task with g = 0: f(x) = x^4 / 4, f'(x) = x^3, third derivative 6x."""
-    return TaskFamily(RANK1MF, [MatrixFactorizationTask(np.array([0.0]))])
+    return TaskFamily([MatrixFactorizationTask(np.array([0.0]))])
 
 
 def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
     """hvp_finite_diff on one row of a one-task family."""
-    kind = RANK1MF if isinstance(task, MatrixFactorizationTask) else QUADRATIC
-    return hvp_finite_diff(TaskFamily(kind, [task]), [0], w[None], v[None], np.array([delta]),
+    return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]),
                            1, sigma_tilde, None if rng is None else [rng])[0]
 
 
@@ -47,7 +44,7 @@ def one_d_example_family():
         QuadraticTask(np.array([[1.0]]), np.array([1.0])),
         QuadraticTask(np.array([[2.0]]), np.array([-1.0])),
     ]
-    return TaskFamily(QUADRATIC, tasks)
+    return TaskFamily(tasks)
 
 
 def make_quad_task(seed, d=4):
@@ -112,7 +109,7 @@ def test_maml_direction_unbiased_given_exact_inner():
     go = g_wi + z
     dirs = go - alpha * (go @ h.T + np.einsum("mij,mj->mi", e, go))
 
-    exact = exact_grad_F(TaskFamily(RANK1MF, [task]), w, alpha)
+    exact = exact_grad_F(TaskFamily([task]), w, alpha)
     err = np.linalg.norm(dirs.mean(axis=0) - exact)
     se = np.sqrt(np.sum(dirs.var(axis=0)) / n)
     assert err <= 4.0 * se
@@ -275,7 +272,7 @@ def test_exact_grad_F_matches_weighted_per_task():
     w = np.random.default_rng(51).normal(size=3)
     alpha = 0.03
     want = sum(
-        p * exact_grad_F(TaskFamily(RANK1MF, [t]), w, alpha)
+        p * exact_grad_F(TaskFamily([t]), w, alpha)
         for p, t in zip(fam.weights, fam.tasks)
     )
     assert np.max(np.abs(exact_grad_F(fam, w, alpha) - want)) <= 1e-12
@@ -285,10 +282,7 @@ def test_exact_grad_F_is_gradient_of_value_F():
     # Central differences of the meta-objective, h = 1e-5.
     for fam in (
         rank1_mf_family(3, 4, RngStream(52)),
-        TaskFamily(
-            QUADRATIC,
-            [make_quad_task(53), make_quad_task(54)],
-        ),
+        TaskFamily([make_quad_task(53), make_quad_task(54)]),
     ):
         w = 0.3 * np.random.default_rng(55).normal(size=fam.dim)
         alpha = 0.04

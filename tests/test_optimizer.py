@@ -29,8 +29,6 @@ from metagrad.optimizer import (
 from metagrad.stepsize import ADAPTIVE_FRACTIONS, StepsizeRule
 from metagrad.stochastic import BatchSpec, StochasticOracle, sample_task_batch
 from metagrad.tasks import (
-    QUADRATIC,
-    RANK1MF,
     QuadraticTask,
     SmoothnessProfile,
     TaskFamily,
@@ -50,7 +48,7 @@ def one_d_example_family():
         QuadraticTask(np.array([[1.0]]), np.array([1.0])),
         QuadraticTask(np.array([[2.0]]), np.array([-1.0])),
     ]
-    return TaskFamily(QUADRATIC, tasks)
+    return TaskFamily(tasks)
 
 
 def safe_constant_beta(family, alpha):
@@ -85,7 +83,7 @@ class TestExactConvergence:
     @pytest.mark.parametrize("gap", [1e-7, 1e-5])
     def test_nearly_repeated_leading_eigenvalue_sets_up(self, gap):
         # two leading eigenvalues this close once stalled the set-up eigen-solver
-        family = TaskFamily(QUADRATIC, [QuadraticTask(np.diag([1.0, 1.0 + gap]), np.ones(2))])
+        family = TaskFamily([QuadraticTask(np.diag([1.0, 1.0 + gap]), np.ones(2))])
         rec = run(family, exact_config(MAML, 0.5, max_iters=5))
         assert rec.steps_taken == 5
         assert np.all(np.isfinite(rec.grad_norm_F))
@@ -97,7 +95,7 @@ class TestExactConvergence:
         beta = safe_constant_beta(family, 0.1)
         recs = run_comparison(
             family,
-            exact_config(MAML, beta, max_iters=120, record_iterates=True),
+            exact_config(MAML, beta, max_iters=120),
             algorithms=(MAML, HFMAML),
         )
         gap = np.abs(recs[MAML].iterates - recs[HFMAML].iterates).max()
@@ -190,7 +188,7 @@ class TestStackedExactSweep:
         # at a planted solution the probe vector is rounding noise, nonzero
         # but below ZERO_PROBE_TOL, so the guard alone decides the step
         for task in fig1_family().tasks[:5]:
-            family = TaskFamily(RANK1MF, [task])
+            family = TaskFamily([task])
             stacked, looped = self.stacked_and_looped(family, task.g, 0.05, 20.0)
             assert np.array_equal(stacked, looped)
 
@@ -199,7 +197,7 @@ class TestStackedExactSweep:
         family = fig1_family()
         rec = run(family, exact_config(
             MAML, beta, alpha=alpha, w0=np.array(FIG1["w0"]), trust_radius=FIG1["trust_radius"],
-            max_iters=40, record_iterates=True,
+            max_iters=40,
         ))
         assert rec.steps_taken == 40
         for k in range(rec.steps_taken):
@@ -248,7 +246,6 @@ class TestSlotLoopReplay:
             full_task_batch=full_task_batch,
             sigma_tilde=0.5,
             sigma_H=0.5,
-            record_iterates=True,
         )
         rec = run(family, cfg, profile=profile)
         assert rec.steps_taken == 20
@@ -335,7 +332,7 @@ class TestStochasticRuns:
         # the same data noise at both probe points, so it cancels and the
         # probe equals the exact Hessian-vector product on quadratics
         family = random_quadratic_family(5, 3, RngStream(7))
-        base = self.noisy_config(MAML, max_iters=80, record_iterates=True)
+        base = self.noisy_config(MAML, max_iters=80)
         recs = run_comparison(family, base, algorithms=(MAML, HFMAML))
         gap = np.abs(recs[MAML].iterates - recs[HFMAML].iterates).max()
         assert gap <= 1e-10
@@ -375,7 +372,7 @@ class TestRecordAndStops:
         text = rec.to_csv()
         assert text.splitlines()[0] == CSV_HEADER
         cols = parse_csv(text)
-        assert np.array_equal(cols["iter"], rec.iters)
+        assert np.array_equal(cols["iter"], np.arange(rec.steps_taken + 1))
         assert np.array_equal(cols["grad_norm_F"], rec.grad_norm_F)
         assert np.array_equal(cols["loss_F"], rec.loss_F)
         assert np.array_equal(cols["beta"], rec.beta, equal_nan=True)
@@ -403,7 +400,7 @@ class TestRecordAndStops:
         assert np.all(rec.beta[:-1] == 0.3)
         assert np.isnan(rec.beta[-1])
         # row k's beta moves w_k to w_{k+1}
-        rec2 = run(family, exact_config(MAML, 0.3, max_iters=1, record_iterates=True))
+        rec2 = run(family, exact_config(MAML, 0.3, max_iters=1))
         g0 = exact_grad_F(family, rec2.iterates[0], 0.1)
         assert np.allclose(rec2.iterates[1], rec2.iterates[0] - 0.3 * g0, atol=1e-15)
 
@@ -418,7 +415,21 @@ class TestRecordAndStops:
         full = run(family, exact_config(MAML, beta, max_iters=7))
         assert full.stop_reason == "max_iters"
         assert full.steps_taken == 7
-        assert len(full.iters) == 8
+        assert len(full.iterates) == 8
+
+    def test_trajectory_always_kept(self):
+        family = random_quadratic_family(5, 3, RngStream(6))
+        beta = safe_constant_beta(family, 0.1)
+        for cfg in (exact_config(MAML, beta, max_iters=7),
+                    exact_config(MAML, beta, target_grad_norm=1e-6, max_iters=500)):
+            rec = run(family, cfg)
+            assert rec.iterates.shape == (rec.steps_taken + 1, family.dim)
+            assert np.array_equal(rec.iterates[0], np.zeros(family.dim))
+            assert np.array_equal(rec.w_final, rec.iterates[-1])
+            # the last row is the point the final exact gradient was taken at
+            grad = np.linalg.norm(exact_grad_F(family, rec.w_final, 0.1))
+            assert rec.final_grad_norm == grad
+        assert rec.stop_reason == "target" and rec.steps_taken < 500
 
     def test_summary_fields(self):
         family = one_d_example_family()

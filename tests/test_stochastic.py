@@ -12,8 +12,6 @@ from metagrad.stochastic import (
     sample_task_batch,
 )
 from metagrad.tasks import (
-    QUADRATIC,
-    RANK1MF,
     MatrixFactorizationTask,
     QuadraticTask,
     TaskFamily,
@@ -28,8 +26,7 @@ def zero_grad_task(d=4):
 
 def rows_of(task, n):
     """A one-task family and n slots of its only task."""
-    return TaskFamily(QUADRATIC if isinstance(task, QuadraticTask) else RANK1MF, [task]), np.zeros(
-        n, dtype=int)
+    return TaskFamily([task]), np.zeros(n, dtype=int)
 
 
 def test_noisy_grad_noise_energy_and_mean():
@@ -147,7 +144,7 @@ def test_sample_task_batch_uniform_frequencies():
 
 def test_sample_task_batch_weighted_frequencies():
     tasks = [MatrixFactorizationTask(np.array([float(i), 1.0])) for i in range(3)]
-    fam = TaskFamily(RANK1MF, tasks, weights=np.array([0.6, 0.3, 0.1]))
+    fam = TaskFamily(tasks, weights=np.array([0.6, 0.3, 0.1]))
     idx = sample_task_batch(fam, 100_000, RngStream(2002).child("batch"))
     freqs = np.bincount(idx, minlength=3) / idx.size
     assert np.max(np.abs(freqs - np.array([0.6, 0.3, 0.1]))) <= 0.01
@@ -170,7 +167,7 @@ def test_sample_task_batch_deterministic_and_validated():
 
 def test_batch_spec_validation():
     spec = BatchSpec(B=20, D_in=4, D_o=2, D_h=3)
-    assert spec.B == 20 and spec.D_test == 1
+    assert spec.B == 20 and spec.B_prime == 1
     with pytest.raises(ValueError):
         BatchSpec(B=0)
     with pytest.raises(ValueError):

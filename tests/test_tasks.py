@@ -200,17 +200,36 @@ def test_task_grads_rowwise_is_task_grad_bit_for_bit(family):
 def test_family_validation():
     t = make_quad(30, d=3)
     with pytest.raises(ValueError):
-        TaskFamily("mystery", [t])
+        TaskFamily([])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        TaskFamily([t, make_quad(31, d=3)], weights=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        TaskFamily(QUADRATIC, [])
+        TaskFamily([t], weights=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        TaskFamily(QUADRATIC, [t], weights=np.array([0.5, 0.5]))
+        TaskFamily([t], weights=np.array([-1.0]))
     with pytest.raises(ValueError):
-        TaskFamily(QUADRATIC, [t], weights=np.array([-1.0]))
+        TaskFamily([t], weights=np.array([0.7]))
     with pytest.raises(ValueError):
-        TaskFamily(QUADRATIC, [t], weights=np.array([0.7]))
-    with pytest.raises(ValueError):
-        TaskFamily(QUADRATIC, [t, make_quad(31, d=4)])
+        TaskFamily([t, make_quad(31, d=4)])
+
+
+def test_family_kind_comes_from_its_tasks():
+    assert TaskFamily([make_quad(33, d=3)]).kind == QUADRATIC
+    assert TaskFamily([make_mf(34, d=3)]).kind == RANK1MF
+    with pytest.raises(ValueError, match="tasks mix kinds"):
+        TaskFamily([make_quad(35, d=3), make_mf(36, d=3)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tasks_reject_non_finite_numbers(bad):
+    t = make_quad(37, d=2)
+    A = t.A.copy()
+    A[0, 0] = bad
+    for A, b, c in ((A, t.b, 0.0), (t.A, t.b + bad, 0.0), (t.A, t.b, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadraticTask(A, b, c)
+    with pytest.raises(ValueError, match="must be finite"):
+        MatrixFactorizationTask(np.array([1.0, bad]))
 
 
 def test_family_weights_default_uniform():
@@ -243,7 +262,7 @@ def test_mf_family_json_round_trip_bit_exact():
 def test_family_json_round_trip_with_nonuniform_weights():
     tasks = [make_mf(50, d=3), make_mf(51, d=3), make_mf(52, d=3)]
     w = np.array([0.2, 0.3, 0.5])
-    fam = TaskFamily(RANK1MF, tasks, weights=w)
+    fam = TaskFamily(tasks, weights=w)
     back = TaskFamily.from_json(fam.to_json())
     assert np.array_equal(back.weights, w)
 
@@ -354,7 +373,7 @@ def config_family(name):
     [
         config_family("fig1.json"),
         config_family("fig2.json"),
-        (TaskFamily(RANK1MF, [MatrixFactorizationTask(np.array([1.0, -0.5, 0.25]))]),
+        (TaskFamily([MatrixFactorizationTask(np.array([1.0, -0.5, 0.25]))]),
          np.array([0.2, 0.1, -0.3]), 1.5),
     ],
     ids=["fig1", "fig2", "mf-one-task"],
