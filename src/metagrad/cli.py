@@ -49,15 +49,6 @@ from .tasks import (
     random_quadratic_family,
     rank1_mf_family,
 )
-from .verification import (
-    audit_bias,
-    audit_grad_gap_F_hat,
-    audit_hvp_probe_error,
-    audit_kshot_floor,
-    audit_second_moment,
-    audit_smoothness_ratio,
-    audit_stepsize_moments,
-)
 
 AUDIT_NAMES = (
     "bias",
@@ -129,10 +120,10 @@ def _is_positive_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf
 
 
-def _check_integral(default, value, name: str) -> None:
-    """ConfigError unless value is integral where the default is an int (or list of ints).
+def _check_integral(default, value, name: str):
+    """value, with ints for integral floats where the default is an int (or list of ints).
 
-    Floats such as 4.0 pass; 20.9, 2.5 and booleans fail rather than being truncated.
+    Floats such as 4.0 become 4; 20.9, 2.5 and booleans fail rather than being truncated.
     """
     if isinstance(default, list) and default and _is_int(default[0]):
         if not isinstance(value, list):
@@ -141,10 +132,12 @@ def _check_integral(default, value, name: str) -> None:
     elif _is_int(default):
         values = [value]
     else:
-        return
+        return value
     for v in values:
         if not (_is_int(v) or isinstance(v, float) and v.is_integer()):
             raise ConfigError(f"{name} must be an integer, got {v!r}")
+    ints = [int(v) for v in values]
+    return ints if isinstance(default, list) else ints[0]
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -157,8 +150,7 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
                 raise ConfigError(f"{path}{key} must be an object")
             out[key] = _merge(base, value, f"{path}{key}.")
         elif key in given:
-            _check_integral(base, given[key], f"{path}{key}")
-            out[key] = given[key]
+            out[key] = _check_integral(base, given[key], f"{path}{key}")
         else:
             out[key] = json.loads(json.dumps(base))  # deep copy of the default
     for key in given:
@@ -253,8 +245,8 @@ def generate_family(knobs: dict) -> TaskFamily:
         knobs,
         "family.generate.",
     )
-    rng = RngStream(int(merged["seed"]), ("gen_family",))
-    n, dim, s = int(merged["n"]), int(merged["dim"]), float(merged["similarity"])
+    rng = RngStream(merged["seed"], ("gen_family",))
+    n, dim, s = merged["n"], merged["dim"], float(merged["similarity"])
     if n < 1 or dim < 1:
         raise ConfigError(f"family.generate needs n >= 1 and dim >= 1, got n={n}, dim={dim}")
     if not np.isfinite(s):
@@ -274,13 +266,13 @@ def build_optimizer_config(resolved: dict, algorithm: str, seed: int) -> Optimiz
             beta=st["beta"],
             fraction=st["fraction"],
         )
-        batches = BatchSpec(**{k: int(v) for k, v in resolved["batches"].items()})
+        batches = BatchSpec(**resolved["batches"])
         return OptimizerConfig(
             algorithm=algorithm,
             alpha=float(resolved["alpha"]),
             stepsize=rule,
             batches=batches,
-            max_iters=int(resolved["max_iters"]),
+            max_iters=resolved["max_iters"],
             target_grad_norm=float(resolved["target_grad_norm"]),
             seed=seed,
             w0=None if resolved["w0"] is None else np.asarray(resolved["w0"], dtype=float),
@@ -416,6 +408,16 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
 
     family, base and profile are ``prepare``'s; resolved supplies the audit section.
     """
+    from .verification import (  # here, so that other commands never load the audits
+        audit_bias,
+        audit_grad_gap_F_hat,
+        audit_hvp_probe_error,
+        audit_kshot_floor,
+        audit_second_moment,
+        audit_smoothness_ratio,
+        audit_stepsize_moments,
+    )
+
     a = resolved["audit"]
     select = a["select"]
     w0 = base.start_point(family.dim)
@@ -425,8 +427,7 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
     if a["alpha_times_L"] is not None:
         alpha = a["alpha_times_L"] / profile.L
     root = RngStream(seed, ("audit",))
-    points = ball_points(w0, a["w_scale"] * trust, int(a["stepsize_points"]),
-                         root.child("points"))
+    points = ball_points(w0, a["w_scale"] * trust, a["stepsize_points"], root.child("points"))
     w = points[0]
     entries = []
 
@@ -438,40 +439,39 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
     if "bias" in select:
         for d_in in a["D_in"]:
             add(
-                audit_bias(family, w, alpha, int(d_in), int(a["D_o"]), int(a["n_mc"]),
-                           profile, root.child("bias", int(d_in))),
-                f"[D_in={int(d_in)}]",
+                audit_bias(family, w, alpha, d_in, a["D_o"], a["n_mc"], profile,
+                           root.child("bias", d_in)),
+                f"[D_in={d_in}]",
             )
     if "second_moment" in select:
         for d_in in a["D_in"]:
             add(
-                audit_second_moment(family, w, alpha, int(d_in), int(a["D_o"]),
-                                    float(a["phi"]), int(a["n_mc"]), profile,
-                                    root.child("second_moment", int(d_in))),
-                f"[D_in={int(d_in)}]",
+                audit_second_moment(family, w, alpha, d_in, a["D_o"], float(a["phi"]),
+                                    a["n_mc"], profile, root.child("second_moment", d_in)),
+                f"[D_in={d_in}]",
             )
     if "grad_gap" in select:
         for d_test in a["D_test"]:
             add(
-                audit_grad_gap_F_hat(family, w, alpha, int(d_test), int(a["n_mc"]),
-                                     profile, root.child("grad_gap", int(d_test))),
-                f"[D_test={int(d_test)}]",
+                audit_grad_gap_F_hat(family, w, alpha, d_test, a["n_mc"], profile,
+                                     root.child("grad_gap", d_test)),
+                f"[D_test={d_test}]",
             )
     if "hvp_probe" in select and profile.rho > 0.0:  # constant Hessians: nothing to probe
         add(
             audit_hvp_probe_error(family, profile, alpha, w0, trust * a["w_scale"],
-                                  int(a["n_probes"]), root.child("hvp_probe"))
+                                  a["n_probes"], root.child("hvp_probe"))
         )
     if "smoothness" in select:
         add(
             audit_smoothness_ratio(family, profile, alpha, w0, trust * a["w_scale"],
-                                   int(a["n_pairs"]), root.child("smoothness"))
+                                   a["n_pairs"], root.child("smoothness"))
         )
     if "stepsize_moments" in select:
         for b in audit_stepsize_moments(
             family, profile, alpha, points,
             base.batches.B_prime, base.batches.D_beta,
-            int(a["stepsize_samples"]), root.child("stepsize_moments"),
+            a["stepsize_samples"], root.child("stepsize_moments"),
         ):
             add(b)
     kshot = None
@@ -484,7 +484,7 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
         kshot = [
             [k, f]
             for k, f in audit_kshot_floor(
-                family, alpha, [int(k) for k in a["K_list"]], cfg, profile=profile
+                family, alpha, a["K_list"], cfg, profile=profile
             )
         ]
     return {

@@ -14,7 +14,9 @@ On a heterogeneous family the two differ, and ||grad F(w_fo)|| is the
 exact convergence floor that the first-order method cannot descend
 below.  Both coefficient matrices are symmetric positive definite when
 alpha < 1 / max_i ||A_i||, so the systems are solved by Cholesky with
-iterative refinement down to a 1e-12 residual.
+iterative refinement down to a 1e-12 residual.  scipy.linalg, which does
+the Cholesky solves, is imported by the first solve, so runs on rank-1
+families never load scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditioned
 from .meta_gradient import exact_grad_F
@@ -34,6 +35,8 @@ RESIDUAL_TOL = 1e-12
 
 def _solve_spd(h: Mat, rhs: Vec) -> Vec:
     """Solve h x = rhs for symmetric positive definite h to tight residual."""
+    import scipy.linalg  # only quadratic families need it; loading it costs ~20 MB
+
     try:
         factor = scipy.linalg.cho_factor(h)
     except np.linalg.LinAlgError as exc:

@@ -295,13 +295,14 @@ def run(
 
         with np.errstate(over="ignore", invalid="ignore"):
             w = w - beta_k * step_dir
+            dist = np.linalg.norm(w - w0)  # inf for a finite w far enough out
         k += 1
         if not np.all(np.isfinite(w)):
             raise NumericalFailure(f"non-finite iterate at iteration {k}")
-        if np.linalg.norm(w - w0) > DIVERGENCE_FACTOR * config.trust_radius:
+        if dist > DIVERGENCE_FACTOR * config.trust_radius:
             raise DivergenceDetected(
                 f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration {k} "
-                f"(||w - w0|| = {np.linalg.norm(w - w0):.3g}, "
+                f"(||w - w0|| = {dist:.3g}, "
                 f"radius = {config.trust_radius:g})"
             )
 

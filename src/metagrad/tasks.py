@@ -245,7 +245,7 @@ class TaskFamily:
             tasks = [MatrixFactorizationTask(np.array(t["g"])) for t in data["tasks"]]
         else:
             raise ValueError(f"unknown family kind {kind!r}")
-        fam = cls(tasks, weights=np.array(data["weights"], dtype=float))
+        fam = cls(tasks, weights=data.get("weights"))
         if fam.dim != int(data["dim"]):
             raise ValueError("dim field disagrees with task payloads")
         return fam

@@ -377,6 +377,37 @@ class TestExitCodes:
         cols = parse_csv((tmp_path / "o" / "run_maml_seed0.csv").read_text())
         assert len(cols["iter"]) == 6
 
+    def test_integral_float_seed_writes_the_same_bytes(self, tmp_path):
+        outputs = []
+        for seeds in ([1], [1.0]):
+            out = tmp_path / f"o{seeds[0]!r}"
+            cfg = write_config(tmp_path, algorithms=["maml", "fomaml"], seeds=seeds)
+            assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "compare_summary_seed1.json.config.json" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+    def test_missing_family_weights_default_to_uniform(self, tmp_path):
+        missing = quad_family_dict(n=4)
+        del missing["weights"]
+        outputs = []
+        for family in ({**missing, "weights": [0.25] * 4}, missing):
+            cfg = write_config(tmp_path, family=family)
+            out = tmp_path / f"o{len(family)}"
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            outputs.append((out / "run_maml_seed0.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_fractional_seed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seeds=[1.5])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: seeds must be an integer, got 1.5\n"
+
+    def test_negative_family_weights_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family={**quad_family_dict(n=2), "weights": [1.5, -0.5]})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: bad family spec: weights must be positive\n"
+
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -4,6 +4,7 @@ import argparse
 import importlib
 import json
 import pkgutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -447,6 +448,14 @@ class TestGuards:
         family = one_d_example_family()
         with pytest.raises(DivergenceDetected):
             run(family, exact_config(MAML, 50.0, max_iters=200, trust_radius=1.0))
+
+    def test_divergence_past_float_range_raises_without_warnings(self):
+        # one step lands finite near 1e299, where ||w - w0|| overflows to inf
+        family = one_d_example_family()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceDetected, match=r"\|\|w - w0\|\| = inf"):
+                run(family, exact_config(MAML, 1e300, max_iters=3))
 
     def test_numerical_failure_on_overflow(self):
         family = one_d_example_family()
