@@ -76,20 +76,6 @@ AUDIT_DEFAULTS = {
     "w_scale": 0.3,
 }
 
-# Smallest value each audit count accepts (every entry, for lists): the
-# Monte Carlo audits need two draws to estimate a margin.
-AUDIT_MINIMA = {
-    "n_mc": 2,
-    "stepsize_samples": 2,
-    "D_in": 1,
-    "D_o": 1,
-    "D_test": 1,
-    "n_probes": 1,
-    "n_pairs": 1,
-    "stepsize_points": 1,
-    "K_list": 1,
-}
-
 CONFIG_DEFAULTS = {
     "family": None,
     "algorithms": list(ALGORITHMS),
@@ -106,53 +92,75 @@ CONFIG_DEFAULTS = {
     "audit": AUDIT_DEFAULTS,
 }
 
+GENERATE_DEFAULTS = {"kind": RANK1MF, "n": 10, "dim": 5, "similarity": 1.0, "seed": 0}
+
+# A config value takes the kind of its default (each entry does, for a list);
+# KINDS tests one value of each kind.
+KINDS = {
+    "true or false": lambda v: isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an integer": lambda v: KINDS["a number"](v) and (isinstance(v, int) or v.is_integer()),
+    "a positive number": lambda v: KINDS["a number"](v) and 0 < v < np.inf,
+    "a string": lambda v: isinstance(v, str),
+}
+
+# What the defaults cannot show: the kind a null default takes (null stays
+# allowed), the positive audit values, and each count's least value (every
+# entry's, for a list).
+RULES = {
+    **dict.fromkeys(["stepsize.beta", "stepsize.fraction"], "a number"),
+    "w0": ["a number"],
+    **dict.fromkeys(["audit.alpha_times_L", "audit.phi", "audit.w_scale"], "a positive number"),
+    "seeds": 0,
+    **dict.fromkeys(["audit.n_mc", "audit.stepsize_samples"], 2),  # a margin needs two draws
+    **dict.fromkeys([f"audit.{k}" for k in ("D_in", "D_o", "D_test", "K_list", "n_probes",
+                                            "n_pairs", "stepsize_points")], 1),
+}
+
 EXAMPLE_1D_FAMILY = (
     (np.array([[1.0]]), np.array([1.0])),
     (np.array([[2.0]]), np.array([-1.0])),
 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _kind(default):
+    """The KINDS name a default stands for, in a list for a list."""
+    if isinstance(default, list):
+        return [_kind(default[0])]
+    kinds = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+    return kinds[type(default)]
 
 
-def _is_positive_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf
-
-
-def _check_integral(default, value, name: str):
-    """value, with ints for integral floats where the default is an int (or list of ints).
-
-    Floats such as 4.0 become 4; 20.9, 2.5 and booleans fail rather than being truncated.
-    """
-    if isinstance(default, list) and default and _is_int(default[0]):
+def _leaf(kind, least, value, name: str):
+    """value checked against its kind and least value; integral numbers become ints."""
+    if isinstance(kind, list):
         if not isinstance(value, list):
-            raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-        values = value
-    elif _is_int(default):
-        values = [value]
-    else:
-        return value
-    for v in values:
-        if not (_is_int(v) or isinstance(v, float) and v.is_integer()):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
-    ints = [int(v) for v in values]
-    return ints if isinstance(default, list) else ints[0]
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_leaf(kind[0], least, v, name) for v in value]
+    if not KINDS[kind](value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    return int(value) if kind == "an integer" else value
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    """Defaults overlaid with given values; unknown keys are errors."""
+    """Defaults overlaid with given values, each checked by RULES or its default's kind."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path[:-1]} must be an object")
     out = {}
     for key, base in defaults.items():
-        if key in given and isinstance(base, dict) and base is not None:
-            value = given[key]
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}{key} must be an object")
-            out[key] = _merge(base, value, f"{path}{key}.")
-        elif key in given:
-            out[key] = _check_integral(base, given[key], f"{path}{key}")
-        else:
+        name, value, rule = path + key, given.get(key), RULES.get(path + key)
+        if key not in given:
             out[key] = json.loads(json.dumps(base))  # deep copy of the default
+        elif isinstance(base, dict):
+            out[key] = _merge(base, value, f"{name}.")
+        elif base is None and (value is None or rule is None):
+            out[key] = value  # null, or a family: build_family checks it
+        elif isinstance(rule, int):  # a least value
+            out[key] = _leaf(_kind(base), rule, value, name)
+        else:
+            out[key] = _leaf(rule or _kind(base), None, value, name)
     for key in given:
         if key not in defaults:
             raise ConfigError(f"{path}{key} is not a recognized option")
@@ -160,7 +168,7 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
 
 
 def load_config(path: str | None, args) -> tuple[dict, Path]:
-    """Resolve the experiment config: file, defaults, CLI overrides."""
+    """Resolve the experiment config: file, CLI overrides, defaults."""
     if path is None:
         given, config_dir = {}, Path.cwd()
     else:
@@ -174,50 +182,33 @@ def load_config(path: str | None, args) -> tuple[dict, Path]:
         if not isinstance(given, dict):
             raise ConfigError("config root must be a JSON object")
         config_dir = p.parent
-    resolved = _merge(CONFIG_DEFAULTS, given)
     if getattr(args, "seed", None) is not None:
-        resolved["seeds"] = [args.seed]
+        given["seeds"] = [args.seed]
     if getattr(args, "algorithms", None):
-        resolved["algorithms"] = args.algorithms.split(",")
+        given["algorithms"] = args.algorithms.split(",")
     if getattr(args, "max_iters", None) is not None:
-        resolved["max_iters"] = args.max_iters
+        given["max_iters"] = args.max_iters
+    resolved = _merge(CONFIG_DEFAULTS, given)
     validate_resolved(resolved)
     return resolved, config_dir
 
 
 def validate_resolved(resolved: dict) -> None:
+    """The checks that span several values or need names; _merge checked each value."""
     if resolved["family"] is None:
         raise ConfigError("family is required (inline, {\"path\": ...}, or {\"generate\": ...})")
-    algos = resolved["algorithms"]
-    if not algos or not isinstance(algos, list):
-        raise ConfigError("algorithms must be a nonempty list")
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
-    if len(set(algos)) != len(algos):
-        raise ConfigError(f"algorithms must be distinct, got {algos}")
-    seeds = resolved["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a nonempty list")
-    if any(not isinstance(s, int) or s < 0 for s in seeds):
-        raise ConfigError("seeds must be nonnegative integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct across replicates")
     audit = resolved["audit"]
-    bad = [k for k in audit["select"] if k not in AUDIT_NAMES]
-    if bad:
-        raise ConfigError(f"unknown audit selection {bad}; choose from {', '.join(AUDIT_NAMES)}")
-    for key, low in AUDIT_MINIMA.items():
-        values = audit[key] if isinstance(audit[key], list) else [audit[key]]
-        if any(v < low for v in values):
-            raise ConfigError(f"audit.{key} must be >= {low}, got {audit[key]!r}")
+    for what, chosen, known in (("algorithm", resolved["algorithms"], ALGORITHMS),
+                                ("audit selection", audit["select"], AUDIT_NAMES)):
+        bad = [k for k in chosen if k not in known]
+        if bad:
+            raise ConfigError(f"unknown {what} {bad}; choose from {', '.join(known)}")
+    for key in ("algorithms", "seeds"):  # seeds are replicates
+        values = resolved[key]
+        if not values or len(set(values)) != len(values):
+            raise ConfigError(f"{key} must be distinct and nonempty, got {values}")
     if not audit["K_list"] or audit["K_list"] != sorted(audit["K_list"]):
         raise ConfigError(f"audit.K_list must be nonempty and ascending, got {audit['K_list']!r}")
-    for key in ("phi", "w_scale", "alpha_times_L"):
-        if not (_is_positive_real(audit[key]) or key == "alpha_times_L" and audit[key] is None):
-            raise ConfigError(f"audit.{key} must be a positive number, got {audit[key]!r}")
-    if not isinstance(resolved["full_task_batch"], bool):
-        raise ConfigError(f"full_task_batch must be true or false, got {resolved['full_task_batch']!r}")
 
 
 def build_family(spec, config_dir: Path) -> TaskFamily:
@@ -240,13 +231,9 @@ def build_family(spec, config_dir: Path) -> TaskFamily:
 
 
 def generate_family(knobs: dict) -> TaskFamily:
-    merged = _merge(
-        {"kind": RANK1MF, "n": 10, "dim": 5, "similarity": 1.0, "seed": 0},
-        knobs,
-        "family.generate.",
-    )
+    merged = _merge(GENERATE_DEFAULTS, knobs, "family.generate.")
     rng = RngStream(merged["seed"], ("gen_family",))
-    n, dim, s = merged["n"], merged["dim"], float(merged["similarity"])
+    n, dim, s = merged["n"], merged["dim"], merged["similarity"]
     if n < 1 or dim < 1:
         raise ConfigError(f"family.generate needs n >= 1 and dim >= 1, got n={n}, dim={dim}")
     if not np.isfinite(s):
@@ -259,29 +246,17 @@ def generate_family(knobs: dict) -> TaskFamily:
 
 
 def build_optimizer_config(resolved: dict, algorithm: str, seed: int) -> OptimizerConfig:
-    st = resolved["stepsize"]
+    shared = ("alpha", "max_iters", "target_grad_norm", "w0", "trust_radius", "full_task_batch")
     try:
-        rule = StepsizeRule(
-            kind=st["kind"],
-            beta=st["beta"],
-            fraction=st["fraction"],
-        )
-        batches = BatchSpec(**resolved["batches"])
         return OptimizerConfig(
             algorithm=algorithm,
-            alpha=float(resolved["alpha"]),
-            stepsize=rule,
-            batches=batches,
-            max_iters=resolved["max_iters"],
-            target_grad_norm=float(resolved["target_grad_norm"]),
+            stepsize=StepsizeRule(**resolved["stepsize"]),
+            batches=BatchSpec(**resolved["batches"]),
             seed=seed,
-            w0=None if resolved["w0"] is None else np.asarray(resolved["w0"], dtype=float),
-            trust_radius=float(resolved["trust_radius"]),
-            full_task_batch=resolved["full_task_batch"],
-            sigma_tilde=float(resolved["noise"]["sigma_tilde"]),
-            sigma_H=float(resolved["noise"]["sigma_H"]),
+            **{key: resolved[key] for key in shared},
+            **resolved["noise"],
         )
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
@@ -525,8 +500,8 @@ def cmd_quadratic_oracle(args) -> int:
         family = TaskFamily([QuadraticTask(A, b) for A, b in EXAMPLE_1D_FAMILY])
         alpha = 0.1 if args.alpha is None else args.alpha
     try:  # alpha as every command checks it
-        alpha = OptimizerConfig(MAML, float(alpha), StepsizeRule()).alpha
-    except (ValueError, TypeError) as e:
+        alpha = OptimizerConfig(MAML, alpha, StepsizeRule()).alpha
+    except ValueError as e:
         raise ConfigError(str(e)) from e
     try:
         analysis = analyze_quadratic(family, alpha)

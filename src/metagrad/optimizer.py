@@ -80,6 +80,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for name in ("alpha", "target_grad_norm", "trust_radius", "sigma_tilde", "sigma_H"):
             value = getattr(self, name)
+            if isinstance(value, int):  # a config's 1 runs, and is reported, as 1.0
+                setattr(self, name, value := float(value))
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0.0:

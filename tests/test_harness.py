@@ -1,6 +1,7 @@
 """CLI behaviors: exit codes, emitted files, determinism, overrides."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -320,11 +321,31 @@ class TestExitCodes:
             ("audit", {"audit": {"alpha_times_L": "x"}},
              "audit.alpha_times_L must be a positive number"),
             ("run", {"full_task_batch": "false"}, "full_task_batch must be true or false"),
-            ("audit", {"alpha": "abc"}, "could not convert"),
+            ("audit", {"alpha": "abc"}, "alpha must be a number"),
             ("audit", {"trust_radius": -1}, "trust_radius must be positive"),
             ("compare", {"w0": [0.3, -0.2, 0.1]}, "w0 has shape (3,), family dimension is 2"),
             ("audit", {"w0": [0.3, -0.2, 0.1]}, "w0 has shape (3,), family dimension is 2"),
             ("compare", {"algorithms": ["maml", "maml"]}, "algorithms must be distinct"),
+            # a bool or a string is never a number, and a list is not one either
+            ("run", {"alpha": True}, "alpha must be a number, got True"),
+            ("run", {"alpha": "0.05"}, "alpha must be a number, got '0.05'"),
+            ("run", {"alpha": [0.1]}, "alpha must be a number, got [0.1]"),
+            ("run", {"trust_radius": True}, "trust_radius must be a number"),
+            ("run", {"target_grad_norm": True}, "target_grad_norm must be a number"),
+            ("run", {"stepsize": {"kind": "constant", "beta": True}},
+             "stepsize.beta must be a number"),
+            ("run", {"stepsize": {"kind": "constant", "beta": "0.05"}},
+             "stepsize.beta must be a number"),
+            ("run", {"stepsize": {"kind": "adaptive", "fraction": True}},
+             "stepsize.fraction must be a number"),
+            ("run", {"noise": {"sigma_tilde": "0"}}, "noise.sigma_tilde must be a number"),
+            ("run", {"family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2,
+                                             "similarity": True}}},
+             "family.generate.similarity must be a number"),
+            ("run", {"w0": ["0.3", "-0.2"]}, "w0 must be a number, got '0.3'"),
+            ("run", {"w0": "abc"}, "w0 must be a list, got 'abc'"),
+            ("audit", {"audit": {"select": "bias"}}, "audit.select must be a list, got 'bias'"),
+            ("compare", {"family": {"generate": "abc"}}, "family.generate must be an object"),
         ],
     )
     def test_invalid_scalars_are_config_errors(self, tmp_path, capsys, command, override,
@@ -386,6 +407,16 @@ class TestExitCodes:
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert "compare_summary_seed1.json.config.json" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_sidecar_echoes_numbers_as_given(self, tmp_path):
+        # a real stays as written (1 is not echoed as 1.0); an integral
+        # float given for an integer is echoed as the integer
+        cfg = write_config(tmp_path, trust_radius=1, alpha=0.05, max_iters=5.0)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        sidecar = strict_json(tmp_path / "o" / "run_maml_seed0.csv.config.json")["config"]
+        echoed = [sidecar[k] for k in ("trust_radius", "alpha", "max_iters")]
+        assert echoed == [1, 0.05, 5]
+        assert [type(v) for v in echoed] == [int, float, int]
 
     def test_missing_family_weights_default_to_uniform(self, tmp_path):
         missing = quad_family_dict(n=4)
@@ -575,3 +606,15 @@ class TestEmptyRecordEmission:
             iterates=np.empty((0, 1)),
         )
         assert empty.to_csv() == CSV_HEADER + "\n"
+
+
+def test_readme_defaults_match_config_defaults():
+    # README's jsonc block, less its comments and the audit placeholder, is
+    # CONFIG_DEFAULTS less audit; each value's kind comes from its default,
+    # so 10.0 and 10 differ here
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    block = re.sub(r"//[^\n]*", "", block).replace('"audit": { ... }', "")
+    documented = json.loads(re.sub(r",\s*}", "}", block))
+    defaults = {k: v for k, v in cli.CONFIG_DEFAULTS.items() if k != "audit"}
+    assert json.dumps(documented, sort_keys=True) == json.dumps(defaults, sort_keys=True)

@@ -526,6 +526,15 @@ class TestGuards:
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, trust_radius=0.0)
 
+    def test_integer_reals_stored_as_floats(self):
+        # a config's "alpha": 0 is reported in the summary as 0.0, as 0.0 is
+        rule = StepsizeRule(kind="constant", beta=0.1)
+        cfg = OptimizerConfig(MAML, 0, rule, target_grad_norm=0, trust_radius=2,
+                              sigma_tilde=1, sigma_H=0)
+        values = [cfg.alpha, cfg.target_grad_norm, cfg.trust_radius, cfg.sigma_tilde, cfg.sigma_H]
+        assert values == [0.0, 0.0, 2.0, 1.0, 0.0]
+        assert all(type(v) is float for v in values)
+
 
 class TestAdaptiveStepsizes:
     def test_deterministic_adaptive_beta_on_quadratics(self):
