@@ -45,6 +45,8 @@ from .tasks import (
     SmoothnessProfile,
     TaskFamily,
     ball_points,
+    is_integer,
+    is_number,
     local_smoothness,
     random_quadratic_family,
     rank1_mf_family,
@@ -95,12 +97,13 @@ CONFIG_DEFAULTS = {
 GENERATE_DEFAULTS = {"kind": RANK1MF, "n": 10, "dim": 5, "similarity": 1.0, "seed": 0}
 
 # A config value takes the kind of its default (each entry does, for a list);
-# KINDS tests one value of each kind.
+# KINDS tests one value of each kind.  A number must fit a float and an
+# integer an int64, as the family payload's numbers do.
 KINDS = {
     "true or false": lambda v: isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "an integer": lambda v: KINDS["a number"](v) and (isinstance(v, int) or v.is_integer()),
-    "a positive number": lambda v: KINDS["a number"](v) and 0 < v < np.inf,
+    "a number": is_number,
+    "an integer": is_integer,
+    "a positive number": lambda v: is_number(v) and 0 < v < np.inf,
     "a string": lambda v: isinstance(v, str),
 }
 
@@ -138,7 +141,9 @@ def _leaf(kind, least, value, name: str):
             raise ConfigError(f"{name} must be a list, got {value!r}")
         return [_leaf(kind[0], least, v, name) for v in value]
     if not KINDS[kind](value):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        note = " (out of range)" if numeric and abs(value) >= 2**63 else ""
+        raise ConfigError(f"{name} must be {kind}, got {value!r}{note}")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     return int(value) if kind == "an integer" else value

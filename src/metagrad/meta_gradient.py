@@ -135,8 +135,7 @@ def slot_directions(
     w_i = w - alpha * grad_noise(g, batches.D_in, oracle.sigma_tilde, site(INNER))
     v = noisy_grad(family, idx, w_i, batches.D_o, oracle.sigma_tilde, site(OUTER))
     if algorithm == MAML:
-        at_w = np.broadcast_to(w, v.shape)
-        h = noisy_hess(family, idx, at_w, batches.D_h, oracle.sigma_H, site(HESS))
+        h = noisy_hess(family, idx, w, batches.D_h, oracle.sigma_H, site(HESS))
         return v - alpha * (h @ v[:, :, None])[..., 0]
     if algorithm == HFMAML:
         nv, probing = probe_norms(v)
@@ -229,14 +228,15 @@ def mc_grad_F_hat_draws(
         return np.tile(exact_grad_F(family, w, alpha), (n_mc, 1))
     d = family.dim
     draws = np.zeros((n_mc, d))
-    for i, task in enumerate(family.tasks):
-        g = np.broadcast_to(task.grad(w), (n_mc, d))
+    tasks = zip(family.weights, family.grads(w), family.hessians(w))
+    for i, (p, g, h) in enumerate(tasks):
+        g = np.broadcast_to(g, (n_mc, d))
         g_in = grad_noise(g, D_test, oracle.sigma_tilde, rng.child("task", i, "test_grad"))
-        go = task.grad_many(w - alpha * g_in)  # exact outer gradient, (n_mc, d)
-        corr = go @ task.hess(w).T
+        go = family.task_grads(i, w - alpha * g_in)  # exact outer gradient, (n_mc, d)
+        corr = go @ h.T
         hess_rng = rng.child("task", i, "test_hess")
         for r0, r1 in row_blocks(n_mc):
             e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, RowBlock(hess_rng, n_mc, r0))
             corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
-        draws += family.weights[i] * (go - alpha * corr)
+        draws += p * (go - alpha * corr)
     return draws

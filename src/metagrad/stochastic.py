@@ -141,16 +141,16 @@ def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> 
 
 def noisy_grad(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_tilde: float,
                rng: Streams) -> np.ndarray:
-    """Gradient of task idx[j] at row W[j] plus batch-size-D Gaussian noise,
-    shape (B, d); row j is that task's gradient evaluated alone."""
-    return grad_noise(family.task_grads_rowwise(idx, W), D, sigma_tilde, rng)
+    """Gradient of task idx[j] at W or at row W[j] plus batch-size-D
+    Gaussian noise, shape (B, d); row j is that task's gradient alone."""
+    return grad_noise(family.grads(W, idx), D, sigma_tilde, rng)
 
 
 def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
                rng: Streams) -> np.ndarray:
-    """Hessian of task idx[j] at row W[j] plus symmetric Gaussian noise,
-    shape (B, d, d)."""
-    h = family.task_hessians(idx, W)
+    """Hessian of task idx[j] at W or at row W[j] plus symmetric Gaussian
+    noise, shape (B, d, d)."""
+    h = family.hessians(W, idx)
     return h + hess_noise(h.shape, D, sigma_H, rng)
 
 

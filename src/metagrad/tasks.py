@@ -15,15 +15,18 @@ solutions; the factorization family is nonquadratic, so its smoothness
 constants must be estimated on a bounded region, which is what
 ``local_smoothness`` does (conservatively, by sampling and inflating).
 
-A ``TaskFamily`` is a finite weighted collection of tasks of one kind.
-Expectations over tasks are exact weighted sums, which is what makes
-every downstream quantity (the meta-objective, its gradient, the
-convergence floors) computable to machine precision.
+A ``TaskFamily`` is a finite weighted collection of tasks of one kind,
+and its oracles are the one home of every gradient and Hessian; the task
+classes only validate and hold their data.  Expectations over tasks are
+exact weighted sums, which is what makes every downstream quantity (the
+meta-objective, its gradient, the convergence floors) computable to
+machine precision.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,16 +63,6 @@ class QuadraticTask:
     def dim(self) -> int:
         return self.b.shape[0]
 
-    def grad(self, w: Vec) -> Vec:
-        return self.A @ w + self.b
-
-    def hess(self, w: Vec) -> Mat:
-        return self.A.copy()
-
-    def grad_many(self, W: np.ndarray) -> np.ndarray:
-        """Gradients at each row of W, shape (m, d)."""
-        return W @ self.A.T + self.b
-
 
 @dataclass(eq=False)
 class MatrixFactorizationTask:
@@ -90,19 +83,30 @@ class MatrixFactorizationTask:
     def dim(self) -> int:
         return self.g.shape[0]
 
-    def grad(self, x: Vec) -> Vec:
-        return (x @ x) * x - self.M @ x
 
-    def hess(self, x: Vec) -> Mat:
-        return (x @ x) * np.eye(self.dim) + 2.0 * np.outer(x, x) - self.M
-
-    def grad_many(self, X: np.ndarray) -> np.ndarray:
-        """Gradients at each row of X, shape (m, d)."""
-        nx2 = np.sum(X * X, axis=1, keepdims=True)
-        return nx2 * X - X @ self.M
+def is_number(v) -> bool:
+    """A JSON number a float can hold: not a bool, a string or an integer
+    past the float range."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float)
 
 
-Task = QuadraticTask | MatrixFactorizationTask
+def is_integer(v) -> bool:
+    """An integral JSON number an int64 can hold (seeds are keyed as int64)."""
+    return is_number(v) and (isinstance(v, int) or v.is_integer()) and -2**63 <= v < 2**63
+
+
+def _numbers(value, name: str, ndim: int) -> np.ndarray:
+    """A family payload entry as floats: a number for ndim 0, else ndim
+    levels of lists of numbers."""
+    def numeric(v):
+        return all(map(numeric, v)) if isinstance(v, list) else is_number(v)
+
+    if not numeric(value) or np.ndim(value) != ndim:
+        what = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 @dataclass(eq=False)
@@ -112,8 +116,8 @@ class TaskFamily:
     The kind is the tasks' class attribute; mixing classes is an error.
     Weights are the sampling distribution p over tasks (uniform when
     omitted); they must be finite, positive and sum to one.  Stacked
-    per-task arrays are precomputed so family-wide expectations are
-    single vectorized expressions.
+    per-task arrays are precomputed, and are read-only, so family-wide
+    expectations are single vectorized expressions.
     """
 
     tasks: list
@@ -132,7 +136,7 @@ class TaskFamily:
         n = len(self.tasks)
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = np.array(self.weights, dtype=float)  # a copy: it is frozen below
         if self.weights.shape != (n,):
             raise ValueError("weights length must match task count")
         if not np.isfinite(self.weights).all():
@@ -149,6 +153,9 @@ class TaskFamily:
         else:
             self._Ms = np.stack([t.M for t in self.tasks])  # (n, d, d)
             self._m2 = np.einsum("nij,nij->n", self._Ms, self._Ms)  # ||M_i||_F^2
+        for value in vars(self).values():  # the oracles hand out views of these
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def n_tasks(self) -> int:
@@ -159,54 +166,48 @@ class TaskFamily:
         return self.tasks[0].dim
 
     # ------------------------------------------------ vectorized oracles
+    # W is one point (d,) or one per row (B, d); idx is an index array or a
+    # slice of the tasks.  Each row is rounded as that task alone would be,
+    # so a stacked sweep reproduces a per-task loop bit for bit.
 
-    def grads(self, w: Vec) -> np.ndarray:
-        """All task gradients at one point, shape (n, d)."""
+    def grads(self, W: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """Gradient of task idx[j] at W or at row W[j], shape (B, d)."""
+        X = W[..., None]
         if self.kind == QUADRATIC:
-            return self._As @ w + self._bs
-        return (w @ w) * w - self._Ms @ w
+            return (self._As[idx] @ X)[..., 0] + self._bs[idx]
+        return row_dots(W)[..., None] * W - (self._Ms[idx] @ X)[..., 0]
+
+    def hessians(self, W: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """Hessian of task idx[j] at W or at row W[j], shape (B, d, d).
+        Quadratic Hessians are the read-only stacked matrices themselves."""
+        if self.kind == QUADRATIC:
+            return self._As[idx]
+        outer = 2.0 * (W[..., :, None] * W[..., None, :])
+        return row_dots(W)[..., None, None] * np.eye(self.dim) + outer - self._Ms[idx]
 
     def grads_rowwise(self, W: np.ndarray) -> np.ndarray:
         """Gradient of task i at row W[i], shape (n, d).
 
-        The einsum and np.sum here round differently from ``task.grad`` in
-        the last bit; ``task_grads_rowwise`` does not.  ``exact_grad_F``,
-        and so every recorded grad_norm_F, is built on this form.
+        The einsum and np.sum here round differently from ``grads(W)`` in
+        the last bit.  ``exact_grad_F``, and so every recorded grad_norm_F,
+        is built on this form.
         """
         if self.kind == QUADRATIC:
             return np.einsum("nij,nj->ni", self._As, W) + self._bs
         nx2 = np.sum(W * W, axis=1, keepdims=True)
         return nx2 * W - np.einsum("nij,nj->ni", self._Ms, W)
 
-    def task_grads_rowwise(self, idx, W: np.ndarray) -> np.ndarray:
-        """Gradient of task idx[j] at row W[j], shape (B, d), equal bit for
-        bit to ``tasks[idx[j]].grad(W[j])``.  idx is an index array, or a
-        slice (a view of the stacked arrays) for every task in order.
+    def task_grads(self, i: int, X: np.ndarray) -> np.ndarray:
+        """Gradient of task i at each row of X, shape (m, d).
 
-        Stacked matmuls round each row as the task's own matrix-vector and
-        dot products do, so a stacked sweep built on this reproduces a
-        per-task loop exactly.
+        One (m, d) @ (d, d) product, which BLAS rounds differently from
+        ``grads``' stacked mat-vecs in some rows; the audits' Monte Carlo
+        sweeps are built on this form.
         """
-        X = W[:, :, None]
         if self.kind == QUADRATIC:
-            return (self._As[idx] @ X)[..., 0] + self._bs[idx]
-        return row_dots(W)[:, None] * W - (self._Ms[idx] @ X)[..., 0]
-
-    def task_hessians(self, idx, W: np.ndarray) -> np.ndarray:
-        """Hessian of task idx[j] at row W[j], shape (B, d, d), equal bit
-        for bit to ``tasks[idx[j]].hess(W[j])``; idx as in task_grads_rowwise.
-        Quadratic Hessians are the stacked matrices themselves (read-only)."""
-        if self.kind == QUADRATIC:
-            return self._As[idx]
-        outer = 2.0 * (W[:, :, None] * W[:, None, :])
-        return row_dots(W)[:, None, None] * np.eye(self.dim) + outer - self._Ms[idx]
-
-    def hessians(self, w: Vec) -> np.ndarray:
-        """All task Hessians at one point, shape (n, d, d)."""
-        if self.kind == QUADRATIC:
-            return self._As.copy()
-        base = (w @ w) * np.eye(self.dim) + 2.0 * np.outer(w, w)
-        return base[None, :, :] - self._Ms
+            return X @ self._As[i].T + self._bs[i]
+        nx2 = np.sum(X * X, axis=1, keepdims=True)
+        return nx2 * X - X @ self._Ms[i]
 
     def values_rowwise(self, W: np.ndarray) -> np.ndarray:
         """Value of task i at row W[i], shape (n,)."""
@@ -235,18 +236,21 @@ class TaskFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaskFamily":
-        kind = data["kind"]
+        kind, dim, weights = data["kind"], data["dim"], data.get("weights")
+        if not is_integer(dim):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if kind == QUADRATIC:
             tasks = [
-                QuadraticTask(np.array(t["A"]), np.array(t["b"]), float(t.get("c", 0.0)))
+                QuadraticTask(_numbers(t["A"], "A", 2), _numbers(t["b"], "b", 1),
+                              float(_numbers(t.get("c", 0.0), "c", 0)))
                 for t in data["tasks"]
             ]
         elif kind == RANK1MF:
-            tasks = [MatrixFactorizationTask(np.array(t["g"])) for t in data["tasks"]]
+            tasks = [MatrixFactorizationTask(_numbers(t["g"], "g", 1)) for t in data["tasks"]]
         else:
             raise ValueError(f"unknown family kind {kind!r}")
-        fam = cls(tasks, weights=data.get("weights"))
-        if fam.dim != int(data["dim"]):
+        fam = cls(tasks, weights=None if weights is None else _numbers(weights, "weights", 1))
+        if fam.dim != dim:
             raise ValueError("dim field disagrees with task payloads")
         return fam
 

@@ -84,19 +84,19 @@ def _adapted_outer_draws(
     d = family.dim
     draws = np.zeros((n_mc, d))
     sq = np.zeros(n_mc)
-    for i, task in enumerate(family.tasks):
-        g = task.grad(w)
+    for i, (p, g) in enumerate(zip(family.weights, family.grads(w))):
         if sigma_tilde > 0.0:
             g_in = np.broadcast_to(g, (n_mc, d))
             inner = w - alpha * grad_noise(g_in, D_in, sigma_tilde, rng.child("task", i, "inner"))
         else:
-            # one shared point as a broadcast view: grad_many then
+            # one shared point as a broadcast view: task_grads then
             # computes every row identically, so noiseless draws agree
             # bit for bit with the n_mc = 1 reference in audit_bias
             inner = np.broadcast_to(w - alpha * g, (n_mc, d))
-        go = grad_noise(task.grad_many(inner), D_o, sigma_tilde, rng.child("task", i, "outer"))
-        draws += family.weights[i] * go
-        sq += family.weights[i] * np.einsum("md,md->m", go, go)
+        go = grad_noise(family.task_grads(i, inner), D_o, sigma_tilde,
+                        rng.child("task", i, "outer"))
+        draws += p * go
+        sq += p * np.einsum("md,md->m", go, go)
     return draws, sq
 
 
@@ -250,7 +250,7 @@ def audit_hvp_probe_error(
     nv = probe_norms(dirs)[0]
     delta = probe_delta(profile.rho, alpha, nv, points)
     fd = hvp_finite_diff(family, idx, points, dirs, delta, 1, 0.0, None)
-    err = np.sqrt(row_dots(fd - (family.task_hessians(idx, points) @ dirs[:, :, None])[..., 0]))
+    err = np.sqrt(row_dots(fd - (family.hessians(points, idx) @ dirs[:, :, None])[..., 0]))
     # float_power squares through libm's pow, as float ** 2 does; nv**2 is nv * nv,
     # which rounds differently in about one case in a thousand
     allowed = profile.rho * delta * np.float_power(nv, 2)

@@ -1,5 +1,6 @@
-"""Per-task loss values, for tests that check the task gradients and the
-stacked ``TaskFamily.values_rowwise`` against them."""
+"""Per-task loss values, gradients and Hessians, written out on one task's
+own arrays, for tests that check the stacked ``TaskFamily`` oracles
+against them."""
 
 import numpy as np
 
@@ -13,3 +14,17 @@ def task_value(task, w) -> float:
     # ||xx' - M||_F^2 expands to ||x||^4 - 2 x'Mx + ||M||_F^2.
     nx2 = float(w @ w)
     return 0.25 * (nx2 * nx2 - 2.0 * float(w @ task.M @ w) + float(np.sum(task.M * task.M)))
+
+
+def task_grad(task, w) -> np.ndarray:
+    """grad f(w): A w + b, or (x x' - M) x = ||x||^2 x - M x."""
+    if isinstance(task, QuadraticTask):
+        return task.A @ w + task.b
+    return (w @ w) * w - task.M @ w
+
+
+def task_hess(task, w) -> np.ndarray:
+    """hess f(w): A, or ||x||^2 I + 2 x x' - M."""
+    if isinstance(task, QuadraticTask):
+        return task.A.copy()
+    return (w @ w) * np.eye(task.dim) + 2.0 * np.outer(w, w) - task.M

@@ -126,6 +126,18 @@ class TestGenFamily:
         assert "family.generate.similarity must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-family", "compare"])
+    def test_seed_flag_beyond_int64_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "gen-family":
+            argv = ["gen-family", "--kind", "rank1mf", "--n", "3", "--dim", "2"]
+            key = "family.generate.seed"
+        else:
+            argv, key = ["compare", "--config", str(write_config(tmp_path))], "seeds"
+        assert main(argv + ["--seed", str(2**63), "--out", str(out)]) == 2
+        assert f"{key} must be an integer, got {2**63} (out of range)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, dim", [(0, 5), (5, 0), (5, -1)])
     def test_bad_sizes_are_config_errors(self, tmp_path, capsys, n, dim):
         out = tmp_path / "out"
@@ -346,6 +358,29 @@ class TestExitCodes:
             ("run", {"w0": "abc"}, "w0 must be a list, got 'abc'"),
             ("audit", {"audit": {"select": "bias"}}, "audit.select must be a list, got 'bias'"),
             ("compare", {"family": {"generate": "abc"}}, "family.generate must be an object"),
+            # a number must fit a float and an integer an int64 (seeds are keyed as int64)
+            ("run", {"alpha": 10**400}, "alpha must be a number"),
+            ("audit", {"audit": {"phi": 10**400}}, "audit.phi must be a positive number"),
+            ("run", {"w0": [10**400, 0.0]}, "w0 must be a number"),
+            ("run", {"seeds": [2**63]}, "seeds must be an integer, got 9223372036854775808"),
+            ("run", {"family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2,
+                                             "seed": 2**63}}},
+             "family.generate.seed must be an integer"),
+            # a family payload's numbers follow the same rule
+            ("run", {"family": {"kind": "rank1mf", "dim": 2, "tasks": [{"g": ["0.5", True]}]}},
+             "g must be a list of numbers"),
+            ("run", {"family": {"kind": "rank1mf", "dim": 2, "tasks": [{"g": [0.5, 10**400]}]}},
+             "g must be a list of numbers"),
+            ("run", {"family": {"kind": "rank1mf", "dim": 1, "tasks": [{"g": [1.0]}, {"g": [0.5]}],
+                                "weights": ["0.5", "0.5"]}},
+             "weights must be a list of numbers"),
+            ("run", {"family": {"kind": "quadratic", "dim": 1,
+                                "tasks": [{"A": [[1.0]], "b": [1.0], "c": "2.5"}]}},
+             "c must be a number"),
+            ("run", {"family": {"kind": "rank1mf", "dim": 2.7, "tasks": [{"g": [1.0, 0.5]}]}},
+             "dim must be an integer, got 2.7"),
+            ("run", {"family": {"kind": "rank1mf", "dim": True, "tasks": [{"g": [1.0]}]}},
+             "dim must be an integer, got True"),
         ],
     )
     def test_invalid_scalars_are_config_errors(self, tmp_path, capsys, command, override,

@@ -26,6 +26,7 @@ from metagrad.tasks import (
     random_quadratic_family,
     rank1_mf_family,
 )
+from task_values import task_grad, task_hess
 
 
 def quartic_family():
@@ -64,7 +65,7 @@ def test_inner_step_exact():
     t = make_quad_task(1)
     w = np.random.default_rng(2).normal(size=t.dim)
     out = direction(FOMAML, t, w, 0.05, 0.0, EXACT, BatchSpec(D_in=3), RngStream(0))
-    assert np.allclose(out, t.grad(w - 0.05 * t.grad(w)), atol=1e-14)
+    assert np.allclose(out, task_grad(t, w - 0.05 * task_grad(t, w)), atol=1e-14)
 
 
 def test_maml_direction_exact_quadratic_identity():
@@ -96,9 +97,9 @@ def test_maml_direction_unbiased_given_exact_inner():
     d = 4
     w = np.array([0.6, 0.2, -0.4, 0.1])
     alpha, sigma_tilde, sigma_H, D = 0.05, 1.0, 2.0, 2
-    w_i = w - alpha * task.grad(w)
-    g_wi = task.grad(w_i)
-    h = task.hess(w)
+    w_i = w - alpha * task_grad(task, w)
+    g_wi = task_grad(task, w_i)
+    h = task_hess(task, w)
 
     n = 40_000
     rng = RngStream(77)
@@ -124,7 +125,7 @@ def test_hvp_scalar_quartic_example():
     v = np.array([1.0])
     got = hvp_finite_diff(family, [0], w[None], v[None], np.array([0.5]), 1, 0.0, None)[0]
     assert got[0] == 3.25  # (1.5^3 - 0.5^3) / (2 * 0.5)
-    exact = family.tasks[0].hess(w) @ v
+    exact = task_hess(family.tasks[0], w) @ v
     # the third derivative is at most 9 on the probe interval [0.5, 1.5].
     assert abs(got[0] - exact[0]) <= 9.0 * 0.5 * 1.0
 
@@ -151,7 +152,7 @@ def test_hvp_error_bound_and_shrinks_on_mf():
     w = 0.5 * gen.normal(size=4)
     v = gen.normal(size=4)
     v /= np.linalg.norm(v)
-    exact = task.hess(w) @ v
+    exact = task_hess(task, w) @ v
     errs = []
     for delta in (1e-1, 1e-2, 1e-3):
         got = one_task_hvp(task, w, v, delta)
@@ -191,7 +192,7 @@ def test_hfmaml_within_sixth_of_probe_norm_from_maml():
         w = 0.8 * gen.normal(size=4)
         hf = direction(HFMAML, task, w, alpha, prof.rho, EXACT, batches, RngStream(42).child(i))
         ml = direction(MAML, task, w, alpha, prof.rho, EXACT, batches, RngStream(42).child(i))
-        v = task.grad(w - alpha * task.grad(w))
+        v = task_grad(task, w - alpha * task_grad(task, w))
         assert np.linalg.norm(hf - ml) <= np.linalg.norm(v) / 6.0 + 1e-12
 
 
@@ -217,17 +218,17 @@ def test_direction_replays_documented_streams(algorithm):
         got = direction(algorithm, task, w, alpha, rho, StochasticOracle(st, sH), batches,
                         rng.child(k))
         z_in = st / np.sqrt(d * 2) * standard_normals(rng.child(k, "inner"), d)
-        w_i = w - alpha * (task.grad(w) + z_in)
-        v = task.grad(w_i) + st / np.sqrt(d * 3) * standard_normals(rng.child(k, "outer"), d)
+        w_i = w - alpha * (task_grad(task, w) + z_in)
+        v = task_grad(task, w_i) + st / np.sqrt(d * 3) * standard_normals(rng.child(k, "outer"), d)
         want = v
         if algorithm == MAML:
             raw = standard_normals(rng.child(k, "hess"), (d, d))
             kappa = sH * np.sqrt(2.0 / (5 * d * (d + 1)))
-            want = v - alpha * ((task.hess(w) + kappa * 0.5 * (raw + raw.T)) @ v)
+            want = v - alpha * ((task_hess(task, w) + kappa * 0.5 * (raw + raw.T)) @ v)
         if algorithm == HFMAML:
             delta = 1.0 / (6.0 * (rho * alpha * float(np.linalg.norm(v))))
             z = st / np.sqrt(d * 5) * standard_normals(rng.child(k, "hvp"), d)
-            gp, gm = task.grad(w + delta * v) + z, task.grad(w - delta * v) + z
+            gp, gm = task_grad(task, w + delta * v) + z, task_grad(task, w - delta * v) + z
             want = v - alpha * ((gp - gm) / (2.0 * delta))
         assert np.array_equal(got, want)
 
@@ -237,7 +238,7 @@ def test_hfmaml_below_probe_tolerance_returns_v():
     # ZERO_PROBE_TOL, and the direction is that gradient itself
     task = rank1_mf_family(1, 4, RngStream(82)).tasks[0]
     w, alpha = task.g, 0.05
-    v = task.grad(w - alpha * task.grad(w))
+    v = task_grad(task, w - alpha * task_grad(task, w))
     assert 0.0 < np.linalg.norm(v) <= 1e-12
     got = direction(HFMAML, task, w, alpha, 20.0, EXACT, BatchSpec(), RngStream(0))
     assert np.array_equal(got, v)
@@ -365,13 +366,13 @@ def test_mc_grad_F_hat_draws_replay_documented_streams(monkeypatch, sigma_H):
         for i, task in enumerate(fam.tasks):
             z = sigma_tilde / np.sqrt(d * D) * standard_normals(rng.child("task", i, "test_grad"),
                                                                 (n_mc, d))
-            go = task.grad_many(w - alpha * (task.grad(w) + z))
+            go = fam.task_grads(i, w - alpha * (task_grad(task, w) + z))
             corr = np.zeros((n_mc, d))
             if sigma_H > 0.0:
                 raw = standard_normals(rng.child("task", i, "test_hess"), (n_mc, d, d))
                 kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
                 corr = np.einsum("mij,mj->mi", kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2)), go)
-            want += fam.weights[i] * (go - alpha * (go @ task.hess(w).T + corr))
+            want += fam.weights[i] * (go - alpha * (go @ task_hess(task, w).T + corr))
         for block_rows in (numerics.BLOCK_ROWS, 4):
             monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
             oracle = StochasticOracle(sigma_tilde, sigma_H)

@@ -17,6 +17,7 @@ from metagrad.tasks import (
     TaskFamily,
     rank1_mf_family,
 )
+from task_values import task_grad, task_hess
 
 
 def zero_grad_task(d=4):
@@ -63,7 +64,7 @@ def test_noisy_grad_exact_when_sigma_zero():
     fam, idx = rows_of(task, 1)
     w = np.array([1.0, 1.0])
     out = noisy_grad(fam, idx, w[None], D=1, sigma_tilde=0.0, rng=None)
-    assert np.array_equal(out[0], task.grad(w))
+    assert np.array_equal(out[0], task_grad(task, w))
 
 
 def test_noisy_grad_shared_stream_shares_noise():
@@ -92,7 +93,7 @@ def test_stacked_rows_equal_slots_drawn_alone():
         assert np.array_equal(grads[j], noisy_grad(fam, [i], W[j:j + 1], 3, 0.7, [streams[j]])[0])
         assert np.array_equal(hess[j], noisy_hess(fam, [i], W[j:j + 1], 3, 0.7, [streams[j]])[0])
         z = 0.7 / np.sqrt(3 * 3) * standard_normals(streams[j], 3)
-        assert np.array_equal(grads[j], fam.tasks[i].grad(W[j]) + z)
+        assert np.array_equal(grads[j], task_grad(fam.tasks[i], W[j]) + z)
 
 
 def test_noisy_hess_symmetric_and_energy():
@@ -103,7 +104,7 @@ def test_noisy_hess_symmetric_and_energy():
     root = RngStream(1002)
     h = noisy_hess(fam, idx, np.zeros((n, d)), D=1, sigma_H=1.0,
                    rng=[root.child(i) for i in range(n)])
-    e = h - task.hess(np.zeros(d))
+    e = h - task_hess(task, np.zeros(d))
     assert np.array_equal(e, np.swapaxes(e, 1, 2))
     energies = np.sum(e * e, axis=(1, 2))
     assert energies.mean() == pytest.approx(1.0, rel=0.05)
@@ -116,7 +117,7 @@ def test_noisy_hess_batch_scaling():
     fam, idx = rows_of(task, n)
     root = RngStream(1003)
     h = noisy_hess(fam, idx, np.zeros((n, d)), 4, 1.0, [root.child(i) for i in range(n)])
-    e4 = np.mean(np.sum((h - task.hess(np.zeros(d))) ** 2, axis=(1, 2)))
+    e4 = np.mean(np.sum((h - task_hess(task, np.zeros(d))) ** 2, axis=(1, 2)))
     assert e4 == pytest.approx(0.25, rel=0.05)
 
 
@@ -124,7 +125,7 @@ def test_noisy_hess_exact_when_sigma_zero():
     task = MatrixFactorizationTask(np.array([1.0, -2.0]))
     fam, idx = rows_of(task, 1)
     x = np.array([0.3, 0.7])
-    assert np.array_equal(noisy_hess(fam, idx, x[None], 1, 0.0, None)[0], task.hess(x))
+    assert np.array_equal(noisy_hess(fam, idx, x[None], 1, 0.0, None)[0], task_hess(task, x))
 
 
 def test_oracle_exact_flag_and_validation():

@@ -24,7 +24,7 @@ from metagrad.tasks import (
     random_quadratic_family,
     rank1_mf_family,
 )
-from task_values import task_value
+from task_values import task_grad, task_hess, task_value
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,20 +68,21 @@ def test_quad_grad_matches_finite_differences():
     for seed in range(5):
         t = make_quad(seed)
         x = np.random.default_rng(100 + seed).normal(size=t.dim)
-        assert np.max(np.abs(t.grad(x) - fd_grad(partial(task_value, t), x))) <= 1e-7
+        assert np.max(np.abs(task_grad(t, x) - fd_grad(partial(task_value, t), x))) <= 1e-7
 
 
 def test_quad_hess_is_A():
     t = make_quad(7)
     x = np.ones(t.dim)
-    assert np.array_equal(t.hess(x), t.A)
+    assert np.array_equal(task_hess(t, x), t.A)
 
 
-def test_quad_grad_many_matches_loop():
-    t = make_quad(8)
-    X = np.random.default_rng(9).normal(size=(6, t.dim))
-    loop = np.stack([t.grad(x) for x in X])
-    assert np.max(np.abs(t.grad_many(X) - loop)) <= 1e-13
+def test_quad_task_grads_match_loop():
+    fam = TaskFamily([make_quad(8), make_quad(14)])
+    X = np.random.default_rng(9).normal(size=(6, fam.dim))
+    for i, t in enumerate(fam.tasks):
+        loop = np.stack([task_grad(t, x) for x in X])
+        assert np.max(np.abs(fam.task_grads(i, X) - loop)) <= 1e-13
 
 
 def test_quad_rejects_asymmetric_and_indefinite():
@@ -100,29 +101,30 @@ def test_mf_gradient_matches_finite_differences():
     for seed in range(5):
         t = make_mf(seed)
         x = np.random.default_rng(200 + seed).normal(size=t.dim)
-        assert np.max(np.abs(t.grad(x) - fd_grad(partial(task_value, t), x))) <= 1e-6
+        assert np.max(np.abs(task_grad(t, x) - fd_grad(partial(task_value, t), x))) <= 1e-6
 
 
 def test_mf_hessian_matches_finite_differences():
     for seed in range(5):
         t = make_mf(seed)
         x = np.random.default_rng(300 + seed).normal(size=t.dim)
-        h = t.hess(x)
-        assert np.max(np.abs(h - fd_hess(t.grad, x))) <= 1e-5
+        h = task_hess(t, x)
+        assert np.max(np.abs(h - fd_hess(partial(task_grad, t), x))) <= 1e-5
         assert np.max(np.abs(h - h.T)) <= 1e-12
 
 
 def test_mf_value_at_planted_solution_is_zero():
     t = make_mf(11)
     assert task_value(t, t.g) == pytest.approx(0.0, abs=1e-12)
-    assert np.max(np.abs(t.grad(t.g))) <= 1e-12
+    assert np.max(np.abs(task_grad(t, t.g))) <= 1e-12
 
 
-def test_mf_grad_many_matches_loop():
-    t = make_mf(12)
-    X = np.random.default_rng(13).normal(size=(7, t.dim))
-    loop = np.stack([t.grad(x) for x in X])
-    assert np.max(np.abs(t.grad_many(X) - loop)) <= 1e-12
+def test_mf_task_grads_match_loop():
+    fam = TaskFamily([make_mf(12), make_mf(15)])
+    X = np.random.default_rng(13).normal(size=(7, fam.dim))
+    for i, t in enumerate(fam.tasks):
+        loop = np.stack([task_grad(t, x) for x in X])
+        assert np.max(np.abs(fam.task_grads(i, X) - loop)) <= 1e-12
 
 
 # ---------------------------------------------------------- TaskFamily
@@ -133,19 +135,19 @@ def test_family_vectorized_oracles_match_loops():
     w = np.random.default_rng(22).normal(size=5)
     W = np.random.default_rng(23).normal(size=(6, 5))
 
-    grads_loop = np.stack([t.grad(w) for t in fam.tasks])
+    grads_loop = np.stack([task_grad(t, w) for t in fam.tasks])
     assert np.max(np.abs(fam.grads(w) - grads_loop)) <= 1e-12
 
-    rowwise_loop = np.stack([t.grad(W[i]) for i, t in enumerate(fam.tasks)])
+    rowwise_loop = np.stack([task_grad(t, W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.grads_rowwise(W) - rowwise_loop)) <= 1e-12
 
-    hess_loop = np.stack([t.hess(w) for t in fam.tasks])
+    hess_loop = np.stack([task_hess(t, w) for t in fam.tasks])
     assert np.max(np.abs(fam.hessians(w) - hess_loop)) <= 1e-12
 
     vals_loop = np.array([task_value(t, W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.values_rowwise(W) - vals_loop)) <= 1e-10
 
-    mean_loop = sum(p * t.grad(w) for p, t in zip(fam.weights, fam.tasks))
+    mean_loop = sum(p * task_grad(t, w) for p, t in zip(fam.weights, fam.tasks))
     assert np.max(np.abs(fam.weights @ fam.grads(w) - mean_loop)) <= 1e-12
 
 
@@ -153,8 +155,8 @@ def test_family_quadratic_vectorized_oracles_match_loops():
     fam = random_quadratic_family(5, 4, RngStream(24))
     w = np.random.default_rng(25).normal(size=4)
     W = np.random.default_rng(26).normal(size=(5, 4))
-    assert np.max(np.abs(fam.grads(w) - np.stack([t.grad(w) for t in fam.tasks]))) <= 1e-12
-    rowwise_loop = np.stack([t.grad(W[i]) for i, t in enumerate(fam.tasks)])
+    assert np.max(np.abs(fam.grads(w) - np.stack([task_grad(t, w) for t in fam.tasks]))) <= 1e-12
+    rowwise_loop = np.stack([task_grad(t, W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.grads_rowwise(W) - rowwise_loop)) <= 1e-12
     vals_loop = np.array([task_value(t, W[i]) for i, t in enumerate(fam.tasks)])
     assert np.max(np.abs(fam.values_rowwise(W) - vals_loop)) <= 1e-10
@@ -171,30 +173,56 @@ def test_family_quadratic_vectorized_oracles_match_loops():
     ids=["mf-20x5", "mf-9x1", "quad-20x5", "quad-6x17"],
 )
 def test_task_grads_rowwise_is_task_grad_bit_for_bit(family):
-    # the stacked slot estimator relies on all of these being exact, for
-    # every task in order (a slice) and for a gather of sampled slots
+    # the stacked slot estimator and the Monte Carlo sweeps rely on grads
+    # and hessians being exact at one point and at one point per row, for
+    # every task in order (the default slice), a strided slice and a gather
+    # of sampled slots
     rng = np.random.default_rng(27)
     n, d = family.n_tasks, family.dim
+
+    def check(X, idx=None):  # None: every task through the default idx
+        args = (X,) if idx is None else (X, idx)
+        tasks = family.tasks if idx is None else [family.tasks[i] for i in np.arange(n)[idx]]
+        points = np.broadcast_to(X, (len(tasks), d))
+        grads, hessians = family.grads(*args), family.hessians(*args)
+        assert grads.shape == (len(tasks), d) and hessians.shape == (len(tasks), d, d)
+        V = rng.normal(size=(len(tasks), d))
+        hv = (hessians @ V[:, :, None])[..., 0]
+        for j, (t, x) in enumerate(zip(tasks, points)):
+            assert np.array_equal(grads[j], task_grad(t, x))
+            assert np.array_equal(hessians[j], task_hess(t, x))
+            assert np.array_equal(hv[j], task_hess(t, x) @ V[j])
+
     for _ in range(100):
         scale = rng.uniform(0.1, 3.0)
         W = scale * rng.normal(size=(n, d))
         w = scale * rng.normal(size=d)
-        rowwise, grads = family.task_grads_rowwise(slice(None), W), family.grads(w)
-        hessians = family.task_hessians(slice(None), W)
-        for i, t in enumerate(family.tasks):
-            assert np.array_equal(rowwise[i], t.grad(W[i]))
-            assert np.array_equal(grads[i], t.grad(w))
-            assert np.array_equal(hessians[i], t.hess(W[i]))
         idx = rng.integers(0, n, size=rng.integers(1, 12))
-        at_w = np.broadcast_to(w, (idx.size, d))
-        gathered = family.task_grads_rowwise(idx, at_w)
-        hessians = family.task_hessians(idx, at_w)
-        V = rng.normal(size=(idx.size, d))
-        hv = (hessians @ V[:, :, None])[..., 0]
-        for j, i in enumerate(idx):
-            assert np.array_equal(gathered[j], family.tasks[i].grad(w))
-            assert np.array_equal(hessians[j], family.tasks[i].hess(w))
-            assert np.array_equal(hv[j], family.tasks[i].hess(w) @ V[j])
+        check(W)
+        check(w)
+        check(W[1::2], slice(1, None, 2))
+        check(w, idx)
+        check(np.broadcast_to(w, (idx.size, d)), idx)
+        check(scale * rng.normal(size=(idx.size, d)), idx)
+
+
+@pytest.mark.parametrize("family", [rank1_mf_family(3, 2, RngStream(105)),
+                                    random_quadratic_family(3, 2, RngStream(106))],
+                         ids=["mf", "quad"])
+def test_family_arrays_are_read_only(family):
+    # the oracles hand out views of the stacks (a quadratic's Hessians are
+    # the stacked matrices), so no caller may write through them
+    stacks = ["_As", "_bs", "_cs"] if family.kind == QUADRATIC else ["_Ms", "_m2"]
+    for name in ["weights", "cum_weights", *stacks]:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(family, name)[0] = 1.0
+    h = family.hessians(np.ones(family.dim))
+    if family.kind == QUADRATIC:
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0, 0] = 1.0
+    weights = np.full(3, 1.0 / 3.0)
+    TaskFamily(family.tasks, weights)
+    weights[0] = 0.5  # the caller's array is copied, not frozen
 
 
 def test_family_validation():
@@ -320,10 +348,10 @@ def test_local_smoothness_mf_dominates_fresh_samples():
     pts = center + (radius * gen.random(100) ** 0.25)[:, None] * dirs
     for p in pts:
         for t in fam.tasks:
-            assert spectral_norm(t.hess(p)) <= prof.L + 1e-9
+            assert spectral_norm(task_hess(t, p)) <= prof.L + 1e-9
         mean = fam.weights @ fam.grads(p)
         for t in fam.tasks:
-            assert np.linalg.norm(t.grad(p) - mean) <= prof.sigma + 1e-9
+            assert np.linalg.norm(task_grad(t, p) - mean) <= prof.sigma + 1e-9
 
     # 100 fresh pairs for the rho audit.
     dirs2 = gen.normal(size=(100, 4))
@@ -331,7 +359,7 @@ def test_local_smoothness_mf_dominates_fresh_samples():
     pts2 = center + (radius * gen.random(100) ** 0.25)[:, None] * dirs2
     for p, q in zip(pts, pts2):
         for t in fam.tasks:
-            ratio = spectral_norm(t.hess(p) - t.hess(q)) / np.linalg.norm(p - q)
+            ratio = spectral_norm(task_hess(t, p) - task_hess(t, q)) / np.linalg.norm(p - q)
             assert ratio <= prof.rho + 1e-9
 
 
@@ -348,11 +376,11 @@ def per_task_local_smoothness(family, center, radius):
     pair_sets = [(points[:-1], points[1:]), (points, tight), (radial_lo, radial_hi)]
     hess_sup = ratio_sup = 0.0
     for task in family.tasks:
-        h_pts = np.stack([task.hess(p) for p in points])
+        h_pts = np.stack([task_hess(task, p) for p in points])
         hess_sup = max(hess_sup, float(np.max(spectral_norms(h_pts))))
         for xs, ys in pair_sets:
-            hx = np.stack([task.hess(p) for p in xs])
-            hy = np.stack([task.hess(p) for p in ys])
+            hx = np.stack([task_hess(task, p) for p in xs])
+            hy = np.stack([task_hess(task, p) for p in ys])
             num = spectral_norms(hx - hy)
             den = np.linalg.norm(xs - ys, axis=1)
             ratio_sup = max(ratio_sup, float(np.max(num / den)))

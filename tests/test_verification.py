@@ -30,6 +30,7 @@ from metagrad.verification import (
     audit_smoothness_ratio,
     audit_stepsize_moments,
 )
+from task_values import task_grad, task_hess
 
 
 def mf_setup(seed=0, n=4, d=3, sigma_tilde=1.0, sigma_H=0.0, radius=1.5):
@@ -84,7 +85,7 @@ class TestAdaptedOuterDraws:
         for i, task in enumerate(family.tasks):
             z_in = s_in * standard_normals(rng.child("task", i, "inner"), (6, d))
             z_out = s_out * standard_normals(rng.child("task", i, "outer"), (6, d))
-            go = task.grad_many(w - alpha * (task.grad(w) + z_in)) + z_out
+            go = family.task_grads(i, w - alpha * (task_grad(task, w) + z_in)) + z_out
             want += family.weights[i] * go
             want_sq += family.weights[i] * (go * go).sum(axis=1)
         assert np.allclose(draws, want, atol=1e-15)
@@ -209,8 +210,8 @@ class TestProbeErrorAudit:
             task, w, v = family.tasks[j % family.n_tasks], points[j], dirs[j]
             base = profile.rho * alpha * float(np.linalg.norm(v))
             delta = 1.0 / (6.0 * base) if base > 0.0 else 1e-3 * (1.0 + float(np.linalg.norm(w)))
-            fd = (task.grad(w + delta * v) - task.grad(w - delta * v)) / (2.0 * delta)
-            err = np.linalg.norm(fd - task.hess(w) @ v)
+            fd = (task_grad(task, w + delta * v) - task_grad(task, w - delta * v)) / (2.0 * delta)
+            err = np.linalg.norm(fd - task_hess(task, w) @ v)
             worst = max(worst, float(err / (profile.rho * delta * float(np.linalg.norm(v)) ** 2)))
         assert got.measured == worst
 
