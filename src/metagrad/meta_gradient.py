@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, row_blocks, row_dots
+from .numerics import Mat, NormalRows, RngStream, Vec, row_blocks, row_dots
 from .stochastic import (
     HESS,
     INNER,
     OUTER,
     PROBE,
     BatchSpec,
-    RowBlock,
     StochasticOracle,
     Streams,
     grad_noise,
@@ -205,7 +204,7 @@ def mc_grad_F_hat_draws(
     Row m is the weighted task sweep under the m-th independent noise
     realization; the mean over rows is the Monte Carlo estimate and the
     row dispersion yields its standard error.  The (n_mc, d, d) Hessian
-    noise is drawn and contracted in windows of ``numerics.BLOCK_ROWS``
+    noise is read forward and contracted in windows of ``numerics.BLOCK_ROWS``
     rows, each equal bit for bit to those rows of the whole draw, so
     memory is O(n_mc * d + BLOCK_ROWS * d^2).  The (n_mc, d) products
     stay whole: BLAS may round a row differently by where it falls in a
@@ -234,9 +233,9 @@ def mc_grad_F_hat_draws(
         g_in = grad_noise(g, D_test, oracle.sigma_tilde, rng.child("task", i, "test_grad"))
         go = family.task_grads(i, w - alpha * g_in)  # exact outer gradient, (n_mc, d)
         corr = go @ h.T
-        hess_rng = rng.child("task", i, "test_hess")
+        hess_rows = NormalRows(rng.child("task", i, "test_hess"), (n_mc, d, d))
         for r0, r1 in row_blocks(n_mc):
-            e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, RowBlock(hess_rng, n_mc, r0))
+            e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, hess_rows)
             corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
         draws += p * (go - alpha * corr)
     return draws

@@ -17,16 +17,15 @@ words change; its buffer and carry state are reset on every draw.  A
 stack of draws on a list of streams takes one ``uniforms`` call per
 stream and one Box-Muller pass.
 
-A bulk draw can also be taken in row windows: ``uniform_window`` and
-``normal_window`` return rows [r0, r1) of ``uniforms(rng, shape)`` and
-``standard_normals(rng, shape)`` bit for bit, drawing only the words the
-window needs.  Philox makes its words in 4-word blocks, block b from
-counter b, so a window starts the generator at the block holding its
-first word and drops the words before it.  A normal window takes its
-radii and its angles from two such uniform windows, the second offset by
-the full draw's pair count.  ``row_blocks`` splits n rows into windows
-of at most ``BLOCK_ROWS`` rows, which bounds a bulk sampler's memory
-whatever its sample count.
+A bulk draw can also be read forward in row windows: successive
+``take(k)`` calls on a ``NormalRows(rng, shape)`` reader return the next
+k rows of ``standard_normals(rng, shape)`` bit for bit, and successive
+``random`` calls on the stream's own ``generator()`` the next rows of
+``uniforms(rng, shape)``.  A reader is the one cursor here: one sampler
+call holds it for one draw, and every other draw stays a value of
+(seed, path).  ``row_blocks`` splits n rows into windows of at most
+``BLOCK_ROWS`` rows, which bounds a bulk sampler's memory whatever its
+sample count.
 """
 
 from __future__ import annotations
@@ -107,27 +106,22 @@ _BITS = np.random.Philox(key=0)
 _GEN = np.random.Generator(_BITS)
 _KEY_WORDS = struct.Struct("<QQ")  # the key's low 64-bit word first, as Philox(key=...) splits it
 _PHILOX = {"counter": (0, 0, 0, 0), "key": (0, 0)}
-_WORDS_PER_BLOCK = 4  # 64-bit words per Philox4x64 block; a double is one word
 _STATE = {"bit_generator": "Philox", "state": _PHILOX, "buffer": (0, 0, 0, 0),
           "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _borrowed_generator(rng: RngStream, block: int = 0) -> np.random.Generator:
-    """The module's one generator, repointed at block `block` of the stream.
+def _borrowed_generator(rng: RngStream) -> np.random.Generator:
+    """The module's one generator, rewound to the start of the stream.
 
     Constructing a keyed Philox costs more than the small draws made in
     the hot loops, so a single bit generator is rewound by assigning one
     reused state dict of Python ints (numpy arrays make the setter's reads
-    slow) in which only the key words and the counter change: the buffer
-    and 32-bit carry restart as a fresh Philox's on every call, and the
-    counter is `block`, 0 for every draw but a window's.  Philox advances
-    its counter before it makes a block, so counter b yields block b of
-    the stream next; at block 0 the draws are identical to generator()'s.
-    The returned object is only valid until the next call; callers must
-    finish drawing before returning.
+    slow) in which only the key words change: the counter, buffer and
+    32-bit carry restart as a fresh Philox's on every call, so the draws
+    are identical to generator()'s.  The returned object is only valid
+    until the next call; callers must finish drawing before returning.
     """
     _PHILOX["key"] = _KEY_WORDS.unpack(blake2b(rng._encoded, digest_size=16).digest())
-    _PHILOX["counter"] = (block, 0, 0, 0)
     _BITS.state = _STATE
     return _GEN
 
@@ -174,6 +168,43 @@ def standard_normal_rows(streams: list[RngStream], shape: int | tuple[int, ...])
     return _box_muller(u, n).reshape((len(streams),) + shape)
 
 
+class NormalRows:
+    """A forward reader of ``standard_normals(rng, shape)``: each ``take(k)``
+    returns the draw's next k rows bit for bit.
+
+    The full draw's P pairs take their radii from words [0, P) of the
+    stream and their angles from words [P, 2P), so the reader draws them on
+    two private generators, the second started at word P.  Philox makes
+    words 4c to 4c + 3 from counter c, so that generator starts at counter
+    P // 4 and drops P % 4 words.  A window that ends inside a pair keeps
+    the pair's second normal for the next window.
+    """
+
+    def __init__(self, rng: RngStream, shape: int | tuple[int, ...]):
+        shape, n = _normal_shape(shape)
+        self._left, self._row, self._m = shape[0] if shape else 0, shape[1:], math.prod(shape[1:])
+        pairs, key = (n + 1) // 2, rng._key()
+        self._radii = np.random.Generator(np.random.Philox(key=key))
+        angles = np.random.Philox(key=key, counter=pairs // 4)
+        angles.random_raw(pairs % 4)
+        self._angles = np.random.Generator(angles)
+        self._spare = np.empty(0)  # the second normal of a pair split by the last window
+
+    def take(self, k: int) -> np.ndarray:
+        """The draw's next k rows, shape (k,) + shape[1:]."""
+        if not 0 <= k <= self._left:
+            raise ValueError(f"{k} rows asked of a draw with {self._left} rows left")
+        self._left -= k
+        n = k * self._m
+        p = (n - self._spare.size + 1) // 2  # the pairs this window opens
+        u = np.empty(2 * p)
+        self._radii.random(out=u[:p])
+        self._angles.random(out=u[p:])
+        z = np.concatenate([self._spare, _box_muller(u, 2 * p)])
+        self._spare = z[n:].copy()  # a copy: a view would keep the whole window alive
+        return z[:n].reshape((k,) + self._row)
+
+
 BLOCK_ROWS = 1024  # rows per window of a bulk draw taken in blocks
 
 
@@ -181,46 +212,6 @@ def row_blocks(n: int) -> Iterator[tuple[int, int]]:
     """(r0, r1) windows of at most BLOCK_ROWS rows covering rows [0, n) in order."""
     for r0 in range(0, n, BLOCK_ROWS):
         yield r0, min(n, r0 + BLOCK_ROWS)
-
-
-def _window(shape, r0: int, r1: int) -> tuple[tuple[int, ...], int, int]:
-    """The shape of rows [r0, r1) of a draw of the given shape, its entries
-    per row, and the full draw's number of entries."""
-    shape, n = _normal_shape(shape)
-    if not (shape and 0 <= r0 <= r1 <= shape[0]):
-        raise ValueError(f"rows [{r0}, {r1}) are not a window of shape {shape}")
-    return (r1 - r0,) + shape[1:], math.prod(shape[1:]), n
-
-
-def _uniform_words(rng: RngStream, start: int, count: int) -> np.ndarray:
-    """Words [start, start + count) of the stream's uniforms, as doubles."""
-    block, skip = divmod(start, _WORDS_PER_BLOCK)
-    gen = _borrowed_generator(rng, block)
-    if skip:
-        _BITS.random_raw(skip)
-    return gen.random(count)
-
-
-def uniform_window(rng: RngStream, shape: int | tuple[int, ...], r0: int, r1: int) -> np.ndarray:
-    """Rows [r0, r1) of ``uniforms(rng, shape)`` bit for bit, without drawing
-    the rows before or after them."""
-    out_shape, m, _ = _window(shape, r0, r1)
-    return _uniform_words(rng, r0 * m, (r1 - r0) * m).reshape(out_shape)
-
-
-def normal_window(rng: RngStream, shape: int | tuple[int, ...], r0: int, r1: int) -> np.ndarray:
-    """Rows [r0, r1) of ``standard_normals(rng, shape)`` bit for bit.
-
-    The full draw's P pairs take their radii from uniforms [0, P) and their
-    angles from [P, 2P); entries [lo, hi) need pairs [lo // 2, ceil(hi / 2)),
-    so a window draws those two ranges alone.  A window that starts or ends
-    inside a pair computes the whole pair and drops its other half.
-    """
-    out_shape, m, n = _window(shape, r0, r1)
-    lo, hi, pairs = r0 * m, r1 * m, (n + 1) // 2
-    a, b = lo // 2, (hi + 1) // 2
-    u = np.concatenate([_uniform_words(rng, a, b - a), _uniform_words(rng, pairs + a, b - a)])
-    return _box_muller(u, 2 * (b - a))[lo - 2 * a:hi - 2 * a].reshape(out_shape)
 
 
 def row_dots(X: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig
-from .numerics import RngStream, Vec, row_blocks, row_dots
-from .stochastic import STEPSIZE, TASKS, RowBlock, grad_noise, noisy_grad, sample_task_batch
+from .numerics import NormalRows, RngStream, Vec, row_blocks, row_dots
+from .stochastic import STEPSIZE, TASKS, grad_noise, noisy_grad, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
 # Fractions of beta_tilde each algorithm may take per iteration, and the
@@ -168,20 +168,21 @@ def sample_beta_tilde(
     task sampling, same noise law), batched so moment audits with 1e5
     samples stay fast.  Draw r's tasks are row r of an (n, B') uniform
     draw on the TASKS stream and its noise row r of an (n, B', d) normal
-    draw on the STEPSIZE stream.  The rows are taken in windows of
-    ``numerics.BLOCK_ROWS``, each equal bit for bit to those rows of the
-    whole draw, so memory is O(BLOCK_ROWS * B' * d) plus the (n,) output.
+    draw on the STEPSIZE stream.  Both are read forward in windows of
+    ``numerics.BLOCK_ROWS`` rows, each equal bit for bit to those rows of
+    the whole draw, so memory is O(BLOCK_ROWS * B' * d) plus the (n,) output.
     """
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
     coeff = 2.0 * profile.rho * alpha
     if coeff == 0.0:
         return np.full(n, 0.25 / profile.L)
     grads = family.grads(w)
-    tasks, noise = rng.child(TASKS), rng.child(STEPSIZE)
+    tasks = rng.child(TASKS).generator()
+    noise = NormalRows(rng.child(STEPSIZE), (n, B_prime, family.dim))
     norms = np.empty(n)
     for r0, r1 in row_blocks(n):
-        idx = sample_task_batch(family, (r1 - r0, B_prime), RowBlock(tasks, n, r0))
-        sel = grad_noise(grads[idx], D_beta, profile.sigma_tilde, RowBlock(noise, n, r0))
+        idx = sample_task_batch(family, (r1 - r0, B_prime), tasks)
+        sel = grad_noise(grads[idx], D_beta, profile.sigma_tilde, noise)
         norms[r0:r1] = np.linalg.norm(sel, axis=2).mean(axis=1)
     return 1.0 / (4.0 * profile.L + coeff * norms)
 

@@ -17,10 +17,11 @@ and ``noisy_hess`` and the vectorized audit and stepsize samplers all
 call them.  A stack is drawn either in one draw on one stream, or on a
 list of streams, row j on the j-th (the slots of an optimizer step, each
 on its own stream): one ``uniforms`` call per stream, one Box-Muller pass
-over the stack.  The bulk Monte Carlo samplers take their one-stream
-draws in windows of rows, a ``RowBlock`` at a time, so their memory is
-bounded by ``numerics.BLOCK_ROWS`` rows and not by the sample count; a
-window's rows are those rows of the whole draw bit for bit.
+over the stack.  The bulk Monte Carlo samplers read their one-stream
+draws forward in windows of rows, normals from a ``numerics.NormalRows``
+reader and task indices from the stream's own generator, so their memory
+is bounded by ``numerics.BLOCK_ROWS`` rows and not by the sample count;
+a window's rows are those rows of the whole draw bit for bit.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
@@ -32,18 +33,10 @@ the same streams to both calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (
-    RngStream,
-    normal_window,
-    standard_normal_rows,
-    standard_normals,
-    uniform_window,
-    uniforms,
-)
+from .numerics import NormalRows, RngStream, standard_normal_rows, standard_normals, uniforms
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -79,30 +72,17 @@ class BatchSpec:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-class RowBlock(NamedTuple):  # a tuple class: a dataclass costs about 1 ms more to import
-    """Rows [start, start + k) of an n-row draw on stream, k being the
-    leading dimension of the shape drawn from it."""
-
-    stream: RngStream
-    n: int
-    start: int
-
-    def window(self, shape: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-        """The whole draw's shape and the rows a block of this shape takes."""
-        return (self.n,) + tuple(shape[1:]), self.start, self.start + shape[0]
-
-
-Streams = RngStream | RowBlock | list[RngStream] | None
+Streams = RngStream | NormalRows | list[RngStream] | None
 
 
 def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of the given shape: one draw on one stream, a window
-    of one, or row j on rng[j] of a list, one ``uniforms`` call per stream,
-    one Box-Muller pass."""
+    """Standard normals of the given shape: one draw on one stream, the next
+    shape[0] rows of a reader, or row j on rng[j] of a list, one ``uniforms``
+    call per stream, one Box-Muller pass."""
     if isinstance(rng, RngStream):
         return standard_normals(rng, shape)
-    if isinstance(rng, RowBlock):
-        return normal_window(rng.stream, *rng.window(shape))
+    if isinstance(rng, NormalRows):
+        return rng.take(shape[0])
     return standard_normal_rows(rng, shape[1:])
 
 
@@ -171,15 +151,13 @@ class StochasticOracle:
 
 
 def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
-                      rng: RngStream | RowBlock) -> np.ndarray:
+                      rng: RngStream | np.random.Generator) -> np.ndarray:
     """Task indices of the given shape, i.i.d. from the family weights by
-    inverse CDF on the uniforms of rng (a stream, or a window of one)."""
+    inverse CDF on the uniforms of rng: a stream, or a generator read
+    forward (a stream's own, for the next rows of one draw on it)."""
     if isinstance(shape, int):
         shape = (shape,)
     if min(shape) < 1:
         raise ValueError(f"batch shape must be positive, got {shape}")
-    if isinstance(rng, RowBlock):
-        u = uniform_window(rng.stream, *rng.window(shape))
-    else:
-        u = uniforms(rng, shape)
+    u = uniforms(rng, shape) if isinstance(rng, RngStream) else rng.random(shape)
     return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

@@ -37,9 +37,19 @@ QUADRATIC = "quadratic"
 RANK1MF = "rank1mf"
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of a."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(eq=False)
 class QuadraticTask:
-    """f(w) = 0.5 w'Aw + b'w + c with A symmetric positive definite."""
+    """f(w) = 0.5 w'Aw + b'w + c with A symmetric positive definite.
+
+    A and b are read-only copies of the arrays given, so a task stays the
+    one that was validated."""
 
     kind = QUADRATIC
     A: Mat
@@ -47,8 +57,7 @@ class QuadraticTask:
     c: float = 0.0
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+        self.A, self.b = _frozen(self.A), _frozen(self.b)
         d = self.b.shape[0]
         if self.A.shape != (d, d):
             raise ValueError(f"A has shape {self.A.shape}, expected {(d, d)}")
@@ -66,18 +75,20 @@ class QuadraticTask:
 
 @dataclass(eq=False)
 class MatrixFactorizationTask:
-    """f(x) = 0.25 ||x x' - g g'||_F^2, the planted rank-1 recovery loss."""
+    """f(x) = 0.25 ||x x' - g g'||_F^2, the planted rank-1 recovery loss.
+
+    g is a read-only copy of the vector given, and M = g g' is read-only."""
 
     kind = RANK1MF
     g: Vec
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
+        self.g = _frozen(self.g)
         if self.g.ndim != 1:
             raise ValueError("g must be a vector")
         if not np.isfinite(self.g).all():
             raise ValueError("g must be finite")
-        self.M = np.outer(self.g, self.g)
+        self.M = _frozen(np.outer(self.g, self.g))
 
     @property
     def dim(self) -> int:

@@ -355,13 +355,16 @@ def test_mc_grad_F_hat_draws_replay_documented_streams(monkeypatch, sigma_H):
     # white box: rebuild every row from the per-task streams
     # ("task", i, "test_grad") and ("task", i, "test_hess") with the noise
     # scales written out; sigma_H = 0 must add no Hessian term at all.
-    # Both family kinds, drawn in one block and in 4-row blocks: 3 windows
-    # of which the last has one row.
-    w = 0.3 * np.random.default_rng(68).normal(size=4)
+    # Both family kinds, drawn in one block, in 4-row blocks (3 windows of
+    # which the last has one row) and in 3-row blocks; at d = 3 a 3-row
+    # window holds 27 normals, so the first ends inside a Box-Muller pair
+    # and the next opens on its second normal.
     alpha, D, n_mc, sigma_tilde = 0.05, 3, 9, 0.8
     rng = RngStream(69)
-    for fam in (rank1_mf_family(3, 4, RngStream(67)), random_quadratic_family(3, 4, RngStream(67))):
+    for fam in (rank1_mf_family(3, 4, RngStream(67)), random_quadratic_family(3, 4, RngStream(67)),
+                rank1_mf_family(2, 3, RngStream(70))):
         d = fam.dim
+        w = 0.3 * np.random.default_rng(68).normal(size=d)
         want = np.zeros((n_mc, d))
         for i, task in enumerate(fam.tasks):
             z = sigma_tilde / np.sqrt(d * D) * standard_normals(rng.child("task", i, "test_grad"),
@@ -373,11 +376,11 @@ def test_mc_grad_F_hat_draws_replay_documented_streams(monkeypatch, sigma_H):
                 kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
                 corr = np.einsum("mij,mj->mi", kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2)), go)
             want += fam.weights[i] * (go - alpha * (go @ task_hess(task, w).T + corr))
-        for block_rows in (numerics.BLOCK_ROWS, 4):
+        for block_rows in (numerics.BLOCK_ROWS, 4, 3):
             monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
             oracle = StochasticOracle(sigma_tilde, sigma_H)
             got = mc_grad_F_hat_draws(fam, w, alpha, D, n_mc, oracle, rng)
-            assert np.array_equal(got, want), (fam.kind, block_rows)
+            assert np.array_equal(got, want), (fam.kind, d, block_rows)
 
 
 # -------------------------------------------------------------- dispatch

@@ -5,13 +5,12 @@ import pytest
 
 from metagrad import numerics
 from metagrad.numerics import (
+    NormalRows,
     RngStream,
-    normal_window,
     row_blocks,
     spectral_norm,
     standard_normal_rows,
     standard_normals,
-    uniform_window,
     uniforms,
 )
 
@@ -300,55 +299,79 @@ def test_draws_match_materialized_generator():
 
 # ---------------------------------------------------------------- windows
 
-# (shape, row windows): row sizes 1 and 3 put window starts off the 4-word
-# Philox blocks and on odd entries, where a window splits a Box-Muller pair;
-# 7 and 5 x 3 x 3 have odd totals, so a window can end on the unpaired normal.
+# (shape, splits into consecutive windows of rows): row sizes 1 and 3 and
+# odd totals end windows inside a Box-Muller pair, so the next window opens
+# on the pair's second normal, and on the unpaired last normal; a zero-row
+# window reads nothing.  Each shape is also split at random.
 WINDOW_CASES = [
-    ((7,), [(0, 7), (1, 2), (1, 6), (2, 7), (3, 4), (5, 7), (6, 7), (4, 4)]),
-    ((9, 3), [(0, 9), (1, 2), (1, 8), (3, 9), (5, 6), (8, 9), (0, 0), (9, 9)]),
-    ((5, 3, 3), [(0, 5), (1, 4), (2, 5), (3, 4), (4, 5), (2, 2)]),
-    ((12, 4), [(0, 1), (1, 3), (3, 12), (11, 12), (6, 6)]),
-    ((1,), [(0, 1), (0, 0), (1, 1)]),
+    ((7,), [[7], [1, 2, 4], [3, 0, 3, 1], [1] * 7]),
+    ((9, 3), [[9], [1, 1, 5, 2], [0, 3, 0, 6], [1] * 9]),
+    ((5, 3, 3), [[5], [1, 1, 3], [2, 0, 2, 1], [1] * 5]),
+    ((12, 4), [[12], [1, 2, 9], [11, 1], [6, 0, 6]]),
+    ((1,), [[1], [0, 1, 0]]),
+    ((5, 0), [[5], [1, 3, 0, 1]]),
 ]
+
+
+def random_split(gen, n):
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(gen.integers(0, 5)), n - sum(sizes)))
+    return sizes
 
 
 @pytest.mark.parametrize("shape, windows", WINDOW_CASES)
 def test_windows_equal_slices_of_the_whole_draw(shape, windows):
+    # read forward, a NormalRows reader and the stream's own generator give
+    # the rows of standard_normals and uniforms on the stream, bit for bit
+    gen = np.random.default_rng(22)
     for k in range(8):
         stream = RngStream(18).child("window", k)
         u, z = uniforms(stream, shape), standard_normals(stream, shape)
-        for r0, r1 in windows:
-            got_u = uniform_window(stream, shape, r0, r1)
-            got_z = normal_window(stream, shape, r0, r1)
-            assert got_u.shape == got_z.shape == (r1 - r0,) + shape[1:]
-            assert np.array_equal(got_u, u[r0:r1]), (r0, r1)
-            assert np.array_equal(got_z, z[r0:r1]), (r0, r1)
+        for sizes in windows + [random_split(gen, shape[0]) for _ in range(4)]:
+            rows, own = NormalRows(stream, shape), stream.generator()
+            r0 = 0
+            for size in sizes:
+                got_z, got_u = rows.take(size), own.random((size,) + shape[1:])
+                assert got_z.shape == got_u.shape == (size,) + shape[1:]
+                assert np.array_equal(got_z, z[r0:r0 + size]), (sizes, r0)
+                assert np.array_equal(got_u, u[r0:r0 + size]), (sizes, r0)
+                r0 += size
+            assert r0 == shape[0]
 
 
 def test_windows_leave_the_next_draw_fresh():
-    # a window starts the shared Philox past block 0; the next ordinary draw,
-    # on any stream, must start as a freshly materialized generator does
+    # a reader draws on generators of its own: draws on other streams, and
+    # on its own, between its windows neither move it nor are moved by it,
+    # and the shared Philox always starts at counter 0
     s = RngStream(19).child("window")
     streams = [s, RngStream(19).child("next"), RngStream(20)]
-    for r0 in (1, 2, 5, 9):
+    shape = (40, 3)
+    z, u = standard_normals(s, shape), uniforms(s, shape)
+    rows, own = NormalRows(s, shape), s.generator()
+    for r0 in range(0, 40, 5):  # 15 entries a window: every other one splits a pair
+        assert np.array_equal(rows.take(5), z[r0:r0 + 5])
         for t in streams:
-            uniform_window(s, (40, 3), r0, r0 + 3)
             assert np.array_equal(uniforms(t, 6), t.generator().random(6))
-            normal_window(s, (40, 3), r0, r0 + 1)
-            want = numerics._box_muller(t.generator().random(6), 6)
-            assert np.array_equal(standard_normals(t, 6), want)
+            want = numerics._box_muller(t.generator().random(6), 5)
+            assert np.array_equal(standard_normals(t, 5), want)
+            assert np.array_equal(standard_normal_rows([t, s], 5)[0], want)
+            assert numerics._PHILOX["counter"] == (0, 0, 0, 0)
+        assert np.array_equal(own.random((5, 3)), u[r0:r0 + 5])
     for seed, path, key in PINNED_KEYS:
         assert RngStream(seed, path)._key() == key
 
 
 def test_window_edges():
-    stream = RngStream(21)
-    for bad in [(-1, 2), (2, 1), (0, 6)]:
+    rows = NormalRows(RngStream(21), (5, 2))
+    for bad in (-1, 6):
         with pytest.raises(ValueError):
-            uniform_window(stream, (5, 2), *bad)
-        with pytest.raises(ValueError):
-            normal_window(stream, (5, 2), *bad)
-    assert normal_window(stream, (5, 0), 1, 4).shape == (3, 0)
+            rows.take(bad)
+    rows.take(4)
+    with pytest.raises(ValueError):
+        rows.take(2)
+    assert rows.take(1).shape == (1, 2) and rows.take(0).shape == (0, 2)
+    assert NormalRows(RngStream(21), (5, 0)).take(3).shape == (3, 0)
     assert list(row_blocks(0)) == []
     blocks = list(row_blocks(3 * numerics.BLOCK_ROWS + 1))
     assert [r1 - r0 for r0, r1 in blocks] == [numerics.BLOCK_ROWS] * 3 + [1]

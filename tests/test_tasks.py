@@ -225,6 +225,24 @@ def test_family_arrays_are_read_only(family):
     weights[0] = 0.5  # the caller's array is copied, not frozen
 
 
+def test_task_arrays_are_read_only_copies():
+    # a task keeps the data it validated: writes through it raise, writes to
+    # the caller's arrays do not reach it, and its JSON says what it holds
+    A, b, g = np.diag([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.3, 0.4])
+    quad, mf = QuadraticTask(A, b, 0.25), MatrixFactorizationTask(g)
+    for arr in (quad.A, quad.b, mf.g, mf.M):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] += 1.0
+    A[0, 0], b[0], g[0] = 5.0, 7.0, 9.0
+    assert quad.A[0, 0] == 1.0 and quad.b[0] == 0.5 and mf.g[0] == 0.3 and mf.M[0, 0] == 0.09
+    w = np.array([0.7, -0.2])
+    for task in (quad, mf):
+        fam = TaskFamily([task])
+        back = TaskFamily.from_json(fam.to_json())
+        assert back.to_json() == fam.to_json()
+        assert np.array_equal(back.grads(w), fam.grads(w))
+
+
 def test_family_validation():
     t = make_quad(30, d=3)
     with pytest.raises(ValueError):
