@@ -172,21 +172,17 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(path: str | None, args) -> tuple[dict, Path]:
-    """Resolve the experiment config: file, CLI overrides, defaults."""
-    if path is None:
-        given, config_dir = {}, Path.cwd()
-    else:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            given = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-        if not isinstance(given, dict):
-            raise ConfigError("config root must be a JSON object")
-        config_dir = p.parent
+def load_config(path: str, args) -> tuple[dict, Path]:
+    """Resolve the experiment config: file, the overrides args carries, defaults."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        given = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config is not valid JSON: {e}") from e
+    if not isinstance(given, dict):
+        raise ConfigError("config root must be a JSON object")
     if getattr(args, "seed", None) is not None:
         given["seeds"] = [args.seed]
     if getattr(args, "algorithms", None):
@@ -195,7 +191,7 @@ def load_config(path: str | None, args) -> tuple[dict, Path]:
         given["max_iters"] = args.max_iters
     resolved = _merge(CONFIG_DEFAULTS, given)
     validate_resolved(resolved)
-    return resolved, config_dir
+    return resolved, p.parent
 
 
 def validate_resolved(resolved: dict) -> None:
@@ -270,9 +266,10 @@ def prepare(resolved: dict, config_dir: Path) -> tuple[TaskFamily, OptimizerConf
     profile, which depends only on the family, w0 and trust_radius."""
     family = build_family(resolved["family"], config_dir)
     base = build_optimizer_config(resolved, resolved["algorithms"][0], resolved["seeds"][0])
-    w0 = base.start_point(family.dim)
-    if w0.shape != (family.dim,):
-        raise ConfigError(f"w0 has shape {w0.shape}, family dimension is {family.dim}")
+    try:
+        w0 = base.start_point(family.dim)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return family, base, local_smoothness(family, w0, base.trust_radius)
 
 
@@ -508,11 +505,7 @@ def cmd_quadratic_oracle(args) -> int:
         alpha = OptimizerConfig(MAML, alpha, StepsizeRule()).alpha
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    try:
-        analysis = analyze_quadratic(family, alpha)
-    except IllConditioned as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return 1
+    analysis = analyze_quadratic(family, alpha)
     print(f"alpha: {alpha:.17g}")
     print(f"w_star: {_format_vec(analysis.w_star)}")
     print(f"w_fo: {_format_vec(analysis.w_fo)}")
@@ -536,8 +529,7 @@ def cmd_gen_family(args) -> int:
         path.with_suffix(path.suffix + ".config.json"),
         _json_text({"command": "gen-family", "knobs": knobs}),
     )
-    if not args.quiet:
-        print(f"gen-family {args.kind}: {args.n} tasks, dim {args.dim} -> {path}")
+    _say(args, f"gen-family {args.kind}: {args.n} tasks, dim {args.dim} -> {path}")
     return 0
 
 
@@ -548,14 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="replace the config's replicate seeds with this one seed")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--seed", type=int, help="replace the config's seeds with this one seed")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--algorithms", default=None,
-                       help="comma-separated subset, e.g. maml,fomaml,hfmaml")
-        p.add_argument("--max-iters", type=int, default=None, help="override max iterations")
+        p.add_argument("--max-iters", type=int, help="override max iterations")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     p_run = sub.add_parser("run", help="one algorithm, one CSV per replicate seed")
@@ -567,6 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--gnuplot", action="store_true",
                        help="also emit a gnuplot script referencing the CSVs")
     p_cmp.set_defaults(func=cmd_compare)
+    for p in (p_run, p_cmp):
+        p.add_argument("--algorithms", help="comma-separated subset, e.g. maml,fomaml,hfmaml")
 
     p_audit = sub.add_parser("audit", help="run the bound-audit battery to JSON")
     common(p_audit)
@@ -574,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_q = sub.add_parser("quadratic-oracle",
                          help="print closed-form fixed points of a quadratic family")
-    common(p_q, config_required=False)
+    p_q.add_argument("--config", help="config JSON of a quadratic family (default: a 1-d example)")
     p_q.add_argument("--alpha", type=float, default=None, help="inner stepsize override")
     p_q.set_defaults(func=cmd_quadratic_oracle)
 

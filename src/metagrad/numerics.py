@@ -220,7 +220,7 @@ def row_dots(X: np.ndarray) -> np.ndarray:
     The stacked (1, d) @ (d, 1) matmul rounds every row as ``x @ x`` and
     ``np.linalg.norm(x)`` do on that row alone; einsum and np.sum do not.
     """
-    return (X[..., None, :] @ X[..., :, None])[..., 0, 0]
+    return X @ X if X.ndim == 1 else (X[..., None, :] @ X[..., :, None])[..., 0, 0]
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:

@@ -98,8 +98,11 @@ class OptimizerConfig:
                 raise ValueError("w0 must hold finite numbers")
 
     def start_point(self, dim: int) -> Vec:
-        """w0, or the origin when no start point was given."""
-        return np.zeros(dim) if self.w0 is None else np.asarray(self.w0, dtype=float)
+        """w0, or the origin when w0 is None; ValueError unless it has dim entries."""
+        w0 = np.zeros(dim) if self.w0 is None else np.asarray(self.w0, dtype=float)
+        if w0.shape != (dim,):
+            raise ValueError(f"w0 has shape {w0.shape}, family dimension is {dim}")
+        return w0
 
 
 def validate_config(config: OptimizerConfig, profile: SmoothnessProfile) -> None:
@@ -107,7 +110,7 @@ def validate_config(config: OptimizerConfig, profile: SmoothnessProfile) -> None
 
     Raises InvalidBatchConfig naming the violated inequality.  The inner
     stepsize cap is advisory (constant-stepsize experiments routinely
-    exceed it), so it only warns.
+    exceed it), so ``run`` only warns past it.
     """
     if config.stepsize.kind != "adaptive":
         return
@@ -122,14 +125,6 @@ def validate_config(config: OptimizerConfig, profile: SmoothnessProfile) -> None
         else:
             detail = f"D_h={b.D_h} < ceil(2*alpha^2*sigma_H^2)={need_dh}"
         raise InvalidBatchConfig(detail)
-    cap = ALPHA_CAPS[config.algorithm]
-    if config.alpha * profile.L > cap + 1e-12:
-        warnings.warn(
-            f"alpha*L = {config.alpha * profile.L:.3g} exceeds the "
-            f"{config.algorithm} guarantee cap {cap:.3g}; the adaptive rule "
-            "is running outside its analyzed regime",
-            stacklevel=2,
-        )
 
 
 @dataclass
@@ -238,12 +233,18 @@ def run(
     """
     d = family.dim
     w0 = config.start_point(d)
-    if w0.shape != (d,):
-        raise ValueError(f"w0 has shape {w0.shape}, family dimension is {d}")
     if profile is None:
         profile = local_smoothness(family, w0, config.trust_radius)
     profile = profile.with_noise(config.sigma_tilde, config.sigma_H)
     validate_config(config, profile)
+    cap = ALPHA_CAPS[config.algorithm]
+    if config.stepsize.kind == "adaptive" and config.alpha * profile.L > cap + 1e-12:
+        warnings.warn(
+            f"alpha*L = {config.alpha * profile.L:.3g} exceeds the "
+            f"{config.algorithm} guarantee cap {cap:.3g}; the adaptive rule "
+            "is running outside its analyzed regime",
+            stacklevel=2,
+        )
     oracle = StochasticOracle(sigma_tilde=config.sigma_tilde, sigma_H=config.sigma_H)
 
     analysis = None
@@ -334,8 +335,12 @@ def run_comparison(
     Task batches and gradient noise derive from (seed, k, ...) paths
     that do not mention the algorithm, so every variant sees the same
     draws; differences in the records are differences in the methods.
+    Every algorithm's preconditions are checked before the first one runs.
     """
-    return {
-        algo: run(family, replace(base_config, algorithm=algo), profile=profile)
-        for algo in algorithms
-    }
+    configs = [replace(base_config, algorithm=algo) for algo in algorithms]
+    if profile is None:
+        w0 = base_config.start_point(family.dim)
+        profile = local_smoothness(family, w0, base_config.trust_radius)
+    for config in configs:
+        validate_config(config, profile.with_noise(config.sigma_tilde, config.sigma_H))
+    return {config.algorithm: run(family, config, profile=profile) for config in configs}

@@ -67,9 +67,14 @@ class BatchSpec:
 
     def __post_init__(self):
         for name in ("B", "D_in", "D_o", "D_h", "B_prime", "D_beta"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, _size(getattr(self, name), name))
+
+
+def _size(v, name: str) -> int:
+    """v as an int >= 1: a Python or numpy integer, never a bool or a float."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
 
 
 Streams = RngStream | NormalRows | list[RngStream] | None
@@ -142,8 +147,8 @@ class StochasticOracle:
     sigma_H: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_tilde < 0.0 or self.sigma_H < 0.0:
-            raise ValueError("noise levels must be nonnegative")
+        if not (0.0 <= self.sigma_tilde < np.inf and 0.0 <= self.sigma_H < np.inf):
+            raise ValueError("noise levels must be finite and nonnegative")
 
     @property
     def exact(self) -> bool:
@@ -155,9 +160,7 @@ def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
     """Task indices of the given shape, i.i.d. from the family weights by
     inverse CDF on the uniforms of rng: a stream, or a generator read
     forward (a stream's own, for the next rows of one draw on it)."""
-    if isinstance(shape, int):
-        shape = (shape,)
-    if min(shape) < 1:
-        raise ValueError(f"batch shape must be positive, got {shape}")
+    shape = tuple(_size(n, "a batch dimension")
+                  for n in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     u = uniforms(rng, shape) if isinstance(rng, RngStream) else rng.random(shape)
     return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

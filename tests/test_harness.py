@@ -50,6 +50,56 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+# Each subcommand's flags, with a value for each that takes one.
+RUN_FLAGS = {"--config": "c.json", "--seed": "1", "--out": "o", "--max-iters": "3",
+             "--quiet": None, "--algorithms": "maml"}
+FLAGS = {
+    "run": RUN_FLAGS,
+    "compare": {**RUN_FLAGS, "--gnuplot": None},
+    "audit": {k: v for k, v in RUN_FLAGS.items() if k != "--algorithms"},
+    "quadratic-oracle": {"--config": "c.json", "--alpha": "0.2"},
+    "gen-family": {"--kind": "quadratic", "--n": "3", "--dim": "2", "--similarity": "0.5",
+                   "--seed": "1", "--out": "o", "--name": "f.json", "--quiet": None},
+}
+REQUIRED = {"run": ["--config"], "compare": ["--config"], "audit": ["--config"],
+            "quadratic-oracle": [], "gen-family": ["--kind", "--n", "--dim"]}
+
+
+def argv_of(command, flags):
+    return [command] + [a for f in flags for a in (f, FLAGS[command][f]) if a is not None]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_each_subcommand_declares_exactly_its_flags(self, command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+        declared = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert declared == set(FLAGS[command])
+        for flag in FLAGS[command]:  # each alone, then all at once
+            args = parser.parse_args(argv_of(command, set(REQUIRED[command]) | {flag}))
+            assert args.command == command
+        args = parser.parse_args(argv_of(command, FLAGS[command]))
+        for flag, value in FLAGS[command].items():
+            got = getattr(args, flag[2:].replace("-", "_"))
+            assert got is True if value is None else str(got) == value
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("quadratic-oracle", ["--out", "x"]), ("quadratic-oracle", ["--seed", "1"]),
+         ("quadratic-oracle", ["--algorithms", "maml"]),
+         ("quadratic-oracle", ["--max-iters", "3"]), ("quadratic-oracle", ["--quiet"]),
+         ("audit", ["--config", "c.json", "--algorithms", "maml"])],
+        ids=["oracle-out", "oracle-seed", "oracle-algorithms", "oracle-max-iters",
+             "oracle-quiet", "audit-algorithms"],
+    )
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, command, extra, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *extra])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestQuadraticOracle:
     def test_prints_stored_example_fixed_points(self, capsys):
         assert main(["quadratic-oracle"]) == 0

@@ -8,6 +8,7 @@ from metagrad.numerics import (
     NormalRows,
     RngStream,
     row_blocks,
+    row_dots,
     spectral_norm,
     standard_normal_rows,
     standard_normals,
@@ -221,6 +222,20 @@ def test_sizes_accept_numpy_integers():
                           standard_normal_rows([stream], 3))
     with pytest.raises(TypeError):
         standard_normals(stream, 3.0)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)], ids=["vector", "1", "7", "3x4"])
+def test_row_dots_round_each_row_as_the_row_alone(shape):
+    # the task oracles rely on row_dots(W)[i] == W[i] @ W[i] bit for bit,
+    # for a stack of points and for one point alike
+    rng = np.random.default_rng(31)
+    for d in range(1, 65):
+        X = rng.normal(size=shape + (d,)) * rng.uniform(0.1, 10.0)
+        got = row_dots(X)
+        assert got.shape == shape
+        for i in np.ndindex(shape):
+            assert got[i] == X[i] @ X[i]
+            assert np.sqrt(got[i]) == np.linalg.norm(X[i])
 
 
 @pytest.mark.parametrize("B", [1, 10, 30])

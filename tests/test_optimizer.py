@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import metagrad
-from metagrad import numerics
+from metagrad import numerics, optimizer
 from metagrad.cli import generate_family, load_config, prepare
 
 from metagrad.closed_form import analyze_quadratic
@@ -497,6 +497,36 @@ class TestGuards:
         )
         with pytest.raises(InvalidBatchConfig, match=r"D_h=1 < ceil\(36"):
             validate_config(cfg, profile.with_noise(1.0, 0.0))
+
+    def test_comparison_checks_every_algorithm_before_the_first_run(self, monkeypatch):
+        # sigma_H = 0 leaves MAML and FO-MAML needing D_h = 1; only HF-MAML's
+        # ceil(36 (alpha rho sigma_tilde)^2) = 46 probe gradients are short
+        family = rank1_mf_family(4, 2, RngStream(0))
+        runs, setups = [], []
+        real_run, real_smoothness = optimizer.run, optimizer.local_smoothness
+        monkeypatch.setattr(optimizer, "run",
+                            lambda *a, **k: runs.append(a[1].algorithm) or real_run(*a, **k))
+        monkeypatch.setattr(optimizer, "local_smoothness",
+                            lambda *a: setups.append(a) or real_smoothness(*a))
+        cfg = OptimizerConfig(
+            algorithm=MAML,
+            alpha=0.1,  # alpha * L = 0.77, past every cap
+            stepsize=StepsizeRule(kind="adaptive"),
+            batches=BatchSpec(B=20),
+            sigma_tilde=1.0,
+            w0=np.array([0.3, -0.2]),
+            trust_radius=1.0,
+            max_iters=2,
+        )
+        with pytest.raises(InvalidBatchConfig, match=r"D_h=1 < ceil\(36.*=46"):
+            run_comparison(family, cfg)
+        assert runs == [] and len(setups) == 1
+        # with the budget met: one profile, each algorithm run once and
+        # warned once past its alpha * L cap
+        with pytest.warns(UserWarning) as caught:
+            run_comparison(family, replace(cfg, batches=BatchSpec(B=20, D_h=46)))
+        assert runs == [MAML, FOMAML, HFMAML] and len(setups) == 2
+        assert sorted(str(w.message).split()[5] for w in caught) == [FOMAML, HFMAML, MAML]
 
     def test_adaptive_warns_past_stepsize_cap(self):
         family = one_d_example_family()

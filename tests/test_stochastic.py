@@ -134,6 +134,12 @@ def test_oracle_exact_flag_and_validation():
     assert StochasticOracle().exact
     with pytest.raises(ValueError):
         StochasticOracle(sigma_tilde=-1.0)
+    # a non-finite level would make every draw NaN or inf
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            StochasticOracle(bad, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            StochasticOracle(0.0, bad)
 
 
 def test_sample_task_batch_uniform_frequencies():
@@ -164,6 +170,13 @@ def test_sample_task_batch_deterministic_and_validated():
         sample_task_batch(fam, 0, RngStream(9))
     with pytest.raises(ValueError):
         sample_task_batch(fam, (3, 0), RngStream(9))
+    # numpy integers are sizes; floats and bools are not
+    assert np.array_equal(sample_task_batch(fam, np.int64(64), RngStream(9).child("t")), a)
+    assert np.array_equal(sample_task_batch(fam, (np.int32(8), np.int64(8)),
+                                            RngStream(9).child("t")), grid)
+    for bad in (4.0, True, (8, 8.0), (np.True_, 8)):
+        with pytest.raises(ValueError, match="positive integer"):
+            sample_task_batch(fam, bad, RngStream(9))
 
 
 def test_batch_spec_validation():
@@ -175,6 +188,13 @@ def test_batch_spec_validation():
         BatchSpec(D_in=-1)
     with pytest.raises(ValueError):
         BatchSpec(D_o=1.5)
+    # numpy integers are stored as ints; floats and bools stay rejected,
+    # as the config pass rejects them
+    spec = BatchSpec(B=np.int64(20), D_h=np.int32(3))
+    assert spec == BatchSpec(B=20, D_h=3) and type(spec.B) is int and type(spec.D_h) is int
+    for bad in (20.0, np.float64(20.0), True, np.True_, "20", None):
+        with pytest.raises(ValueError, match="B must be a positive integer"):
+            BatchSpec(B=bad)
 
 
 def test_noisy_grad_rejects_bad_batch():
