@@ -165,6 +165,28 @@ def direction(
 # --------------------------------------------------------- exact oracles
 
 
+def exact_sweep(
+    family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray
+) -> tuple[Vec, Mat, Mat]:
+    """Exact grad F(w), the adapted points U = w - alpha grads (row i is
+    task i's) and the outer gradients grad f_i(U[i]), shape (n, d) each.
+
+    grads are family.grads(w).  The outer gradients' weighted sum is the
+    exact full-batch FO-MAML direction, and ``adapted_value`` reads F(w)
+    off U, so a caller that needs several of these sweeps the tasks once.
+    """
+    adapted = w - alpha * grads
+    go = family.grads_rowwise(adapted)
+    h = family.hessians(w)  # (n, d, d)
+    dirs = go - alpha * np.einsum("nij,nj->ni", h, go)
+    return family.weights @ dirs, adapted, go
+
+
+def adapted_value(family: TaskFamily, adapted: Mat) -> float:
+    """F(w) = sum_i p_i f_i(U[i]) from exact_sweep's adapted points U."""
+    return float(family.weights @ family.values_rowwise(adapted))
+
+
 def exact_grad_F(
     family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray | None = None
 ) -> Vec:
@@ -172,11 +194,7 @@ def exact_grad_F(
 
     grads, when given, are family.grads(w), already computed by the caller.
     """
-    g = family.grads(w) if grads is None else grads  # (n, d)
-    go = family.grads_rowwise(w - alpha * g)  # (n, d)
-    h = family.hessians(w)  # (n, d, d)
-    dirs = go - alpha * np.einsum("nij,nj->ni", h, go)
-    return family.weights @ dirs
+    return exact_sweep(family, w, alpha, family.grads(w) if grads is None else grads)[0]
 
 
 def value_F(
@@ -187,7 +205,7 @@ def value_F(
     grads, when given, are family.grads(w), already computed by the caller.
     """
     g = family.grads(w) if grads is None else grads
-    return float(family.weights @ family.values_rowwise(w - alpha * g))
+    return adapted_value(family, w - alpha * g)
 
 
 def mc_grad_F_hat_draws(

@@ -26,6 +26,10 @@ call holds it for one draw, and every other draw stays a value of
 (seed, path).  ``row_blocks`` splits n rows into windows of at most
 ``BLOCK_ROWS`` rows, which bounds a bulk sampler's memory whatever its
 sample count.
+
+``max_spectral_norm`` takes the largest spectral norm over groups of
+symmetric matrices, the same float as decomposing them all, while it
+decomposes only the groups whose Frobenius bound can still set it.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from hashlib import blake2b
 
 import numpy as np
+
+from .errors import NumericalFailure
 
 Vec = np.ndarray  # shape (d,)
 Mat = np.ndarray  # shape (d, d) or (m, n)
@@ -227,6 +233,47 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of symmetric matrices via eigvalsh."""
     eigs = np.linalg.eigvalsh(stack)
     return np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
+
+
+PRUNE_MARGIN = 1e-8  # far above the O(d eps) by which eigvalsh's |lambda| can exceed ||G||_2
+PRUNE_BLOCK = 4  # groups built at once while bounding
+
+
+def max_spectral_norm(stacks: Callable[[slice], np.ndarray], den: np.ndarray) -> float:
+    """max over groups g of max_i ||G_gi||_2 / den[g], for positive den,
+    where stacks(slice(g0, g1)) builds groups g0..g1-1 as one
+    (g1 - g0, n, d, d) stack of symmetric matrices, each group's rows as
+    that group built alone.
+
+    The result is the float that decomposing every group gives, but only
+    the groups that can still set it are decomposed.  Each group's bound
+    max_i ||G_gi||_F / den[g] is taken first, PRUNE_BLOCK groups at a time;
+    then groups are rebuilt and decomposed one at a time, in descending
+    bound order, while bound * (1 + PRUNE_MARGIN) reaches the running
+    maximum.  ||G||_2 <= ||G||_F, eigvalsh is backward stable (its |lambda|
+    exceeds ||G||_2 by a relative O(d eps) at most), and max and division
+    by a positive den are monotone under rounding, so no skipped group can
+    raise the maximum.  A bound that overflows while its entries are
+    finite is inf, so that group is always decomposed.
+
+    Raises NumericalFailure, before any decomposition, if an entry of some
+    matrix is not finite.
+    """
+    bounds = np.empty(len(den))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are refused below
+        for g0 in range(0, len(den), PRUNE_BLOCK):
+            stack = stacks(slice(g0, g0 + PRUNE_BLOCK))
+            g1 = g0 + len(stack)
+            fro2 = np.einsum("gnij,gnij->gn", stack, stack)
+            if not np.isfinite(fro2).all() and not np.isfinite(stack).all():
+                raise NumericalFailure("a matrix has a non-finite entry")
+            bounds[g0:g1] = np.sqrt(np.max(fro2, axis=1)) / den[g0:g1]
+    best = 0.0
+    for g in np.argsort(-bounds, kind="stable"):
+        if bounds[g] * (1.0 + PRUNE_MARGIN) < best:
+            break
+        best = max(best, float(np.max(spectral_norms(stacks(slice(g, g + 1)))) / den[g]))
+    return best
 
 
 def spectral_norm(m: Mat) -> float:

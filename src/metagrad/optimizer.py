@@ -11,10 +11,10 @@ shared by the instrumentation and the step.
 Every step but two is one call of the stacked slot estimator
 ``slot_directions`` (see _slot_direction): sampled task batches, noisy
 full batches and HF-MAML's exact full batch.  With full_task_batch and
-an exact oracle, MAML's step is exact_grad_F itself and FO-MAML's the
-same einsum form without the Hessian factor; both round differently
-from the slot sum in the last bits, and fig1's recorded bytes depend on
-that rounding.
+an exact oracle, MAML's step is the logged exact meta-gradient itself
+and FO-MAML's the weighted sum of the same sweep's outer gradients (see
+``exact_sweep``); both round differently from the slot sum in the last
+bits, and fig1's recorded bytes depend on that rounding.
 
 Randomness is organized so paired runs are comparable: iteration k of a
 run with seed s derives the task batch from (s, k, "tasks"), the
@@ -38,9 +38,9 @@ from .meta_gradient import (
     FOMAML,
     HFMAML,
     MAML,
-    exact_grad_F,
+    adapted_value,
+    exact_sweep,
     slot_directions,
-    value_F,
 )
 from .numerics import RngStream, Vec
 from .stepsize import ALPHA_CAPS, StepsizeRule, beta_tilde, check_stepsize_batches, required_D_h
@@ -268,9 +268,9 @@ def run(
     k = 0
     while True:
         grads = family.grads(w)  # shared by the instrumentation and the step
-        grad_F = exact_grad_F(family, w, config.alpha, grads)
+        grad_F, adapted, outer = exact_sweep(family, w, config.alpha, grads)
         grad_norms[k] = np.linalg.norm(grad_F)
-        losses[k] = value_F(family, w, config.alpha, grads)
+        losses[k] = adapted_value(family, adapted)
         if analysis is not None:
             d_star[k] = np.linalg.norm(w - analysis.w_star)
             d_fo[k] = np.linalg.norm(w - analysis.w_fo)
@@ -292,7 +292,7 @@ def run(
         if config.full_task_batch and oracle.exact and config.algorithm == MAML:
             step_dir = grad_F
         elif config.full_task_batch and oracle.exact and config.algorithm == FOMAML:
-            step_dir = family.weights @ family.grads_rowwise(w - config.alpha * grads)
+            step_dir = family.weights @ outer
         else:
             step_dir = _slot_direction(family, config, w, grads, profile.rho, oracle, root.child(k))
 

@@ -31,7 +31,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Mat, RngStream, Vec, row_dots, spectral_norms, standard_normals, uniforms
+from .errors import NumericalFailure
+from .numerics import (
+    Mat,
+    RngStream,
+    Vec,
+    max_spectral_norm,
+    row_dots,
+    spectral_norms,
+    standard_normals,
+    uniforms,
+)
 
 QUADRATIC = "quadratic"
 RANK1MF = "rank1mf"
@@ -360,6 +370,15 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
     from the sampled worst task-vs-mean gradient deviation; each sampled
     estimate is inflated to hedge the gap between a finite sample
     maximum and the true supremum.
+
+    The suprema are exact maxima over the sample, but most matrices are
+    never decomposed: ``numerics.max_spectral_norm`` bounds each point's
+    (or pair's) Hessian norms by their Frobenius norms and decomposes only
+    the points and pairs whose bound can still set the maximum.  The
+    skipped ones cannot, so L and rho are the floats a full sweep gives.
+
+    Raises NumericalFailure, before any decomposition, if a sampled
+    Hessian has a non-finite entry (a radius too large for float64).
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -371,9 +390,6 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
         L = float(np.max(spectral_norms(family._As)))
         rho = 0.0
     else:
-        # One Hessian sweep over all tasks per point, never all points at once.
-        hess_sup = max(float(np.max(spectral_norms(family.hessians(p)))) for p in points)
-        ratio_sup = 0.0
         # Pair points for Lipschitz ratios three ways: consecutive sample
         # pairs, radially aligned pairs (where the factorization Hessian
         # moves fastest), and tight pairs probing the local modulus.
@@ -382,22 +398,23 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
         tight = points + 0.01 * radius * offsets
         radial_hi = ball_points(center, radius, SMOOTHNESS_SAMPLES, rng.child("radial"))
         radial_lo = center + 0.5 * (radial_hi - center)
-        pair_sets = [
-            (points[:-1], points[1:]),
-            (points, tight),
-            (radial_lo, radial_hi),
-        ]
-        for xs, ys in pair_sets:
-            den = np.linalg.norm(xs - ys, axis=1)
-            for x, y, dist in zip(xs, ys, den):
-                # max over tasks, then / dist: dividing by a positive number
-                # keeps the maximum under rounding
-                num = np.max(spectral_norms(family.hessians(x) - family.hessians(y)))
-                ratio_sup = max(ratio_sup, float(num / dist))
+        xs = np.concatenate([points[:-1], points, radial_lo])
+        ys = np.concatenate([points[1:], tight, radial_hi])
+
+        def hessians(P, s):  # every task's Hessian at each row of P[s], (k, n, d, d)
+            return family.hessians(P[s, None, :])
+
+        try:
+            hess_sup = max_spectral_norm(lambda s: hessians(points, s), np.ones(len(points)))
+            ratio_sup = max_spectral_norm(lambda s: hessians(xs, s) - hessians(ys, s),
+                                          np.linalg.norm(xs - ys, axis=1))
+        except NumericalFailure:
+            raise NumericalFailure(f"the sampled Hessians overflow on the trust ball of radius "
+                                   f"{radius:g}; lower trust_radius") from None
         L = SMOOTHNESS_INFLATION * hess_sup
         rho = SMOOTHNESS_INFLATION * ratio_sup
 
-    per_task = np.stack([family.grads(p) for p in points])  # (m, n, d)
+    per_task = family.grads(points[:, None, :])  # (m, n, d)
     mean = np.einsum("n,mnd->md", family.weights, per_task)
     dev = np.linalg.norm(per_task - mean[:, None, :], axis=2)
     sigma = SMOOTHNESS_INFLATION * float(np.max(dev))

@@ -292,9 +292,9 @@ def test_criterion_09_figure_reproduction(capsys, tmp_path):
         out = tmp_path / name
         t0 = time.time()
         with warnings.catch_warnings():
-            # fig3 deliberately runs above the adaptive-theory stepsize
-            # cap; the config ships that choice and the library warns
-            warnings.simplefilter("ignore", UserWarning)
+            # every shipped figure runs a constant stepsize, so the
+            # adaptive rule's alpha*L cap never warns
+            warnings.simplefilter("error", UserWarning)
             code = main([
                 "compare", "--config", str(CONFIG_DIR / f"{name}.json"),
                 "--out", str(out), "--quiet",

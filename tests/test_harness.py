@@ -294,6 +294,20 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_overflowing_trust_radius_exits_one(self, tmp_path, capsys):
+        # the sampled Hessians overflow to non-finite entries, which the
+        # smoothness sweep refuses before any eigen-decomposition
+        cfg = json.loads((CONFIGS / "fig1.json").read_text())
+        cfg["trust_radius"] = 1e160
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure:") and err.count("\n") == 1
+        assert "trust ball of radius 1e+160" in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"family": quad_family_dict(), "alpha_inner": 0.1}))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metagrad import numerics
 from metagrad.cli import generate_family
 from metagrad.numerics import RngStream, spectral_norm, spectral_norms, standard_normals
 from metagrad.tasks import (
@@ -421,12 +422,37 @@ def config_family(name):
         config_family("fig2.json"),
         (TaskFamily([MatrixFactorizationTask(np.array([1.0, -0.5, 0.25]))]),
          np.array([0.2, 0.1, -0.3]), 1.5),
+        (rank1_mf_family(7, 1, RngStream(74)), np.array([0.3]), 2.0),
+        (rank1_mf_family(12, 4, RngStream(75)), np.array([0.2, -0.1, 0.4, 0.0]), 1e-6),
+        (rank1_mf_family(12, 4, RngStream(76)), np.array([0.2, -0.1, 0.4, 0.0]), 40.0),
+        (rank1_mf_family(12, 4, RngStream(77)), np.array([80.0, -60.0, 30.0, 120.0]), 0.5),
+        # finite Hessians whose Frobenius norms overflow: nothing can be pruned
+        (*config_family("fig1.json")[:2], 1e80),
     ],
-    ids=["fig1", "fig2", "mf-one-task"],
+    ids=["fig1", "fig2", "mf-one-task", "dim-1", "radius-1e-6", "radius-40", "far-center",
+         "fig1-radius-1e80"],
 )
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_local_smoothness_equals_per_task_reference(family, center, radius):
     prof = local_smoothness(family, center, radius)
     assert (prof.L, prof.rho, prof.sigma) == per_task_local_smoothness(family, center, radius)
+
+
+@pytest.mark.parametrize("name, unpruned", [("fig1.json", 7660), ("fig2.json", 19150)])
+def test_local_smoothness_decomposes_few_matrices(monkeypatch, name, unpruned):
+    # unpruned: 96 points and 95 + 96 + 96 pairs, n Hessians (or
+    # differences) each; the Frobenius bounds rule out all but a few groups
+    decomposed = []
+
+    def counting(stack):
+        decomposed.append(np.prod(stack.shape[:-2]))
+        return spectral_norms(stack)
+
+    monkeypatch.setattr(numerics, "spectral_norms", counting)
+    family, center, radius = config_family(name)
+    assert (2 * SMOOTHNESS_SAMPLES + 95 + 96) * family.n_tasks == unpruned
+    local_smoothness(family, center, radius)
+    assert 0 < sum(decomposed) <= 0.1 * unpruned
 
 
 def test_local_smoothness_generated_quadratic_family_exact():
