@@ -26,17 +26,18 @@ The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
 
-Slot j's noise is drawn on its own stream, so each row equals that slot
-evaluated alone; ``direction`` is the one-slot case.  Everything here is
-a pure function of its inputs and the RNG streams, so repeated
-evaluation is reproducible and parallel evaluation is safe.
+``slot_noise`` draws many slots' noise at once (a block of steps, in the
+optimizer), each slot on its own key, so a slot's noise is the same floats
+in any block; ``direction`` is the one-slot case.  Everything here is a
+pure function of its inputs and the keys, so repeated evaluation is
+reproducible and parallel evaluation is safe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Mat, NormalRows, RngStream, Vec, row_blocks, row_dots
+from .numerics import Mat, NormalRows, RngStream, Vec, path_key, row_blocks, row_dots
 from .stochastic import (
     HESS,
     INNER,
@@ -47,8 +48,7 @@ from .stochastic import (
     Streams,
     grad_noise,
     hess_noise,
-    noisy_grad,
-    noisy_hess,
+    noisy,
 )
 from .tasks import TaskFamily
 
@@ -68,16 +68,22 @@ def hvp_finite_diff(
     noisy gradients per row, row j with probe width delta[j].  W is one
     point per row, or one point (d,) shared by every row.
 
-    Both probe gradients are evaluated on the same streams, i.e. the same
+    Both probe gradients take the noise of one draw on rng, i.e. the same
     data batch, so their additive noise is identical and cancels in the
     difference.  The surviving error is curvature-only: at most
     rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
     """
+    noise = grad_noise(V.shape, D, sigma_tilde, rng)
+    return _probe_difference(family, idx, W, V, delta, noise, noise)
+
+
+def _probe_difference(family, idx, W, V, delta, noise_plus, noise_minus):
+    """hvp_finite_diff with each probe gradient's noise already drawn."""
     if (delta <= 0.0).any():
         raise ValueError("delta must be positive")
     delta = delta[:, None]
-    gp = noisy_grad(family, idx, W + delta * V, D, sigma_tilde, rng)
-    gm = noisy_grad(family, idx, W - delta * V, D, sigma_tilde, rng)
+    gp = noisy(family.grads(W + delta * V, idx), noise_plus)
+    gm = noisy(family.grads(W - delta * V, idx), noise_minus)
     return (gp - gm) / (2.0 * delta)
 
 
@@ -110,37 +116,52 @@ def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> 
     return np.where(flat, fallback, 1.0 / (6.0 * np.where(flat, 1.0, base)))
 
 
+def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches: BatchSpec,
+               keys: list[bytes] | None) -> dict:
+    """Site label -> noise (or None) of each site the algorithm reads, row r
+    on keys[r] + label: one Box-Muller pass and scaling per site.  A probe
+    row is (2, d), one draw per probe gradient.  Exact oracle: keys None."""
+    def site(purpose, draws=1):
+        label = path_key(b"", purpose)
+        return None if keys is None else [key + label for key in keys for _ in range(draws)]
+
+    t = oracle.sigma_tilde
+    noise = {INNER: grad_noise((n, d), batches.D_in, t, site(INNER)),
+             OUTER: grad_noise((n, d), batches.D_o, t, site(OUTER))}
+    if algorithm == MAML:
+        noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, site(HESS))
+    elif algorithm == HFMAML:
+        probe = grad_noise((2 * n, d), batches.D_h, t, site(PROBE, 2))
+        noise[PROBE] = None if probe is None else probe.reshape(n, 2, d)
+    return noise
+
+
 def slot_directions(
     algorithm: str, family: TaskFamily, idx, w: Vec, g: Mat, alpha: float, rho: float,
-    oracle: StochasticOracle, batches: BatchSpec, streams: list[RngStream] | None,
+    noise: dict,
 ) -> Mat:
     """Descent direction of each slot at w for the named algorithm (rules
     in the module docstring), shape (B, d).
 
     Slot j is task idx[j] (an index array, or a slice for every task in
-    order) with task gradient g[j] at w, as family.grads(w)[idx] gives it.
-    Each noise site of slot j draws once, on its own child of streams[j],
-    so algorithms run on one stream share w_i and v bit for bit.  An
-    exact oracle draws nothing and takes streams = None.  Every slot is
-    probed; a slot whose ||v|| is at or below ZERO_PROBE_TOL discards its
-    probe and returns v.
+    order) with task gradient g[j] at w, as family.grads(w)[idx] gives it,
+    and row j of each site of a ``slot_noise``, so algorithms run on the
+    same keys share w_i and v bit for bit.  Every slot is probed; a slot
+    whose ||v|| is at or below ZERO_PROBE_TOL discards its probe and
+    returns v.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    def site(purpose):
-        return None if streams is None else [s.child(purpose) for s in streams]
-
-    w_i = w - alpha * grad_noise(g, batches.D_in, oracle.sigma_tilde, site(INNER))
-    v = noisy_grad(family, idx, w_i, batches.D_o, oracle.sigma_tilde, site(OUTER))
+    w_i = w - alpha * noisy(g, noise[INNER])
+    v = noisy(family.grads(w_i, idx), noise[OUTER])
     if algorithm == MAML:
-        h = noisy_hess(family, idx, w, batches.D_h, oracle.sigma_H, site(HESS))
+        h = family.hessians(w, idx) + noise[HESS]
         return v - alpha * (h @ v[:, :, None])[..., 0]
     if algorithm == HFMAML:
         nv, probing = probe_norms(v)
         delta = probe_delta(rho, alpha, nv, w)
-        hv = hvp_finite_diff(family, idx, w, v, delta, batches.D_h, oracle.sigma_tilde,
-                             site(PROBE))
+        probe = (None, None) if noise[PROBE] is None else np.swapaxes(noise[PROBE], 0, 1)
+        hv = _probe_difference(family, idx, w, v, delta, *probe)
         return np.where(probing[:, None], v - alpha * hv, v)
     return v
 
@@ -156,10 +177,10 @@ def direction(
     rng: RngStream,
 ) -> Vec:
     """One task's direction at w: slot_directions with one slot, its noise
-    on rng's children."""
+    drawn by slot_noise on rng's key."""
     family = TaskFamily([task])
-    return slot_directions(algorithm, family, slice(None), w, family.grads(w), alpha, rho,
-                           oracle, batches, [rng])[0]
+    noise = slot_noise(algorithm, 1, family.dim, oracle, batches, [path_key(rng)])
+    return slot_directions(algorithm, family, slice(None), w, family.grads(w), alpha, rho, noise)[0]
 
 
 # --------------------------------------------------------- exact oracles
@@ -248,7 +269,8 @@ def mc_grad_F_hat_draws(
     tasks = zip(family.weights, family.grads(w), family.hessians(w))
     for i, (p, g, h) in enumerate(tasks):
         g = np.broadcast_to(g, (n_mc, d))
-        g_in = grad_noise(g, D_test, oracle.sigma_tilde, rng.child("task", i, "test_grad"))
+        g_in = noisy(g, grad_noise(g.shape, D_test, oracle.sigma_tilde,
+                                   rng.child("task", i, "test_grad")))
         go = family.task_grads(i, w - alpha * g_in)  # exact outer gradient, (n_mc, d)
         corr = go @ h.T
         hess_rows = NormalRows(rng.child("task", i, "test_hess"), (n_mc, d, d))

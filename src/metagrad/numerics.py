@@ -14,8 +14,10 @@ keyed Philox generator, so every draw is reproducible however the draws
 are ordered.  One module-level Philox serves every draw, re-keyed by
 assigning one reused state dict of Python ints in which only the key
 words change; its buffer and carry state are reset on every draw.  A
-stack of draws on a list of streams takes one ``uniforms`` call per
-stream and one Box-Muller pass.
+draw takes a stream or its key bytes, ``path_key(rng, *labels)`` being
+those of ``rng.child(*labels)`` made without the stream.  A stack of
+draws on a list of keys takes one ``uniforms`` call per key and one
+Box-Muller pass.
 
 A bulk draw can also be read forward in row windows: successive
 ``take(k)`` calls on a ``NormalRows(rng, shape)`` reader return the next
@@ -25,7 +27,7 @@ k rows of ``standard_normals(rng, shape)`` bit for bit, and successive
 call holds it for one draw, and every other draw stays a value of
 (seed, path).  ``row_blocks`` splits n rows into windows of at most
 ``BLOCK_ROWS`` rows, which bounds a bulk sampler's memory whatever its
-sample count.
+sample count, and the optimizer's blocks of steps drawn ahead.
 
 ``max_spectral_norm`` takes the largest spectral norm over groups of
 symmetric matrices, the same float as decomposing them all, while it
@@ -72,8 +74,7 @@ class RngStream:
     and path, so draws depend only on the identity of the stream.  Equal
     (seed, path) always reproduce equal values; distinct paths give
     independent-behaving streams.  The seed and path are encoded once, as
-    the stream is made (a child extends its parent's bytes by its own
-    labels), so the key is one blake2b call on those bytes.
+    the stream is made, so the key is one blake2b call on those bytes.
     """
 
     base_seed: int
@@ -86,15 +87,7 @@ class RngStream:
 
     def child(self, *labels: PathLabel) -> "RngStream":
         """Derive a sub-stream by appending labels to the path."""
-        encoded = self._encoded
-        for lab in labels:  # no join: most children add one label
-            encoded += _encode_label(lab)
-        stream = object.__new__(RngStream)  # skips __post_init__: the parent's bytes are reused
-        fields = stream.__dict__
-        fields["base_seed"] = self.base_seed
-        fields["path"] = self.path + labels
-        fields["_encoded"] = encoded
-        return stream
+        return RngStream(self.base_seed, self.path + labels)
 
     def _key(self) -> int:
         return int.from_bytes(blake2b(self._encoded, digest_size=16).digest(), "little")
@@ -116,7 +109,12 @@ _STATE = {"bit_generator": "Philox", "state": _PHILOX, "buffer": (0, 0, 0, 0),
           "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _borrowed_generator(rng: RngStream) -> np.random.Generator:
+def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
+    """The key bytes of rng.child(*labels), without making the stream."""
+    return (rng if isinstance(rng, bytes) else rng._encoded) + b"".join(map(_encode_label, labels))
+
+
+def _borrowed_generator(rng: RngStream | bytes) -> np.random.Generator:
     """The module's one generator, rewound to the start of the stream.
 
     Constructing a keyed Philox costs more than the small draws made in
@@ -127,12 +125,13 @@ def _borrowed_generator(rng: RngStream) -> np.random.Generator:
     are identical to generator()'s.  The returned object is only valid
     until the next call; callers must finish drawing before returning.
     """
-    _PHILOX["key"] = _KEY_WORDS.unpack(blake2b(rng._encoded, digest_size=16).digest())
+    key = rng if isinstance(rng, bytes) else rng._encoded
+    _PHILOX["key"] = _KEY_WORDS.unpack(blake2b(key, digest_size=16).digest())
     _BITS.state = _STATE
     return _GEN
 
 
-def uniforms(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
+def uniforms(rng: RngStream | bytes, shape: int | tuple[int, ...]) -> np.ndarray:
     """Uniform [0, 1) draws of the given shape from the stream."""
     return _borrowed_generator(rng).random(shape)
 
@@ -164,14 +163,13 @@ def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray
     return _box_muller(u, n).reshape(shape)
 
 
-def standard_normal_rows(streams: list[RngStream], shape: int | tuple[int, ...]) -> np.ndarray:
-    """Normals of shape (len(streams),) + shape; row j is, bit for bit,
-    ``standard_normals(streams[j], shape)``, drawn by one ``uniforms`` call."""
+def standard_normal_rows(keys: list[RngStream | bytes], shape: int | tuple[int, ...]) -> np.ndarray:
+    """Normals of shape (len(keys),) + shape; row j is, bit for bit,
+    ``standard_normals`` on keys[j], drawn by one ``uniforms`` call."""
     shape, n = _normal_shape(shape)
-    u = np.empty((len(streams), 2 * ((n + 1) // 2)))
-    for j, stream in enumerate(streams):
-        u[j] = uniforms(stream, u.shape[1])
-    return _box_muller(u, n).reshape((len(streams),) + shape)
+    m = 2 * ((n + 1) // 2)
+    u = np.array([uniforms(key, m) for key in keys]).reshape(len(keys), m)
+    return _box_muller(u, n).reshape((len(keys),) + shape)
 
 
 class NormalRows:
@@ -214,10 +212,12 @@ class NormalRows:
 BLOCK_ROWS = 1024  # rows per window of a bulk draw taken in blocks
 
 
-def row_blocks(n: int) -> Iterator[tuple[int, int]]:
-    """(r0, r1) windows of at most BLOCK_ROWS rows covering rows [0, n) in order."""
-    for r0 in range(0, n, BLOCK_ROWS):
-        yield r0, min(n, r0 + BLOCK_ROWS)
+def row_blocks(n: int, width: int = 1) -> Iterator[tuple[int, int]]:
+    """(r0, r1) windows covering items [0, n) in order, each of at least one
+    item and at most BLOCK_ROWS rows, an item being width rows."""
+    step = max(1, BLOCK_ROWS // width)
+    for r0 in range(0, n, step):
+        yield r0, min(n, r0 + step)
 
 
 def row_dots(X: np.ndarray) -> np.ndarray:

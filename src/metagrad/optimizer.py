@@ -21,7 +21,9 @@ run with seed s derives the task batch from (s, k, "tasks"), the
 stepsize estimate from (s, k, "stepsize"), and the per-task noise for
 batch slot j from (s, k, "slot", j, purpose).  Two algorithms run with
 the same seed therefore see identical task batches and identical
-inner/outer gradient noise, isolating the algorithmic difference.
+inner/outer gradient noise, isolating the algorithmic difference.  A
+draw depends only on its key, so a block of steps is drawn ahead on these
+keys (_drawn_steps) and records do not depend on the block length.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ from .closed_form import analyze_quadratic
 from .errors import DivergenceDetected, IllConditioned, InvalidBatchConfig, NumericalFailure
 from .meta_gradient import (
     ALGORITHMS,
-    FOMAML,
     HFMAML,
     MAML,
     adapted_value,
     exact_sweep,
     slot_directions,
+    slot_noise,
 )
-from .numerics import RngStream, Vec
-from .stepsize import ALPHA_CAPS, StepsizeRule, beta_tilde, check_stepsize_batches, required_D_h
-from .stochastic import TASKS, BatchSpec, StochasticOracle, sample_task_batch
+from .numerics import RngStream, Vec, path_key, row_blocks
+from .stepsize import (ALPHA_CAPS, StepsizeRule, beta_sample, check_stepsize_batches,
+                       required_D_h, stepsize_draws)
+from .stochastic import STEPSIZE, TASKS, BatchSpec, StochasticOracle, sample_task_batch
 from .tasks import QUADRATIC, SmoothnessProfile, TaskFamily, local_smoothness
 
 CSV_HEADER = "iter,grad_norm_F,loss_F,beta,dist_wstar,dist_wfo"
@@ -203,20 +206,52 @@ def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
     return np.add.accumulate(terms)[-1]
 
 
-def _slot_direction(family, config, w, grads, rho, oracle, rng):
-    """sum_j p_j direction_j / B, added from zero in slot order, slot j's
-    noise on rng.child("slot", j).  A full batch's slots are tasks 0..n-1
-    with task weights p and B = 1; a sampled batch's are B tasks drawn on
-    rng.child("tasks"), each with p_j = 1.  grads are family.grads(w)."""
+def _slot_draws(family, config, oracle, keys):
+    """(idx, noise) of the step on each key (seed, k): B tasks drawn on key
+    + "tasks" (a full batch's are tasks 0..n-1), slot j's noise on key +
+    ("slot", j)."""
+    n = len(keys)
     if config.full_task_batch:
-        idx, weights, B = slice(None), family.weights, 1
+        B, batches = family.n_tasks, [slice(None)] * n
     else:
         B = config.batches.B
-        idx, weights = sample_task_batch(family, B, rng.child(TASKS)), np.ones(B)
-    streams = None if oracle.exact else list(map(rng.child("slot").child, range(len(weights))))
-    dirs = slot_directions(config.algorithm, family, idx, w, grads[idx], config.alpha, rho,
-                           oracle, config.batches, streams)
+        batches = sample_task_batch(family, (n, B), [path_key(key, TASKS) for key in keys])
+    slots = [path_key(b"", "slot", j) for j in range(B)]
+    slot_keys = None if oracle.exact else [key + slot for key in keys for slot in slots]
+    noise = slot_noise(config.algorithm, n * B, family.dim, oracle, config.batches, slot_keys)
+    rows = [[None] * n if a is None else a.reshape((n, B) + a.shape[1:]) for a in noise.values()]
+    return [(idx, dict(zip(noise, step))) for idx, step in zip(batches, zip(*rows))]
+
+
+def _slot_direction(family, config, w, grads, rho, draw):
+    """sum_j p_j direction_j / B, added from zero in slot order, for a
+    _slot_draws entry: task weights p and B = 1 for a full batch, p_j = 1
+    for a sampled one.  grads are family.grads(w)."""
+    idx, noise = draw
+    if config.full_task_batch:
+        weights, B = family.weights, 1
+    else:
+        weights, B = np.ones(config.batches.B), config.batches.B
+    dirs = slot_directions(config.algorithm, family, idx, w, grads[idx], config.alpha, rho, noise)
     return _task_order_sum(weights, dirs) / B
+
+
+def _drawn_steps(family, config, profile, oracle):
+    """(stepsize draw, slot draw) of steps 0, 1, ..., None where a step draws
+    nothing, in blocks of at most BLOCK_ROWS slot rows up to max_iters."""
+    b, adaptive = config.batches, config.stepsize.kind == "adaptive"
+    if config.full_task_batch:  # no slots when the step is read off the exact sweep
+        slots = 0 if oracle.exact and config.algorithm != HFMAML else family.n_tasks
+    else:
+        slots = b.B
+    root = RngStream(config.seed)
+    for k0, k1 in row_blocks(config.max_iters, max(slots, b.B_prime if adaptive else 1)):
+        ks, none = range(k0, k1), [None] * (k1 - k0)
+        betas = stepsize_draws(family, profile, config.alpha, b.B_prime, b.D_beta,
+                               [path_key(root, k, STEPSIZE) for k in ks]) if adaptive else none
+        steps = (_slot_draws(family, config, oracle, [path_key(root, k) for k in ks])
+                 if slots else none)
+        yield from zip(betas, steps)
 
 
 def run(
@@ -254,7 +289,7 @@ def run(
         except IllConditioned:
             analysis = None  # degenerate alpha: log NaN distances
 
-    root = RngStream(config.seed)
+    draws = _drawn_steps(family, config, profile, oracle)
     w = w0.copy()
     n_rows = config.max_iters + 1
     grad_norms = np.empty(n_rows)
@@ -281,20 +316,20 @@ def run(
         if k == config.max_iters:
             break
 
+        beta_draw, slot_draw = next(draws)
         if config.stepsize.kind == "constant":
             beta_k = config.stepsize.beta
         else:
-            beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_tilde(
-                family, profile, w, config.alpha, config.batches.B_prime,
-                config.batches.D_beta, root.child(k, "stepsize"))
+            beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_sample(
+                family, profile, w, config.alpha, beta_draw)
         betas[k] = beta_k
 
-        if config.full_task_batch and oracle.exact and config.algorithm == MAML:
+        if slot_draw is not None:
+            step_dir = _slot_direction(family, config, w, grads, profile.rho, slot_draw)
+        elif config.algorithm == MAML:
             step_dir = grad_F
-        elif config.full_task_batch and oracle.exact and config.algorithm == FOMAML:
-            step_dir = family.weights @ outer
         else:
-            step_dir = _slot_direction(family, config, w, grads, profile.rho, oracle, root.child(k))
+            step_dir = family.weights @ outer
 
         with np.errstate(over="ignore", invalid="ignore"):
             w = w - beta_k * step_dir

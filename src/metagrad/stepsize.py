@@ -19,8 +19,9 @@ to tame gradient dispersion and noise:
 
 under which E[beta_tilde] >= 0.8 / L(w) and
 E[beta_tilde^2] <= 3.125 / L(w)^2.  ``check_stepsize_batches`` raises
-when either inequality fails; the samplers and the optimizer's config
-validation all go through it.
+when either inequality fails, or when L, rho or sigma is not finite; the
+samplers and the optimizer's config validation all go through it.
+``beta_tilde`` is the one-key case of the optimizer's ``stepsize_draws``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBatchConfig
-from .numerics import NormalRows, RngStream, Vec, row_blocks, row_dots
-from .stochastic import STEPSIZE, TASKS, grad_noise, noisy_grad, sample_task_batch
+from .errors import InvalidBatchConfig, NumericalFailure
+from .numerics import NormalRows, RngStream, Vec, path_key, row_blocks, row_dots
+from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
 # Fractions of beta_tilde each algorithm may take per iteration, and the
@@ -110,7 +111,11 @@ def required_D_h(profile: SmoothnessProfile, alpha: float, algorithm: str) -> in
 def check_stepsize_batches(
     profile: SmoothnessProfile, alpha: float, B_prime: int, D_beta: int
 ) -> None:
-    """Raise InvalidBatchConfig unless B' and D_beta control the moments."""
+    """Raise InvalidBatchConfig unless B' and D_beta control the moments,
+    and NumericalFailure if L, rho or sigma is not finite."""
+    if not all(map(math.isfinite, (profile.L, profile.rho, profile.sigma))):
+        raise NumericalFailure(f"smoothness constants L={profile.L:.3g}, rho={profile.rho:.3g}, "
+                               f"sigma={profile.sigma:.3g} are not all finite; lower trust_radius")
     need_bp = required_B_prime(profile, alpha)
     if B_prime < need_bp:
         raise InvalidBatchConfig(
@@ -140,16 +145,34 @@ def beta_tilde(
     is consumed, which keeps exact-oracle runs free of RNG cost.
     """
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
-    coeff = 2.0 * profile.rho * alpha
-    if coeff == 0.0:
+    draw = stepsize_draws(family, profile, alpha, B_prime, D_beta, [path_key(rng)])[0]
+    return beta_sample(family, profile, w, alpha, draw)
+
+
+def stepsize_draws(family: TaskFamily, profile: SmoothnessProfile, alpha: float, B_prime: int,
+                   D_beta: int, keys: list[bytes]) -> list:
+    """(tasks, noise) of a sample per key: B' tasks on key + TASKS, slot j's
+    noise on key + (STEPSIZE, j); None per key when rho alpha = 0."""
+    n = len(keys)
+    if 2.0 * profile.rho * alpha == 0.0:
+        return [None] * n
+    slots = [path_key(b"", STEPSIZE, j) for j in range(B_prime)]
+    idx = sample_task_batch(family, (n, B_prime), [path_key(key, TASKS) for key in keys])
+    noise = grad_noise((n * B_prime, family.dim), D_beta, profile.sigma_tilde,
+                       [key + slot for key in keys for slot in slots])
+    return list(zip(idx, [None] * n if noise is None else noise.reshape(n, B_prime, -1)))
+
+
+def beta_sample(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: float,
+                draw) -> float:
+    """beta_tilde(w) from one entry of stepsize_draws (1 / (4L) for None)."""
+    if draw is None:
         return 1.0 / (4.0 * profile.L)
-    idx = sample_task_batch(family, B_prime, rng.child(TASKS))
-    at_w = np.broadcast_to(w, (B_prime, family.dim))
-    streams = list(map(rng.child(STEPSIZE).child, range(B_prime)))
-    g = noisy_grad(family, idx, at_w, D_beta, profile.sigma_tilde, streams)
+    idx, noise = draw
+    g = noisy(family.grads(np.broadcast_to(w, (len(idx), family.dim)), idx), noise)
     # each norm as np.linalg.norm rounds it, added from zero in slot order
     acc = float(np.cumsum(np.sqrt(row_dots(g)))[-1])
-    return 1.0 / (4.0 * profile.L + coeff * acc / B_prime)
+    return 1.0 / (4.0 * profile.L + 2.0 * profile.rho * alpha * acc / len(idx))
 
 
 def sample_beta_tilde(
@@ -182,7 +205,8 @@ def sample_beta_tilde(
     norms = np.empty(n)
     for r0, r1 in row_blocks(n):
         idx = sample_task_batch(family, (r1 - r0, B_prime), tasks)
-        sel = grad_noise(grads[idx], D_beta, profile.sigma_tilde, noise)
+        sel = noisy(grads[idx], grad_noise(idx.shape + (family.dim,), D_beta,
+                                           profile.sigma_tilde, noise))
         norms[r0:r1] = np.linalg.norm(sel, axis=2).mean(axis=1)
     return 1.0 / (4.0 * profile.L + coeff * norms)
 

@@ -12,22 +12,22 @@ so E||z||^2 = sigma_tilde^2 / D, and
                  E||E||_F^2 = sigma_H^2 / D.
 
 These two laws live only in ``grad_noise`` and ``hess_noise``, which
-act on whole stacks of draws; the stacked slot oracles ``noisy_grad``
-and ``noisy_hess`` and the vectorized audit and stepsize samplers all
-call them.  A stack is drawn either in one draw on one stream, or on a
-list of streams, row j on the j-th (the slots of an optimizer step, each
-on its own stream): one ``uniforms`` call per stream, one Box-Muller pass
-over the stack.  The bulk Monte Carlo samplers read their one-stream
-draws forward in windows of rows, normals from a ``numerics.NormalRows``
-reader and task indices from the stream's own generator, so their memory
-is bounded by ``numerics.BLOCK_ROWS`` rows and not by the sample count;
-a window's rows are those rows of the whole draw bit for bit.
+return the noise of a whole stack of draws for ``noisy`` to add; the
+stacked oracles ``noisy_grad`` and ``noisy_hess``, the optimizer's draws
+and the vectorized samplers all call them.  A stack is drawn either in
+one draw on one stream, or on a list of keys (as a block of optimizer
+steps is), row j on the j-th: one ``uniforms`` call per key, one
+Box-Muller pass and one scaling over the stack.  The bulk Monte Carlo
+samplers read their one-stream draws forward in
+windows of rows, normals from a ``numerics.NormalRows`` reader and task
+indices from the stream's own generator, so their memory is bounded by
+``numerics.BLOCK_ROWS`` rows and not by the sample count; a window's
+rows are those rows of the whole draw bit for bit.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
-consumed.  Callers that want two evaluations to share a data batch (the
-two probes of a finite-difference Hessian-vector product) simply pass
-the same streams to both calls.
+consumed.  Two evaluations that share a data batch (the two probes of a
+finite-difference Hessian-vector product) add the same noise.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ def _size(v, name: str) -> int:
     return int(v)
 
 
-Streams = RngStream | NormalRows | list[RngStream] | None
+Streams = RngStream | NormalRows | list[RngStream | bytes] | None
 
 
 def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given shape: one draw on one stream, the next
-    shape[0] rows of a reader, or row j on rng[j] of a list, one ``uniforms``
-    call per stream, one Box-Muller pass."""
+    shape[0] rows of a reader, or row j on key rng[j] of a list, one
+    ``uniforms`` call per key, one Box-Muller pass."""
     if isinstance(rng, RngStream):
         return standard_normals(rng, shape)
     if isinstance(rng, NormalRows):
@@ -91,19 +91,17 @@ def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
     return standard_normal_rows(rng, shape[1:])
 
 
-def grad_noise(g: np.ndarray, D: int, sigma_tilde: float, rng: Streams) -> np.ndarray:
-    """g plus batch-size-D gradient noise on each row along the last axis.
-
-    Entries are i.i.d. N(0, sigma_tilde^2 / (d D)), drawn on rng as
-    ``_normals`` draws them.  With sigma_tilde = 0, g itself is returned,
-    nothing is drawn and rng may be None.
-    """
+def grad_noise(shape: tuple[int, ...], D: int, sigma_tilde: float,
+               rng: Streams) -> np.ndarray | None:
+    """Batch-size-D gradient noise of the given shape, i.i.d.
+    N(0, sigma_tilde^2 / (d D)) along the last axis, drawn on rng as
+    ``_normals`` draws them.  With sigma_tilde = 0 it is None (``noisy``
+    adds nothing), nothing is drawn and rng may be None."""
     if D < 1:
         raise ValueError("D must be >= 1")
     if sigma_tilde == 0.0:
-        return g
-    d = g.shape[-1]
-    return g + sigma_tilde / np.sqrt(d * D) * _normals(rng, g.shape)
+        return None
+    return sigma_tilde / np.sqrt(shape[-1] * D) * _normals(rng, shape)
 
 
 def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> np.ndarray:
@@ -124,11 +122,17 @@ def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> 
     return kappa * 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
+def noisy(x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """x plus noise drawn by a noise law, or x itself where none was drawn."""
+    return x if noise is None else x + noise
+
+
 def noisy_grad(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_tilde: float,
                rng: Streams) -> np.ndarray:
     """Gradient of task idx[j] at W or at row W[j] plus batch-size-D
     Gaussian noise, shape (B, d); row j is that task's gradient alone."""
-    return grad_noise(family.grads(W, idx), D, sigma_tilde, rng)
+    g = family.grads(W, idx)
+    return noisy(g, grad_noise(g.shape, D, sigma_tilde, rng))
 
 
 def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
@@ -156,11 +160,15 @@ class StochasticOracle:
 
 
 def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
-                      rng: RngStream | np.random.Generator) -> np.ndarray:
+                      rng: RngStream | list[bytes] | np.random.Generator) -> np.ndarray:
     """Task indices of the given shape, i.i.d. from the family weights by
-    inverse CDF on the uniforms of rng: a stream, or a generator read
-    forward (a stream's own, for the next rows of one draw on it)."""
+    inverse CDF on the uniforms of rng: a stream, a list of keys (row j on
+    the j-th), or a generator read forward (a stream's own, for the next
+    rows of one draw on it)."""
     shape = tuple(_size(n, "a batch dimension")
                   for n in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    u = uniforms(rng, shape) if isinstance(rng, RngStream) else rng.random(shape)
+    if isinstance(rng, list):
+        u = np.array([uniforms(key, shape[1:]) for key in rng])
+    else:
+        u = uniforms(rng, shape) if isinstance(rng, RngStream) else rng.random(shape)
     return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

@@ -26,7 +26,7 @@ from .meta_gradient import (
 from .numerics import RngStream, Vec, row_dots, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
-from .stochastic import StochasticOracle, grad_noise
+from .stochastic import StochasticOracle, grad_noise, noisy
 from .tasks import SmoothnessProfile, TaskFamily, ball_points
 
 
@@ -87,14 +87,15 @@ def _adapted_outer_draws(
     for i, (p, g) in enumerate(zip(family.weights, family.grads(w))):
         if sigma_tilde > 0.0:
             g_in = np.broadcast_to(g, (n_mc, d))
-            inner = w - alpha * grad_noise(g_in, D_in, sigma_tilde, rng.child("task", i, "inner"))
+            noise = grad_noise(g_in.shape, D_in, sigma_tilde, rng.child("task", i, "inner"))
+            inner = w - alpha * noisy(g_in, noise)
         else:
             # one shared point as a broadcast view: task_grads then
             # computes every row identically, so noiseless draws agree
             # bit for bit with the n_mc = 1 reference in audit_bias
             inner = np.broadcast_to(w - alpha * g, (n_mc, d))
-        go = grad_noise(family.task_grads(i, inner), D_o, sigma_tilde,
-                        rng.child("task", i, "outer"))
+        go = family.task_grads(i, inner)
+        go = noisy(go, grad_noise(go.shape, D_o, sigma_tilde, rng.child("task", i, "outer")))
         draws += p * go
         sq += p * np.einsum("md,md->m", go, go)
     return draws, sq

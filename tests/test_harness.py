@@ -308,6 +308,24 @@ class TestExitCodes:
         assert "trust ball of radius 1e+160" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("radius", [1e80, 1e150])
+    def test_non_finite_smoothness_refused_by_adaptive_rule(self, tmp_path, capsys, radius):
+        # the sampled task gradients overflow, so sigma is inf (1e80) or nan
+        # (1e150) while L and rho stay finite; a constant stepsize never
+        # reads sigma, but the adaptive rule's batch precondition does
+        cfg = json.loads((CONFIGS / "fig1.json").read_text())
+        cfg.update(trust_radius=radius, stepsize={"kind": "adaptive"})
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        with pytest.warns(RuntimeWarning):  # numpy's overflow warnings in the smoothness sweep
+            code = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure:") and err.count("\n") == 1
+        assert "are not all finite" in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"family": quad_family_dict(), "alpha_inner": 0.1}))

@@ -391,6 +391,9 @@ def test_window_edges():
     blocks = list(row_blocks(3 * numerics.BLOCK_ROWS + 1))
     assert [r1 - r0 for r0, r1 in blocks] == [numerics.BLOCK_ROWS] * 3 + [1]
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    # items of width rows: at most BLOCK_ROWS rows a window, and one item at least
+    assert list(row_blocks(7, numerics.BLOCK_ROWS // 3)) == [(0, 3), (3, 6), (6, 7)]
+    assert list(row_blocks(2, 2 * numerics.BLOCK_ROWS)) == [(0, 1), (1, 2)]
 
 
 PURPOSE_LABELS = ("inner", "outer", "hess", "hvp", "slot", "stepsize", "tasks")
@@ -432,5 +435,9 @@ def test_label_memo_keeps_type_checks_and_keys():
         for stream in (derived, stepwise):
             assert stream._encoded == direct._encoded and stream._key() == direct._key()
             assert stream == direct
+        # key bytes made without streams draw what the stream draws
+        key = numerics.path_key(numerics.path_key(RngStream(seed), *path[:1]), *path[1:])
+        assert key == direct._encoded
+        assert np.array_equal(uniforms(key, 3), uniforms(direct, 3))
     for seed, path, key in PINNED_KEYS:
         assert RngStream(seed, path)._key() == RngStream(seed).child(*path)._key() == key

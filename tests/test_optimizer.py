@@ -23,11 +23,12 @@ from metagrad.optimizer import (
     CSV_HEADER,
     OptimizerConfig,
     _slot_direction,
+    _slot_draws,
     run,
     run_comparison,
     validate_config,
 )
-from metagrad.stepsize import ADAPTIVE_FRACTIONS, StepsizeRule
+from metagrad.stepsize import ADAPTIVE_FRACTIONS, StepsizeRule, beta_tilde
 from metagrad.stochastic import BatchSpec, StochasticOracle, sample_task_batch
 from metagrad.tasks import (
     QuadraticTask,
@@ -141,6 +142,11 @@ def fig1_family():
     return generate_family(FIG1["family"]["generate"])
 
 
+def step_draw(family, cfg, oracle, rng):
+    """The draws of one step on rng's key, as run() draws step k's on (seed, k)."""
+    return _slot_draws(family, cfg, oracle, [numerics.path_key(rng)])[0]
+
+
 class TestStackedExactSweep:
     """The exact full-batch steps against the public per-task and family oracles."""
 
@@ -150,7 +156,8 @@ class TestStackedExactSweep:
         cfg = OptimizerConfig(algorithm=HFMAML, alpha=alpha, batches=batches,
                               stepsize=StepsizeRule(kind="constant", beta=0.1),
                               full_task_batch=True)
-        stacked = _slot_direction(family, cfg, w, family.grads(w), rho, oracle, rng)
+        stacked = _slot_direction(family, cfg, w, family.grads(w), rho,
+                                  step_draw(family, cfg, oracle, rng))
         looped = np.zeros(family.dim)
         for i, task in enumerate(family.tasks):
             looped += family.weights[i] * direction(
@@ -209,7 +216,9 @@ class TestStackedExactSweep:
 
 
 class TestSlotLoopReplay:
-    """Noisy steps against a slot loop written out from the documented streams."""
+    """Noisy steps against a slot loop written out from the documented
+    streams.  run() draws blocks of 7 steps ahead here, so each 20-step run
+    crosses two block boundaries."""
 
     @staticmethod
     def replayed_step(family, cfg, rho, w, k):
@@ -229,36 +238,93 @@ class TestSlotLoopReplay:
             acc += slot(j, i)
         return acc / cfg.batches.B
 
-    @pytest.mark.parametrize("full_task_batch", [False, True], ids=["sampled", "full-batch"])
-    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
-    def test_steps_replay_bit_for_bit(self, algorithm, full_task_batch):
+    @staticmethod
+    def replayed_beta(family, cfg, profile, w, k):
+        if cfg.stepsize.kind == "constant":
+            return cfg.stepsize.beta
+        b = cfg.batches
+        rng = RngStream(cfg.seed).child(k, "stepsize")
+        return cfg.stepsize.resolve_fraction(cfg.algorithm) * beta_tilde(
+            family, profile, w, cfg.alpha, b.B_prime, b.D_beta, rng)
+
+    @staticmethod
+    def fig2_config(algorithm, **overrides):
+        return OptimizerConfig(**{
+            "algorithm": algorithm, "alpha": FIG2["alpha"], "max_iters": 20, "seed": 3,
+            "stepsize": StepsizeRule(kind="constant", beta=FIG2["stepsize"]["beta"]),
+            "batches": BatchSpec(B=5, D_in=4, D_o=4, D_h=4), "w0": np.array(FIG2["w0"]),
+            "trust_radius": FIG2["trust_radius"], "sigma_tilde": 0.5, "sigma_H": 0.5,
+            **overrides})
+
+    def check_replay(self, monkeypatch, cfg):
         family = generate_family(FIG2["family"]["generate"])
-        w0, beta = np.array(FIG2["w0"]), FIG2["stepsize"]["beta"]
-        profile = local_smoothness(family, w0, FIG2["trust_radius"])
-        cfg = OptimizerConfig(
-            algorithm=algorithm,
-            alpha=FIG2["alpha"],
-            stepsize=StepsizeRule(kind="constant", beta=beta),
-            batches=BatchSpec(B=5, D_in=4, D_o=4, D_h=4),
-            max_iters=20,
-            seed=3,
-            w0=w0,
-            trust_radius=FIG2["trust_radius"],
-            full_task_batch=full_task_batch,
-            sigma_tilde=0.5,
-            sigma_H=0.5,
-        )
+        profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
+        slots = family.n_tasks if cfg.full_task_batch else cfg.batches.B
+        if cfg.stepsize.kind == "adaptive":
+            slots = max(slots, cfg.batches.B_prime)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * slots)
         rec = run(family, cfg, profile=profile)
         assert rec.steps_taken == 20
+        noisy_profile = profile.with_noise(cfg.sigma_tilde, cfg.sigma_H)
         oracle = StochasticOracle(cfg.sigma_tilde, cfg.sigma_H)
         for k in range(rec.steps_taken):
             w = rec.iterates[k]
+            beta = self.replayed_beta(family, cfg, noisy_profile, w, k)
             step = self.replayed_step(family, cfg, profile.rho, w, k)
+            assert rec.beta[k] == beta
             assert np.array_equal(rec.iterates[k + 1], w - beta * step)
             # the iterate absorbs the step's last bits; compare the step itself
-            got = _slot_direction(family, cfg, w, family.grads(w), profile.rho, oracle,
-                                  RngStream(cfg.seed).child(k))
+            draw = step_draw(family, cfg, oracle, RngStream(cfg.seed).child(k))
+            got = _slot_direction(family, cfg, w, family.grads(w), profile.rho, draw)
             assert np.array_equal(got, step)
+
+    @pytest.mark.parametrize("full_task_batch", [False, True], ids=["sampled", "full-batch"])
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    def test_steps_replay_bit_for_bit(self, monkeypatch, algorithm, full_task_batch):
+        self.check_replay(monkeypatch, self.fig2_config(algorithm, full_task_batch=full_task_batch))
+
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    def test_adaptive_steps_replay_bit_for_bit(self, monkeypatch, algorithm):
+        self.check_replay(monkeypatch, self.fig2_config(
+            algorithm, stepsize=StepsizeRule(kind="adaptive"),
+            batches=BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)))
+
+    @pytest.mark.parametrize("case", ["sampled", "full-batch", "adaptive", "exact-sampled"])
+    def test_records_do_not_depend_on_block_length(self, monkeypatch, case):
+        overrides = {
+            "sampled": {},
+            "full-batch": {"full_task_batch": True},
+            "adaptive": {"stepsize": StepsizeRule(kind="adaptive"),
+                         "batches": BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)},
+            "exact-sampled": {"sigma_tilde": 0.0, "sigma_H": 0.0},
+        }[case]
+        family = generate_family(FIG2["family"]["generate"])
+        for algorithm in (MAML, FOMAML, HFMAML):
+            cfg = self.fig2_config(algorithm, max_iters=30, **overrides)
+            profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
+            records = []
+            for rows in (numerics.BLOCK_ROWS, 1, 64):
+                monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
+                records.append(run(family, cfg, profile=profile))
+            for rec in records[1:]:
+                assert rec.to_csv() == records[0].to_csv()
+                assert np.array_equal(rec.iterates, records[0].iterates)
+
+    def test_target_stop_mid_block_is_a_prefix(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * 5)  # blocks of 7 steps
+        family = generate_family(FIG2["family"]["generate"])
+        cfg = self.fig2_config(MAML, max_iters=40)
+        profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
+        full = run(family, cfg, profile=profile)
+        # the first new minimum inside a block: a target there stops the run at that row
+        stop = next(k for k in range(1, 41)
+                    if k % 7 and full.grad_norm_F[k] < np.min(full.grad_norm_F[:k]))
+        rec = run(family, replace(cfg, target_grad_norm=full.grad_norm_F[stop]), profile=profile)
+        assert rec.stop_reason == "target" and rec.steps_taken == stop
+        assert np.array_equal(rec.iterates, full.iterates[:stop + 1])
+        assert np.array_equal(rec.grad_norm_F, full.grad_norm_F[:stop + 1])
+        assert np.array_equal(rec.loss_F, full.loss_F[:stop + 1])
+        assert np.array_equal(rec.beta[:stop], full.beta[:stop]) and np.isnan(rec.beta[stop])
 
 
 class TestKeyedDraws:
@@ -279,6 +345,19 @@ class TestKeyedDraws:
         batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
         self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 102},
                          stepsize=StepsizeRule(kind="adaptive"), batches=batches)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
+    def test_draws_per_step_across_blocks(self, monkeypatch, adaptive):
+        # blocks of 3 steps: 20 steps are six blocks and a short one, and
+        # no block draws past max_iters
+        if adaptive:
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * 20)
+            batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
+            self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 102},
+                             stepsize=StepsizeRule(kind="adaptive"), batches=batches)
+        else:
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * FIG2["batches"]["B"])
+            self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 41})
 
     def check_draws(self, monkeypatch, name, per_step, **overrides):
         resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
