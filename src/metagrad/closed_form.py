@@ -13,10 +13,8 @@ iteration map, independent of the outer stepsize:
 On a heterogeneous family the two differ, and ||grad F(w_fo)|| is the
 exact convergence floor that the first-order method cannot descend
 below.  Both coefficient matrices are symmetric positive definite when
-alpha < 1 / max_i ||A_i||, so the systems are solved by Cholesky with
-iterative refinement down to a 1e-12 residual.  scipy.linalg, which does
-the Cholesky solves, is imported by the first solve, so runs on rank-1
-families never load scipy.
+alpha < 1 / max_i ||A_i||; a Cholesky factorization checks that, and
+the solve is refined iteratively down to a 1e-12 residual.
 """
 
 from __future__ import annotations
@@ -35,26 +33,30 @@ RESIDUAL_TOL = 1e-12
 
 def _solve_spd(h: Mat, rhs: Vec) -> Vec:
     """Solve h x = rhs for symmetric positive definite h to tight residual."""
-    import scipy.linalg  # only quadratic families need it; loading it costs ~20 MB
-
+    if not (np.isfinite(h).all() and np.isfinite(rhs).all()):
+        raise IllConditioned("linear system has a non-finite entry")
     try:
-        factor = scipy.linalg.cho_factor(h)
+        np.linalg.cholesky(h)  # the positive-definiteness check
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"coefficient matrix is not positive definite: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, rhs)
+    x = np.linalg.solve(h, rhs)
     scale = max(1.0, float(np.linalg.norm(rhs)))
     for _ in range(3):  # iterative refinement, usually a no-op
         r = rhs - h @ x
         if float(np.linalg.norm(r)) <= RESIDUAL_TOL * scale:
             return x
-        x = x + scipy.linalg.cho_solve(factor, r)
+        x = x + np.linalg.solve(h, r)
     if float(np.linalg.norm(rhs - h @ x)) > RESIDUAL_TOL * scale:
         raise IllConditioned("linear solve residual exceeds 1e-12 after refinement")
     return x
 
 
 def _weighted_systems(family: TaskFamily, alpha: float):
-    """Coefficient matrices and right-hand sides of both linear systems."""
+    """Coefficient matrices and right-hand sides of both linear systems.
+
+    An alpha too large for float64 overflows them to non-finite entries,
+    which _solve_spd refuses.
+    """
     if family.kind != QUADRATIC:
         raise ValueError("closed forms exist only for quadratic families")
     d = family.dim
@@ -63,13 +65,14 @@ def _weighted_systems(family: TaskFamily, alpha: float):
     meta_r = np.zeros(d)
     fo_m = np.zeros((d, d))
     fo_r = np.zeros(d)
-    for p, task in zip(family.weights, family.tasks):
-        m = eye - alpha * task.A
-        m2 = m @ m
-        meta_m += p * (m2 @ task.A)
-        meta_r += p * (m2 @ task.b)
-        fo_m += p * (m @ task.A)
-        fo_r += p * (m @ task.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, task in zip(family.weights, family.tasks):
+            m = eye - alpha * task.A
+            m2 = m @ m
+            meta_m += p * (m2 @ task.A)
+            meta_r += p * (m2 @ task.b)
+            fo_m += p * (m @ task.A)
+            fo_r += p * (m @ task.b)
     # Polynomials in symmetric A_i are symmetric; kill rounding skew.
     meta_m = 0.5 * (meta_m + meta_m.T)
     fo_m = 0.5 * (fo_m + fo_m.T)

@@ -208,25 +208,14 @@ def adapted_value(family: TaskFamily, adapted: Mat) -> float:
     return float(family.weights @ family.values_rowwise(adapted))
 
 
-def exact_grad_F(
-    family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray | None = None
-) -> Vec:
-    """Exact meta-gradient, the weighted sum of per-task meta-gradients.
-
-    grads, when given, are family.grads(w), already computed by the caller.
-    """
-    return exact_sweep(family, w, alpha, family.grads(w) if grads is None else grads)[0]
+def exact_grad_F(family: TaskFamily, w: Vec, alpha: float) -> Vec:
+    """Exact meta-gradient, the weighted sum of per-task meta-gradients."""
+    return exact_sweep(family, w, alpha, family.grads(w))[0]
 
 
-def value_F(
-    family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray | None = None
-) -> float:
-    """Exact meta-objective sum_i p_i f_i(w - alpha grad f_i(w)).
-
-    grads, when given, are family.grads(w), already computed by the caller.
-    """
-    g = family.grads(w) if grads is None else grads
-    return adapted_value(family, w - alpha * g)
+def value_F(family: TaskFamily, w: Vec, alpha: float) -> float:
+    """Exact meta-objective sum_i p_i f_i(w - alpha grad f_i(w))."""
+    return adapted_value(family, w - alpha * family.grads(w))
 
 
 def mc_grad_F_hat_draws(

@@ -414,8 +414,11 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
         L = SMOOTHNESS_INFLATION * hess_sup
         rho = SMOOTHNESS_INFLATION * ratio_sup
 
-    per_task = family.grads(points[:, None, :])  # (m, n, d)
-    mean = np.einsum("n,mnd->md", family.weights, per_task)
-    dev = np.linalg.norm(per_task - mean[:, None, :], axis=2)
-    sigma = SMOOTHNESS_INFLATION * float(np.max(dev))
+    # A radius too large for float64 overflows sigma to inf or nan; the
+    # adaptive rule's batch precondition refuses it, a constant step never reads it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_task = family.grads(points[:, None, :])  # (m, n, d)
+        mean = np.einsum("n,mnd->md", family.weights, per_task)
+        dev = np.linalg.norm(per_task - mean[:, None, :], axis=2)
+        sigma = SMOOTHNESS_INFLATION * float(np.max(dev))
     return SmoothnessProfile(L=L, rho=rho, sigma=sigma)

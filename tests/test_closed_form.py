@@ -1,5 +1,7 @@
 """Closed-form fixed points verified by root finding and fixed-point iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,13 @@ def test_degenerate_alpha_raises_ill_conditioned():
     fam = TaskFamily([QuadraticTask(np.array([[2.0]]), np.array([1.0]))])
     with pytest.raises(IllConditioned):
         analyze_quadratic(fam, 0.5)
+
+
+def test_overflowing_alpha_raises_ill_conditioned_quietly():
+    # (1 - alpha A)^2 overflows float64; the solver refuses the non-finite
+    # system instead of handing it to the factorization
+    fam = random_quadratic_family(3, 2, RngStream(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned, match="non-finite"):
+            analyze_quadratic(fam, 1e200)

@@ -1,7 +1,10 @@
 """CLI behaviors: exit codes, emitted files, determinism, overrides."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,14 @@ from records import parse_csv
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
+
+
+def metagrad_process(cwd, *argv, python_flags=()):
+    """Run `metagrad <argv>` in a fresh interpreter; the finished process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *python_flags, "-m", "metagrad.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
 def quad_family_dict(seed=0, n=3, d=2):
@@ -318,13 +329,43 @@ class TestExitCodes:
         path = tmp_path / "fig1.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
-        with pytest.warns(RuntimeWarning):  # numpy's overflow warnings in the smoothness sweep
-            code = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
+        code = main(["compare", "--config", str(path), "--out", str(out), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime failure:") and err.count("\n") == 1
         assert "are not all finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("radius", [1e80, 1e150])
+    def test_non_finite_sigma_is_quiet_under_a_constant_step(self, tmp_path, radius):
+        # sigma overflows as above, but a constant stepsize never reads it,
+        # and the smoothness sweep raises no overflow warning on the way
+        cfg = json.loads((CONFIGS / "fig1.json").read_text())
+        cfg["trust_radius"] = radius
+        (tmp_path / "fig1.json").write_text(json.dumps(cfg))
+        proc = metagrad_process(tmp_path, "compare", "--config", "fig1.json", "--max-iters", "5",
+                                "--out", "o", "--quiet",
+                                python_flags=["-W", "error::RuntimeWarning"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "o" / "compare_summary_seed0.json").is_file()
+
+    def test_overflowing_alpha_fails_the_quadratic_oracle(self, tmp_path):
+        # (1 - alpha A)^2 overflows, so the closed-form systems are not finite
+        proc = metagrad_process(tmp_path, "quadratic-oracle", "--alpha", "1e200")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("runtime failure:") and proc.stderr.count("\n") == 1
+        assert "non-finite" in proc.stderr
+
+    def test_overflowing_alpha_fails_compare_on_a_quadratic_family(self, tmp_path):
+        # without closed forms the run logs NaN distances, then its iterate overflows
+        cfg = {"family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2, "seed": 1}},
+               "alpha": 1e200, "stepsize": {"kind": "constant", "beta": 0.05}}
+        (tmp_path / "q.json").write_text(json.dumps(cfg))
+        proc = metagrad_process(tmp_path, "compare", "--config", "q.json", "--max-iters", "5",
+                                "--out", "o", "--quiet")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("runtime failure:")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -1,9 +1,8 @@
 """Which modules a command loads, each checked in a fresh interpreter.
 
-scipy is imported only by the closed forms of quadratic families, and the
-audit module only by the audit battery, so commands on rank-1 families
-load neither.  The quadratic-oracle case shows the probe does see scipy
-when a command needs it.
+No command imports scipy, and the audit module is imported only by the
+audit battery.  One probe blocks ``import scipy`` outright and runs a
+command of each kind, so a stray scipy import fails loudly.
 """
 
 import json
@@ -22,11 +21,38 @@ PROBE = (
     "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
 )
 
+BLOCK_SCIPY = (
+    "import sys\n"
+    "class BlockScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy' or name.startswith('scipy.'):\n"
+    "            raise ImportError(f'{name} is blocked')\n"
+    "sys.meta_path.insert(0, BlockScipy())\n"
+)
 
-def loaded_modules(cwd, *argv):
-    """Every module in sys.modules after `metagrad <argv>` (or the bare import)."""
+QUADRATIC = {
+    "family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2, "seed": 1}},
+    "alpha": 0.05,
+}
+
+RANK1_AUDIT = {
+    "family": {"generate": {"kind": "rank1mf", "n": 4, "dim": 2, "seed": 3}},
+    "algorithms": ["maml"],
+    "alpha": 0.01,
+    "stepsize": {"kind": "constant", "beta": 0.05},
+    "batches": {"B": 4, "B_prime": 4, "D_beta": 4},
+    "max_iters": 5,
+    "audit": {"n_mc": 50, "D_in": [4], "D_o": 4, "D_test": [4], "n_probes": 5,
+              "n_pairs": 5, "stepsize_points": 2, "stepsize_samples": 50,
+              "K_list": [4]},
+}
+
+
+def loaded_modules(cwd, *argv, prelude=""):
+    """Every module in sys.modules after `metagrad <argv>` (or the bare import),
+    with prelude run first."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -38,8 +64,8 @@ def scipy_modules(modules):
     return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
 
 
-def write_config(tmp_path, cfg):
-    path = tmp_path / "cfg.json"
+def write_config(tmp_path, cfg, name="cfg.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -60,27 +86,28 @@ def test_compare_on_a_rank1_family_loads_no_scipy(tmp_path):
 
 
 def test_audit_on_a_rank1_family_loads_no_scipy(tmp_path):
-    cfg = write_config(tmp_path, {
-        "family": {"generate": {"kind": "rank1mf", "n": 4, "dim": 2, "seed": 3}},
-        "algorithms": ["maml"],
-        "alpha": 0.01,
-        "stepsize": {"kind": "constant", "beta": 0.05},
-        "batches": {"B": 4, "B_prime": 4, "D_beta": 4},
-        "max_iters": 5,
-        "audit": {"n_mc": 50, "D_in": [4], "D_o": 4, "D_test": [4], "n_probes": 5,
-                  "n_pairs": 5, "stepsize_points": 2, "stepsize_samples": 50,
-                  "K_list": [4]},
-    })
+    cfg = write_config(tmp_path, RANK1_AUDIT)
     modules = loaded_modules(tmp_path, "audit", "--config", cfg, "--out", "out", "--quiet")
     assert (tmp_path / "out" / "audit_seed0.json").is_file()
     assert "metagrad.verification" in modules
     assert scipy_modules(modules) == []
 
 
-def test_quadratic_oracle_loads_scipy(tmp_path):
-    cfg = write_config(tmp_path, {
-        "family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2, "seed": 1}},
-        "alpha": 0.05,
-    })
-    modules = loaded_modules(tmp_path, "quadratic-oracle", "--config", cfg)
-    assert "scipy.linalg" in modules
+def test_quadratic_commands_load_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, QUADRATIC)
+    assert scipy_modules(loaded_modules(tmp_path, "quadratic-oracle", "--config", cfg)) == []
+    modules = loaded_modules(tmp_path, "compare", "--config", cfg, "--max-iters", "5",
+                             "--out", "out", "--quiet")
+    assert (tmp_path / "out" / "compare_summary_seed0.json").is_file()
+    assert scipy_modules(modules) == []
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    quadratic = write_config(tmp_path, QUADRATIC)
+    audit = write_config(tmp_path, RANK1_AUDIT, name="audit.json")
+    for argv in (["quadratic-oracle", "--config", quadratic],
+                 ["compare", "--config", quadratic, "--max-iters", "5", "--out", "cmp", "--quiet"],
+                 ["audit", "--config", audit, "--out", "aud", "--quiet"]):
+        loaded_modules(tmp_path, *argv, prelude=BLOCK_SCIPY)  # asserts exit code 0
+    assert (tmp_path / "cmp" / "compare_summary_seed0.json").is_file()
+    assert (tmp_path / "aud" / "audit_seed0.json").is_file()
