@@ -592,7 +592,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidBatchConfig) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DivergenceDetected, NumericalFailure, IllConditioned) as e:
+    except (DivergenceDetected, NumericalFailure, IllConditioned, MemoryError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -26,11 +26,13 @@ The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
 
-``slot_noise`` draws many slots' noise at once (a block of steps, in the
-optimizer), each slot on its own key, so a slot's noise is the same floats
-in any block; ``direction`` is the one-slot case.  Everything here is a
-pure function of its inputs and the keys, so repeated evaluation is
-reproducible and parallel evaluation is safe.
+``slot_noise`` draws every site of many slots at once (a block of steps,
+in the optimizer), each slot on its own key, so a slot's noise is the same
+floats in any block; a probe row is two draws on its key, one per probe
+gradient.  ``slot_directions`` and ``hvp_finite_diff`` add the noise they
+are given with ``noisy``; ``direction`` is the one-slot case.  Everything
+here is a pure function of its inputs and the keys, so repeated evaluation
+is reproducible and parallel evaluation is safe.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .stochastic import (
     PROBE,
     BatchSpec,
     StochasticOracle,
-    Streams,
     grad_noise,
     hess_noise,
     noisy,
@@ -61,29 +62,23 @@ ZERO_PROBE_TOL = 1e-12
 
 
 def hvp_finite_diff(
-    family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray, D: int, sigma_tilde: float,
-    rng: Streams,
+    family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray, noise=(None, None),
 ) -> Mat:
     """Central-difference estimates of hess f_idx[j](W[j]) @ V[j] from two
-    noisy gradients per row, row j with probe width delta[j].  W is one
-    point per row, or one point (d,) shared by every row.
+    gradients per row, row j with probe width delta[j].  W is one point per
+    row, or one point (d,) shared by every row.  noise holds the drawn
+    noise of the probe gradients at W + delta V and at W - delta V, each
+    (B, d) or None for none.
 
-    Both probe gradients take the noise of one draw on rng, i.e. the same
-    data batch, so their additive noise is identical and cancels in the
-    difference.  The surviving error is curvature-only: at most
-    rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
+    Two probe gradients on the same data batch take the same noise, which
+    cancels in the difference; the surviving error is curvature-only, at
+    most rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
     """
-    noise = grad_noise(V.shape, D, sigma_tilde, rng)
-    return _probe_difference(family, idx, W, V, delta, noise, noise)
-
-
-def _probe_difference(family, idx, W, V, delta, noise_plus, noise_minus):
-    """hvp_finite_diff with each probe gradient's noise already drawn."""
     if (delta <= 0.0).any():
         raise ValueError("delta must be positive")
     delta = delta[:, None]
-    gp = noisy(family.grads(W + delta * V, idx), noise_plus)
-    gm = noisy(family.grads(W - delta * V, idx), noise_minus)
+    gp = noisy(family.grads(W + delta * V, idx), noise[0])
+    gm = noisy(family.grads(W - delta * V, idx), noise[1])
     return (gp - gm) / (2.0 * delta)
 
 
@@ -155,13 +150,13 @@ def slot_directions(
     w_i = w - alpha * noisy(g, noise[INNER])
     v = noisy(family.grads(w_i, idx), noise[OUTER])
     if algorithm == MAML:
-        h = family.hessians(w, idx) + noise[HESS]
+        h = noisy(family.hessians(w, idx), noise[HESS])
         return v - alpha * (h @ v[:, :, None])[..., 0]
     if algorithm == HFMAML:
         nv, probing = probe_norms(v)
         delta = probe_delta(rho, alpha, nv, w)
         probe = (None, None) if noise[PROBE] is None else np.swapaxes(noise[PROBE], 0, 1)
-        hv = _probe_difference(family, idx, w, v, delta, *probe)
+        hv = hvp_finite_diff(family, idx, w, v, delta, probe)
         return np.where(probing[:, None], v - alpha * hv, v)
     return v
 
@@ -259,12 +254,13 @@ def mc_grad_F_hat_draws(
     for i, (p, g, h) in enumerate(tasks):
         g = np.broadcast_to(g, (n_mc, d))
         g_in = noisy(g, grad_noise(g.shape, D_test, oracle.sigma_tilde,
-                                   rng.child("task", i, "test_grad")))
+                                   NormalRows(rng.child("task", i, "test_grad"), g.shape)))
         go = family.task_grads(i, w - alpha * g_in)  # exact outer gradient, (n_mc, d)
         corr = go @ h.T
-        hess_rows = NormalRows(rng.child("task", i, "test_hess"), (n_mc, d, d))
-        for r0, r1 in row_blocks(n_mc):
-            e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, hess_rows)
-            corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
+        if oracle.sigma_H > 0.0:
+            hess_rows = NormalRows(rng.child("task", i, "test_hess"), (n_mc, d, d))
+            for r0, r1 in row_blocks(n_mc):
+                e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, hess_rows)
+                corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
         draws += p * (go - alpha * corr)
     return draws

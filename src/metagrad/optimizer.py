@@ -23,7 +23,9 @@ batch slot j from (s, k, "slot", j, purpose).  Two algorithms run with
 the same seed therefore see identical task batches and identical
 inner/outer gradient noise, isolating the algorithmic difference.  A
 draw depends only on its key, so a block of steps is drawn ahead on these
-keys (_drawn_steps) and records do not depend on the block length.
+keys (_drawn_steps) and records do not depend on the block length.  The
+loop raises no numpy overflow warning: an overflow ends the run as a
+non-finite or diverging iterate.
 """
 
 from __future__ import annotations
@@ -206,27 +208,10 @@ def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
     return np.add.accumulate(terms)[-1]
 
 
-def _slot_draws(family, config, oracle, keys):
-    """(idx, noise) of the step on each key (seed, k): B tasks drawn on key
-    + "tasks" (a full batch's are tasks 0..n-1), slot j's noise on key +
-    ("slot", j)."""
-    n = len(keys)
-    if config.full_task_batch:
-        B, batches = family.n_tasks, [slice(None)] * n
-    else:
-        B = config.batches.B
-        batches = sample_task_batch(family, (n, B), [path_key(key, TASKS) for key in keys])
-    slots = [path_key(b"", "slot", j) for j in range(B)]
-    slot_keys = None if oracle.exact else [key + slot for key in keys for slot in slots]
-    noise = slot_noise(config.algorithm, n * B, family.dim, oracle, config.batches, slot_keys)
-    rows = [[None] * n if a is None else a.reshape((n, B) + a.shape[1:]) for a in noise.values()]
-    return [(idx, dict(zip(noise, step))) for idx, step in zip(batches, zip(*rows))]
-
-
 def _slot_direction(family, config, w, grads, rho, draw):
     """sum_j p_j direction_j / B, added from zero in slot order, for a
-    _slot_draws entry: task weights p and B = 1 for a full batch, p_j = 1
-    for a sampled one.  grads are family.grads(w)."""
+    _drawn_steps slot draw: task weights p and B = 1 for a full batch,
+    p_j = 1 for a sampled one.  grads are family.grads(w)."""
     idx, noise = draw
     if config.full_task_batch:
         weights, B = family.weights, 1
@@ -238,20 +223,31 @@ def _slot_direction(family, config, w, grads, rho, draw):
 
 def _drawn_steps(family, config, profile, oracle):
     """(stepsize draw, slot draw) of steps 0, 1, ..., None where a step draws
-    nothing, in blocks of at most BLOCK_ROWS slot rows up to max_iters."""
+    nothing, in blocks of at most BLOCK_ROWS slot rows up to max_iters.  A
+    slot draw is (idx, site -> noise rows): B tasks on (seed, k, "tasks")
+    (a full batch's are 0..n-1) and slot j's noise on (seed, k, "slot", j)."""
     b, adaptive = config.batches, config.stepsize.kind == "adaptive"
     if config.full_task_batch:  # no slots when the step is read off the exact sweep
         slots = 0 if oracle.exact and config.algorithm != HFMAML else family.n_tasks
     else:
         slots = b.B
     root = RngStream(config.seed)
+    labels = [path_key(b"", "slot", j) for j in range(slots)]
     for k0, k1 in row_blocks(config.max_iters, max(slots, b.B_prime if adaptive else 1)):
-        ks, none = range(k0, k1), [None] * (k1 - k0)
+        n, keys = k1 - k0, [path_key(root, k) for k in range(k0, k1)]
+        none = [None] * n
         betas = stepsize_draws(family, profile, config.alpha, b.B_prime, b.D_beta,
-                               [path_key(root, k, STEPSIZE) for k in ks]) if adaptive else none
-        steps = (_slot_draws(family, config, oracle, [path_key(root, k) for k in ks])
-                 if slots else none)
-        yield from zip(betas, steps)
+                               [path_key(key, STEPSIZE) for key in keys]) if adaptive else none
+        if not slots:
+            yield from zip(betas, none)
+            continue
+        tasks = [slice(None)] * n if config.full_task_batch else sample_task_batch(
+            family, (n, slots), [path_key(key, TASKS) for key in keys])
+        slot_keys = None if oracle.exact else [key + lab for key in keys for lab in labels]
+        noise = slot_noise(config.algorithm, n * slots, family.dim, oracle, b, slot_keys)
+        for r, (beta, idx) in enumerate(zip(betas, tasks)):
+            rows = slice(r * slots, (r + 1) * slots)
+            yield beta, (idx, {site: None if a is None else a[rows] for site, a in noise.items()})
 
 
 def run(
@@ -301,48 +297,48 @@ def run(
 
     stop_reason = "max_iters"
     k = 0
-    while True:
-        grads = family.grads(w)  # shared by the instrumentation and the step
-        grad_F, adapted, outer = exact_sweep(family, w, config.alpha, grads)
-        grad_norms[k] = np.linalg.norm(grad_F)
-        losses[k] = adapted_value(family, adapted)
-        if analysis is not None:
-            d_star[k] = np.linalg.norm(w - analysis.w_star)
-            d_fo[k] = np.linalg.norm(w - analysis.w_fo)
-        trail[k] = w
-        if config.target_grad_norm > 0.0 and grad_norms[k] <= config.target_grad_norm:
-            stop_reason = "target"
-            break
-        if k == config.max_iters:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            grads = family.grads(w)  # shared by the instrumentation and the step
+            grad_F, adapted, outer = exact_sweep(family, w, config.alpha, grads)
+            grad_norms[k] = np.linalg.norm(grad_F)
+            losses[k] = adapted_value(family, adapted)
+            if analysis is not None:
+                d_star[k] = np.linalg.norm(w - analysis.w_star)
+                d_fo[k] = np.linalg.norm(w - analysis.w_fo)
+            trail[k] = w
+            if config.target_grad_norm > 0.0 and grad_norms[k] <= config.target_grad_norm:
+                stop_reason = "target"
+                break
+            if k == config.max_iters:
+                break
 
-        beta_draw, slot_draw = next(draws)
-        if config.stepsize.kind == "constant":
-            beta_k = config.stepsize.beta
-        else:
-            beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_sample(
-                family, profile, w, config.alpha, beta_draw)
-        betas[k] = beta_k
+            beta_draw, slot_draw = next(draws)
+            if config.stepsize.kind == "constant":
+                beta_k = config.stepsize.beta
+            else:
+                beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_sample(
+                    family, profile, w, config.alpha, beta_draw)
+            betas[k] = beta_k
 
-        if slot_draw is not None:
-            step_dir = _slot_direction(family, config, w, grads, profile.rho, slot_draw)
-        elif config.algorithm == MAML:
-            step_dir = grad_F
-        else:
-            step_dir = family.weights @ outer
+            if slot_draw is not None:
+                step_dir = _slot_direction(family, config, w, grads, profile.rho, slot_draw)
+            elif config.algorithm == MAML:
+                step_dir = grad_F
+            else:
+                step_dir = family.weights @ outer
 
-        with np.errstate(over="ignore", invalid="ignore"):
             w = w - beta_k * step_dir
             dist = np.linalg.norm(w - w0)  # inf for a finite w far enough out
-        k += 1
-        if not np.all(np.isfinite(w)):
-            raise NumericalFailure(f"non-finite iterate at iteration {k}")
-        if dist > DIVERGENCE_FACTOR * config.trust_radius:
-            raise DivergenceDetected(
-                f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration {k} "
-                f"(||w - w0|| = {dist:.3g}, "
-                f"radius = {config.trust_radius:g})"
-            )
+            k += 1
+            if not np.all(np.isfinite(w)):
+                raise NumericalFailure(f"non-finite iterate at iteration {k}")
+            if dist > DIVERGENCE_FACTOR * config.trust_radius:
+                raise DivergenceDetected(
+                    f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration {k} "
+                    f"(||w - w0|| = {dist:.3g}, "
+                    f"radius = {config.trust_radius:g})"
+                )
 
     last = k + 1
     return RunRecord(

@@ -42,9 +42,11 @@ ADAPTIVE_FRACTIONS = {"maml": 1.0 / 12.0, "fomaml": 1.0 / 18.0, "hfmaml": 1.0 / 
 ALPHA_CAPS = {"maml": 1.0 / 6.0, "fomaml": 1.0 / 10.0, "hfmaml": 1.0 / 6.0}
 
 
-def _ceil(x: float) -> int:
-    """Ceiling with protection against float-representation overshoot."""
-    return max(0, math.ceil(x - 1e-9 * max(1.0, abs(x))))
+def _ceil(x: float) -> int | float:
+    """Ceiling with protection against float-representation overshoot; inf,
+    which no batch meets, for inf.  The batch requirements below square by
+    multiplication, so a square past the float range is inf (** raises)."""
+    return x if x == math.inf else max(0, math.ceil(x - 1e-9 * max(1.0, abs(x))))
 
 
 @dataclass(frozen=True)
@@ -86,26 +88,31 @@ def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, w: Vec, al
     return 4.0 * profile.L + 2.0 * profile.rho * alpha * float(family.weights @ norms)
 
 
-def required_B_prime(profile: SmoothnessProfile, alpha: float) -> int:
-    return max(1, _ceil(0.5 * (profile.rho * alpha * profile.sigma / profile.L) ** 2))
+def required_B_prime(profile: SmoothnessProfile, alpha: float) -> int | float:
+    r = profile.rho * alpha * profile.sigma / profile.L
+    return max(1, _ceil(0.5 * (r * r)))
 
 
-def required_D_beta(profile: SmoothnessProfile, alpha: float) -> int:
-    return max(1, _ceil((2.0 * profile.rho * alpha * profile.sigma_tilde / profile.L) ** 2))
+def required_D_beta(profile: SmoothnessProfile, alpha: float) -> int | float:
+    r = 2.0 * profile.rho * alpha * profile.sigma_tilde / profile.L
+    return max(1, _ceil(r * r))
 
 
-def required_D_h(profile: SmoothnessProfile, alpha: float, algorithm: str) -> int:
+def required_D_h(profile: SmoothnessProfile, alpha: float, algorithm: str) -> int | float:
     """Hessian-side batch the guarantees assume.
 
     The probe-based variant needs ceil(36 (alpha rho sigma_tilde)^2)
     probe gradients; the variants drawing a noisy Hessian need
-    ceil(2 alpha^2 sigma_H^2) draws.
+    ceil(2 alpha^2 sigma_H^2) draws, alpha sigma_H being taken first so
+    that sigma_H = 0 needs one draw at any finite alpha.
     """
     if algorithm not in ADAPTIVE_FRACTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "hfmaml":
-        return max(1, _ceil(36.0 * (alpha * profile.rho * profile.sigma_tilde) ** 2))
-    return max(1, _ceil(2.0 * alpha**2 * profile.sigma_H**2))
+        r = alpha * profile.rho * profile.sigma_tilde
+        return max(1, _ceil(36.0 * (r * r)))
+    r = alpha * profile.sigma_H
+    return max(1, _ceil(2.0 * (r * r)))
 
 
 def check_stepsize_batches(

@@ -12,17 +12,16 @@ so E||z||^2 = sigma_tilde^2 / D, and
                  E||E||_F^2 = sigma_H^2 / D.
 
 These two laws live only in ``grad_noise`` and ``hess_noise``, which
-return the noise of a whole stack of draws for ``noisy`` to add; the
-stacked oracles ``noisy_grad`` and ``noisy_hess``, the optimizer's draws
-and the vectorized samplers all call them.  A stack is drawn either in
-one draw on one stream, or on a list of keys (as a block of optimizer
-steps is), row j on the j-th: one ``uniforms`` call per key, one
-Box-Muller pass and one scaling over the stack.  The bulk Monte Carlo
-samplers read their one-stream draws forward in
-windows of rows, normals from a ``numerics.NormalRows`` reader and task
-indices from the stream's own generator, so their memory is bounded by
-``numerics.BLOCK_ROWS`` rows and not by the sample count; a window's
-rows are those rows of the whole draw bit for bit.
+return the noise of a whole stack of draws, or None at a zero noise
+level, for ``noisy`` to add; the stacked oracles ``noisy_grad`` and
+``noisy_hess``, the optimizer's draws and the vectorized samplers all
+call them.  A stack's normals come either from a list of keys (as a
+block of optimizer steps is drawn), row j on the j-th with one
+``uniforms`` call per key and one Box-Muller pass, or as the next rows of
+a ``numerics.NormalRows`` reader of one draw on one stream, bit for bit
+those rows of the whole draw.  The Monte Carlo samplers read their draws
+so, in windows of at most ``numerics.BLOCK_ROWS`` rows where the sample
+is large, and read task indices forward from a stream's own generator.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NormalRows, RngStream, standard_normal_rows, standard_normals, uniforms
+from .numerics import NormalRows, RngStream, standard_normal_rows, uniforms
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -77,18 +76,15 @@ def _size(v, name: str) -> int:
     return int(v)
 
 
-Streams = RngStream | NormalRows | list[RngStream | bytes] | None
+Streams = NormalRows | list[RngStream | bytes] | None
 
 
 def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of the given shape: one draw on one stream, the next
-    shape[0] rows of a reader, or row j on key rng[j] of a list, one
-    ``uniforms`` call per key, one Box-Muller pass."""
-    if isinstance(rng, RngStream):
-        return standard_normals(rng, shape)
-    if isinstance(rng, NormalRows):
-        return rng.take(shape[0])
-    return standard_normal_rows(rng, shape[1:])
+    """Standard normals of the given shape: the next shape[0] rows of a
+    reader, or row j on key rng[j] of a list, one ``uniforms`` call per
+    key, one Box-Muller pass."""
+    return (rng.take(shape[0]) if isinstance(rng, NormalRows)
+            else standard_normal_rows(rng, shape[1:]))
 
 
 def grad_noise(shape: tuple[int, ...], D: int, sigma_tilde: float,
@@ -104,18 +100,18 @@ def grad_noise(shape: tuple[int, ...], D: int, sigma_tilde: float,
     return sigma_tilde / np.sqrt(shape[-1] * D) * _normals(rng, shape)
 
 
-def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> np.ndarray:
+def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> np.ndarray | None:
     """Symmetric batch-size-D Hessian noise over the last two axes.
 
     E = kappa (G + G') / 2 with i.i.d. standard normal G has Frobenius
     energy kappa^2 d (d + 1) / 2, so kappa = sigma_H sqrt(2 / (D d (d + 1))).
-    G is drawn on rng as ``_normals`` draws it; with sigma_H = 0 the noise
-    is zero, nothing is drawn and rng may be None.
+    G is drawn on rng as ``_normals`` draws it; with sigma_H = 0 it is None
+    (``noisy`` adds nothing), nothing is drawn and rng may be None.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
     if sigma_H == 0.0:
-        return np.zeros(shape)
+        return None
     d = shape[-1]
     kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
     g = _normals(rng, shape)
@@ -140,7 +136,7 @@ def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
     """Hessian of task idx[j] at W or at row W[j] plus symmetric Gaussian
     noise, shape (B, d, d)."""
     h = family.hessians(W, idx)
-    return h + hess_noise(h.shape, D, sigma_H, rng)
+    return noisy(h, hess_noise(h.shape, D, sigma_H, rng))
 
 
 @dataclass(frozen=True)
@@ -160,15 +156,13 @@ class StochasticOracle:
 
 
 def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
-                      rng: RngStream | list[bytes] | np.random.Generator) -> np.ndarray:
+                      rng: list[bytes] | np.random.Generator) -> np.ndarray:
     """Task indices of the given shape, i.i.d. from the family weights by
-    inverse CDF on the uniforms of rng: a stream, a list of keys (row j on
-    the j-th), or a generator read forward (a stream's own, for the next
-    rows of one draw on it)."""
+    inverse CDF on the uniforms of rng: a list of keys (row j on the j-th),
+    or a generator read forward (a stream's own, for the next rows of one
+    draw on it)."""
     shape = tuple(_size(n, "a batch dimension")
                   for n in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    if isinstance(rng, list):
-        u = np.array([uniforms(key, shape[1:]) for key in rng])
-    else:
-        u = uniforms(rng, shape) if isinstance(rng, RngStream) else rng.random(shape)
+    u = (np.array([uniforms(key, shape[1:]) for key in rng]) if isinstance(rng, list)
+         else rng.random(shape))
     return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

@@ -406,8 +406,10 @@ def local_smoothness(family: TaskFamily, center: Vec, radius: float) -> Smoothne
 
         try:
             hess_sup = max_spectral_norm(lambda s: hessians(points, s), np.ones(len(points)))
-            ratio_sup = max_spectral_norm(lambda s: hessians(xs, s) - hessians(ys, s),
-                                          np.linalg.norm(xs - ys, axis=1))
+            sep = np.linalg.norm(xs - ys, axis=1)  # finite once the L sweep passed the ball
+            apart = sep > 0.0  # a pair of one float64 point has no ratio
+            xs, ys = xs[apart], ys[apart]
+            ratio_sup = max_spectral_norm(lambda s: hessians(xs, s) - hessians(ys, s), sep[apart])
         except NumericalFailure:
             raise NumericalFailure(f"the sampled Hessians overflow on the trust ball of radius "
                                    f"{radius:g}; lower trust_radius") from None

@@ -23,7 +23,7 @@ from .meta_gradient import (
     probe_delta,
     probe_norms,
 )
-from .numerics import RngStream, Vec, row_dots, standard_normals
+from .numerics import NormalRows, RngStream, Vec, row_dots, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
 from .stochastic import StochasticOracle, grad_noise, noisy
@@ -87,15 +87,16 @@ def _adapted_outer_draws(
     for i, (p, g) in enumerate(zip(family.weights, family.grads(w))):
         if sigma_tilde > 0.0:
             g_in = np.broadcast_to(g, (n_mc, d))
-            noise = grad_noise(g_in.shape, D_in, sigma_tilde, rng.child("task", i, "inner"))
-            inner = w - alpha * noisy(g_in, noise)
+            noise = grad_noise(g_in.shape, D_in, sigma_tilde,
+                               NormalRows(rng.child("task", i, "inner"), g_in.shape))
+            go = family.task_grads(i, w - alpha * noisy(g_in, noise))
+            go = go + grad_noise(go.shape, D_o, sigma_tilde,
+                                 NormalRows(rng.child("task", i, "outer"), go.shape))
         else:
             # one shared point as a broadcast view: task_grads then
             # computes every row identically, so noiseless draws agree
             # bit for bit with the n_mc = 1 reference in audit_bias
-            inner = np.broadcast_to(w - alpha * g, (n_mc, d))
-        go = family.task_grads(i, inner)
-        go = noisy(go, grad_noise(go.shape, D_o, sigma_tilde, rng.child("task", i, "outer")))
+            go = family.task_grads(i, np.broadcast_to(w - alpha * g, (n_mc, d)))
         draws += p * go
         sq += p * np.einsum("md,md->m", go, go)
     return draws, sq
@@ -250,7 +251,7 @@ def audit_hvp_probe_error(
     idx = np.arange(n_probes) % family.n_tasks  # probe j tests task j mod n
     nv = probe_norms(dirs)[0]
     delta = probe_delta(profile.rho, alpha, nv, points)
-    fd = hvp_finite_diff(family, idx, points, dirs, delta, 1, 0.0, None)
+    fd = hvp_finite_diff(family, idx, points, dirs, delta)
     err = np.sqrt(row_dots(fd - (family.hessians(points, idx) @ dirs[:, :, None])[..., 0]))
     # float_power squares through libm's pow, as float ** 2 does; nv**2 is nv * nv,
     # which rounds differently in about one case in a thousand

@@ -362,10 +362,49 @@ class TestExitCodes:
                "alpha": 1e200, "stepsize": {"kind": "constant", "beta": 0.05}}
         (tmp_path / "q.json").write_text(json.dumps(cfg))
         proc = metagrad_process(tmp_path, "compare", "--config", "q.json", "--max-iters", "5",
-                                "--out", "o", "--quiet")
+                                "--out", "o", "--quiet",
+                                python_flags=["-W", "error::RuntimeWarning"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("runtime failure:")
+
+    HUGE_ALPHA = {"family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2, "seed": 1}},
+                  "alpha": 1e200}
+
+    @pytest.mark.parametrize("config, max_iters, code, last_line", [
+        # the adaptive rule's batch requirements square past the float range
+        # to inf; a noiseless Hessian needs one draw, a noisy one no batch
+        (HUGE_ALPHA, "5", 1, "runtime failure: non-finite iterate at iteration 1"),
+        ({**HUGE_ALPHA, "noise": {"sigma_tilde": 0.5, "sigma_H": 0.5}}, "5", 2,
+         "config error: D_h=1 < ceil(2*alpha^2*sigma_H^2)=inf"),
+        # 7.1 PiB of log rows: no 64-bit host maps that much, so the
+        # allocation fails at once without touching memory
+        (None, "1000000000000000", 1, "runtime failure: Unable to allocate"),
+    ], ids=["adaptive-alpha", "noisy-adaptive-alpha", "max-iters"])
+    def test_pathological_compare_ends_in_one_line(self, tmp_path, config, max_iters, code,
+                                                   last_line):
+        path = CONFIGS / "fig1.json" if config is None else tmp_path / "c.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        proc = metagrad_process(tmp_path, "compare", "--config", str(path), "--max-iters",
+                                max_iters, "--out", "o", "--quiet",
+                                python_flags=["-W", "error::RuntimeWarning"])
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[-1].startswith(last_line)
+        assert sum(line.startswith(("runtime failure:", "config error:")) for line in lines) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_coincident_smoothness_pairs_are_quiet(self, tmp_path):
+        # at this radius the smoothness sweep's pairs are one float64 point
+        cfg = {"family": {"generate": {"kind": "rank1mf", "n": 3, "dim": 2, "seed": 1}},
+               "trust_radius": 1e-300, "stepsize": {"kind": "constant", "beta": 0.1}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        proc = metagrad_process(tmp_path, "compare", "--config", "c.json", "--max-iters", "5",
+                                "--out", "o", "--quiet",
+                                python_flags=["-W", "error::RuntimeWarning"])
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -17,7 +17,7 @@ from metagrad.meta_gradient import (
     value_F,
 )
 from metagrad.numerics import RngStream, standard_normals
-from metagrad.stochastic import BatchSpec, StochasticOracle
+from metagrad.stochastic import BatchSpec, StochasticOracle, grad_noise
 from metagrad.tasks import (
     MatrixFactorizationTask,
     QuadraticTask,
@@ -35,9 +35,11 @@ def quartic_family():
 
 
 def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
-    """hvp_finite_diff on one row of a one-task family."""
+    """hvp_finite_diff on one row of a one-task family, both probe gradients
+    with the noise of one batch drawn on rng."""
+    noise = grad_noise((1, task.dim), 1, sigma_tilde, None if rng is None else [rng])
     return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]),
-                           1, sigma_tilde, None if rng is None else [rng])[0]
+                           (noise, noise))[0]
 
 
 def one_d_example_family():
@@ -123,7 +125,7 @@ def test_hvp_scalar_quartic_example():
     family = quartic_family()
     w = np.array([1.0])
     v = np.array([1.0])
-    got = hvp_finite_diff(family, [0], w[None], v[None], np.array([0.5]), 1, 0.0, None)[0]
+    got = hvp_finite_diff(family, [0], w[None], v[None], np.array([0.5]))[0]
     assert got[0] == 3.25  # (1.5^3 - 0.5^3) / (2 * 0.5)
     exact = task_hess(family.tasks[0], w) @ v
     # the third derivative is at most 9 on the probe interval [0.5, 1.5].
@@ -164,8 +166,7 @@ def test_hvp_error_bound_and_shrinks_on_mf():
 
 def test_hvp_rejects_bad_delta():
     with pytest.raises(ValueError):
-        hvp_finite_diff(quartic_family(), [0], np.ones((1, 1)), np.ones((1, 1)), np.zeros(1),
-                        1, 0.0, None)
+        hvp_finite_diff(quartic_family(), [0], np.ones((1, 1)), np.ones((1, 1)), np.zeros(1))
 
 
 # ---------------------------------------------------------------- hfmaml

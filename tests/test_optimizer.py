@@ -17,13 +17,12 @@ from metagrad.cli import generate_family, load_config, prepare
 
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
-from metagrad.meta_gradient import FOMAML, HFMAML, MAML, direction, exact_grad_F
+from metagrad.meta_gradient import FOMAML, HFMAML, MAML, direction, exact_grad_F, slot_noise
 from metagrad.numerics import RngStream
 from metagrad.optimizer import (
     CSV_HEADER,
     OptimizerConfig,
     _slot_direction,
-    _slot_draws,
     run,
     run_comparison,
     validate_config,
@@ -143,8 +142,16 @@ def fig1_family():
 
 
 def step_draw(family, cfg, oracle, rng):
-    """The draws of one step on rng's key, as run() draws step k's on (seed, k)."""
-    return _slot_draws(family, cfg, oracle, [numerics.path_key(rng)])[0]
+    """The draws of one step on rng's key, as run() draws step k's on (seed, k):
+    B tasks on rng + "tasks" (a full batch's are tasks 0..n-1), slot j's noise
+    on rng + ("slot", j)."""
+    if cfg.full_task_batch:
+        idx, B = slice(None), family.n_tasks
+    else:
+        B = cfg.batches.B
+        idx = sample_task_batch(family, B, rng.child("tasks").generator())
+    keys = None if oracle.exact else [numerics.path_key(rng, "slot", j) for j in range(B)]
+    return idx, slot_noise(cfg.algorithm, B, family.dim, oracle, cfg.batches, keys)
 
 
 class TestStackedExactSweep:
@@ -234,7 +241,8 @@ class TestSlotLoopReplay:
             for i in range(family.n_tasks):
                 acc += family.weights[i] * slot(i, i)
             return acc
-        for j, i in enumerate(sample_task_batch(family, cfg.batches.B, root.child(k, "tasks"))):
+        tasks = sample_task_batch(family, cfg.batches.B, root.child(k, "tasks").generator())
+        for j, i in enumerate(tasks):
             acc += slot(j, i)
         return acc / cfg.batches.B
 

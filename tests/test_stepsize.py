@@ -160,7 +160,7 @@ def test_beta_tilde_replays_slot_loop_bit_for_bit():
         rng = RngStream(110).child(k)
         got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
         acc = 0.0
-        for slot, i in enumerate(sample_task_batch(fam, bp, rng.child(TASKS))):
+        for slot, i in enumerate(sample_task_batch(fam, bp, rng.child(TASKS).generator())):
             z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(rng.child(STEPSIZE, slot), d)
             acc += float(np.linalg.norm(task_grad(fam.tasks[i], w) + z))
         l_tilde = 4.0 * prof.L + 2.0 * prof.rho * alpha * acc / bp
@@ -193,7 +193,7 @@ def test_inflated_gradient_norms_weakly_decrease_beta_tilde():
     rng = RngStream(104).child("draw")
     got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
 
-    idx = sample_task_batch(fam, bp, rng.child(TASKS))
+    idx = sample_task_batch(fam, bp, rng.child(TASKS).generator())
     norms = [
         np.linalg.norm(
             noisy_grad(fam, [i], w[None], db, prof.sigma_tilde, [rng.child(STEPSIZE, slot)])[0]

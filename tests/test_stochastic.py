@@ -7,6 +7,8 @@ from metagrad.numerics import RngStream, standard_normals
 from metagrad.stochastic import (
     BatchSpec,
     StochasticOracle,
+    grad_noise,
+    hess_noise,
     noisy_grad,
     noisy_hess,
     sample_task_batch,
@@ -128,6 +130,12 @@ def test_noisy_hess_exact_when_sigma_zero():
     assert np.array_equal(noisy_hess(fam, idx, x[None], 1, 0.0, None)[0], task_hess(task, x))
 
 
+def test_zero_noise_level_is_none():
+    # nothing is drawn, so no stream is needed, and noisy adds nothing
+    assert grad_noise((2, 3), 1, 0.0, None) is None
+    assert hess_noise((2, 3, 3), 1, 0.0, None) is None
+
+
 def test_oracle_exact_flag_and_validation():
     oracle = StochasticOracle(sigma_tilde=0.5, sigma_H=0.25)
     assert not oracle.exact
@@ -144,7 +152,7 @@ def test_oracle_exact_flag_and_validation():
 
 def test_sample_task_batch_uniform_frequencies():
     fam = rank1_mf_family(4, 3, RngStream(2000))
-    idx = sample_task_batch(fam, 100_000, RngStream(2001).child("batch"))
+    idx = sample_task_batch(fam, 100_000, RngStream(2001).child("batch").generator())
     freqs = np.bincount(idx, minlength=4) / idx.size
     assert np.max(np.abs(freqs - 0.25)) <= 0.01
 
@@ -152,31 +160,32 @@ def test_sample_task_batch_uniform_frequencies():
 def test_sample_task_batch_weighted_frequencies():
     tasks = [MatrixFactorizationTask(np.array([float(i), 1.0])) for i in range(3)]
     fam = TaskFamily(tasks, weights=np.array([0.6, 0.3, 0.1]))
-    idx = sample_task_batch(fam, 100_000, RngStream(2002).child("batch"))
+    idx = sample_task_batch(fam, 100_000, RngStream(2002).child("batch").generator())
     freqs = np.bincount(idx, minlength=3) / idx.size
     assert np.max(np.abs(freqs - np.array([0.6, 0.3, 0.1]))) <= 0.01
 
 
 def test_sample_task_batch_deterministic_and_validated():
     fam = rank1_mf_family(5, 2, RngStream(2003))
-    a = sample_task_batch(fam, 64, RngStream(9).child("t"))
-    b = sample_task_batch(fam, 64, RngStream(9).child("t"))
+    stream = RngStream(9).child("t")
+    a = sample_task_batch(fam, 64, stream.generator())
+    b = sample_task_batch(fam, 64, stream.generator())
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 5
     # any shape reads the same stream in row-major order
-    grid = sample_task_batch(fam, (8, 8), RngStream(9).child("t"))
+    grid = sample_task_batch(fam, (8, 8), stream.generator())
     assert np.array_equal(grid, a.reshape(8, 8))
     with pytest.raises(ValueError):
-        sample_task_batch(fam, 0, RngStream(9))
+        sample_task_batch(fam, 0, RngStream(9).generator())
     with pytest.raises(ValueError):
-        sample_task_batch(fam, (3, 0), RngStream(9))
+        sample_task_batch(fam, (3, 0), RngStream(9).generator())
     # numpy integers are sizes; floats and bools are not
-    assert np.array_equal(sample_task_batch(fam, np.int64(64), RngStream(9).child("t")), a)
-    assert np.array_equal(sample_task_batch(fam, (np.int32(8), np.int64(8)),
-                                            RngStream(9).child("t")), grid)
+    assert np.array_equal(sample_task_batch(fam, np.int64(64), stream.generator()), a)
+    assert np.array_equal(sample_task_batch(fam, (np.int32(8), np.int64(8)), stream.generator()),
+                          grid)
     for bad in (4.0, True, (8, 8.0), (np.True_, 8)):
         with pytest.raises(ValueError, match="positive integer"):
-            sample_task_batch(fam, bad, RngStream(9))
+            sample_task_batch(fam, bad, RngStream(9).generator())
 
 
 def test_batch_spec_validation():
