@@ -139,7 +139,7 @@ def slot_directions(
     in the module docstring), shape (B, d).
 
     Slot j is task idx[j] (an index array, or a slice for every task in
-    order) with task gradient g[j] at w, as family.grads(w)[idx] gives it,
+    order) with task gradient g[j] at w, as family.grads(w, idx) gives it,
     and row j of each site of a ``slot_noise``, so algorithms run on the
     same keys share w_i and v bit for bit.  Every slot is probed; a slot
     whose ||v|| is at or below ZERO_PROBE_TOL discards its probe and
@@ -181,36 +181,41 @@ def direction(
 # --------------------------------------------------------- exact oracles
 
 
-def exact_sweep(
-    family: TaskFamily, w: Vec, alpha: float, grads: np.ndarray
-) -> tuple[Vec, Mat, Mat]:
-    """Exact grad F(w), the adapted points U = w - alpha grads (row i is
-    task i's) and the outer gradients grad f_i(U[i]), shape (n, d) each.
+def exact_sweep(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, Mat, Mat]:
+    """Exact grad F at one point W (d,) or at each row of a stack (K, d):
+    grad F (..., d), the adapted points U = w - alpha grad f_i(w) (row i
+    is task i's) and the outer gradients grad f_i(U[i]), (..., n, d) each.
 
-    grads are family.grads(w).  The outer gradients' weighted sum is the
-    exact full-batch FO-MAML direction, and ``adapted_value`` reads F(w)
-    off U, so a caller that needs several of these sweeps the tasks once.
+    Each point of a stack is the float that point swept alone gives.  The
+    outer gradients' weighted sum is the exact full-batch FO-MAML direction,
+    and ``adapted_value`` reads F off U, so a caller that needs several of
+    these sweeps the tasks once.  Memory is O(K n d^2): the Hessians of
+    every task at every point are built at once.
     """
-    adapted = w - alpha * grads
+    W = W[..., None, :]  # each point against every task
+    adapted = W - alpha * family.grads(W)
     go = family.grads_rowwise(adapted)
-    h = family.hessians(w)  # (n, d, d)
-    dirs = go - alpha * np.einsum("nij,nj->ni", h, go)
-    return family.weights @ dirs, adapted, go
+    h = family.hessians(W)  # (..., n, d, d)
+    dirs = go - alpha * np.einsum("...ij,...j->...i", h, go)
+    return np.matmul(family.weights, dirs), adapted, go
 
 
-def adapted_value(family: TaskFamily, adapted: Mat) -> float:
-    """F(w) = sum_i p_i f_i(U[i]) from exact_sweep's adapted points U."""
-    return float(family.weights @ family.values_rowwise(adapted))
+def adapted_value(family: TaskFamily, adapted: np.ndarray) -> np.ndarray:
+    """F = sum_i p_i f_i(U[..., i, :]) from exact_sweep's adapted points U,
+    shape (...): the stacked (1, n) @ (n, 1) matmul rounds each sweep as
+    the dot product of that sweep alone."""
+    vals = family.values_rowwise(adapted)[..., :, None]
+    return (family.weights[None, :] @ vals)[..., 0, 0]
 
 
 def exact_grad_F(family: TaskFamily, w: Vec, alpha: float) -> Vec:
     """Exact meta-gradient, the weighted sum of per-task meta-gradients."""
-    return exact_sweep(family, w, alpha, family.grads(w))[0]
+    return exact_sweep(family, w, alpha)[0]
 
 
 def value_F(family: TaskFamily, w: Vec, alpha: float) -> float:
     """Exact meta-objective sum_i p_i f_i(w - alpha grad f_i(w))."""
-    return adapted_value(family, w - alpha * family.grads(w))
+    return float(adapted_value(family, w - alpha * family.grads(w)))
 
 
 def mc_grad_F_hat_draws(

@@ -27,7 +27,8 @@ k rows of ``standard_normals(rng, shape)`` bit for bit, and successive
 call holds it for one draw, and every other draw stays a value of
 (seed, path).  ``row_blocks`` splits n rows into windows of at most
 ``BLOCK_ROWS`` rows, which bounds a bulk sampler's memory whatever its
-sample count, and the optimizer's blocks of steps drawn ahead.
+sample count, the optimizer's blocks of steps drawn ahead, and its
+blocks of iterates swept at once.
 
 ``max_spectral_norm`` takes the largest spectral norm over groups of
 symmetric matrices, the same float as decomposing them all, while it

@@ -4,17 +4,24 @@ Every iteration logs the exact meta-gradient norm and meta-objective
 value (cheap on finite synthetic families), so convergence floors are
 measured against ground truth rather than against the noisy estimates
 the algorithm itself consumes.  On quadratic families the per-iterate
-distances to both closed-form fixed points are logged as well.  The
-task gradients at the iterate are computed once per iteration and
-shared by the instrumentation and the step.
+distances to both closed-form fixed points are logged as well.  The log
+never steers the run, so ``run`` takes a block of steps first and then
+logs the block's iterates from one stacked ``exact_sweep``, whose rows
+are the floats of each iterate swept alone.  The first row at or below
+the target ends the run there; a step of the block that left the trust
+region or the float range raises only after that check.  A run with a
+target grows its blocks from one iterate, so the steps it discards are
+at most as many as the steps it keeps.
 
 Every step but two is one call of the stacked slot estimator
-``slot_directions`` (see _slot_direction): sampled task batches, noisy
-full batches and HF-MAML's exact full batch.  With full_task_batch and
-an exact oracle, MAML's step is the logged exact meta-gradient itself
-and FO-MAML's the weighted sum of the same sweep's outer gradients (see
-``exact_sweep``); both round differently from the slot sum in the last
-bits, and fig1's recorded bytes depend on that rounding.
+``slot_directions`` (see _slot_direction), which reads the gradients of
+its B tasks only: sampled task batches, noisy full batches and HF-MAML's
+exact full batch.  With full_task_batch and an exact oracle, MAML's step
+is the exact meta-gradient itself and FO-MAML's the weighted sum of the
+same sweep's outer gradients, so those steps sweep each iterate as they
+take it and the block logs those rows; both round differently from the
+slot sum in the last bits, and fig1's recorded bytes depend on that
+rounding.
 
 Randomness is organized so paired runs are comparable: iteration k of a
 run with seed s derives the task batch from (s, k, "tasks"), the
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import numerics
 from .closed_form import analyze_quadratic
 from .errors import DivergenceDetected, IllConditioned, InvalidBatchConfig, NumericalFailure
 from .meta_gradient import (
@@ -46,10 +54,11 @@ from .meta_gradient import (
     slot_directions,
     slot_noise,
 )
-from .numerics import RngStream, Vec, path_key, row_blocks
+from .numerics import RngStream, Vec, path_key, row_blocks, row_dots
 from .stepsize import (ALPHA_CAPS, StepsizeRule, beta_sample, check_stepsize_batches,
                        required_D_h, stepsize_draws)
-from .stochastic import STEPSIZE, TASKS, BatchSpec, StochasticOracle, sample_task_batch
+from .stochastic import (STEPSIZE, TASKS, BatchSpec, StochasticOracle, positive_int,
+                         sample_task_batch)
 from .tasks import QUADRATIC, SmoothnessProfile, TaskFamily, local_smoothness
 
 CSV_HEADER = "iter,grad_norm_F,loss_F,beta,dist_wstar,dist_wfo"
@@ -91,8 +100,11 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        self.max_iters = positive_int(self.max_iters, "max_iters")
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or not -2**63 <= self.seed < 2**63):
+            raise ValueError(f"seed must be an integer that fits an int64, got {self.seed!r}")
+        self.seed = int(self.seed)
         if self.trust_radius <= 0.0:
             raise ValueError("trust_radius must be positive")
         if self.sigma_tilde < 0.0 or self.sigma_H < 0.0:
@@ -208,16 +220,36 @@ def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
     return np.add.accumulate(terms)[-1]
 
 
-def _slot_direction(family, config, w, grads, rho, draw):
+def _iterate_blocks(n_rows: int, n_tasks: int, target: bool):
+    """(k0, k1) blocks of iterates logged by one stacked sweep, of at most
+    BLOCK_ROWS // n_tasks iterates (each iterate is n_tasks sweep rows).  A
+    run with a target starts at one iterate and doubles, so it takes at most
+    as many steps past the row that meets it as it took before the block."""
+    cap = max(1, numerics.BLOCK_ROWS // n_tasks)
+    k0, size = 0, 1 if target else cap
+    while k0 < n_rows:
+        k1 = min(n_rows, k0 + size)
+        yield k0, k1
+        k0, size = k1, min(2 * size, cap)
+
+
+def _reads_exact_sweep(config, oracle) -> bool:
+    """Whether a step is read off the exact sweep at its iterate: the
+    exact full-batch MAML and FO-MAML steps, which draw no slots."""
+    return config.full_task_batch and oracle.exact and config.algorithm != HFMAML
+
+
+def _slot_direction(family, config, w, rho, draw):
     """sum_j p_j direction_j / B, added from zero in slot order, for a
     _drawn_steps slot draw: task weights p and B = 1 for a full batch,
-    p_j = 1 for a sampled one.  grads are family.grads(w)."""
+    p_j = 1 for a sampled one."""
     idx, noise = draw
     if config.full_task_batch:
         weights, B = family.weights, 1
     else:
         weights, B = np.ones(config.batches.B), config.batches.B
-    dirs = slot_directions(config.algorithm, family, idx, w, grads[idx], config.alpha, rho, noise)
+    g = family.grads(w, idx)
+    dirs = slot_directions(config.algorithm, family, idx, w, g, config.alpha, rho, noise)
     return _task_order_sum(weights, dirs) / B
 
 
@@ -227,8 +259,8 @@ def _drawn_steps(family, config, profile, oracle):
     slot draw is (idx, site -> noise rows): B tasks on (seed, k, "tasks")
     (a full batch's are 0..n-1) and slot j's noise on (seed, k, "slot", j)."""
     b, adaptive = config.batches, config.stepsize.kind == "adaptive"
-    if config.full_task_batch:  # no slots when the step is read off the exact sweep
-        slots = 0 if oracle.exact and config.algorithm != HFMAML else family.n_tasks
+    if config.full_task_batch:
+        slots = 0 if _reads_exact_sweep(config, oracle) else family.n_tasks
     else:
         slots = b.B
     root = RngStream(config.seed)
@@ -260,7 +292,8 @@ def run(
     The per-iteration log always contains the exact meta-gradient norm,
     so floors read off the record are ground truth.  Raises
     NumericalFailure on non-finite iterates and DivergenceDetected when
-    the iterate leaves 10x the trust region.
+    the iterate leaves 10x the trust region, unless an earlier iterate met
+    the target.  Memory is O(max_iters d + BLOCK_ROWS d^2).
     """
     d = family.dim
     w0 = config.start_point(d)
@@ -286,6 +319,7 @@ def run(
             analysis = None  # degenerate alpha: log NaN distances
 
     draws = _drawn_steps(family, config, profile, oracle)
+    fused = _reads_exact_sweep(config, oracle)
     w = w0.copy()
     n_rows = config.max_iters + 1
     grad_norms = np.empty(n_rows)
@@ -295,63 +329,77 @@ def run(
     d_fo = np.full(n_rows, np.nan)
     trail = np.empty((n_rows, d))
 
-    stop_reason = "max_iters"
-    k = 0
+    stop_reason, last, failure = "max_iters", config.max_iters, None
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            grads = family.grads(w)  # shared by the instrumentation and the step
-            grad_F, adapted, outer = exact_sweep(family, w, config.alpha, grads)
-            grad_norms[k] = np.linalg.norm(grad_F)
-            losses[k] = adapted_value(family, adapted)
+        for k0, k1 in _iterate_blocks(n_rows, family.n_tasks, config.target_grad_norm > 0.0):
+            if fused:  # the step is the sweep: keep its rows as the block's
+                grad_F = np.empty((k1 - k0, d))
+                adapted = np.empty((k1 - k0, family.n_tasks, d))
+            for k in range(k0, k1):
+                trail[k] = w
+                if fused:
+                    grad_F[k - k0], adapted[k - k0], outer = exact_sweep(family, w, config.alpha)
+                if k == config.max_iters:
+                    break
+
+                beta_draw, slot_draw = next(draws)
+                if config.stepsize.kind == "constant":
+                    beta_k = config.stepsize.beta
+                else:
+                    beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_sample(
+                        family, profile, w, config.alpha, beta_draw)
+                betas[k] = beta_k
+
+                if not fused:
+                    step_dir = _slot_direction(family, config, w, profile.rho, slot_draw)
+                elif config.algorithm == MAML:
+                    step_dir = grad_F[k - k0]
+                else:
+                    step_dir = family.weights @ outer
+
+                w = w - beta_k * step_dir
+                dist = np.linalg.norm(w - w0)  # inf for a finite w far enough out
+                if not np.all(np.isfinite(w)):
+                    failure = NumericalFailure(f"non-finite iterate at iteration {k + 1}")
+                elif dist > DIVERGENCE_FACTOR * config.trust_radius:
+                    failure = DivergenceDetected(
+                        f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration {k + 1} "
+                        f"(||w - w0|| = {dist:.3g}, "
+                        f"radius = {config.trust_radius:g})"
+                    )
+                if failure is not None:  # raised once the block's rows before it are logged
+                    k1 = k + 1
+                    break
+
+            rows = slice(k0, k1)
+            if not fused:
+                grad_F, adapted, _ = exact_sweep(family, trail[rows], config.alpha)
+            grad_norms[rows] = np.sqrt(row_dots(grad_F[:k1 - k0]))
+            losses[rows] = adapted_value(family, adapted[:k1 - k0])
             if analysis is not None:
-                d_star[k] = np.linalg.norm(w - analysis.w_star)
-                d_fo[k] = np.linalg.norm(w - analysis.w_fo)
-            trail[k] = w
-            if config.target_grad_norm > 0.0 and grad_norms[k] <= config.target_grad_norm:
-                stop_reason = "target"
-                break
-            if k == config.max_iters:
-                break
+                d_star[rows] = np.sqrt(row_dots(trail[rows] - analysis.w_star))
+                d_fo[rows] = np.sqrt(row_dots(trail[rows] - analysis.w_fo))
+            if config.target_grad_norm > 0.0:
+                hits = np.flatnonzero(grad_norms[rows] <= config.target_grad_norm)
+                if hits.size:
+                    stop_reason, last = "target", k0 + int(hits[0])
+                    betas[last] = np.nan  # the block stepped on past it
+                    break
+            if failure is not None:
+                raise failure
 
-            beta_draw, slot_draw = next(draws)
-            if config.stepsize.kind == "constant":
-                beta_k = config.stepsize.beta
-            else:
-                beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_sample(
-                    family, profile, w, config.alpha, beta_draw)
-            betas[k] = beta_k
-
-            if slot_draw is not None:
-                step_dir = _slot_direction(family, config, w, grads, profile.rho, slot_draw)
-            elif config.algorithm == MAML:
-                step_dir = grad_F
-            else:
-                step_dir = family.weights @ outer
-
-            w = w - beta_k * step_dir
-            dist = np.linalg.norm(w - w0)  # inf for a finite w far enough out
-            k += 1
-            if not np.all(np.isfinite(w)):
-                raise NumericalFailure(f"non-finite iterate at iteration {k}")
-            if dist > DIVERGENCE_FACTOR * config.trust_radius:
-                raise DivergenceDetected(
-                    f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration {k} "
-                    f"(||w - w0|| = {dist:.3g}, "
-                    f"radius = {config.trust_radius:g})"
-                )
-
-    last = k + 1
+    rows = slice(last + 1)
     return RunRecord(
         algorithm=config.algorithm,
         seed=config.seed,
         alpha=config.alpha,
-        grad_norm_F=grad_norms[:last],
-        loss_F=losses[:last],
-        beta=betas[:last],
-        dist_wstar=d_star[:last],
-        dist_wfo=d_fo[:last],
+        grad_norm_F=grad_norms[rows],
+        loss_F=losses[rows],
+        beta=betas[rows],
+        dist_wstar=d_star[rows],
+        dist_wfo=d_fo[rows],
         stop_reason=stop_reason,
-        iterates=trail[:last],
+        iterates=trail[rows],
     )
 
 

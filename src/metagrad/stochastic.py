@@ -66,10 +66,10 @@ class BatchSpec:
 
     def __post_init__(self):
         for name in ("B", "D_in", "D_o", "D_h", "B_prime", "D_beta"):
-            object.__setattr__(self, name, _size(getattr(self, name), name))
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
 
 
-def _size(v, name: str) -> int:
+def positive_int(v, name: str) -> int:
     """v as an int >= 1: a Python or numpy integer, never a bool or a float."""
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
         raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -161,7 +161,7 @@ def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
     inverse CDF on the uniforms of rng: a list of keys (row j on the j-th),
     or a generator read forward (a stream's own, for the next rows of one
     draw on it)."""
-    shape = tuple(_size(n, "a batch dimension")
+    shape = tuple(positive_int(n, "a batch dimension")
                   for n in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     u = (np.array([uniforms(key, shape[1:]) for key in rng]) if isinstance(rng, list)
          else rng.random(shape))

@@ -207,16 +207,17 @@ class TaskFamily:
         return row_dots(W)[..., None, None] * np.eye(self.dim) + outer - self._Ms[idx]
 
     def grads_rowwise(self, W: np.ndarray) -> np.ndarray:
-        """Gradient of task i at row W[i], shape (n, d).
+        """Gradient of task i at row W[..., i, :], shape (..., n, d).
 
         The einsum and np.sum here round differently from ``grads(W)`` in
         the last bit.  ``exact_grad_F``, and so every recorded grad_norm_F,
-        is built on this form.
+        is built on this form.  A stack of sweeps (..., n, d) rounds each
+        row as that sweep alone.
         """
         if self.kind == QUADRATIC:
-            return np.einsum("nij,nj->ni", self._As, W) + self._bs
-        nx2 = np.sum(W * W, axis=1, keepdims=True)
-        return nx2 * W - np.einsum("nij,nj->ni", self._Ms, W)
+            return np.einsum("nij,...nj->...ni", self._As, W) + self._bs
+        nx2 = np.sum(W * W, axis=-1, keepdims=True)
+        return nx2 * W - np.einsum("nij,...nj->...ni", self._Ms, W)
 
     def task_grads(self, i: int, X: np.ndarray) -> np.ndarray:
         """Gradient of task i at each row of X, shape (m, d).
@@ -231,12 +232,12 @@ class TaskFamily:
         return nx2 * X - X @ self._Ms[i]
 
     def values_rowwise(self, W: np.ndarray) -> np.ndarray:
-        """Value of task i at row W[i], shape (n,)."""
+        """Value of task i at row W[..., i, :], shape (..., n)."""
         if self.kind == QUADRATIC:
-            quad = 0.5 * np.einsum("ni,nij,nj->n", W, self._As, W)
-            return quad + np.einsum("ni,ni->n", self._bs, W) + self._cs
-        nx2 = np.sum(W * W, axis=1)
-        xmx = np.einsum("ni,nij,nj->n", W, self._Ms, W)
+            quad = 0.5 * np.einsum("...ni,nij,...nj->...n", W, self._As, W)
+            return quad + np.einsum("ni,...ni->...n", self._bs, W) + self._cs
+        nx2 = np.sum(W * W, axis=-1)
+        xmx = np.einsum("...ni,nij,...nj->...n", W, self._Ms, W)
         return 0.25 * (nx2 * nx2 - 2.0 * xmx + self._m2)
 
     # ---------------------------------------------------- serialization

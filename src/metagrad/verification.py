@@ -18,6 +18,7 @@ import numpy as np
 
 from .meta_gradient import (
     exact_grad_F,
+    exact_sweep,
     hvp_finite_diff,
     mc_grad_F_hat_draws,
     probe_delta,
@@ -170,9 +171,7 @@ def audit_second_moment(
         family, w, alpha, D_in, D_o, profile.sigma_tilde, n_mc, rng
     )
     measured = float(sq.mean())
-    exact_sq = np.linalg.norm(
-        family.grads_rowwise(w - alpha * family.grads(w)), axis=1
-    ) ** 2
+    exact_sq = np.linalg.norm(exact_sweep(family, w, alpha)[2], axis=1) ** 2
     st2 = profile.sigma_tilde**2
     bound = (
         (1.0 + 1.0 / phi) * float(family.weights @ exact_sq)

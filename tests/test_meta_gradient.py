@@ -9,14 +9,17 @@ from metagrad.meta_gradient import (
     FOMAML,
     HFMAML,
     MAML,
+    adapted_value,
     direction,
     exact_grad_F,
+    exact_sweep,
     hvp_finite_diff,
     mc_grad_F_hat_draws,
     probe_delta,
     value_F,
 )
-from metagrad.numerics import RngStream, standard_normals
+from metagrad.closed_form import analyze_quadratic
+from metagrad.numerics import RngStream, row_dots, standard_normals
 from metagrad.stochastic import BatchSpec, StochasticOracle, grad_noise
 from metagrad.tasks import (
     MatrixFactorizationTask,
@@ -304,6 +307,36 @@ def test_exact_grad_F_alpha_zero_is_mean_gradient():
 
 
 # ----------------------------------------------------------- mc_grad_F_hat
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, numerics.BLOCK_ROWS])
+@pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
+def test_stacked_exact_sweep_is_per_point_bit_for_bit(kind, K):
+    # the optimizer logs a block of iterates from one stacked sweep: each
+    # row, its norm, its loss and (on quadratics) its distances must be the
+    # floats of that iterate swept alone
+    make = rank1_mf_family if kind == "rank1mf" else random_quadratic_family
+    family, alpha = make(20, 5, RngStream(11)), 0.05
+    rng = np.random.default_rng(K)
+    W = rng.normal(size=(K, 5)) * rng.uniform(0.1, 2.0, size=(K, 1))
+    grad_F, adapted, outer = exact_sweep(family, W, alpha)
+    loss = adapted_value(family, adapted)
+    assert grad_F.shape == (K, 5) and adapted.shape == outer.shape == (K, 20, 5)
+    assert loss.shape == (K,)
+    norms = np.sqrt(row_dots(grad_F))
+    fixed_points = []
+    if kind == "quadratic":
+        an = analyze_quadratic(family, alpha)
+        fixed_points = [(p, np.sqrt(row_dots(W - p))) for p in (an.w_star, an.w_fo)]
+    for k in range(K):
+        w = W[k].copy()
+        g, u, o = exact_sweep(family, w, alpha)
+        assert np.array_equal(grad_F[k], exact_grad_F(family, w, alpha))
+        assert np.array_equal(grad_F[k], g) and norms[k] == np.linalg.norm(g)
+        assert np.array_equal(adapted[k], u) and np.array_equal(outer[k], o)
+        assert loss[k] == value_F(family, w, alpha)
+        for p, dist in fixed_points:
+            assert dist[k] == np.linalg.norm(w - p)
 
 
 def test_mc_grad_F_hat_zero_noise_equals_exact():

@@ -17,7 +17,8 @@ from metagrad.cli import generate_family, load_config, prepare
 
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
-from metagrad.meta_gradient import FOMAML, HFMAML, MAML, direction, exact_grad_F, slot_noise
+from metagrad.meta_gradient import (FOMAML, HFMAML, MAML, direction, exact_grad_F, exact_sweep,
+                                    slot_noise, value_F)
 from metagrad.numerics import RngStream
 from metagrad.optimizer import (
     CSV_HEADER,
@@ -163,8 +164,7 @@ class TestStackedExactSweep:
         cfg = OptimizerConfig(algorithm=HFMAML, alpha=alpha, batches=batches,
                               stepsize=StepsizeRule(kind="constant", beta=0.1),
                               full_task_batch=True)
-        stacked = _slot_direction(family, cfg, w, family.grads(w), rho,
-                                  step_draw(family, cfg, oracle, rng))
+        stacked = _slot_direction(family, cfg, w, rho, step_draw(family, cfg, oracle, rng))
         looped = np.zeros(family.dim)
         for i, task in enumerate(family.tasks):
             looped += family.weights[i] * direction(
@@ -283,7 +283,7 @@ class TestSlotLoopReplay:
             assert np.array_equal(rec.iterates[k + 1], w - beta * step)
             # the iterate absorbs the step's last bits; compare the step itself
             draw = step_draw(family, cfg, oracle, RngStream(cfg.seed).child(k))
-            got = _slot_direction(family, cfg, w, family.grads(w), profile.rho, draw)
+            got = _slot_direction(family, cfg, w, profile.rho, draw)
             assert np.array_equal(got, step)
 
     @pytest.mark.parametrize("full_task_batch", [False, True], ids=["sampled", "full-batch"])
@@ -530,6 +530,124 @@ class TestRecordAndStops:
         assert s["delta_estimate"] >= 0.0
 
 
+class TestBlockInstrumentation:
+    """run() takes a block of steps, then logs the block's iterates from one
+    stacked exact sweep.  Rows, stops and failures must read as the loop that
+    logs each iterate before stepping from it."""
+
+    @staticmethod
+    def unstable_family():
+        # at beta = 0.5 the step halves the eigenvalue-1 coordinate and
+        # scales the eigenvalue-10 one by about -4: ||grad F|| falls to its
+        # least at row 3, then rises until iteration 6 leaves the trust region
+        A = np.diag([1.0, 10.0])
+        return TaskFamily([QuadraticTask(A, np.zeros(2)), QuadraticTask(A, np.array([0.01, 0.0]))])
+
+    @staticmethod
+    def unstable_config(algorithm, **kw):
+        return exact_config(algorithm, 0.5, alpha=0.01, w0=np.array([1.0, 2e-4]),
+                            trust_radius=0.1, max_iters=200, **kw)
+
+    @staticmethod
+    def looped(family, cfg, profile):
+        """Iterates of the loop that checks each new iterate as it steps,
+        and the type and message of the failure that ends it (None, None
+        at max_iters)."""
+        w0 = cfg.start_point(family.dim)
+        trail, oracle = [w0], StochasticOracle(0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(cfg.max_iters):
+                w = trail[-1]
+                if cfg.algorithm == MAML:
+                    step = exact_grad_F(family, w, cfg.alpha)
+                elif cfg.algorithm == FOMAML:
+                    step = family.weights @ exact_sweep(family, w, cfg.alpha)[2]
+                else:
+                    draw = step_draw(family, cfg, oracle, RngStream(cfg.seed).child(k))
+                    step = _slot_direction(family, cfg, w, profile.rho, draw)
+                w = w - cfg.stepsize.beta * step
+                dist = np.linalg.norm(w - w0)
+                if not np.all(np.isfinite(w)):
+                    return trail, NumericalFailure, f"non-finite iterate at iteration {k + 1}"
+                if dist > 10.0 * cfg.trust_radius:
+                    return trail, DivergenceDetected, (
+                        f"iterate left 10x trust region at iteration {k + 1} "
+                        f"(||w - w0|| = {dist:.3g}, radius = {cfg.trust_radius:g})")
+                trail.append(w)
+        return trail, None, None
+
+    def test_rows_are_per_iterate_sweeps_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * 20)  # blocks of 7 iterates
+        family = random_quadratic_family(20, 4, RngStream(8))
+        analysis = analyze_quadratic(family, 0.1)
+        cfg = OptimizerConfig(algorithm=HFMAML, alpha=0.1, max_iters=30, sigma_tilde=0.5,
+                              stepsize=StepsizeRule(kind="constant", beta=0.2),
+                              batches=BatchSpec(B=4, D_in=2, D_o=2, D_h=2))
+        rec = run(family, cfg)
+        assert rec.steps_taken == 30
+        for k, w in enumerate(rec.iterates):
+            assert rec.grad_norm_F[k] == np.linalg.norm(exact_grad_F(family, w, 0.1))
+            assert rec.loss_F[k] == value_F(family, w, 0.1)
+            assert rec.dist_wstar[k] == np.linalg.norm(w - analysis.w_star)
+            assert rec.dist_wfo[k] == np.linalg.norm(w - analysis.w_fo)
+
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    @pytest.mark.parametrize("failure", ["diverged", "non-finite"])
+    def test_mid_block_failure_raises_the_loop_message(self, algorithm, failure):
+        if failure == "diverged":
+            family, cfg = self.unstable_family(), self.unstable_config(algorithm)
+        else:
+            # each step scales w by about -1.5e156: 1e-160, 1e-4, 2e152 (whose
+            # ||w - w0|| is still finite), then past the float range
+            family = TaskFamily([QuadraticTask(np.array([[a]]), np.zeros(1)) for a in (1.0, 2.0)])
+            cfg = exact_config(algorithm, 1e156, alpha=0.01, w0=np.array([1e-160]),
+                               trust_radius=1e300, max_iters=200)
+        profile = SmoothnessProfile(L=3.0, rho=0.0, sigma=1.0)
+        trail, error, message = self.looped(family, cfg, profile)
+        assert error is {"diverged": DivergenceDetected, "non-finite": NumericalFailure}[failure]
+        assert 2 < len(trail) < numerics.BLOCK_ROWS // family.n_tasks  # the failure is mid-block
+        with pytest.raises(error) as caught:
+            run(family, cfg, profile=profile)
+        assert str(caught.value) == message
+
+    def test_a_run_with_a_target_discards_at_most_as_many_steps_as_it_keeps(self, monkeypatch):
+        # two tasks make blocks of 512 iterates; a run that can stop at a
+        # target grows its blocks from one iterate instead
+        family = TaskFamily([QuadraticTask(np.eye(2), np.array([1.0, 0.0])),
+                             QuadraticTask(2.0 * np.eye(2), np.array([-1.0, 0.5]))])
+        cfg = OptimizerConfig(algorithm=HFMAML, alpha=0.1, max_iters=2000, sigma_tilde=0.1,
+                              stepsize=StepsizeRule(kind="constant", beta=0.3),
+                              batches=BatchSpec(B=2, D_in=2, D_o=2, D_h=2))
+        profile = SmoothnessProfile(L=2.0, rho=0.0, sigma=1.0)
+        steps, step = [], optimizer._slot_direction
+        monkeypatch.setattr(optimizer, "_slot_direction", lambda *a: steps.append(1) or step(*a))
+        full = run(family, cfg, profile=profile)
+        assert len(steps) == 2000
+        steps.clear()
+        rec = run(family, replace(cfg, target_grad_norm=0.05), profile=profile)
+        assert rec.stop_reason == "target" and 10 < rec.steps_taken < 100
+        assert np.array_equal(rec.iterates, full.iterates[:rec.steps_taken + 1])
+        assert len(steps) <= 2 * rec.steps_taken + 1
+
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    def test_target_before_a_later_divergence_in_the_block_stops_at_target(self, algorithm):
+        family = self.unstable_family()
+        cfg = self.unstable_config(algorithm)
+        profile = SmoothnessProfile(L=3.0, rho=0.0, sigma=1.0)
+        trail, error, _ = self.looped(family, cfg, profile)
+        norms = [np.linalg.norm(exact_grad_F(family, w, cfg.alpha)) for w in trail]
+        stop = int(np.argmin(norms))
+        assert error is DivergenceDetected and 0 < stop < len(trail) - 2
+        # the step that fails leaves row len(trail) - 1, in the target's block
+        blocks = optimizer._iterate_blocks(len(trail), family.n_tasks, True)
+        assert any(k0 <= stop < len(trail) - 1 < k1 for k0, k1 in blocks)
+        rec = run(family, replace(cfg, target_grad_norm=norms[stop]), profile=profile)
+        assert rec.stop_reason == "target" and rec.steps_taken == stop
+        assert np.array_equal(rec.iterates, np.array(trail[:stop + 1]))
+        assert list(rec.grad_norm_F) == norms[:stop + 1]
+        assert np.isnan(rec.beta[stop]) and np.all(rec.beta[:stop] == 0.5)
+
+
 class TestGuards:
     def test_divergence_detected_on_unstable_step(self):
         family = one_d_example_family()
@@ -642,6 +760,22 @@ class TestGuards:
             OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, trust_radius=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", 0), ("max_iters", 3.0),
+        ("seed", 1.5), ("seed", 2**70), ("seed", -2**63 - 1), ("seed", False),
+    ])
+    def test_integer_fields_refused_by_name(self, field, value):
+        rule = StepsizeRule(kind="constant", beta=0.1)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, **{field: value})
+
+    def test_numpy_integer_fields_stored_as_ints(self):
+        rule = StepsizeRule(kind="constant", beta=0.1)
+        cfg = OptimizerConfig(MAML, 0.1, rule, max_iters=np.int32(3), seed=np.int64(-2**63))
+        assert (cfg.max_iters, cfg.seed) == (3, -2**63)
+        assert type(cfg.max_iters) is int and type(cfg.seed) is int
+        assert run(one_d_example_family(), cfg).steps_taken == 3
 
     def test_integer_reals_stored_as_floats(self):
         # a config's "alpha": 0 is reported in the summary as 0.0, as 0.0 is
