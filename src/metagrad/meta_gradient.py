@@ -101,14 +101,17 @@ def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> 
     of the correction term.  When the calibration product vanishes (flat
     curvature, zero stepsize, or zero probe vector) fall back to a small
     width scaled to the iterate, 1e-3 (1 + ||w||); w is one iterate or
-    one per row.
+    one per row.  A product past the float range has no width in floats:
+    its width is NaN, so the probe and the step it enters are not finite.
     """
     base = rho * alpha * np.asarray(v_norm, dtype=float)
     flat = base <= 0.0
-    if not flat.any():
-        return 1.0 / (6.0 * base)
-    fallback = 1e-3 * (1.0 + np.sqrt(row_dots(w)))
-    return np.where(flat, fallback, 1.0 / (6.0 * np.where(flat, 1.0, base)))
+    if flat.any():
+        fallback = 1e-3 * (1.0 + np.sqrt(row_dots(w)))
+        delta = np.where(flat, fallback, 1.0 / (6.0 * np.where(flat, 1.0, base)))
+    else:
+        delta = 1.0 / (6.0 * base)
+    return delta if delta.all() else np.where(delta == 0.0, np.nan, delta)  # 1 / inf is 0
 
 
 def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches: BatchSpec,

@@ -25,10 +25,12 @@ k rows of ``standard_normals(rng, shape)`` bit for bit, and successive
 ``random`` calls on the stream's own ``generator()`` the next rows of
 ``uniforms(rng, shape)``.  A reader is the one cursor here: one sampler
 call holds it for one draw, and every other draw stays a value of
-(seed, path).  ``row_blocks`` splits n rows into windows of at most
-``BLOCK_ROWS`` rows, which bounds a bulk sampler's memory whatever its
-sample count, the optimizer's blocks of steps drawn ahead, and its
-blocks of iterates swept at once.
+(seed, path).  ``row_blocks`` is the one block iterator: it splits n
+items of some width in rows into windows of at most ``BLOCK_ROWS`` rows,
+which bounds a bulk sampler's memory whatever its sample count, and the
+optimizer's blocks of iterates, whose steps are drawn, taken and swept in
+one window.  Windows that grow from one item serve a caller that may stop
+early.
 
 ``max_spectral_norm`` takes the largest spectral norm over groups of
 symmetric matrices, the same float as decomposing them all, while it
@@ -213,12 +215,17 @@ class NormalRows:
 BLOCK_ROWS = 1024  # rows per window of a bulk draw taken in blocks
 
 
-def row_blocks(n: int, width: int = 1) -> Iterator[tuple[int, int]]:
+def row_blocks(n: int, width: int = 1, grow: bool = False) -> Iterator[tuple[int, int]]:
     """(r0, r1) windows covering items [0, n) in order, each of at least one
-    item and at most BLOCK_ROWS rows, an item being width rows."""
-    step = max(1, BLOCK_ROWS // width)
-    for r0 in range(0, n, step):
-        yield r0, min(n, r0 + step)
+    item and at most BLOCK_ROWS rows, an item being width rows.  With grow
+    the windows start at one item and double up to that size, so a caller
+    that stops at item s has been given at most 2 s + 1 items."""
+    cap = max(1, BLOCK_ROWS // width)
+    r0, size = 0, 1 if grow else cap
+    while r0 < n:
+        r1 = min(n, r0 + size)
+        yield r0, r1
+        r0, size = r1, min(2 * size, cap)
 
 
 def row_dots(X: np.ndarray) -> np.ndarray:

@@ -5,13 +5,16 @@ value (cheap on finite synthetic families), so convergence floors are
 measured against ground truth rather than against the noisy estimates
 the algorithm itself consumes.  On quadratic families the per-iterate
 distances to both closed-form fixed points are logged as well.  The log
-never steers the run, so ``run`` takes a block of steps first and then
-logs the block's iterates from one stacked ``exact_sweep``, whose rows
-are the floats of each iterate swept alone.  The first row at or below
-the target ends the run there; a step of the block that left the trust
-region or the float range raises only after that check.  A run with a
-target grows its blocks from one iterate, so the steps it discards are
-at most as many as the steps it keeps.
+never steers the run, so ``run`` has one loop over blocks of iterates:
+it draws a block's steps, takes them, and then logs the block's iterates
+from one stacked ``exact_sweep``, whose rows are the floats of each
+iterate swept alone.  A block holds at most BLOCK_ROWS // width iterates,
+width being the most rows one iterate puts into a stacked call, so the
+draws and the sweep share one O(BLOCK_ROWS d^2) memory bound.  The first
+row at or below the target ends the run there; a step of the block that
+left the trust region or the float range raises only after that check.
+A run with a target grows its blocks from one iterate, so the steps it
+draws and discards are at most as many as the steps it keeps, plus one.
 
 Every step but two is one call of the stacked slot estimator
 ``slot_directions`` (see _slot_direction), which reads the gradients of
@@ -29,9 +32,9 @@ stepsize estimate from (s, k, "stepsize"), and the per-task noise for
 batch slot j from (s, k, "slot", j, purpose).  Two algorithms run with
 the same seed therefore see identical task batches and identical
 inner/outer gradient noise, isolating the algorithmic difference.  A
-draw depends only on its key, so a block of steps is drawn ahead on these
-keys (_drawn_steps) and records do not depend on the block length.  The
-loop raises no numpy overflow warning: an overflow ends the run as a
+draw depends only on its key, so a block's steps are drawn at once on
+these keys and records do not depend on the block length.  The loop
+raises no numpy overflow warning: an overflow ends the run as a
 non-finite or diverging iterate.
 """
 
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import numerics
 from .closed_form import analyze_quadratic
 from .errors import DivergenceDetected, IllConditioned, InvalidBatchConfig, NumericalFailure
 from .meta_gradient import (
@@ -220,28 +222,9 @@ def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
     return np.add.accumulate(terms)[-1]
 
 
-def _iterate_blocks(n_rows: int, n_tasks: int, target: bool):
-    """(k0, k1) blocks of iterates logged by one stacked sweep, of at most
-    BLOCK_ROWS // n_tasks iterates (each iterate is n_tasks sweep rows).  A
-    run with a target starts at one iterate and doubles, so it takes at most
-    as many steps past the row that meets it as it took before the block."""
-    cap = max(1, numerics.BLOCK_ROWS // n_tasks)
-    k0, size = 0, 1 if target else cap
-    while k0 < n_rows:
-        k1 = min(n_rows, k0 + size)
-        yield k0, k1
-        k0, size = k1, min(2 * size, cap)
-
-
-def _reads_exact_sweep(config, oracle) -> bool:
-    """Whether a step is read off the exact sweep at its iterate: the
-    exact full-batch MAML and FO-MAML steps, which draw no slots."""
-    return config.full_task_batch and oracle.exact and config.algorithm != HFMAML
-
-
 def _slot_direction(family, config, w, rho, draw):
     """sum_j p_j direction_j / B, added from zero in slot order, for a
-    _drawn_steps slot draw: task weights p and B = 1 for a full batch,
+    slot draw of _drawn_steps: task weights p and B = 1 for a full batch,
     p_j = 1 for a sampled one."""
     idx, noise = draw
     if config.full_task_batch:
@@ -253,33 +236,28 @@ def _slot_direction(family, config, w, rho, draw):
     return _task_order_sum(weights, dirs) / B
 
 
-def _drawn_steps(family, config, profile, oracle):
-    """(stepsize draw, slot draw) of steps 0, 1, ..., None where a step draws
-    nothing, in blocks of at most BLOCK_ROWS slot rows up to max_iters.  A
-    slot draw is (idx, site -> noise rows): B tasks on (seed, k, "tasks")
-    (a full batch's are 0..n-1) and slot j's noise on (seed, k, "slot", j)."""
-    b, adaptive = config.batches, config.stepsize.kind == "adaptive"
-    if config.full_task_batch:
-        slots = 0 if _reads_exact_sweep(config, oracle) else family.n_tasks
-    else:
-        slots = b.B
-    root = RngStream(config.seed)
+def _drawn_steps(family, config, profile, oracle, slots, keys):
+    """(stepsize draw, slot draw) of the steps on keys, step k's key being
+    (seed, k), with None where a step draws nothing.  A slot draw is
+    (idx, site -> noise rows) of the given number of slots: B tasks on
+    key + "tasks" (a full batch's are 0..n-1), slot j's noise on key +
+    ("slot", j)."""
+    b, n = config.batches, len(keys)
+    if not n:  # a block of the terminal row alone takes no step
+        return []
+    betas = stepsize_draws(family, profile, config.alpha, b.B_prime, b.D_beta,
+                           [path_key(key, STEPSIZE) for key in keys]
+                           ) if config.stepsize.kind == "adaptive" else [None] * n
+    if not slots:
+        return [(beta, None) for beta in betas]
+    tasks = [slice(None)] * n if config.full_task_batch else sample_task_batch(
+        family, (n, slots), [path_key(key, TASKS) for key in keys])
     labels = [path_key(b"", "slot", j) for j in range(slots)]
-    for k0, k1 in row_blocks(config.max_iters, max(slots, b.B_prime if adaptive else 1)):
-        n, keys = k1 - k0, [path_key(root, k) for k in range(k0, k1)]
-        none = [None] * n
-        betas = stepsize_draws(family, profile, config.alpha, b.B_prime, b.D_beta,
-                               [path_key(key, STEPSIZE) for key in keys]) if adaptive else none
-        if not slots:
-            yield from zip(betas, none)
-            continue
-        tasks = [slice(None)] * n if config.full_task_batch else sample_task_batch(
-            family, (n, slots), [path_key(key, TASKS) for key in keys])
-        slot_keys = None if oracle.exact else [key + lab for key in keys for lab in labels]
-        noise = slot_noise(config.algorithm, n * slots, family.dim, oracle, b, slot_keys)
-        for r, (beta, idx) in enumerate(zip(betas, tasks)):
-            rows = slice(r * slots, (r + 1) * slots)
-            yield beta, (idx, {site: None if a is None else a[rows] for site, a in noise.items()})
+    slot_keys = None if oracle.exact else [key + lab for key in keys for lab in labels]
+    noise = slot_noise(config.algorithm, n * slots, family.dim, oracle, b, slot_keys)
+    return [(beta, (idx, {site: None if a is None else a[r * slots:(r + 1) * slots]
+                          for site, a in noise.items()}))
+            for r, (beta, idx) in enumerate(zip(betas, tasks))]
 
 
 def run(
@@ -301,8 +279,8 @@ def run(
         profile = local_smoothness(family, w0, config.trust_radius)
     profile = profile.with_noise(config.sigma_tilde, config.sigma_H)
     validate_config(config, profile)
-    cap = ALPHA_CAPS[config.algorithm]
-    if config.stepsize.kind == "adaptive" and config.alpha * profile.L > cap + 1e-12:
+    cap, adaptive = ALPHA_CAPS[config.algorithm], config.stepsize.kind == "adaptive"
+    if adaptive and config.alpha * profile.L > cap + 1e-12:
         warnings.warn(
             f"alpha*L = {config.alpha * profile.L:.3g} exceeds the "
             f"{config.algorithm} guarantee cap {cap:.3g}; the adaptive rule "
@@ -318,8 +296,13 @@ def run(
         except IllConditioned:
             analysis = None  # degenerate alpha: log NaN distances
 
-    draws = _drawn_steps(family, config, profile, oracle)
-    fused = _reads_exact_sweep(config, oracle)
+    # the exact full-batch MAML and FO-MAML steps are read off the sweep at
+    # their iterate and draw no slots; width is the most rows an iterate
+    # puts into a stacked call: its sweep, slot draws or stepsize draws
+    fused = config.full_task_batch and oracle.exact and config.algorithm != HFMAML
+    slots = 0 if fused else family.n_tasks if config.full_task_batch else config.batches.B
+    width = max(family.n_tasks, slots, config.batches.B_prime if adaptive else 1)
+    root = RngStream(config.seed)
     w = w0.copy()
     n_rows = config.max_iters + 1
     grad_norms = np.empty(n_rows)
@@ -331,7 +314,9 @@ def run(
 
     stop_reason, last, failure = "max_iters", config.max_iters, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in _iterate_blocks(n_rows, family.n_tasks, config.target_grad_norm > 0.0):
+        for k0, k1 in row_blocks(n_rows, width, grow=config.target_grad_norm > 0.0):
+            drawn = _drawn_steps(family, config, profile, oracle, slots,
+                                 [path_key(root, k) for k in range(k0, min(k1, config.max_iters))])
             if fused:  # the step is the sweep: keep its rows as the block's
                 grad_F = np.empty((k1 - k0, d))
                 adapted = np.empty((k1 - k0, family.n_tasks, d))
@@ -342,12 +327,12 @@ def run(
                 if k == config.max_iters:
                     break
 
-                beta_draw, slot_draw = next(draws)
-                if config.stepsize.kind == "constant":
-                    beta_k = config.stepsize.beta
-                else:
+                beta_draw, slot_draw = drawn[k - k0]
+                if adaptive:
                     beta_k = config.stepsize.resolve_fraction(config.algorithm) * beta_sample(
                         family, profile, w, config.alpha, beta_draw)
+                else:
+                    beta_k = config.stepsize.beta
                 betas[k] = beta_k
 
                 if not fused:

@@ -370,6 +370,10 @@ class TestExitCodes:
 
     HUGE_ALPHA = {"family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2, "seed": 1}},
                   "alpha": 1e200}
+    HUGE_PROBE = {"family": {"kind": "rank1mf", "dim": 2, "tasks": [
+                      {"g": [1.0, 0.5]}, {"g": [-0.3, 0.8]}, {"g": [0.2, -1.1]}]},
+                  "alpha": 0.01, "trust_radius": 1e120, "w0": [0.5, 0.1],
+                  "algorithms": ["hfmaml"]}
 
     @pytest.mark.parametrize("config, max_iters, code, last_line", [
         # the adaptive rule's batch requirements square past the float range
@@ -380,7 +384,14 @@ class TestExitCodes:
         # 7.1 PiB of log rows: no 64-bit host maps that much, so the
         # allocation fails at once without touching memory
         (None, "1000000000000000", 1, "runtime failure: Unable to allocate"),
-    ], ids=["adaptive-alpha", "noisy-adaptive-alpha", "max-iters"])
+        # the iterate grows until rho alpha ||v|| overflows, so the probe
+        # width 1 / (6 rho alpha ||v||) has no value in floats
+        ({**HUGE_PROBE, "stepsize": {"kind": "constant", "beta": 1e30},
+          "full_task_batch": True}, "5", 1, "runtime failure: non-finite iterate at iteration 2"),
+        ({**HUGE_PROBE, "stepsize": {"kind": "constant", "beta": 1e100}}, "5", 1,
+         "runtime failure: non-finite iterate at iteration 2"),
+    ], ids=["adaptive-alpha", "noisy-adaptive-alpha", "max-iters", "hfmaml-probe-full-batch",
+            "hfmaml-probe-sampled"])
     def test_pathological_compare_ends_in_one_line(self, tmp_path, config, max_iters, code,
                                                    last_line):
         path = CONFIGS / "fig1.json" if config is None else tmp_path / "c.json"

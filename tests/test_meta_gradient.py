@@ -184,6 +184,21 @@ def test_probe_delta_rule():
     assert probe_delta(0.0, 0.1, 5.0, w2) == pytest.approx(1e-3 * 6.0)
 
 
+def test_probe_delta_past_the_float_range_is_nan():
+    # rho alpha ||v|| overflows (or ||v|| did): 1 / inf would be a zero width,
+    # which hvp_finite_diff refuses; a NaN width makes the probe NaN instead
+    w = np.zeros(2)
+    finite = probe_delta(2.0, 0.1, 5.0, w)
+    for rho, v_norm in ((1e300, 1e300), (2.0, np.inf), (2.0, np.array([5.0, np.inf]))):
+        with np.errstate(over="ignore"):
+            delta = np.atleast_1d(probe_delta(rho, 0.1, v_norm, w))
+        assert np.isnan(delta[-1]) and np.all(delta[:-1] == finite)
+    fam = rank1_mf_family(1, 2, RngStream(3))
+    with np.errstate(invalid="ignore"):
+        got = hvp_finite_diff(fam, [0], np.ones((1, 2)), np.ones((1, 2)), np.array([np.nan]))
+    assert np.isnan(got).all()
+
+
 def test_hfmaml_within_sixth_of_probe_norm_from_maml():
     # Noise-free: the only difference from MAML is the probe's curvature
     # error, bounded by alpha * rho * delta * ||v||^2 = ||v|| / 6.

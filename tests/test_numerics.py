@@ -396,6 +396,21 @@ def test_window_edges():
     assert list(row_blocks(2, 2 * numerics.BLOCK_ROWS)) == [(0, 1), (1, 2)]
 
 
+@pytest.mark.parametrize("width", [1, 3, 2 * numerics.BLOCK_ROWS])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 3 * numerics.BLOCK_ROWS + 1])
+def test_growing_windows_double_from_one_item(n, width):
+    blocks = list(row_blocks(n, width, grow=True))
+    assert [r0 for r0, _ in blocks] + [n] == [0] + [r1 for _, r1 in blocks]
+    # 1, 2, 4, ... items up to BLOCK_ROWS // width, the last window cut at n
+    cap = max(1, numerics.BLOCK_ROWS // width)
+    sizes = [r1 - r0 for r0, r1 in blocks]
+    assert sizes[:-1] == [min(2**i, cap) for i in range(len(sizes) - 1)]
+    assert all(0 < size <= min(2**i, cap) for i, size in enumerate(sizes))
+    assert all(size * width <= max(width, numerics.BLOCK_ROWS) for size in sizes)
+    # a caller that stops at item s has been given at most 2 s + 1 items
+    assert all(r1 <= 2 * r0 + 1 for r0, r1 in blocks)
+
+
 PURPOSE_LABELS = ("inner", "outer", "hess", "hvp", "slot", "stepsize", "tasks")
 
 

@@ -367,6 +367,51 @@ class TestKeyedDraws:
             monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * FIG2["batches"]["B"])
             self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 41})
 
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
+    def test_a_target_run_draws_only_the_steps_its_blocks_take(self, monkeypatch, adaptive):
+        # a run with a target grows its blocks from one step, so one that
+        # stops at row s has drawn at most 2 s + 1 steps, not max_iters
+        per_step, overrides = {MAML: 31, FOMAML: 21, HFMAML: 41}, {}
+        if adaptive:
+            per_step = {MAML: 82, FOMAML: 62, HFMAML: 102}
+            overrides = {"stepsize": StepsizeRule(kind="adaptive"),
+                         "batches": BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)}
+        resolved, config_dir = load_config(str(CONFIGS / "fig2.json"), argparse.Namespace())
+        family, base, profile = prepare(resolved, config_dir)
+        calls = self.counted_draws(monkeypatch)
+        for algorithm, expected in per_step.items():
+            cfg = replace(base, algorithm=algorithm, seed=0, max_iters=60, **overrides)
+            full = run(family, cfg, profile=profile)
+            norms = full.grad_norm_F
+            for row in (1, 3, 10):  # the first new minimum from row on
+                stop = next(k for k in range(row, 61) if norms[k] < np.min(norms[:k]))
+                calls.clear()
+                rec = run(family, replace(cfg, target_grad_norm=norms[stop]), profile=profile)
+                assert rec.stop_reason == "target" and rec.steps_taken == stop
+                assert len(calls) <= (2 * stop + 1) * expected, (algorithm, stop)
+                assert np.array_equal(rec.iterates, full.iterates[:stop + 1])
+                assert np.array_equal(rec.grad_norm_F, norms[:stop + 1])
+                assert np.array_equal(rec.loss_F, full.loss_F[:stop + 1])
+                assert np.array_equal(rec.beta[:stop], full.beta[:stop])
+
+    @staticmethod
+    def counted_draws(monkeypatch):
+        """A list that gains an entry per keyed draw from here on."""
+        calls = []
+        modules = [importlib.import_module(f"metagrad.{m.name}")
+                   for m in pkgutil.iter_modules(metagrad.__path__)]
+        for draw in ("uniforms", "standard_normals"):
+            original = getattr(numerics, draw)
+
+            def counted(*args, _draw=original, **kwargs):
+                calls.append(1)
+                return _draw(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, draw, None) is original:
+                    monkeypatch.setattr(module, draw, counted)
+        return calls
+
     def check_draws(self, monkeypatch, name, per_step, **overrides):
         resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
         family, base, profile = prepare(resolved, config_dir)
@@ -639,7 +684,7 @@ class TestBlockInstrumentation:
         stop = int(np.argmin(norms))
         assert error is DivergenceDetected and 0 < stop < len(trail) - 2
         # the step that fails leaves row len(trail) - 1, in the target's block
-        blocks = optimizer._iterate_blocks(len(trail), family.n_tasks, True)
+        blocks = numerics.row_blocks(len(trail), family.n_tasks, grow=True)
         assert any(k0 <= stop < len(trail) - 1 < k1 for k0, k1 in blocks)
         rec = run(family, replace(cfg, target_grad_norm=norms[stop]), profile=profile)
         assert rec.stop_reason == "target" and rec.steps_taken == stop
