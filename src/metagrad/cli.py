@@ -11,8 +11,8 @@ Identical config and seed produce byte-identical files: no timestamps,
 no machine-specific paths, floats at 17 significant digits.
 
 Exit codes: 0 success, 1 runtime failure (divergence, non-finite
-iterates, I/O), 2 configuration error, with a message naming the
-violated precondition.
+iterates or audit values, I/O), 2 configuration error, with a message
+naming the violated precondition.
 """
 
 from __future__ import annotations
@@ -411,6 +411,9 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
     def add(audit, suffix=""):
         entry = audit.to_dict()
         entry["name"] = audit.name + suffix
+        bad = [k for k in ("measured", "bound", "mc_margin") if not np.isfinite(entry[k])]
+        if bad:
+            raise NumericalFailure(f"audit {entry['name']}: non-finite {' and '.join(bad)}")
         entries.append(entry)
 
     if "bias" in select:
@@ -479,7 +482,8 @@ def cmd_audit(args) -> int:
     out = Path(args.out)
 
     for seed in resolved["seeds"]:
-        report = run_audit_battery(family, resolved, base, profile, seed)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused in add
+            report = run_audit_battery(family, resolved, base, profile, seed)
         path = out / f"audit_seed{seed}.json"
         _emit_with_sidecar(path, _json_text(report), "audit", resolved, seed)
         verdict = "all passed" if report["all_passed"] else "FAILURES"

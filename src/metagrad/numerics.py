@@ -54,16 +54,12 @@ Vec = np.ndarray  # shape (d,)
 Mat = np.ndarray  # shape (d, d) or (m, n)
 
 PathLabel = int | str
-_STR_LABELS: dict[str, bytes] = {}  # str label -> encoding; labels are names in the code, so few
 
 
 def _encode_label(lab: PathLabel) -> bytes:
-    if isinstance(lab, str):  # type first: an equal non-str label never reaches the memo
-        encoded = _STR_LABELS.get(lab)
-        if encoded is None:
-            data = lab.encode("utf-8")
-            encoded = _STR_LABELS[lab] = struct.pack("<cI", b"s", len(data)) + data
-        return encoded
+    if isinstance(lab, str):
+        data = lab.encode("utf-8")
+        return struct.pack("<cI", b"s", len(data)) + data
     if isinstance(lab, int):
         return struct.pack("<cq", b"i", lab)
     raise TypeError(f"path labels must be int or str, got {type(lab).__name__}")

@@ -5,7 +5,12 @@ guarantee controls, computes the stated bound from the smoothness
 profile, and reports both with an explicit sampling margin.  Audits are
 one-sided: they check measured <= bound + margin, so a loose bound can
 never fail, and a failure always indicates a real violation (or an
-undersized sample, which the margin accounts for at the 4-sigma level).
+undersized sample, which the margin accounts for at the 3- or 4-sigma
+level).
+
+The Monte Carlo audits report through two rules: _gap_audit measures the
+distance of a mean vector from an exact value (bias, surrogate gradient
+gap), and _mean_audit a scalar mean against a bound (second moments).
 
 All audits are deterministic functions of their RngStream argument.
 """
@@ -57,12 +62,22 @@ class BoundAudit:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _mean_vector_se(draws: np.ndarray) -> float:
-    """Standard error of the norm-of-mean: sqrt(trace(cov) / n)."""
+def _gap_audit(name: str, draws: np.ndarray, exact: Vec, noiseless: bool, bound) -> BoundAudit:
+    """||mean - exact|| with 4 standard errors of the mean vector, sqrt(trace(cov) / n).
+
+    Noiseless draws each equal exact bit for bit, so the first row is their mean.
+    """
     n = draws.shape[0]
-    if n < 2:
-        return 0.0
-    return float(np.sqrt(draws.var(axis=0, ddof=1).sum() / n))
+    mean = draws[0] if noiseless else draws.mean(axis=0)
+    return BoundAudit(name, float(np.linalg.norm(mean - exact)), float(bound),
+                      4.0 * float(np.sqrt(draws.var(axis=0, ddof=1).sum() / n)), n)
+
+
+def _mean_audit(name: str, values: np.ndarray, bound, k: float) -> BoundAudit:
+    """The mean of values against bound, with k standard errors as the margin."""
+    n = values.shape[0]
+    return BoundAudit(name, float(values.mean()), float(bound),
+                      k * float(values.std(ddof=1) / np.sqrt(n)), n)
 
 
 def _adapted_outer_draws(
@@ -129,16 +144,8 @@ def audit_bias(
     # reference through the same code path: at sigma_tilde = 0 every draw
     # is this row bit for bit and the measured bias is exactly zero
     exact = _adapted_outer_draws(family, w, alpha, D_in, D_o, 0.0, 1, rng)[0][0]
-    mean = draws[0] if profile.sigma_tilde == 0.0 else draws.mean(axis=0)
-    measured = float(np.linalg.norm(mean - exact))
     bound = alpha * profile.L * profile.sigma_tilde / np.sqrt(D_in)
-    return BoundAudit(
-        name="estimator_bias",
-        measured=measured,
-        bound=float(bound),
-        mc_margin=4.0 * _mean_vector_se(draws),
-        samples=n_mc,
-    )
+    return _gap_audit("estimator_bias", draws, exact, profile.sigma_tilde == 0.0, bound)
 
 
 def audit_second_moment(
@@ -170,21 +177,15 @@ def audit_second_moment(
     _, sq = _adapted_outer_draws(
         family, w, alpha, D_in, D_o, profile.sigma_tilde, n_mc, rng
     )
-    measured = float(sq.mean())
     exact_sq = np.linalg.norm(exact_sweep(family, w, alpha)[2], axis=1) ** 2
-    st2 = profile.sigma_tilde**2
+    # float_power squares as float ** 2 does, but gives inf past the float range
+    st2 = np.float_power(profile.sigma_tilde, 2)
     bound = (
         (1.0 + 1.0 / phi) * float(family.weights @ exact_sq)
-        + (1.0 + phi) * (alpha * profile.L) ** 2 * st2 / D_in
+        + (1.0 + phi) * np.float_power(alpha * profile.L, 2) * st2 / D_in
         + st2 / D_o
     )
-    return BoundAudit(
-        name="estimator_second_moment",
-        measured=measured,
-        bound=float(bound),
-        mc_margin=4.0 * float(sq.std(ddof=1) / np.sqrt(n_mc)),
-        samples=n_mc,
-    )
+    return _mean_audit("estimator_second_moment", sq, bound, 4.0)
 
 
 def audit_grad_gap_F_hat(
@@ -207,21 +208,13 @@ def audit_grad_gap_F_hat(
         raise ValueError("n_mc must be >= 2 to estimate a margin")
     oracle = StochasticOracle(sigma_tilde=profile.sigma_tilde, sigma_H=profile.sigma_H)
     draws = mc_grad_F_hat_draws(family, w, alpha, D_test, n_mc, oracle, rng)
-    exact = exact_grad_F(family, w, alpha)
-    # noiseless rows are exact_grad_F bit for bit, so the gap is exactly zero
-    mean = draws[0] if oracle.exact else draws.mean(axis=0)
-    measured = float(np.linalg.norm(mean - exact))
     bound = (
         2.0 * alpha * profile.L * profile.sigma_tilde / np.sqrt(D_test)
-        + alpha**2 * profile.L * profile.sigma_H * profile.sigma_tilde / D_test
+        + np.float_power(alpha, 2) * profile.L * profile.sigma_H * profile.sigma_tilde / D_test
     )
-    return BoundAudit(
-        name="surrogate_grad_gap",
-        measured=measured,
-        bound=float(bound),
-        mc_margin=4.0 * _mean_vector_se(draws),
-        samples=n_mc,
-    )
+    # noiseless rows are exact_grad_F bit for bit
+    return _gap_audit("surrogate_grad_gap", draws, exact_grad_F(family, w, alpha), oracle.exact,
+                      bound)
 
 
 def audit_hvp_probe_error(
@@ -330,7 +323,6 @@ def audit_stepsize_moments(
         l_w = smoothness_L_of_w(family, profile, w, alpha)
         mean = float(samples.mean())
         se_mean = float(samples.std(ddof=1) / np.sqrt(n_samples))
-        sq = samples**2
         audits.append(
             BoundAudit(
                 name=f"stepsize_mean_lower[{j}]",
@@ -340,15 +332,8 @@ def audit_stepsize_moments(
                 samples=n_samples,
             )
         )
-        audits.append(
-            BoundAudit(
-                name=f"stepsize_second_moment[{j}]",
-                measured=float(sq.mean()),
-                bound=3.125 / l_w**2,
-                mc_margin=3.0 * float(sq.std(ddof=1) / np.sqrt(n_samples)),
-                samples=n_samples,
-            )
-        )
+        audits.append(_mean_audit(f"stepsize_second_moment[{j}]", samples**2,
+                                  3.125 / np.float_power(l_w, 2), 3.0))
     return audits
 
 

@@ -407,6 +407,57 @@ class TestExitCodes:
         assert sum(line.startswith(("runtime failure:", "config error:")) for line in lines) == 1
         assert not (tmp_path / "o").exists()
 
+    AUDIT_BASE = {"family": {"generate": {"kind": "rank1mf", "n": 4, "dim": 3, "seed": 1}},
+                  "alpha": 0.05, "stepsize": {"kind": "constant", "beta": 0.05},
+                  "noise": {"sigma_tilde": 0.3, "sigma_H": 0.3}, "trust_radius": 2.0,
+                  "max_iters": 20, "w0": [0.3, -0.2, 0.1]}
+    AUDIT_SMALL = {"n_mc": 200, "stepsize_samples": 200, "stepsize_points": 2, "D_in": [4],
+                   "D_test": [4], "n_probes": 20}
+    QUAD_NOISE = {**AUDIT_BASE, "family": {"generate": {"kind": "quadratic", "n": 3, "dim": 3,
+                                                        "seed": 1}},
+                  "noise": {"sigma_tilde": 1e200, "sigma_H": 1e200}}
+
+    @pytest.mark.parametrize("config, audit, check", [
+        # the bounds square past the float range: inf, then refused, not an OverflowError
+        ({**AUDIT_BASE, "noise": {"sigma_tilde": 1e155, "sigma_H": 0.0}},
+         {"select": ["second_moment"]}, "estimator_second_moment[D_in=4]"),
+        (AUDIT_BASE, {"select": ["second_moment"], "alpha_times_L": 1e300},
+         "estimator_second_moment[D_in=4]"),
+        (AUDIT_BASE, {"select": ["grad_gap"], "alpha_times_L": 1e300},
+         "surrogate_grad_gap[D_test=4]"),
+        ({**AUDIT_BASE, "trust_radius": 1e100}, {"select": ["second_moment"]},
+         "estimator_second_moment[D_in=4]"),
+        (QUAD_NOISE, {"select": ["second_moment"]}, "estimator_second_moment[D_in=4]"),
+        # the draws or bounds themselves leave the float range or lose their value
+        (AUDIT_BASE, {"select": ["bias"], "w_scale": 1e60}, "estimator_bias[D_in=4]"),
+        (AUDIT_BASE, {"select": ["grad_gap"], "w_scale": 1e200}, "surrogate_grad_gap[D_test=4]"),
+        (AUDIT_BASE, {"select": ["hvp_probe"], "alpha_times_L": 1e-320}, "hvp_probe_error"),
+        (AUDIT_BASE, {"select": ["second_moment"], "phi": 1e-320},
+         "estimator_second_moment[D_in=4]"),
+    ], ids=["sigma-tilde-squared", "alpha-L-squared", "alpha-squared", "trust-radius",
+            "quadratic-noise", "w-scale-1e60", "w-scale-1e200", "alpha-L-tiny", "phi-tiny"])
+    def test_pathological_audit_ends_in_one_line(self, tmp_path, config, audit, check):
+        (tmp_path / "c.json").write_text(json.dumps({**config, "audit": {**self.AUDIT_SMALL,
+                                                                          **audit}}))
+        proc = metagrad_process(tmp_path, "audit", "--config", "c.json", "--out", "o", "--quiet",
+                                python_flags=["-W", "error::RuntimeWarning"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"runtime failure: audit {check}: non-finite ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_squared_bound_past_the_float_range_is_a_valid_report(self, tmp_path):
+        # L(w) is finite near w0 but past sqrt(max float): 3.125 / L(w)^2 rounds to 0
+        config = {**self.AUDIT_BASE, "trust_radius": 1e100,
+                  "audit": {**self.AUDIT_SMALL, "select": ["stepsize_moments"], "w_scale": 1e-99}}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        proc = metagrad_process(tmp_path, "audit", "--config", "c.json", "--out", "o", "--quiet",
+                                python_flags=["-W", "error::RuntimeWarning"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = strict_json(tmp_path / "o" / "audit_seed0.json")
+        assert [a["bound"] for a in report["audits"]] == [0.0] * 4
+        assert report["all_passed"] is True
+
     def test_coincident_smoothness_pairs_are_quiet(self, tmp_path):
         # at this radius the smoothness sweep's pairs are one float64 point
         cfg = {"family": {"generate": {"kind": "rank1mf", "n": 3, "dim": 2, "seed": 1}},
