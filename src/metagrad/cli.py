@@ -461,12 +461,7 @@ def run_audit_battery(family: TaskFamily, resolved: dict, base: OptimizerConfig,
             # the all-zeros default is a stationary point of the
             # factorization families; start at the battery's probe point
             cfg = dc_replace(cfg, w0=w)
-        kshot = [
-            [k, f]
-            for k, f in audit_kshot_floor(
-                family, alpha, a["K_list"], cfg, profile=profile
-            )
-        ]
+        kshot = audit_kshot_floor(family, alpha, a["K_list"], cfg, profile=profile)
     return {
         "seed": seed,
         "alpha": alpha,

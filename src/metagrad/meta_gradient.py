@@ -135,22 +135,20 @@ def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches
 
 
 def slot_directions(
-    algorithm: str, family: TaskFamily, idx, w: Vec, g: Mat, alpha: float, rho: float,
-    noise: dict,
+    algorithm: str, family: TaskFamily, idx, w: Vec, alpha: float, rho: float, noise: dict,
 ) -> Mat:
     """Descent direction of each slot at w for the named algorithm (rules
     in the module docstring), shape (B, d).
 
     Slot j is task idx[j] (an index array, or a slice for every task in
-    order) with task gradient g[j] at w, as family.grads(w, idx) gives it,
-    and row j of each site of a ``slot_noise``, so algorithms run on the
-    same keys share w_i and v bit for bit.  Every slot is probed; a slot
+    order) and row j of each site of a ``slot_noise``, so algorithms run on
+    the same keys share w_i and v bit for bit.  Every slot is probed; a slot
     whose ||v|| is at or below ZERO_PROBE_TOL discards its probe and
     returns v.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    w_i = w - alpha * noisy(g, noise[INNER])
+    w_i = w - alpha * noisy(family.grads(w, idx), noise[INNER])
     v = noisy(family.grads(w_i, idx), noise[OUTER])
     if algorithm == MAML:
         h = noisy(family.hessians(w, idx), noise[HESS])
@@ -178,7 +176,7 @@ def direction(
     drawn by slot_noise on rng's key."""
     family = TaskFamily([task])
     noise = slot_noise(algorithm, 1, family.dim, oracle, batches, [path_key(rng)])
-    return slot_directions(algorithm, family, slice(None), w, family.grads(w), alpha, rho, noise)[0]
+    return slot_directions(algorithm, family, slice(None), w, alpha, rho, noise)[0]
 
 
 # --------------------------------------------------------- exact oracles

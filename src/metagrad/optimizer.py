@@ -231,8 +231,7 @@ def _slot_direction(family, config, w, rho, draw):
         weights, B = family.weights, 1
     else:
         weights, B = np.ones(config.batches.B), config.batches.B
-    g = family.grads(w, idx)
-    dirs = slot_directions(config.algorithm, family, idx, w, g, config.alpha, rho, noise)
+    dirs = slot_directions(config.algorithm, family, idx, w, config.alpha, rho, noise)
     return _task_order_sum(weights, dirs) / B
 
 

@@ -82,10 +82,19 @@ class StepsizeRule:
         return ADAPTIVE_FRACTIONS[algorithm]
 
 
-def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: float) -> float:
-    """Exact state-dependent modulus 4L + 2 rho alpha E_i ||grad f_i(w)||."""
-    norms = np.linalg.norm(family.grads(w), axis=1)
-    return 4.0 * profile.L + 2.0 * profile.rho * alpha * float(family.weights @ norms)
+def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, W: np.ndarray, alpha: float):
+    """Exact modulus 4L + 2 rho alpha E_i ||grad f_i(w)||: a float at one point W (d,), one per
+    row of a stack (K, d), each the float of that point alone.  A finite gradient whose squares
+    overflow has norm max|g| ||g / max|g|||, so L(w) is inf only past the float range."""
+    g = family.grads(W[..., None, :])  # (..., n, d)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(g, axis=-1)
+    big = np.isinf(norms) & np.isfinite(g).all(axis=-1)
+    if big.any():
+        top = np.abs(g[big]).max(axis=-1)
+        norms[big] = top * np.linalg.norm(g[big] / top[:, None], axis=-1)
+    mean = (family.weights[None, :] @ norms[..., :, None])[..., 0, 0]
+    return 4.0 * profile.L + 2.0 * profile.rho * alpha * (float(mean) if W.ndim == 1 else mean)
 
 
 def required_B_prime(profile: SmoothnessProfile, alpha: float) -> int | float:

@@ -8,9 +8,11 @@ never fail, and a failure always indicates a real violation (or an
 undersized sample, which the margin accounts for at the 3- or 4-sigma
 level).
 
-The Monte Carlo audits report through two rules: _gap_audit measures the
-distance of a mean vector from an exact value (bias, surrogate gradient
-gap), and _mean_audit a scalar mean against a bound (second moments).
+The audits report through three rules: _gap_audit measures the distance
+of a mean vector from an exact value (bias, surrogate gradient gap),
+_mean_audit a scalar mean against a bound (second moments), and
+_worst_audit the largest of deterministic ratios against 1 (probe error,
+smoothness), whose points are (K, d) stacks, each row as that point alone.
 
 All audits are deterministic functions of their RngStream argument.
 """
@@ -29,7 +31,7 @@ from .meta_gradient import (
     probe_delta,
     probe_norms,
 )
-from .numerics import NormalRows, RngStream, Vec, row_dots, standard_normals
+from .numerics import NormalRows, RngStream, Vec, row_blocks, row_dots, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
 from .stochastic import StochasticOracle, grad_noise, noisy
@@ -78,6 +80,11 @@ def _mean_audit(name: str, values: np.ndarray, bound, k: float) -> BoundAudit:
     n = values.shape[0]
     return BoundAudit(name, float(values.mean()), float(bound),
                       k * float(values.std(ddof=1) / np.sqrt(n)), n)
+
+
+def _worst_audit(name: str, ratios: np.ndarray) -> BoundAudit:
+    """The largest of deterministic ratios against bound 1, with no margin."""
+    return BoundAudit(name, float(np.max(ratios)), 1.0, 0.0, len(ratios))
 
 
 def _adapted_outer_draws(
@@ -248,13 +255,7 @@ def audit_hvp_probe_error(
     # float_power squares through libm's pow, as float ** 2 does; nv**2 is nv * nv,
     # which rounds differently in about one case in a thousand
     allowed = profile.rho * delta * np.float_power(nv, 2)
-    return BoundAudit(
-        name="hvp_probe_error",
-        measured=float(np.max(err / allowed)),
-        bound=1.0,
-        mc_margin=0.0,
-        samples=n_probes,
-    )
+    return _worst_audit("hvp_probe_error", err / allowed)
 
 
 def audit_smoothness_ratio(
@@ -277,24 +278,17 @@ def audit_smoothness_ratio(
         raise ValueError("n_pairs must be >= 1")
     ws = ball_points(center, radius, n_pairs, rng.child("w"))
     us = ball_points(center, radius, n_pairs, rng.child("u"))
-    worst = 0.0
-    for w, u in zip(ws, us):
-        sep = float(np.linalg.norm(w - u))
-        if sep == 0.0:
-            continue  # coincident draws carry no information
-        gap = float(np.linalg.norm(exact_grad_F(family, w, alpha) - exact_grad_F(family, u, alpha)))
-        modulus = min(
-            smoothness_L_of_w(family, profile, w, alpha),
-            smoothness_L_of_w(family, profile, u, alpha),
-        )
-        worst = max(worst, gap / (modulus * sep))
-    return BoundAudit(
-        name="smoothness_ratio",
-        measured=worst,
-        bound=1.0,
-        mc_margin=0.0,
-        samples=n_pairs,
-    )
+    ratios = np.zeros(n_pairs)
+    # a window of pairs sweeps every task's Hessian at each of its points
+    for r0, r1 in row_blocks(n_pairs, family.n_tasks):
+        w, u = ws[r0:r1], us[r0:r1]
+        sep = np.sqrt(row_dots(w - u))
+        gap = exact_sweep(family, w, alpha)[0] - exact_sweep(family, u, alpha)[0]
+        modulus = np.minimum(smoothness_L_of_w(family, profile, w, alpha),
+                             smoothness_L_of_w(family, profile, u, alpha))
+        # coincident draws carry no information: ratio 0
+        np.divide(np.sqrt(row_dots(gap)), modulus * sep, out=ratios[r0:r1], where=sep > 0.0)
+    return _worst_audit("smoothness_ratio", ratios)
 
 
 def audit_stepsize_moments(
@@ -315,12 +309,12 @@ def audit_stepsize_moments(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 to estimate a margin")
-    audits = []
-    for j, w in enumerate(np.atleast_2d(points)):
+    audits, points = [], np.atleast_2d(points)
+    l_ws = smoothness_L_of_w(family, profile, points, alpha).tolist()  # one float per point
+    for j, (w, l_w) in enumerate(zip(points, l_ws)):
         samples = sample_beta_tilde(
             family, profile, w, alpha, B_prime, D_beta, n_samples, rng.child("point", j)
         )
-        l_w = smoothness_L_of_w(family, profile, w, alpha)
         mean = float(samples.mean())
         se_mean = float(samples.std(ddof=1) / np.sqrt(n_samples))
         audits.append(

@@ -1,10 +1,12 @@
-"""The bulk samplers' and the smoothness sweep's heap peaks stay bounded.
+"""The bulk samplers', the smoothness audit's and the smoothness sweep's
+heap peaks stay bounded.
 
 Both Monte Carlo samplers draw their per-sample noise in windows of
 numerics.BLOCK_ROWS rows, so at 2e4 samples on fig2's family their peak is a
 few (n, d) arrays and one window.  Drawn whole, the stepsize sampler's
 (n, B', d) noise stack peaks near 75 MB and the surrogate's (n_mc, d, d)
-Hessian noise near 21 MB.  The smoothness sweep bounds its Hessians
+Hessian noise near 21 MB.  The smoothness audit sweeps its 2e4 pairs in
+windows too, where one stack would hold 200 MB of Hessians.  The smoothness sweep bounds its Hessians
 numerics.PRUNE_BLOCK points or pairs at a time: on 400 tasks in 12
 dimensions it peaks near 12 MB, where one stack of all 96 points'
 Hessians would alone take 44 MB.
@@ -23,6 +25,7 @@ from metagrad.numerics import RngStream
 from metagrad.stepsize import sample_beta_tilde
 from metagrad.stochastic import StochasticOracle
 from metagrad.tasks import local_smoothness, rank1_mf_family
+from metagrad.verification import audit_smoothness_ratio
 
 CONFIG = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig2.json").read_text())
 BUDGET_MB = 8.0
@@ -60,6 +63,15 @@ def test_mc_grad_F_hat_draws_peak_is_bounded(fig2):
     oracle = StochasticOracle(profile.sigma_tilde, profile.sigma_H)
     peak = peak_mb(lambda: mc_grad_F_hat_draws(family, w0, CONFIG["alpha"], 4, N, oracle,
                                                RngStream(0, ("memory",))))
+    assert peak < BUDGET_MB
+
+
+def test_audit_smoothness_ratio_peak_is_bounded(fig2):
+    # the pairs are swept in windows of BLOCK_ROWS // n_tasks pairs; one
+    # stack of every pair's Hessians would take about 200 MB
+    family, profile, w0 = fig2
+    peak = peak_mb(lambda: audit_smoothness_ratio(family, profile, CONFIG["alpha"], w0, 1.0, N,
+                                                  RngStream(0, ("memory",))))
     assert peak < BUDGET_MB
 
 

@@ -431,11 +431,15 @@ class TestExitCodes:
         # the draws or bounds themselves leave the float range or lose their value
         (AUDIT_BASE, {"select": ["bias"], "w_scale": 1e60}, "estimator_bias[D_in=4]"),
         (AUDIT_BASE, {"select": ["grad_gap"], "w_scale": 1e200}, "surrogate_grad_gap[D_test=4]"),
+        # a NaN ratio (inf - inf gradients) is refused, not skipped as a pass
+        (AUDIT_BASE, {"select": ["smoothness"], "w_scale": 1e60, "n_pairs": 20},
+         "smoothness_ratio"),
         (AUDIT_BASE, {"select": ["hvp_probe"], "alpha_times_L": 1e-320}, "hvp_probe_error"),
         (AUDIT_BASE, {"select": ["second_moment"], "phi": 1e-320},
          "estimator_second_moment[D_in=4]"),
     ], ids=["sigma-tilde-squared", "alpha-L-squared", "alpha-squared", "trust-radius",
-            "quadratic-noise", "w-scale-1e60", "w-scale-1e200", "alpha-L-tiny", "phi-tiny"])
+            "quadratic-noise", "w-scale-1e60", "w-scale-1e200", "smoothness-w-scale-1e60",
+            "alpha-L-tiny", "phi-tiny"])
     def test_pathological_audit_ends_in_one_line(self, tmp_path, config, audit, check):
         (tmp_path / "c.json").write_text(json.dumps({**config, "audit": {**self.AUDIT_SMALL,
                                                                           **audit}}))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metagrad import numerics
+from metagrad.cli import generate_family
 from metagrad.errors import InvalidBatchConfig
 from metagrad.numerics import RngStream, standard_normals, uniforms
 from metagrad.stepsize import (
@@ -19,7 +20,7 @@ from metagrad.stepsize import (
     smoothness_L_of_w,
 )
 from metagrad.stochastic import STEPSIZE, TASKS, noisy_grad, sample_task_batch
-from metagrad.tasks import SmoothnessProfile, local_smoothness, rank1_mf_family
+from metagrad.tasks import SmoothnessProfile, local_smoothness, random_quadratic_family, rank1_mf_family
 from task_values import task_grad
 
 
@@ -46,6 +47,40 @@ def test_smoothness_L_of_w_rho_zero_is_constant():
     w = np.random.default_rng(92).normal(size=4)
     assert smoothness_L_of_w(fam, flat, w, 0.05) == 4.0 * flat.L
     assert smoothness_L_of_w(fam, flat, 10.0 * w, 0.05) == 4.0 * flat.L
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 1024])
+@pytest.mark.parametrize("kind", ["rank1", "quadratic"])
+def test_smoothness_L_of_w_stack_rows_are_one_point_floats(kind, K):
+    # each row is the one-point call and the expression 4L + 2 rho alpha
+    # weights . norms with the norms taken per point, bit for bit
+    if kind == "rank1":
+        fam, prof = mf_setup()
+    else:
+        fam = random_quadratic_family(6, 4, RngStream(93))
+        prof = SmoothnessProfile(L=3.0, rho=0.7, sigma=1.0)  # rho > 0 so the norms count
+    W = np.random.default_rng(94).normal(size=(K, 4))
+    stacked = smoothness_L_of_w(fam, prof, W, 0.02)
+    assert stacked.shape == (K,)
+    for w, got in zip(W, stacked):
+        want = 4.0 * prof.L + 2.0 * prof.rho * 0.02 * float(
+            fam.weights @ np.linalg.norm(fam.grads(w), axis=1))
+        assert smoothness_L_of_w(fam, prof, w, 0.02) == got == want
+
+
+def test_smoothness_L_of_w_stays_finite_past_the_squared_norm_range():
+    # the task gradients grow as ||w||^3: at 1e60 their norms (about 1e180)
+    # are finite, their squares are not
+    fam = generate_family({"kind": "rank1mf", "n": 4, "dim": 3, "seed": 1})
+    w0 = np.array([0.3, -0.2, 0.1])
+    prof = local_smoothness(fam, w0, 1.0)
+    u = w0 / np.linalg.norm(w0)
+    far, near = (smoothness_L_of_w(fam, prof, s * u, 0.05) for s in (1e60, 1e50))
+    assert np.isfinite(far)
+    assert far / near == pytest.approx(1e30, rel=1e-12)
+    # a gradient that is itself past the float range still gives inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert smoothness_L_of_w(fam, prof, 1e200 * u, 0.05) == np.inf
 
 
 def test_beta_tilde_deterministic_when_rho_zero():

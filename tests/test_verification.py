@@ -1,10 +1,14 @@
 """Bound audits: trivial cases exact, noisy cases within stated margins."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metagrad import verification
+from metagrad.cli import generate_family
+from metagrad.meta_gradient import exact_grad_F
 from metagrad.numerics import RngStream, standard_normals
 from metagrad.optimizer import OptimizerConfig
 from metagrad.stepsize import StepsizeRule, required_B_prime, required_D_beta, sample_beta_tilde, smoothness_L_of_w
@@ -31,6 +35,8 @@ from metagrad.verification import (
     audit_stepsize_moments,
 )
 from task_values import task_grad, task_hess
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def mf_setup(seed=0, n=4, d=3, sigma_tilde=1.0, sigma_H=0.0, radius=1.5):
@@ -235,6 +241,44 @@ class TestSmoothnessAudit:
         profile = local_smoothness(family, np.zeros(3), 2.0)
         a = audit_smoothness_ratio(family, profile, 0.05, np.zeros(3), 2.0, 100, RngStream(14))
         assert a.passed
+
+
+    @pytest.mark.parametrize("kind", ["fig2", "quadratic"])
+    def test_replays_per_pair_loop_bit_for_bit(self, kind, monkeypatch):
+        # fig2's 50 tasks put 20 pairs in a window, the 8 quadratics 128, so
+        # both audits span several windows; pairs 3 and 150 are made coincident
+        if kind == "fig2":
+            config = json.loads((CONFIGS / "fig2.json").read_text())
+            family = generate_family(config["family"]["generate"])
+            center, alpha, radius = np.array(config["w0"]), config["alpha"], 0.45
+        else:
+            family = generate_family({"kind": "quadratic", "n": 8, "dim": 4, "seed": 3})
+            center, alpha, radius = np.zeros(4), 0.05, 2.0
+        profile = local_smoothness(family, center, 1.0)
+        drawn = {}
+
+        def points(c, r, n, rng):
+            pts = drawn[rng.path[-1]] = ball_points(c, r, n, rng)
+            if rng.path[-1] == "u":  # drawn after "w"
+                pts[[3, 150]] = drawn["w"][[3, 150]]
+            return pts
+
+        monkeypatch.setattr(verification, "ball_points", points)
+        got = audit_smoothness_ratio(family, profile, alpha, center, radius, 500, RngStream(15))
+        worst = 0.0
+        for w, u in zip(drawn["w"], drawn["u"]):
+            sep = float(np.linalg.norm(w - u))
+            if sep == 0.0:
+                continue
+            gap = float(np.linalg.norm(exact_grad_F(family, w, alpha) - exact_grad_F(family, u, alpha)))
+            modulus = min(
+                4.0 * profile.L + 2.0 * profile.rho * alpha * float(
+                    family.weights @ np.linalg.norm(family.grads(x), axis=1))
+                for x in (w, u))
+            worst = max(worst, gap / (modulus * sep))
+        assert (got.name, got.measured, got.bound, got.mc_margin, got.samples) == (
+            "smoothness_ratio", worst, 1.0, 0.0, 500)
+        assert worst > 0.0
 
 
 class TestStepsizeMomentsAudit:
