@@ -26,20 +26,23 @@ The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
 
-``slot_noise`` draws every site of many slots at once (a block of steps,
-in the optimizer), each slot on its own key, so a slot's noise is the same
-floats in any block; a probe row is two draws on its key, one per probe
-gradient.  ``slot_directions`` and ``hvp_finite_diff`` add the noise they
-are given with ``noisy``; ``direction`` is the one-slot case.  Everything
-here is a pure function of its inputs and the keys, so repeated evaluation
-is reproducible and parallel evaluation is safe.
+``slot_requests`` names the keyed draws of every site of many slots (a
+block of steps, in the optimizer), each slot on its own key, and
+``slot_noise`` turns the rows ``numerics.keyed_uniforms`` drew for them
+into noise, so a slot's noise is the same floats in any block; a probe row
+is two draws on its key, one per probe gradient.  ``slot_directions`` and
+``hvp_finite_diff`` add the noise they are given with ``noisy``;
+``direction`` is the one-slot case.  Everything here is a pure function of
+its inputs and the keys, so repeated evaluation is reproducible and
+parallel evaluation is safe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Mat, NormalRows, RngStream, Vec, path_key, row_blocks, row_dots
+from .numerics import (Mat, NormalRows, RngStream, Vec, keyed_rows, normal_words, path_key,
+                       row_blocks, row_dots)
 from .stochastic import (
     HESS,
     INNER,
@@ -114,22 +117,31 @@ def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> 
     return delta if delta.all() else np.where(delta == 0.0, np.nan, delta)  # 1 / inf is 0
 
 
-def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches: BatchSpec,
-               keys: list[bytes] | None) -> dict:
-    """Site label -> noise (or None) of each site the algorithm reads, row r
-    on keys[r] + label: one Box-Muller pass and scaling per site.  A probe
-    row is (2, d), one draw per probe gradient.  Exact oracle: keys None."""
-    def site(purpose, draws=1):
-        label = path_key(b"", purpose)
-        return None if keys is None else [key + label for key in keys for _ in range(draws)]
+def slot_requests(algorithm: str, d: int, oracle: StochasticOracle, keys: list[bytes]) -> dict:
+    """Site label -> (keys, words) of the keyed draws slot_noise reads for
+    one slot per key: row r of a site on keys[r] + label, a probe's twice,
+    one draw per probe gradient.  A site at a zero noise level draws nothing."""
+    sites = []  # (purpose, draws per slot, normals per draw)
+    if oracle.sigma_tilde != 0.0:
+        sites += [(INNER, 1, d), (OUTER, 1, d)] + ([(PROBE, 2, d)] if algorithm == HFMAML else [])
+    if algorithm == MAML and oracle.sigma_H != 0.0:
+        sites.append((HESS, 1, d * d))
+    return {purpose: ([key + label for key in keys for _ in range(draws)], normal_words(size))
+            for purpose, draws, size in sites for label in [path_key(b"", purpose)]}
 
+
+def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches: BatchSpec,
+               rows: dict) -> dict:
+    """Site label -> noise (or None) of each site the algorithm reads, for n
+    slots, from the rows drawn on slot_requests: one Box-Muller pass and
+    scaling per site.  A probe row is (2, d), one draw per probe gradient."""
     t = oracle.sigma_tilde
-    noise = {INNER: grad_noise((n, d), batches.D_in, t, site(INNER)),
-             OUTER: grad_noise((n, d), batches.D_o, t, site(OUTER))}
+    noise = {INNER: grad_noise((n, d), batches.D_in, t, rows.get(INNER)),
+             OUTER: grad_noise((n, d), batches.D_o, t, rows.get(OUTER))}
     if algorithm == MAML:
-        noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, site(HESS))
+        noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, rows.get(HESS))
     elif algorithm == HFMAML:
-        probe = grad_noise((2 * n, d), batches.D_h, t, site(PROBE, 2))
+        probe = grad_noise((2 * n, d), batches.D_h, t, rows.get(PROBE))
         noise[PROBE] = None if probe is None else probe.reshape(n, 2, d)
     return noise
 
@@ -175,7 +187,8 @@ def direction(
     """One task's direction at w: slot_directions with one slot, its noise
     drawn by slot_noise on rng's key."""
     family = TaskFamily([task])
-    noise = slot_noise(algorithm, 1, family.dim, oracle, batches, [path_key(rng)])
+    (rows,) = keyed_rows(slot_requests(algorithm, family.dim, oracle, [path_key(rng)]))
+    noise = slot_noise(algorithm, 1, family.dim, oracle, batches, rows)
     return slot_directions(algorithm, family, slice(None), w, alpha, rho, noise)[0]
 
 

@@ -11,13 +11,20 @@ its seed and path once, as it is made, so its key is one hash call.
 
 Gaussians come from a Box-Muller transform applied to uniforms from a
 keyed Philox generator, so every draw is reproducible however the draws
-are ordered.  One module-level Philox serves every draw, re-keyed by
-assigning one reused state dict of Python ints in which only the key
-words change; its buffer and carry state are reset on every draw.  A
-draw takes a stream or its key bytes, ``path_key(rng, *labels)`` being
-those of ``rng.child(*labels)`` made without the stream.  A stack of
-draws on a list of keys takes one ``uniforms`` call per key and one
-Box-Muller pass.
+are ordered.  One module-level Philox serves every bulk draw on one
+stream, re-keyed by assigning one reused state dict of Python ints in
+which only the key words change; its buffer and carry state are reset on
+every draw.  A draw takes a stream or its key bytes, ``path_key(rng,
+*labels)`` being those of ``rng.child(*labels)`` made without the stream.
+
+Many small draws on many keys (a block of optimizer steps) go through
+``keyed_uniforms`` instead: one call hashes each key once and computes
+every 4-word Philox4x64-10 block of every key in one vectorized pass, row
+j of a request being ``uniforms(keys[j], words)`` bit for bit.  Philox is
+counter-based (Salmon et al., SC 2011), so block b of a key is a pure
+function of (key, b + 1): numpy's Philox bumps its counter before it
+makes a block.  ``box_muller_rows`` turns such rows into the normals
+``standard_normals`` draws on each key.
 
 A bulk draw can also be read forward in row windows: successive
 ``take(k)`` calls on a ``NormalRows(rng, shape)`` reader return the next
@@ -155,6 +162,12 @@ def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
     return z[..., :n]
 
 
+def normal_words(shape: int | tuple[int, ...]) -> int:
+    """The uniforms a Box-Muller draw of the given shape reads: its
+    entries, rounded up to even."""
+    return 2 * ((_normal_shape(shape)[1] + 1) // 2)
+
+
 def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via Box-Muller on the stream's uniforms."""
     shape, n = _normal_shape(shape)
@@ -162,13 +175,95 @@ def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray
     return _box_muller(u, n).reshape(shape)
 
 
-def standard_normal_rows(keys: list[RngStream | bytes], shape: int | tuple[int, ...]) -> np.ndarray:
-    """Normals of shape (len(keys),) + shape; row j is, bit for bit,
-    ``standard_normals`` on keys[j], drawn by one ``uniforms`` call."""
+def box_muller_rows(u: np.ndarray, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Normals of shape (len(u),) + shape, row j from row j of u, which
+    holds normal_words(shape) uniforms: where u is ``keyed_uniforms``' rows
+    on keys, row j is ``standard_normals(keys[j], shape)`` bit for bit."""
     shape, n = _normal_shape(shape)
-    m = 2 * ((n + 1) // 2)
-    u = np.array([uniforms(key, m) for key in keys]).reshape(len(keys), m)
-    return _box_muller(u, n).reshape((len(keys),) + shape)
+    return _box_muller(u, n).reshape((len(u),) + shape)
+
+
+# Philox4x64-10's multipliers (for counter words 0 and 2) and key bumps,
+# one row per word of a lane's (c0, c2) or (k0, k1) pair
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+SLAB_LANES = 4096  # Philox blocks computed at once, which bounds the pass's temporaries
+
+
+def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the blocks (counter[l], 0, 0, 0) under the keys
+    (key[0, l], key[1, l]): the (lanes, 4) words numpy's Philox makes.
+
+    Each round multiplies words 0 and 2 of every lane by their constants at
+    once, as a (2, lanes) stack; the high 64 bits of each product are
+    added up from 32-bit halves, whose partial products fit in 64 bits.
+    """
+    lanes = len(counter)
+    m = np.repeat(_PHILOX_M, lanes, axis=1)  # full rows: a broadcast operand costs more
+    m_lo, m_hi = m & _LOW, m >> _HALF
+    even = np.zeros((2, lanes), np.uint64)  # words (0, 2) of each lane
+    odd = np.zeros((2, lanes), np.uint64)  # words (1, 3)
+    even[0] = counter
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        a_lo, a_hi = even & _LOW, even >> _HALF
+        lo_lo = a_lo * m_lo
+        mid = a_hi * m_lo + (lo_lo >> _HALF)
+        mid2 = a_lo * m_hi + (mid & _LOW)
+        hi = a_hi * m_hi + (mid >> _HALF) + (mid2 >> _HALF)
+        # (c0, c1, c2, c3) <- (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)
+        odd, even = (even * m)[::-1], hi[::-1] ^ odd ^ key
+    words = np.empty((lanes, 4), np.uint64)
+    words[:, 0::2], words[:, 1::2] = even.T, odd.T
+    return words
+
+
+def keyed_uniforms(requests: list[tuple[list[RngStream | bytes], int]]) -> list[np.ndarray]:
+    """Uniform [0, 1) rows of many keys at once: for each request (keys,
+    words) a (len(keys), words) array whose row j is, bit for bit,
+    ``uniforms(keys[j], words)``.
+
+    Each key is hashed once, as a stream's key is; then one vectorized
+    Philox pass makes every 4-word block of every key, block b on counter
+    b + 1, and each word becomes (word >> 11) 2^-53 as ``Generator.random``
+    makes it.  Memory is O(total words): the pass runs SLAB_LANES blocks at
+    a time.
+    """
+    words = [operator.index(words) for _, words in requests]
+    if min(words, default=0) < 0:
+        raise ValueError("a request asks for a negative number of words")
+    sizes = [(len(keys), -(-n // 4)) for (keys, _), n in zip(requests, words)]  # keys, blocks
+    digests = b"".join(blake2b(key if isinstance(key, bytes) else key._encoded,
+                               digest_size=16).digest()
+                       for keys, _ in requests for key in keys)
+    key_words = np.frombuffer(digests, "<u8").reshape(-1, 2).T  # low word first, as Philox(key=)
+    blocks = np.repeat(np.array([b for _, b in sizes], dtype=np.intp),
+                       np.array([n for n, _ in sizes], dtype=np.intp))  # per key
+    lane_key = np.repeat(np.arange(len(blocks)), blocks)
+    first = np.cumsum(blocks) - blocks  # each key's first lane
+    counter = (np.arange(len(lane_key)) - np.repeat(first, blocks) + 1).astype(np.uint64)
+    u = np.empty((len(lane_key), 4))
+    for s in range(0, len(lane_key), SLAB_LANES):
+        lanes = slice(s, s + SLAB_LANES)
+        u[lanes] = _philox(counter[lanes], key_words[:, lane_key[lanes]]) >> np.uint64(11)
+    u *= 2.0**-53  # exact: the words are integers below 2^53
+    u = u.reshape(-1)
+    rows, start = [], 0
+    for (n, b), m in zip(sizes, words):
+        rows.append(u[start:start + 4 * n * b].reshape(n, 4 * b)[:, :m])
+        start += 4 * n * b
+    return rows
+
+
+def keyed_rows(*groups: dict) -> list[dict]:
+    """Each group of label -> (keys, words) requests drawn as label -> rows
+    of ``keyed_uniforms``, every group in one call; no call when no group
+    requests anything."""
+    requests = [request for group in groups for request in group.values()]
+    rows = iter(keyed_uniforms(requests) if requests else ())
+    return [{label: next(rows) for label in group} for group in groups]
 
 
 class NormalRows:

@@ -33,9 +33,9 @@ batch slot j from (s, k, "slot", j, purpose).  Two algorithms run with
 the same seed therefore see identical task batches and identical
 inner/outer gradient noise, isolating the algorithmic difference.  A
 draw depends only on its key, so a block's steps are drawn at once on
-these keys and records do not depend on the block length.  The loop
-raises no numpy overflow warning: an overflow ends the run as a
-non-finite or diverging iterate.
+these keys, by one ``numerics.keyed_uniforms`` call, and records do not
+depend on the block length.  The loop raises no numpy overflow warning:
+an overflow ends the run as a non-finite or diverging iterate.
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ from .meta_gradient import (
     exact_sweep,
     slot_directions,
     slot_noise,
+    slot_requests,
 )
-from .numerics import RngStream, Vec, path_key, row_blocks, row_dots
+from .numerics import RngStream, Vec, keyed_rows, path_key, row_blocks, row_dots
 from .stepsize import (ALPHA_CAPS, StepsizeRule, beta_sample, check_stepsize_batches,
-                       required_D_h, stepsize_draws)
+                       required_D_h, stepsize_draws, stepsize_requests)
 from .stochastic import (STEPSIZE, TASKS, BatchSpec, StochasticOracle, positive_int,
                          sample_task_batch)
 from .tasks import QUADRATIC, SmoothnessProfile, TaskFamily, local_smoothness
@@ -240,20 +241,27 @@ def _drawn_steps(family, config, profile, oracle, slots, keys):
     (seed, k), with None where a step draws nothing.  A slot draw is
     (idx, site -> noise rows) of the given number of slots: B tasks on
     key + "tasks" (a full batch's are 0..n-1), slot j's noise on key +
-    ("slot", j)."""
+    ("slot", j).  Every keyed draw of the steps is made by one
+    ``keyed_uniforms`` call, none if they draw nothing."""
     b, n = config.batches, len(keys)
     if not n:  # a block of the terminal row alone takes no step
         return []
-    betas = stepsize_draws(family, profile, config.alpha, b.B_prime, b.D_beta,
-                           [path_key(key, STEPSIZE) for key in keys]
-                           ) if config.stepsize.kind == "adaptive" else [None] * n
+    adaptive = config.stepsize.kind == "adaptive"
+    sampled = slots > 0 and not config.full_task_batch
+    labels = [path_key(b"", "slot", j) for j in range(slots)]
+    stepsize_rows, task_rows, slot_rows = keyed_rows(
+        stepsize_requests(profile, config.alpha, b.B_prime, family.dim,
+                          [path_key(key, STEPSIZE) for key in keys]) if adaptive else {},
+        {TASKS: ([path_key(key, TASKS) for key in keys], slots)} if sampled else {},
+        slot_requests(config.algorithm, family.dim, oracle,
+                      [key + lab for key in keys for lab in labels]) if not oracle.exact else {})
+    betas = (stepsize_draws(family, profile, b.B_prime, b.D_beta, n, stepsize_rows) if adaptive
+             else [None] * n)
     if not slots:
         return [(beta, None) for beta in betas]
-    tasks = [slice(None)] * n if config.full_task_batch else sample_task_batch(
-        family, (n, slots), [path_key(key, TASKS) for key in keys])
-    labels = [path_key(b"", "slot", j) for j in range(slots)]
-    slot_keys = None if oracle.exact else [key + lab for key in keys for lab in labels]
-    noise = slot_noise(config.algorithm, n * slots, family.dim, oracle, b, slot_keys)
+    tasks = (sample_task_batch(family, (n, slots), task_rows[TASKS]) if sampled
+             else [slice(None)] * n)
+    noise = slot_noise(config.algorithm, n * slots, family.dim, oracle, b, slot_rows)
     return [(beta, (idx, {site: None if a is None else a[r * slots:(r + 1) * slots]
                           for site, a in noise.items()}))
             for r, (beta, idx) in enumerate(zip(betas, tasks))]

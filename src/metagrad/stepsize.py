@@ -21,7 +21,10 @@ under which E[beta_tilde] >= 0.8 / L(w) and
 E[beta_tilde^2] <= 3.125 / L(w)^2.  ``check_stepsize_batches`` raises
 when either inequality fails, or when L, rho or sigma is not finite; the
 samplers and the optimizer's config validation all go through it.
-``beta_tilde`` is the one-key case of the optimizer's ``stepsize_draws``.
+``beta_tilde`` is the one-key case of the optimizer's draws: the keyed
+draws ``stepsize_requests`` names, drawn by ``numerics.keyed_uniforms``
+and read by ``stepsize_draws``.  Every sampler takes task-gradient norms
+through ``_grad_norms``, so a norm whose square overflows stays finite.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig, NumericalFailure
-from .numerics import NormalRows, RngStream, Vec, path_key, row_blocks, row_dots
+from .numerics import (NormalRows, RngStream, Vec, keyed_rows, normal_words, path_key, row_blocks,
+                       row_dots)
 from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
@@ -82,17 +86,24 @@ class StepsizeRule:
         return ADAPTIVE_FRACTIONS[algorithm]
 
 
-def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, W: np.ndarray, alpha: float):
-    """Exact modulus 4L + 2 rho alpha E_i ||grad f_i(w)||: a float at one point W (d,), one per
-    row of a stack (K, d), each the float of that point alone.  A finite gradient whose squares
-    overflow has norm max|g| ||g / max|g|||, so L(w) is inf only past the float range."""
-    g = family.grads(W[..., None, :])  # (..., n, d)
+def _grad_norms(g: np.ndarray, dots: bool = False) -> np.ndarray:
+    """||x|| of each row x of g along the last axis: np.sqrt(row_dots(g))
+    with dots, else np.linalg.norm's float.  A row of finite entries whose
+    squares overflow has norm max|x| ||x / max|x|||, so a norm is inf only
+    past the float range; every other row keeps its float."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(g, axis=-1)
+        norms = np.sqrt(row_dots(g)) if dots else np.linalg.norm(g, axis=-1)
     big = np.isinf(norms) & np.isfinite(g).all(axis=-1)
     if big.any():
         top = np.abs(g[big]).max(axis=-1)
         norms[big] = top * np.linalg.norm(g[big] / top[:, None], axis=-1)
+    return norms
+
+
+def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, W: np.ndarray, alpha: float):
+    """Exact modulus 4L + 2 rho alpha E_i ||grad f_i(w)||: a float at one point W (d,), one per
+    row of a stack (K, d), each the float of that point alone; inf only past the float range."""
+    norms = _grad_norms(family.grads(W[..., None, :]))  # (..., n)
     mean = (family.weights[None, :] @ norms[..., :, None])[..., 0, 0]
     return 4.0 * profile.L + 2.0 * profile.rho * alpha * (float(mean) if W.ndim == 1 else mean)
 
@@ -161,21 +172,33 @@ def beta_tilde(
     is consumed, which keeps exact-oracle runs free of RNG cost.
     """
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
-    draw = stepsize_draws(family, profile, alpha, B_prime, D_beta, [path_key(rng)])[0]
+    (rows,) = keyed_rows(stepsize_requests(profile, alpha, B_prime, family.dim, [path_key(rng)]))
+    draw = stepsize_draws(family, profile, B_prime, D_beta, 1, rows)[0]
     return beta_sample(family, profile, w, alpha, draw)
 
 
-def stepsize_draws(family: TaskFamily, profile: SmoothnessProfile, alpha: float, B_prime: int,
-                   D_beta: int, keys: list[bytes]) -> list:
-    """(tasks, noise) of a sample per key: B' tasks on key + TASKS, slot j's
-    noise on key + (STEPSIZE, j); None per key when rho alpha = 0."""
-    n = len(keys)
+def stepsize_requests(profile: SmoothnessProfile, alpha: float, B_prime: int, d: int,
+                      keys: list[bytes]) -> dict:
+    """Label -> (keys, words) of the keyed draws of a sample per key: B'
+    task uniforms on key + TASKS and, at a nonzero sigma_tilde, slot j's
+    noise on key + (STEPSIZE, j).  Nothing when rho alpha = 0."""
     if 2.0 * profile.rho * alpha == 0.0:
+        return {}
+    requests = {TASKS: ([path_key(key, TASKS) for key in keys], B_prime)}
+    if profile.sigma_tilde != 0.0:
+        slots = [path_key(b"", STEPSIZE, j) for j in range(B_prime)]
+        requests[STEPSIZE] = ([key + slot for key in keys for slot in slots], normal_words(d))
+    return requests
+
+
+def stepsize_draws(family: TaskFamily, profile: SmoothnessProfile, B_prime: int, D_beta: int,
+                   n: int, rows: dict) -> list:
+    """(tasks, noise) of each of n samples from the rows drawn on
+    stepsize_requests; None per sample where it requested nothing."""
+    if not rows:
         return [None] * n
-    slots = [path_key(b"", STEPSIZE, j) for j in range(B_prime)]
-    idx = sample_task_batch(family, (n, B_prime), [path_key(key, TASKS) for key in keys])
-    noise = grad_noise((n * B_prime, family.dim), D_beta, profile.sigma_tilde,
-                       [key + slot for key in keys for slot in slots])
+    idx = sample_task_batch(family, (n, B_prime), rows[TASKS])
+    noise = grad_noise((n * B_prime, family.dim), D_beta, profile.sigma_tilde, rows.get(STEPSIZE))
     return list(zip(idx, [None] * n if noise is None else noise.reshape(n, B_prime, -1)))
 
 
@@ -186,8 +209,8 @@ def beta_sample(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: f
         return 1.0 / (4.0 * profile.L)
     idx, noise = draw
     g = noisy(family.grads(np.broadcast_to(w, (len(idx), family.dim)), idx), noise)
-    # each norm as np.linalg.norm rounds it, added from zero in slot order
-    acc = float(np.cumsum(np.sqrt(row_dots(g)))[-1])
+    # each norm as np.linalg.norm rounds it alone, added from zero in slot order
+    acc = float(np.cumsum(_grad_norms(g, dots=True))[-1])
     return 1.0 / (4.0 * profile.L + 2.0 * profile.rho * alpha * acc / len(idx))
 
 
@@ -223,6 +246,6 @@ def sample_beta_tilde(
         idx = sample_task_batch(family, (r1 - r0, B_prime), tasks)
         sel = noisy(grads[idx], grad_noise(idx.shape + (family.dim,), D_beta,
                                            profile.sigma_tilde, noise))
-        norms[r0:r1] = np.linalg.norm(sel, axis=2).mean(axis=1)
+        norms[r0:r1] = _grad_norms(sel).mean(axis=1)
     return 1.0 / (4.0 * profile.L + coeff * norms)
 

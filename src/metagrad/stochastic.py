@@ -15,13 +15,15 @@ These two laws live only in ``grad_noise`` and ``hess_noise``, which
 return the noise of a whole stack of draws, or None at a zero noise
 level, for ``noisy`` to add; the stacked oracles ``noisy_grad`` and
 ``noisy_hess``, the optimizer's draws and the vectorized samplers all
-call them.  A stack's normals come either from a list of keys (as a
-block of optimizer steps is drawn), row j on the j-th with one
-``uniforms`` call per key and one Box-Muller pass, or as the next rows of
-a ``numerics.NormalRows`` reader of one draw on one stream, bit for bit
-those rows of the whole draw.  The Monte Carlo samplers read their draws
-so, in windows of at most ``numerics.BLOCK_ROWS`` rows where the sample
-is large, and read task indices forward from a stream's own generator.
+call them.  A stack's normals come either from uniform rows that
+``numerics.keyed_uniforms`` drew on a list of keys (as a block of
+optimizer steps is drawn), row j through Box-Muller into the normals of
+the j-th key, or as the next rows of a ``numerics.NormalRows`` reader of
+one draw on one stream, bit for bit those rows of the whole draw.  The
+Monte Carlo samplers read their draws so, in windows of at most
+``numerics.BLOCK_ROWS`` rows where the sample is large, and read task
+indices forward from a stream's own generator.  ``sample_task_batch``
+takes either kind of uniforms the same way: keyed rows or a generator.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NormalRows, RngStream, standard_normal_rows, uniforms
+from .numerics import NormalRows, RngStream, box_muller_rows, keyed_uniforms, normal_words
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -76,15 +78,21 @@ def positive_int(v, name: str) -> int:
     return int(v)
 
 
-Streams = NormalRows | list[RngStream | bytes] | None
+Streams = NormalRows | np.ndarray | None
 
 
 def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given shape: the next shape[0] rows of a
-    reader, or row j on key rng[j] of a list, one ``uniforms`` call per
-    key, one Box-Muller pass."""
+    reader, or row j from row j of ``keyed_uniforms`` rows, which hold
+    ``normal_words(shape[1:])`` uniforms each, in one Box-Muller pass."""
     return (rng.take(shape[0]) if isinstance(rng, NormalRows)
-            else standard_normal_rows(rng, shape[1:]))
+            else box_muller_rows(rng, shape[1:]).reshape(shape))
+
+
+def _keyed(keys: list[RngStream | bytes] | None, shape: tuple[int, ...], level: float):
+    """The uniform rows of a normal draw of shape[1:] on each key, by one
+    ``keyed_uniforms`` call; None at a zero noise level, which draws nothing."""
+    return None if level == 0.0 else keyed_uniforms([(keys, normal_words(shape[1:]))])[0]
 
 
 def grad_noise(shape: tuple[int, ...], D: int, sigma_tilde: float,
@@ -124,19 +132,20 @@ def noisy(x: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
 
 
 def noisy_grad(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_tilde: float,
-               rng: Streams) -> np.ndarray:
+               rng: list[RngStream | bytes] | None) -> np.ndarray:
     """Gradient of task idx[j] at W or at row W[j] plus batch-size-D
-    Gaussian noise, shape (B, d); row j is that task's gradient alone."""
+    Gaussian noise drawn on key rng[j], shape (B, d); row j is that task's
+    gradient alone.  rng may be None at sigma_tilde = 0."""
     g = family.grads(W, idx)
-    return noisy(g, grad_noise(g.shape, D, sigma_tilde, rng))
+    return noisy(g, grad_noise(g.shape, D, sigma_tilde, _keyed(rng, g.shape, sigma_tilde)))
 
 
 def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
-               rng: Streams) -> np.ndarray:
+               rng: list[RngStream | bytes] | None) -> np.ndarray:
     """Hessian of task idx[j] at W or at row W[j] plus symmetric Gaussian
-    noise, shape (B, d, d)."""
+    noise drawn on key rng[j], shape (B, d, d).  rng may be None at sigma_H = 0."""
     h = family.hessians(W, idx)
-    return noisy(h, hess_noise(h.shape, D, sigma_H, rng))
+    return noisy(h, hess_noise(h.shape, D, sigma_H, _keyed(rng, h.shape, sigma_H)))
 
 
 @dataclass(frozen=True)
@@ -156,13 +165,12 @@ class StochasticOracle:
 
 
 def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
-                      rng: list[bytes] | np.random.Generator) -> np.ndarray:
+                      rng: np.ndarray | np.random.Generator) -> np.ndarray:
     """Task indices of the given shape, i.i.d. from the family weights by
-    inverse CDF on the uniforms of rng: a list of keys (row j on the j-th),
-    or a generator read forward (a stream's own, for the next rows of one
-    draw on it)."""
+    inverse CDF on the uniforms of rng: ``keyed_uniforms`` rows of that
+    shape (row j on the j-th key), or a generator read forward (a stream's
+    own, for the next rows of one draw on it)."""
     shape = tuple(positive_int(n, "a batch dimension")
                   for n in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    u = (np.array([uniforms(key, shape[1:]) for key in rng]) if isinstance(rng, list)
-         else rng.random(shape))
+    u = rng.reshape(shape) if isinstance(rng, np.ndarray) else rng.random(shape)
     return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

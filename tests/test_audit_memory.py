@@ -1,5 +1,5 @@
-"""The bulk samplers', the smoothness audit's and the smoothness sweep's
-heap peaks stay bounded.
+"""The bulk samplers', the smoothness audit's, the smoothness sweep's and
+the optimizer's heap peaks stay bounded.
 
 Both Monte Carlo samplers draw their per-sample noise in windows of
 numerics.BLOCK_ROWS rows, so at 2e4 samples on fig2's family their peak is a
@@ -9,7 +9,11 @@ Hessian noise near 21 MB.  The smoothness audit sweeps its 2e4 pairs in
 windows too, where one stack would hold 200 MB of Hessians.  The smoothness sweep bounds its Hessians
 numerics.PRUNE_BLOCK points or pairs at a time: on 400 tasks in 12
 dimensions it peaks near 12 MB, where one stack of all 96 points'
-Hessians would alone take 44 MB.
+Hessians would alone take 44 MB.  A block of noisy MAML steps draws its
+keys' uniforms in one keyed Philox pass that computes numerics.SLAB_LANES
+blocks of four words at a time, so a block of 1024 Hessian keys at d = 10
+peaks near 4.7 MB, a few BLOCK_ROWS d^2 arrays; a pass over all of the
+block's Philox blocks at once peaked near 10 MB there.
 """
 
 import json
@@ -19,11 +23,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metagrad import numerics
 from metagrad.cli import generate_family
 from metagrad.meta_gradient import mc_grad_F_hat_draws
 from metagrad.numerics import RngStream
-from metagrad.stepsize import sample_beta_tilde
-from metagrad.stochastic import StochasticOracle
+from metagrad.optimizer import OptimizerConfig, run
+from metagrad.stepsize import StepsizeRule, sample_beta_tilde
+from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import local_smoothness, rank1_mf_family
 from metagrad.verification import audit_smoothness_ratio
 
@@ -79,3 +85,18 @@ def test_local_smoothness_peak_is_bounded():
     family = rank1_mf_family(400, 12, RngStream(5, ("memory",)))
     peak = peak_mb(lambda: local_smoothness(family, np.full(12, 0.1), 1.0))
     assert peak < 16.0
+
+
+def test_noisy_maml_run_peak_is_bounded():
+    # 32 slots on 8 tasks: a block is 32 steps, 1024 keys per noise site,
+    # and each Hessian key draws d^2 = 100 words; 100 steps are four blocks
+    d = 10
+    family = rank1_mf_family(8, d, RngStream(3, ("memory",)))
+    w0 = np.full(d, 0.1)
+    profile = local_smoothness(family, w0, 1.0)
+    config = OptimizerConfig(algorithm="maml", alpha=0.01,
+                             stepsize=StepsizeRule(kind="constant", beta=0.01),
+                             batches=BatchSpec(B=32, D_in=2, D_o=2, D_h=2), max_iters=100,
+                             sigma_tilde=0.5, sigma_H=0.5, w0=w0, trust_radius=1.0)
+    peak = peak_mb(lambda: run(family, config, profile=profile))
+    assert peak < 8 * numerics.BLOCK_ROWS * d * d * 8 / 1e6  # eight (BLOCK_ROWS, d, d) arrays

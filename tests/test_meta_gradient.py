@@ -19,7 +19,7 @@ from metagrad.meta_gradient import (
     value_F,
 )
 from metagrad.closed_form import analyze_quadratic
-from metagrad.numerics import RngStream, row_dots, standard_normals
+from metagrad.numerics import RngStream, keyed_uniforms, normal_words, row_dots, standard_normals
 from metagrad.stochastic import BatchSpec, StochasticOracle, grad_noise
 from metagrad.tasks import (
     MatrixFactorizationTask,
@@ -40,7 +40,8 @@ def quartic_family():
 def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
     """hvp_finite_diff on one row of a one-task family, both probe gradients
     with the noise of one batch drawn on rng."""
-    noise = grad_noise((1, task.dim), 1, sigma_tilde, None if rng is None else [rng])
+    rows = None if rng is None else keyed_uniforms([([rng], normal_words(task.dim))])[0]
+    noise = grad_noise((1, task.dim), 1, sigma_tilde, rows)
     return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]),
                            (noise, noise))[0]
 

@@ -7,13 +7,23 @@ from metagrad import numerics
 from metagrad.numerics import (
     NormalRows,
     RngStream,
+    box_muller_rows,
+    keyed_uniforms,
+    normal_words,
     row_blocks,
     row_dots,
     spectral_norm,
-    standard_normal_rows,
     standard_normals,
     uniforms,
 )
+
+
+def keyed_normal_rows(keys, shape):
+    """Normals of shape (len(keys),) + shape, row j on keys[j], as the
+    stochastic oracles draw a stack: one keyed_uniforms call, one
+    Box-Muller pass."""
+    (u,) = numerics.keyed_uniforms([(keys, normal_words(shape))])
+    return box_muller_rows(u, shape)
 
 
 def jacobi_eigenvalues(a, max_sweeps=200):
@@ -218,8 +228,8 @@ def test_sizes_accept_numpy_integers():
     assert np.array_equal(standard_normals(stream, np.int64(3)), standard_normals(stream, 3))
     assert np.array_equal(standard_normals(stream, (np.int32(2), np.int64(3))),
                           standard_normals(stream, (2, 3)))
-    assert np.array_equal(standard_normal_rows([stream], np.int64(3)),
-                          standard_normal_rows([stream], 3))
+    assert np.array_equal(keyed_normal_rows([stream], np.int64(3)),
+                          keyed_normal_rows([stream], 3))
     with pytest.raises(TypeError):
         standard_normals(stream, 3.0)
 
@@ -245,28 +255,88 @@ def test_stacked_rows_equal_streams_drawn_alone(shape, B):
     # Box-Muller pass must carry the bits of stream j's own draw
     for k in range(40):
         streams = [RngStream(15).child(k, "slot", j, "inner") for j in range(B)]
-        rows = standard_normal_rows(streams, shape)
+        rows = keyed_normal_rows(streams, shape)
         assert rows.shape == (B,) + shape
         for j, stream in enumerate(streams):
             assert np.array_equal(rows[j], standard_normals(stream, shape))
 
 
 def test_each_stream_is_one_keyed_draw(monkeypatch):
-    # the benchmark's tracer counts keyed draws as calls to uniforms and
-    # standard_normals; a stack draws through uniforms once per stream
+    # keyed draws are counted as the keys handed to keyed_uniforms, plus
+    # calls to uniforms and standard_normals; a stack hands each stream's
+    # key over once, as one (key, words) entry here
     calls = []
     monkeypatch.setattr(numerics, "uniforms", lambda *a: calls.append(a) or uniforms(*a))
+    monkeypatch.setattr(numerics, "keyed_uniforms", lambda requests: calls.extend(
+        (key, words) for keys, words in requests for key in keys) or keyed_uniforms(requests))
     standard_normals(RngStream(16), (3, 5))
     assert calls == []
     streams = [RngStream(16).child(j) for j in range(3)]
-    standard_normal_rows(streams, (5,))
+    keyed_normal_rows(streams, (5,))
     assert [a[0] for a in calls] == streams
 
 
 def test_stacked_rows_edges():
-    assert standard_normal_rows([], (3,)).shape == (0, 3)
+    assert keyed_normal_rows([], (3,)).shape == (0, 3)
     with pytest.raises(ValueError):
-        standard_normal_rows([RngStream(0)], (-1,))
+        keyed_normal_rows([RngStream(0)], (-1,))
+
+
+# (seed, path) of streams whose two Philox key words are both at or above
+# 2**63, the words numpy splits the 128-bit key into
+TOP_WORD_STREAMS = [s for s in (RngStream(8).child("top", i) for i in range(64))
+                    if min(s._key() & (2**64 - 1), s._key() >> 64) >= 2**63]
+
+
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["streams", "bytes"])
+def test_keyed_uniforms_rows_are_each_keys_own_draw(as_bytes):
+    # every word count from 0 to 33 (0 to 9 blocks, each remainder mod 4),
+    # one request each, on keys given as streams or as their key bytes
+    assert TOP_WORD_STREAMS
+    streams = [RngStream(21).child("kernel", i) for i in range(5)] + TOP_WORD_STREAMS[:3]
+    keys = [numerics.path_key(s) for s in streams] if as_bytes else streams
+    requests = [(keys, words) for words in range(34)]
+    for (_, words), rows in zip(requests, keyed_uniforms(requests)):
+        assert rows.shape == (len(keys), words) and rows.dtype == np.float64
+        for j, stream in enumerate(streams):
+            assert np.array_equal(rows[j], uniforms(stream, words))
+            assert np.array_equal(rows[j], stream.generator().random(words))
+
+
+@pytest.mark.parametrize("slab", [numerics.SLAB_LANES, 5, 1])
+def test_keyed_uniforms_mixes_requests_in_one_call(monkeypatch, slab):
+    # requests of mixed key counts and sizes, empty key lists among them,
+    # keep their own rows; a key in two requests draws from its start in
+    # each; passes of a few blocks split keys and requests anywhere
+    monkeypatch.setattr(numerics, "SLAB_LANES", slab)
+    root = RngStream(22)
+    keys = [root.child("mix", i) for i in range(12)]
+    requests = [(keys[:3], 6), ([], 5), (keys[3:4], 26), (keys[4:], 1), ([], 0),
+                (keys[:2], 33), (keys[2:3] * 2, 4)]
+    out = keyed_uniforms(requests)
+    assert len(out) == len(requests)
+    for (ks, words), rows in zip(requests, out):
+        assert rows.shape == (len(ks), words)
+        for j, key in enumerate(ks):
+            assert np.array_equal(rows[j], uniforms(key, words))
+    assert keyed_uniforms([]) == []
+    assert [r.shape for r in keyed_uniforms([([], 3), ([], 0)])] == [(0, 3), (0, 0)]
+    with pytest.raises(ValueError):
+        keyed_uniforms([(keys[:1], -1)])
+
+
+def test_keyed_rows_draws_every_group_in_one_call(monkeypatch):
+    root = RngStream(23)
+    calls = []
+    monkeypatch.setattr(numerics, "keyed_uniforms",
+                        lambda requests: calls.append(requests) or keyed_uniforms(requests))
+    a, b = [root.child("a", i) for i in range(3)], [root.child("b")]
+    first, empty, second = numerics.keyed_rows({"x": (a, 4), "y": (b, 7)}, {}, {"x": (b, 2)})
+    assert len(calls) == 1 and empty == {}
+    assert np.array_equal(first["x"], np.array([uniforms(k, 4) for k in a]))
+    assert np.array_equal(first["y"][0], uniforms(b[0], 7))
+    assert np.array_equal(second["x"][0], uniforms(b[0], 2))
+    assert numerics.keyed_rows({}, {}) == [{}, {}] and len(calls) == 1
 
 
 def test_uniforms_range_and_mean():
@@ -370,7 +440,7 @@ def test_windows_leave_the_next_draw_fresh():
             assert np.array_equal(uniforms(t, 6), t.generator().random(6))
             want = numerics._box_muller(t.generator().random(6), 5)
             assert np.array_equal(standard_normals(t, 5), want)
-            assert np.array_equal(standard_normal_rows([t, s], 5)[0], want)
+            assert np.array_equal(keyed_normal_rows([t, s], 5)[0], want)
             assert numerics._PHILOX["counter"] == (0, 0, 0, 0)
         assert np.array_equal(own.random((5, 3)), u[r0:r0 + 5])
     for seed, path, key in PINNED_KEYS:

@@ -6,6 +6,7 @@ import json
 import pkgutil
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from metagrad.cli import generate_family, load_config, prepare
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
 from metagrad.meta_gradient import (FOMAML, HFMAML, MAML, direction, exact_grad_F, exact_sweep,
-                                    slot_noise, value_F)
+                                    slot_noise, slot_requests, value_F)
 from metagrad.numerics import RngStream
 from metagrad.optimizer import (
     CSV_HEADER,
@@ -151,8 +152,9 @@ def step_draw(family, cfg, oracle, rng):
     else:
         B = cfg.batches.B
         idx = sample_task_batch(family, B, rng.child("tasks").generator())
-    keys = None if oracle.exact else [numerics.path_key(rng, "slot", j) for j in range(B)]
-    return idx, slot_noise(cfg.algorithm, B, family.dim, oracle, cfg.batches, keys)
+    keys = [numerics.path_key(rng, "slot", j) for j in range(B)]
+    (rows,) = numerics.keyed_rows(slot_requests(cfg.algorithm, family.dim, oracle, keys))
+    return idx, slot_noise(cfg.algorithm, B, family.dim, oracle, cfg.batches, rows)
 
 
 class TestStackedExactSweep:
@@ -336,9 +338,9 @@ class TestSlotLoopReplay:
 
 
 class TestKeyedDraws:
-    """Keyed RNG draws per step of run(), the counts the benchmark's traced
-    run checks: one per uniforms or standard_normals call, wherever a
-    metagrad module calls it from."""
+    """Keyed RNG draws per step of run(), the counts the benchmark was sized
+    with: one per key handed to keyed_uniforms, and one per uniforms or
+    standard_normals call, wherever a metagrad module calls them from."""
 
     @pytest.mark.parametrize("name, per_step", [
         ("fig1", {MAML: 0, FOMAML: 0, HFMAML: 0}),
@@ -347,9 +349,19 @@ class TestKeyedDraws:
     def test_draws_per_step_at_seed_0(self, monkeypatch, name, per_step):
         self.check_draws(monkeypatch, name, per_step)
 
+    def test_a_run_that_draws_nothing_makes_no_kernel_call(self, monkeypatch):
+        # fig1's exact full batches draw no key, so no block calls the kernel
+        calls = []
+        monkeypatch.setattr(numerics, "keyed_uniforms", calls.append)
+        resolved, config_dir = load_config(str(CONFIGS / "fig1.json"), argparse.Namespace())
+        family, base, profile = prepare(resolved, config_dir)
+        for algorithm in (MAML, FOMAML, HFMAML):
+            run(family, replace(base, algorithm=algorithm, max_iters=20), profile=profile)
+        assert calls == []
+
     def test_adaptive_stepsize_draws_per_step(self, monkeypatch):
         # audit-mf's shape: 1 + 3 B for a MAML step, and 1 + B' for the
-        # stepsize sample, one uniforms call per slot stream of beta_tilde
+        # stepsize sample, one key per slot stream of beta_tilde
         batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
         self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 102},
                          stepsize=StepsizeRule(kind="adaptive"), batches=batches)
@@ -396,39 +408,33 @@ class TestKeyedDraws:
 
     @staticmethod
     def counted_draws(monkeypatch):
-        """A list that gains an entry per keyed draw from here on."""
+        """A list that gains an entry per keyed draw from here on: per key
+        handed to keyed_uniforms, and per uniforms or standard_normals call."""
         calls = []
+
+        def keyed(requests, _draw=numerics.keyed_uniforms):
+            calls.extend(1 for keys, _ in requests for _ in keys)
+            return _draw(requests)
+
+        def counted(*args, _draw, **kwargs):
+            calls.append(1)
+            return _draw(*args, **kwargs)
+
         modules = [importlib.import_module(f"metagrad.{m.name}")
                    for m in pkgutil.iter_modules(metagrad.__path__)]
-        for draw in ("uniforms", "standard_normals"):
+        for draw in ("keyed_uniforms", "uniforms", "standard_normals"):
             original = getattr(numerics, draw)
-
-            def counted(*args, _draw=original, **kwargs):
-                calls.append(1)
-                return _draw(*args, **kwargs)
-
+            hook = keyed if draw == "keyed_uniforms" else partial(counted, _draw=original)
             for module in modules:
                 if getattr(module, draw, None) is original:
-                    monkeypatch.setattr(module, draw, counted)
+                    monkeypatch.setattr(module, draw, hook)
         return calls
 
     def check_draws(self, monkeypatch, name, per_step, **overrides):
         resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
         family, base, profile = prepare(resolved, config_dir)
         base = replace(base, **overrides)
-        calls = []
-        modules = [importlib.import_module(f"metagrad.{m.name}")
-                   for m in pkgutil.iter_modules(metagrad.__path__)]
-        for draw in ("uniforms", "standard_normals"):
-            original = getattr(numerics, draw)
-
-            def counted(*args, _draw=original, **kwargs):
-                calls.append(1)
-                return _draw(*args, **kwargs)
-
-            for module in modules:
-                if getattr(module, draw, None) is original:
-                    monkeypatch.setattr(module, draw, counted)
+        calls = self.counted_draws(monkeypatch)
         for algorithm, expected in per_step.items():
             calls.clear()
             cfg = replace(base, algorithm=algorithm, seed=0, max_iters=20)

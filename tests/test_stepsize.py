@@ -1,11 +1,12 @@
 """Adaptive stepsize rule: formulas, preconditions, moments."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from metagrad import numerics
+from metagrad import cli, numerics, verification
 from metagrad.cli import generate_family
 from metagrad.errors import InvalidBatchConfig
 from metagrad.numerics import RngStream, standard_normals, uniforms
@@ -81,6 +82,32 @@ def test_smoothness_L_of_w_stays_finite_past_the_squared_norm_range():
     # a gradient that is itself past the float range still gives inf
     with np.errstate(over="ignore", invalid="ignore"):
         assert smoothness_L_of_w(fam, prof, 1e200 * u, 0.05) == np.inf
+
+
+def test_beta_samples_stay_positive_past_the_squared_norm_range(tmp_path, monkeypatch):
+    # the audit battery at w_scale 1e60 on the 4-task rank-1 family: the
+    # task-gradient norms (about 1e180) are finite, their squares are not,
+    # and every beta sample, vectorized or one-key, is still positive
+    samples = []
+
+    def recorded(family, profile, w, *args):
+        alpha, B_prime, D_beta, _, rng = args
+        one = beta_tilde(family, profile, w, alpha, B_prime, D_beta, rng)  # the optimizer's draw
+        samples.append(np.append(sample_beta_tilde(family, profile, w, *args), one))
+        return samples[-1][:-1]
+
+    monkeypatch.setattr(verification, "sample_beta_tilde", recorded)
+    config = {"family": {"generate": {"kind": "rank1mf", "n": 4, "dim": 3, "seed": 1}},
+              "alpha": 0.05, "stepsize": {"kind": "constant", "beta": 0.05},
+              "noise": {"sigma_tilde": 0.3, "sigma_H": 0.3}, "trust_radius": 2.0,
+              "w0": [0.3, -0.2, 0.1], "audit": {"select": ["stepsize_moments"], "w_scale": 1e60}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert cli.main(["audit", "--config", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert len(samples) == 10
+    for draws in samples:
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
 
 
 def test_beta_tilde_deterministic_when_rho_zero():

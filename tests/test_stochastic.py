@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from metagrad.numerics import RngStream, standard_normals
+from metagrad.numerics import (RngStream, keyed_uniforms, normal_words, path_key,
+                               standard_normals, uniforms)
 from metagrad.stochastic import (
     BatchSpec,
     StochasticOracle,
@@ -212,3 +213,34 @@ def test_noisy_grad_rejects_bad_batch():
         noisy_grad(fam, idx, np.zeros((1, 4)), 0, 1.0, [RngStream(0)])
     with pytest.raises(ValueError):
         noisy_hess(fam, idx, np.zeros((1, 4)), 0, 1.0, [RngStream(0)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_noise_laws_on_keyed_rows_replay_per_key_draws(d):
+    # grad_noise and hess_noise on keyed_uniforms rows give, row for row,
+    # the law applied to standard_normals on that row's own key, for odd
+    # and even normal counts, keys as streams and as bytes
+    streams = [RngStream(1010).child("slot", j, "x") for j in range(7)]
+    keys = streams[:4] + [path_key(s) for s in streams[4:]]
+    grad_u, hess_u = keyed_uniforms([(keys, normal_words(d)), (keys, normal_words((d, d)))])
+    grads = grad_noise((7, d), 3, 0.7, grad_u)
+    hess = hess_noise((7, d, d), 2, 0.4, hess_u)
+    kappa = 0.4 * np.sqrt(2.0 / (2 * d * (d + 1)))
+    for j, stream in enumerate(streams):
+        assert np.array_equal(grads[j], 0.7 / np.sqrt(d * 3) * standard_normals(stream, d))
+        g = standard_normals(stream, (d, d))
+        assert np.array_equal(hess[j], kappa * 0.5 * (g + g.T))
+
+
+def test_sample_task_batch_on_keyed_rows_replays_per_key_draws():
+    # row j of the task indices is the inverse CDF of uniforms(keys[j], B)
+    fam = TaskFamily([MatrixFactorizationTask(np.array([float(i), 1.0])) for i in range(5)],
+                     weights=np.array([0.1, 0.4, 0.2, 0.05, 0.25]))
+    keys = [path_key(RngStream(1011), k, "tasks") for k in range(9)]
+    for B in (1, 3, 4, 10):
+        (u,) = keyed_uniforms([(keys, B)])
+        idx = sample_task_batch(fam, (9, B), u)
+        assert idx.shape == (9, B)
+        for j, key in enumerate(keys):
+            want = np.minimum(np.searchsorted(fam.cum_weights, uniforms(key, B), side="right"), 4)
+            assert np.array_equal(idx[j], want)
