@@ -11,20 +11,22 @@ its seed and path once, as it is made, so its key is one hash call.
 
 Gaussians come from a Box-Muller transform applied to uniforms from a
 keyed Philox generator, so every draw is reproducible however the draws
-are ordered.  One module-level Philox serves every bulk draw on one
-stream, re-keyed by assigning one reused state dict of Python ints in
-which only the key words change; its buffer and carry state are reset on
-every draw.  A draw takes a stream or its key bytes, ``path_key(rng,
-*labels)`` being those of ``rng.child(*labels)`` made without the stream.
+are ordered.  A draw takes a stream or its key bytes, ``path_key(rng,
+*labels)`` being those of ``rng.child(*labels)`` made without the stream,
+and ``_philox_key`` is the one place either becomes a Philox key.
 
-Many small draws on many keys (a block of optimizer steps) go through
-``keyed_uniforms`` instead: one call hashes each key once and computes
-every 4-word Philox4x64-10 block of every key in one vectorized pass, row
-j of a request being ``uniforms(keys[j], words)`` bit for bit.  Philox is
-counter-based (Salmon et al., SC 2011), so block b of a key is a pure
-function of (key, b + 1): numpy's Philox bumps its counter before it
-makes a block.  ``box_muller_rows`` turns such rows into the normals
-``standard_normals`` draws on each key.
+A key becomes uniforms in one of two ways, and the shape of the draw
+picks the way.  Many keys with a few words each (a block of optimizer
+steps, a generated family) go through one ``keyed_uniforms`` call: it
+hashes each key once and computes every 4-word Philox4x64-10 block of
+every key in one vectorized pass, row j of a request being
+``uniforms(keys[j], words)`` bit for bit.  Philox is counter-based
+(Salmon et al., SC 2011), so block b of a key is a pure function of
+(key, b + 1): numpy's Philox bumps its counter before it makes a block.
+``box_muller_rows`` turns such rows into the normals ``standard_normals``
+draws on each key.  A single stream, read whole or forward, draws on a
+numpy Philox of its own, made fresh for that draw: ``uniforms``,
+``standard_normals``, a stream's ``generator()`` and ``NormalRows``.
 
 A bulk draw can also be read forward in row windows: successive
 ``take(k)`` calls on a ``NormalRows(rng, shape)`` reader return the next
@@ -96,7 +98,7 @@ class RngStream:
         return RngStream(self.base_seed, self.path + labels)
 
     def _key(self) -> int:
-        return int.from_bytes(blake2b(self._encoded, digest_size=16).digest(), "little")
+        return int.from_bytes(_philox_key(self), "little")
 
     def generator(self) -> np.random.Generator:
         """Materialize the stream from its start.
@@ -104,15 +106,19 @@ class RngStream:
         Calling twice returns generators that replay the same sequence;
         use ``child`` to obtain fresh randomness for distinct draw sites.
         """
-        return np.random.Generator(np.random.Philox(key=self._key()))
+        return _generator(self)
 
 
-_BITS = np.random.Philox(key=0)
-_GEN = np.random.Generator(_BITS)
-_KEY_WORDS = struct.Struct("<QQ")  # the key's low 64-bit word first, as Philox(key=...) splits it
-_PHILOX = {"counter": (0, 0, 0, 0), "key": (0, 0)}
-_STATE = {"bit_generator": "Philox", "state": _PHILOX, "buffer": (0, 0, 0, 0),
-          "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _philox_key(rng: RngStream | bytes) -> bytes:
+    """The 16-byte Philox key of a stream or of its key bytes: a blake2b
+    hash of the encoded seed and path, read as two little-endian 64-bit
+    words, the low one first, as Philox(key=...) splits an int key."""
+    return blake2b(rng if isinstance(rng, bytes) else rng._encoded, digest_size=16).digest()
+
+
+def _generator(rng: RngStream | bytes) -> np.random.Generator:
+    """A fresh generator at the start of the stream, for one draw."""
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(_philox_key(rng), "little")))
 
 
 def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
@@ -120,26 +126,9 @@ def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
     return (rng if isinstance(rng, bytes) else rng._encoded) + b"".join(map(_encode_label, labels))
 
 
-def _borrowed_generator(rng: RngStream | bytes) -> np.random.Generator:
-    """The module's one generator, rewound to the start of the stream.
-
-    Constructing a keyed Philox costs more than the small draws made in
-    the hot loops, so a single bit generator is rewound by assigning one
-    reused state dict of Python ints (numpy arrays make the setter's reads
-    slow) in which only the key words change: the counter, buffer and
-    32-bit carry restart as a fresh Philox's on every call, so the draws
-    are identical to generator()'s.  The returned object is only valid
-    until the next call; callers must finish drawing before returning.
-    """
-    key = rng if isinstance(rng, bytes) else rng._encoded
-    _PHILOX["key"] = _KEY_WORDS.unpack(blake2b(key, digest_size=16).digest())
-    _BITS.state = _STATE
-    return _GEN
-
-
 def uniforms(rng: RngStream | bytes, shape: int | tuple[int, ...]) -> np.ndarray:
     """Uniform [0, 1) draws of the given shape from the stream."""
-    return _borrowed_generator(rng).random(shape)
+    return _generator(rng).random(shape)
 
 
 def _normal_shape(shape) -> tuple[tuple[int, ...], int]:
@@ -168,10 +157,10 @@ def normal_words(shape: int | tuple[int, ...]) -> int:
     return 2 * ((_normal_shape(shape)[1] + 1) // 2)
 
 
-def standard_normals(rng: RngStream, shape: int | tuple[int, ...]) -> np.ndarray:
+def standard_normals(rng: RngStream | bytes, shape: int | tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via Box-Muller on the stream's uniforms."""
     shape, n = _normal_shape(shape)
-    u = _borrowed_generator(rng).random(2 * ((n + 1) // 2))
+    u = _generator(rng).random(2 * ((n + 1) // 2))
     return _box_muller(u, n).reshape(shape)
 
 
@@ -235,9 +224,7 @@ def keyed_uniforms(requests: list[tuple[list[RngStream | bytes], int]]) -> list[
     if min(words, default=0) < 0:
         raise ValueError("a request asks for a negative number of words")
     sizes = [(len(keys), -(-n // 4)) for (keys, _), n in zip(requests, words)]  # keys, blocks
-    digests = b"".join(blake2b(key if isinstance(key, bytes) else key._encoded,
-                               digest_size=16).digest()
-                       for keys, _ in requests for key in keys)
+    digests = b"".join(_philox_key(key) for keys, _ in requests for key in keys)
     key_words = np.frombuffer(digests, "<u8").reshape(-1, 2).T  # low word first, as Philox(key=)
     blocks = np.repeat(np.array([b for _, b in sizes], dtype=np.intp),
                        np.array([n for n, _ in sizes], dtype=np.intp))  # per key

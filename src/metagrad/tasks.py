@@ -36,7 +36,11 @@ from .numerics import (
     Mat,
     RngStream,
     Vec,
+    box_muller_rows,
+    keyed_uniforms,
     max_spectral_norm,
+    normal_words,
+    path_key,
     row_dots,
     spectral_norms,
     standard_normals,
@@ -294,34 +298,37 @@ def random_quadratic_family(
     eig_range: tuple[float, float] = (0.5, 2.0),
     b_scale: float = 1.0,
 ) -> TaskFamily:
-    """n random SPD quadratics with eigenvalues drawn in eig_range."""
+    """n random SPD quadratics with eigenvalues drawn in eig_range.
+
+    Task i draws its eigenvalues, its basis and its b on the keys of
+    rng.child("quad_task", i, "eigs" | "basis" | "b"), all 3n keys in one
+    ``keyed_uniforms`` call: A_i = Q diag(lams) Q' with Q from the QR of a
+    (d, d) normal draw.
+    """
     lo, hi = eig_range
     if not (0.0 < lo <= hi):
         raise ValueError("eig_range must be positive and ordered")
+    eigs, basis, bs = keyed_uniforms([
+        ([path_key(rng, "quad_task", i, site) for i in range(n)], words)
+        for site, words in (("eigs", d), ("basis", normal_words((d, d))), ("b", normal_words(d)))])
     tasks = []
-    for i in range(n):
-        sub = rng.child("quad_task", i)
-        lams = lo + (hi - lo) * uniforms(sub.child("eigs"), d)
-        z = standard_normals(sub.child("basis"), (d, d))
+    for u, z, b in zip(eigs, box_muller_rows(basis, (d, d)), b_scale * box_muller_rows(bs, d)):
         q, _ = np.linalg.qr(z)
-        a = (q * lams) @ q.T
-        a = 0.5 * (a + a.T)  # kill rounding asymmetry
-        b = b_scale * standard_normals(sub.child("b"), d)
-        tasks.append(QuadraticTask(a, b))
+        a = (q * (lo + (hi - lo) * u)) @ q.T
+        tasks.append(QuadraticTask(0.5 * (a + a.T), b))  # symmetrized: kills rounding asymmetry
     return TaskFamily(tasks)
 
 
 def rank1_mf_family(n: int, d: int, rng: RngStream, scale: float = 1.0) -> TaskFamily:
     """n planted rank-1 factorization tasks with g_i ~ N(0, scale^2 I).
 
-    The scale controls task heterogeneity: small scale keeps the planted
-    targets close together, large scale spreads them out.
+    g_i is drawn on the key of rng.child("mf_task", i), all n keys in one
+    ``keyed_uniforms`` call.  The scale controls task heterogeneity: small
+    scale keeps the planted targets close together, large scale spreads
+    them out.
     """
-    tasks = [
-        MatrixFactorizationTask(scale * standard_normals(rng.child("mf_task", i), d))
-        for i in range(n)
-    ]
-    return TaskFamily(tasks)
+    (u,) = keyed_uniforms([([path_key(rng, "mf_task", i) for i in range(n)], normal_words(d))])
+    return TaskFamily([MatrixFactorizationTask(g) for g in scale * box_muller_rows(u, d)])
 
 
 # ------------------------------------------------- smoothness profiling

@@ -2,7 +2,9 @@
 
 No command imports scipy, and the audit module is imported only by the
 audit battery.  One probe blocks ``import scipy`` outright and runs a
-command of each kind, so a stray scipy import fails loudly.
+command of each kind, so a stray scipy import fails loudly.  Importing the
+CLI loads no ``numpy.random``, and neither does generating a family, whose
+keys are drawn by the numpy-only ``keyed_uniforms`` kernel.
 """
 
 import json
@@ -75,6 +77,7 @@ def test_importing_the_cli_loads_neither_scipy_nor_the_audits(tmp_path):
     assert "metagrad.cli" in modules
     assert scipy_modules(modules) == []
     assert "metagrad.verification" not in modules
+    assert "numpy.random" not in modules
 
 
 def test_compare_on_a_rank1_family_loads_no_scipy(tmp_path):
@@ -95,7 +98,9 @@ def test_audit_on_a_rank1_family_loads_no_scipy(tmp_path):
 
 def test_quadratic_commands_load_no_scipy(tmp_path):
     cfg = write_config(tmp_path, QUADRATIC)
-    assert scipy_modules(loaded_modules(tmp_path, "quadratic-oracle", "--config", cfg)) == []
+    modules = loaded_modules(tmp_path, "quadratic-oracle", "--config", cfg)
+    assert scipy_modules(modules) == []
+    assert "numpy.random" not in modules  # the family is generated without a numpy Philox
     modules = loaded_modules(tmp_path, "compare", "--config", cfg, "--max-iters", "5",
                              "--out", "out", "--quiet")
     assert (tmp_path / "out" / "compare_summary_seed0.json").is_file()

@@ -334,6 +334,54 @@ def test_generators_deterministic():
     assert all(np.array_equal(x.A, y.A) for x, y in zip(qa.tasks, qb.tasks))
 
 
+def per_key_family(kind, n, d, rng, s):
+    """The family built one key at a time, each key drawn on its own
+    generator by uniforms and standard_normals: the reference the batched
+    generators must reproduce bit for bit."""
+    if kind == RANK1MF:
+        return [s * standard_normals(rng.child("mf_task", i), d) for i in range(n)]
+    lo, hi = 0.5, 2.0
+    out = []
+    for i in range(n):
+        sub = rng.child("quad_task", i)
+        lams = lo + (hi - lo) * numerics.uniforms(sub.child("eigs"), d)
+        q, _ = np.linalg.qr(standard_normals(sub.child("basis"), (d, d)))
+        a = (q * lams) @ q.T
+        out.append((0.5 * (a + a.T), s * standard_normals(sub.child("b"), d)))
+    return out
+
+
+@pytest.mark.parametrize("similarity", [1.0, 0.3])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+@pytest.mark.parametrize("n", [1, 7, 50])
+@pytest.mark.parametrize("kind", [RANK1MF, QUADRATIC])
+def test_generators_draw_every_key_in_one_kernel_call(monkeypatch, kind, n, d, similarity):
+    import metagrad.tasks as tasks
+
+    calls = {"keyed": 0, "per_key": 0}
+
+    def counted(name, draw):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return draw(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tasks, "keyed_uniforms", counted("keyed", tasks.keyed_uniforms))
+    for name in ("uniforms", "standard_normals"):
+        monkeypatch.setattr(tasks, name, counted("per_key", getattr(tasks, name)))
+    seed = 100 * n + d
+    fam = generate_family({"kind": kind, "n": n, "dim": d, "similarity": similarity, "seed": seed})
+    assert calls == {"keyed": 1, "per_key": 0}
+    rng = RngStream(seed, ("gen_family",))  # the stream gen-family hands the generator
+    want = per_key_family(kind, n, d, rng, similarity)
+    assert fam.n_tasks == len(want) == n
+    for task, ref in zip(fam.tasks, want):
+        if kind == RANK1MF:
+            assert np.array_equal(task.g, ref)
+        else:
+            assert np.array_equal(task.A, ref[0]) and np.array_equal(task.b, ref[1])
+
+
 def test_quadratic_generator_respects_eig_range():
     fam = random_quadratic_family(5, 4, RngStream(62), eig_range=(0.5, 2.0))
     for t in fam.tasks:
