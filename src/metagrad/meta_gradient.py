@@ -26,23 +26,22 @@ The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
 
-``slot_requests`` names the keyed draws of every site of many slots (a
-block of steps, in the optimizer), each slot on its own key, and
-``slot_noise`` turns the rows ``numerics.keyed_uniforms`` drew for them
-into noise, so a slot's noise is the same floats in any block; a probe row
-is two draws on its key, one per probe gradient.  ``slot_directions`` and
-``hvp_finite_diff`` add the noise they are given with ``noisy``;
-``direction`` is the one-slot case.  Everything here is a pure function of
-its inputs and the keys, so repeated evaluation is reproducible and
-parallel evaluation is safe.
+``slot_requests`` names the keyed draws of many slots as grid requests
+of ``numerics.keyed_uniforms``, step keys times ("slot", j, site) labels,
+and ``slot_noise`` turns the drawn rows into noise, so a slot's noise is
+the same floats in any block.  The probe site is drawn once per slot: both
+probe gradients add it.  ``slot_directions`` and ``hvp_finite_diff`` add
+the noise they are given with ``noisy``; ``direction`` is the one-slot
+case.  Everything here is a pure function of its inputs and the keys, so
+repeated evaluation is reproducible and parallel evaluation is safe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (Mat, NormalRows, RngStream, Vec, keyed_rows, normal_words, path_key,
-                       row_blocks, row_dots)
+from .numerics import (Mat, NormalRows, RngStream, Vec, indexed_labels, keyed_rows,
+                       normal_words, path_key, row_blocks, row_dots)
 from .stochastic import (
     HESS,
     INNER,
@@ -64,24 +63,22 @@ ALGORITHMS = (MAML, FOMAML, HFMAML)
 ZERO_PROBE_TOL = 1e-12
 
 
-def hvp_finite_diff(
-    family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray, noise=(None, None),
-) -> Mat:
+def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray,
+                    noise: Mat | None = None) -> Mat:
     """Central-difference estimates of hess f_idx[j](W[j]) @ V[j] from two
     gradients per row, row j with probe width delta[j].  W is one point per
-    row, or one point (d,) shared by every row.  noise holds the drawn
-    noise of the probe gradients at W + delta V and at W - delta V, each
-    (B, d) or None for none.
+    row, or one point (d,) shared by every row.  noise, (B, d) or None for
+    none, is the drawn noise of each row's data batch.
 
-    Two probe gradients on the same data batch take the same noise, which
+    Both probe gradients of a row share its batch and add its noise, which
     cancels in the difference; the surviving error is curvature-only, at
     most rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
     """
     if (delta <= 0.0).any():
         raise ValueError("delta must be positive")
     delta = delta[:, None]
-    gp = noisy(family.grads(W + delta * V, idx), noise[0])
-    gm = noisy(family.grads(W - delta * V, idx), noise[1])
+    gp = noisy(family.grads(W + delta * V, idx), noise)
+    gm = noisy(family.grads(W - delta * V, idx), noise)
     return (gp - gm) / (2.0 * delta)
 
 
@@ -117,32 +114,33 @@ def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> 
     return delta if delta.all() else np.where(delta == 0.0, np.nan, delta)  # 1 / inf is 0
 
 
-def slot_requests(algorithm: str, d: int, oracle: StochasticOracle, keys: list[bytes]) -> dict:
-    """Site label -> (keys, words) of the keyed draws slot_noise reads for
-    one slot per key: row r of a site on keys[r] + label, a probe's twice,
-    one draw per probe gradient.  A site at a zero noise level draws nothing."""
-    sites = []  # (purpose, draws per slot, normals per draw)
+def slot_requests(algorithm: str, d: int, oracle: StochasticOracle,
+                  keys: list[RngStream | bytes], slots: int | None = None) -> dict:
+    """Site label -> keyed_uniforms request of the draws slot_noise reads:
+    slot j of keys[i] on keys[i] + ("slot", j, site), or with slots None
+    one slot per key on keys[i] + (site,).  A zero noise level draws nothing."""
+    sites = []  # (purpose, normals per draw)
     if oracle.sigma_tilde != 0.0:
-        sites += [(INNER, 1, d), (OUTER, 1, d)] + ([(PROBE, 2, d)] if algorithm == HFMAML else [])
+        sites += [(INNER, d), (OUTER, d)] + ([(PROBE, d)] if algorithm == HFMAML else [])
     if algorithm == MAML and oracle.sigma_H != 0.0:
-        sites.append((HESS, 1, d * d))
-    return {purpose: ([key + label for key in keys for _ in range(draws)], normal_words(size))
-            for purpose, draws, size in sites for label in [path_key(b"", purpose)]}
+        sites.append((HESS, d * d))
+    return {purpose: (keys, (path_key(b"", purpose),) if slots is None
+                      else indexed_labels("slot", slots, purpose), normal_words(size))
+            for purpose, size in sites}
 
 
 def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches: BatchSpec,
                rows: dict) -> dict:
     """Site label -> noise (or None) of each site the algorithm reads, for n
     slots, from the rows drawn on slot_requests: one Box-Muller pass and
-    scaling per site.  A probe row is (2, d), one draw per probe gradient."""
+    scaling per site.  A probe row is one draw for both probe gradients."""
     t = oracle.sigma_tilde
     noise = {INNER: grad_noise((n, d), batches.D_in, t, rows.get(INNER)),
              OUTER: grad_noise((n, d), batches.D_o, t, rows.get(OUTER))}
     if algorithm == MAML:
         noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, rows.get(HESS))
     elif algorithm == HFMAML:
-        probe = grad_noise((2 * n, d), batches.D_h, t, rows.get(PROBE))
-        noise[PROBE] = None if probe is None else probe.reshape(n, 2, d)
+        noise[PROBE] = grad_noise((n, d), batches.D_h, t, rows.get(PROBE))
     return noise
 
 
@@ -168,26 +166,17 @@ def slot_directions(
     if algorithm == HFMAML:
         nv, probing = probe_norms(v)
         delta = probe_delta(rho, alpha, nv, w)
-        probe = (None, None) if noise[PROBE] is None else np.swapaxes(noise[PROBE], 0, 1)
-        hv = hvp_finite_diff(family, idx, w, v, delta, probe)
+        hv = hvp_finite_diff(family, idx, w, v, delta, noise[PROBE])
         return np.where(probing[:, None], v - alpha * hv, v)
     return v
 
 
-def direction(
-    algorithm: str,
-    task,
-    w: Vec,
-    alpha: float,
-    rho: float,
-    oracle: StochasticOracle,
-    batches: BatchSpec,
-    rng: RngStream,
-) -> Vec:
+def direction(algorithm: str, task, w: Vec, alpha: float, rho: float, oracle: StochasticOracle,
+              batches: BatchSpec, rng: RngStream) -> Vec:
     """One task's direction at w: slot_directions with one slot, its noise
     drawn by slot_noise on rng's key."""
     family = TaskFamily([task])
-    (rows,) = keyed_rows(slot_requests(algorithm, family.dim, oracle, [path_key(rng)]))
+    (rows,) = keyed_rows(slot_requests(algorithm, family.dim, oracle, [rng]))
     noise = slot_noise(algorithm, 1, family.dim, oracle, batches, rows)
     return slot_directions(algorithm, family, slice(None), w, alpha, rho, noise)[0]
 

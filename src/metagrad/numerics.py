@@ -6,27 +6,28 @@ stream keyed by a base seed plus a path of labels.  A stream is a value,
 not a mutable cursor: materializing the same (seed, path) twice yields
 the same draws, regardless of when or in what order other streams were
 consumed.  Branch randomness by deriving children, never by drawing a
-variable amount and hoping call order stays fixed.  A stream encodes
-its seed and path once, as it is made, so its key is one hash call.
+variable amount and hoping call order stays fixed.
 
 Gaussians come from a Box-Muller transform applied to uniforms from a
 keyed Philox generator, so every draw is reproducible however the draws
 are ordered.  A draw takes a stream or its key bytes, ``path_key(rng,
 *labels)`` being those of ``rng.child(*labels)`` made without the stream,
-and ``_philox_key`` is the one place either becomes a Philox key.
+and ``_philox_keys`` is the one place either becomes a Philox key.
 
 A key becomes uniforms in one of two ways, and the shape of the draw
 picks the way.  Many keys with a few words each (a block of optimizer
-steps, a generated family) go through one ``keyed_uniforms`` call: it
-hashes each key once and computes every 4-word Philox4x64-10 block of
-every key in one vectorized pass, row j of a request being
-``uniforms(keys[j], words)`` bit for bit.  Philox is counter-based
-(Salmon et al., SC 2011), so block b of a key is a pure function of
-(key, b + 1): numpy's Philox bumps its counter before it makes a block.
-``box_muller_rows`` turns such rows into the normals ``standard_normals``
-draws on each key.  A single stream, read whole or forward, draws on a
-numpy Philox of its own, made fresh for that draw: ``uniforms``,
-``standard_normals``, a stream's ``generator()`` and ``NormalRows``.
+steps, a generated family) go through one ``keyed_uniforms`` call on
+grids of keys, prefixes times suffixes (``indexed_labels`` makes repeated
+suffixes once): each prefix is absorbed once into a copy of the root
+blake2b state and each key hashes only its suffix from there.  One pass
+computes every 4-word Philox4x64-10 block of every key, each row that
+key's ``uniforms`` bit for bit.  Philox is counter-based (Salmon et al.,
+SC 2011), so block b of a key is a pure function of (key, b + 1): numpy's
+Philox bumps its counter before it makes a block.  ``box_muller_rows``
+turns such rows into the normals ``standard_normals`` draws on each key.
+A single stream, read whole or forward, draws on a numpy Philox of its
+own, made fresh for that draw: ``uniforms``, ``standard_normals``, a
+stream's ``generator()`` and ``NormalRows``.
 
 A bulk draw can also be read forward in row windows: successive
 ``take(k)`` calls on a ``NormalRows(rng, shape)`` reader return the next
@@ -51,8 +52,9 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import blake2b
 
 import numpy as np
@@ -82,7 +84,7 @@ class RngStream:
     and path, so draws depend only on the identity of the stream.  Equal
     (seed, path) always reproduce equal values; distinct paths give
     independent-behaving streams.  The seed and path are encoded once, as
-    the stream is made, so the key is one blake2b call on those bytes.
+    the stream is made, so the key is the blake2b hash of those bytes.
     """
 
     base_seed: int
@@ -98,7 +100,7 @@ class RngStream:
         return RngStream(self.base_seed, self.path + labels)
 
     def _key(self) -> int:
-        return int.from_bytes(_philox_key(self), "little")
+        return int.from_bytes(_philox_keys([self]), "little")
 
     def generator(self) -> np.random.Generator:
         """Materialize the stream from its start.
@@ -109,21 +111,38 @@ class RngStream:
         return _generator(self)
 
 
-def _philox_key(rng: RngStream | bytes) -> bytes:
-    """The 16-byte Philox key of a stream or of its key bytes: a blake2b
-    hash of the encoded seed and path, read as two little-endian 64-bit
-    words, the low one first, as Philox(key=...) splits an int key."""
-    return blake2b(rng if isinstance(rng, bytes) else rng._encoded, digest_size=16).digest()
+_ROOT = blake2b(digest_size=16)  # the hash state before any key byte
+
+
+def _philox_keys(prefixes: list[RngStream | bytes], suffixes=(b"",)) -> bytes:
+    """The 16-byte Philox keys, as Philox(key=...) splits an int key, of
+    prefixes[i] + suffixes[j], i major, end to end: a copy of _ROOT absorbs
+    each prefix once, and a copy of that state each suffix, before the digest."""
+    keys = []
+    for prefix in prefixes:
+        state = _ROOT.copy()
+        state.update(path_key(prefix))
+        for suffix in suffixes:
+            key = state.copy()
+            key.update(suffix)
+            keys.append(key.digest())
+    return b"".join(keys)
 
 
 def _generator(rng: RngStream | bytes) -> np.random.Generator:
     """A fresh generator at the start of the stream, for one draw."""
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(_philox_key(rng), "little")))
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(_philox_keys([rng]), "little")))
 
 
 def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
     """The key bytes of rng.child(*labels), without making the stream."""
     return (rng if isinstance(rng, bytes) else rng._encoded) + b"".join(map(_encode_label, labels))
+
+
+@lru_cache(maxsize=16)
+def indexed_labels(label: PathLabel, n: int, *tail: PathLabel) -> tuple[bytes, ...]:
+    """path_key(b"", label, j, *tail) for j < n, made once: n draws' suffixes."""
+    return tuple(path_key(b"", label, j, *tail) for j in range(n))
 
 
 def uniforms(rng: RngStream | bytes, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -209,22 +228,23 @@ def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     return words
 
 
-def keyed_uniforms(requests: list[tuple[list[RngStream | bytes], int]]) -> list[np.ndarray]:
-    """Uniform [0, 1) rows of many keys at once: for each request (keys,
-    words) a (len(keys), words) array whose row j is, bit for bit,
-    ``uniforms(keys[j], words)``.
+def keyed_uniforms(requests: list[tuple[Sequence, Sequence[bytes], int]]) -> list[np.ndarray]:
+    """Uniform [0, 1) rows of many keys at once: for each request
+    (prefixes, suffixes, words) a (len(prefixes) * len(suffixes), words)
+    array whose row i * len(suffixes) + j is, bit for bit,
+    ``uniforms(prefixes[i] + suffixes[j], words)``, a prefix being a stream
+    or key bytes and a suffix label bytes (``path_key(b"", ...)``).
 
-    Each key is hashed once, as a stream's key is; then one vectorized
-    Philox pass makes every 4-word block of every key, block b on counter
-    b + 1, and each word becomes (word >> 11) 2^-53 as ``Generator.random``
-    makes it.  Memory is O(total words): the pass runs SLAB_LANES blocks at
-    a time.
+    The keys are hashed by _philox_keys; then one vectorized Philox pass
+    makes every 4-word block of every key, block b on counter b + 1, and
+    each word becomes (word >> 11) 2^-53 as ``Generator.random`` makes it.
+    Memory is O(total words): the pass runs SLAB_LANES blocks at a time.
     """
-    words = [operator.index(words) for _, words in requests]
+    words = [operator.index(words) for *_, words in requests]
     if min(words, default=0) < 0:
         raise ValueError("a request asks for a negative number of words")
-    sizes = [(len(keys), -(-n // 4)) for (keys, _), n in zip(requests, words)]  # keys, blocks
-    digests = b"".join(_philox_key(key) for keys, _ in requests for key in keys)
+    sizes = [(len(r[0]) * len(r[1]), -(-n // 4)) for r, n in zip(requests, words)]  # keys, blocks
+    digests = b"".join(_philox_keys(p, s) for p, s, _ in requests)
     key_words = np.frombuffer(digests, "<u8").reshape(-1, 2).T  # low word first, as Philox(key=)
     blocks = np.repeat(np.array([b for _, b in sizes], dtype=np.intp),
                        np.array([n for n, _ in sizes], dtype=np.intp))  # per key
@@ -245,8 +265,8 @@ def keyed_uniforms(requests: list[tuple[list[RngStream | bytes], int]]) -> list[
 
 
 def keyed_rows(*groups: dict) -> list[dict]:
-    """Each group of label -> (keys, words) requests drawn as label -> rows
-    of ``keyed_uniforms``, every group in one call; no call when no group
+    """Each group of label -> request drawn as label -> rows of
+    ``keyed_uniforms``, every group in one call; no call when no group
     requests anything."""
     requests = [request for group in groups for request in group.values()]
     rows = iter(keyed_uniforms(requests) if requests else ())

@@ -33,9 +33,10 @@ batch slot j from (s, k, "slot", j, purpose).  Two algorithms run with
 the same seed therefore see identical task batches and identical
 inner/outer gradient noise, isolating the algorithmic difference.  A
 draw depends only on its key, so a block's steps are drawn at once on
-these keys, by one ``numerics.keyed_uniforms`` call, and records do not
-depend on the block length.  The loop raises no numpy overflow warning:
-an overflow ends the run as a non-finite or diverging iterate.
+these keys, step keys times labels, by one ``numerics.keyed_uniforms``
+call, and records do not depend on the block length.  The loop raises no
+numpy overflow warning: an overflow ends the run as a non-finite or
+diverging iterate.
 """
 
 from __future__ import annotations
@@ -216,11 +217,10 @@ class RunRecord:
         }
 
 
-def _task_order_sum(weights: Vec, dirs: np.ndarray) -> Vec:
-    """sum_i weights[i] * dirs[i], added from zero in task order as a
-    per-task loop adds it (a matmul or np.sum would round differently)."""
-    terms = np.concatenate([np.zeros((1, dirs.shape[1])), weights[:, None] * dirs])
-    return np.add.accumulate(terms)[-1]
+def _task_order_sum(dirs: np.ndarray) -> Vec:
+    """sum_i dirs[i], added from zero in task order as a per-task loop adds
+    it (a matmul or np.sum would round differently)."""
+    return np.add.accumulate(np.concatenate([np.zeros((1, dirs.shape[1])), dirs]))[-1]
 
 
 def _slot_direction(family, config, w, rho, draw):
@@ -228,12 +228,10 @@ def _slot_direction(family, config, w, rho, draw):
     slot draw of _drawn_steps: task weights p and B = 1 for a full batch,
     p_j = 1 for a sampled one."""
     idx, noise = draw
-    if config.full_task_batch:
-        weights, B = family.weights, 1
-    else:
-        weights, B = np.ones(config.batches.B), config.batches.B
     dirs = slot_directions(config.algorithm, family, idx, w, config.alpha, rho, noise)
-    return _task_order_sum(weights, dirs) / B
+    if config.full_task_batch:
+        return _task_order_sum(family.weights[:, None] * dirs)
+    return _task_order_sum(dirs) / config.batches.B
 
 
 def _drawn_steps(family, config, profile, oracle, slots, keys):
@@ -242,19 +240,18 @@ def _drawn_steps(family, config, profile, oracle, slots, keys):
     (idx, site -> noise rows) of the given number of slots: B tasks on
     key + "tasks" (a full batch's are 0..n-1), slot j's noise on key +
     ("slot", j).  Every keyed draw of the steps is made by one
-    ``keyed_uniforms`` call, none if they draw nothing."""
+    ``keyed_uniforms`` call on the step keys, none if they draw nothing."""
     b, n = config.batches, len(keys)
     if not n:  # a block of the terminal row alone takes no step
         return []
     adaptive = config.stepsize.kind == "adaptive"
     sampled = slots > 0 and not config.full_task_batch
-    labels = [path_key(b"", "slot", j) for j in range(slots)]
     stepsize_rows, task_rows, slot_rows = keyed_rows(
         stepsize_requests(profile, config.alpha, b.B_prime, family.dim,
                           [path_key(key, STEPSIZE) for key in keys]) if adaptive else {},
-        {TASKS: ([path_key(key, TASKS) for key in keys], slots)} if sampled else {},
-        slot_requests(config.algorithm, family.dim, oracle,
-                      [key + lab for key in keys for lab in labels]) if not oracle.exact else {})
+        {TASKS: (keys, (path_key(b"", TASKS),), slots)} if sampled else {},
+        slot_requests(config.algorithm, family.dim, oracle, keys, slots)
+        if not oracle.exact else {})
     betas = (stepsize_draws(family, profile, b.B_prime, b.D_beta, n, stepsize_rows) if adaptive
              else [None] * n)
     if not slots:

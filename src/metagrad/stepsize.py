@@ -21,10 +21,11 @@ under which E[beta_tilde] >= 0.8 / L(w) and
 E[beta_tilde^2] <= 3.125 / L(w)^2.  ``check_stepsize_batches`` raises
 when either inequality fails, or when L, rho or sigma is not finite; the
 samplers and the optimizer's config validation all go through it.
-``beta_tilde`` is the one-key case of the optimizer's draws: the keyed
-draws ``stepsize_requests`` names, drawn by ``numerics.keyed_uniforms``
-and read by ``stepsize_draws``.  Every sampler takes task-gradient norms
-through ``_grad_norms``, so a norm whose square overflows stays finite.
+``beta_tilde`` is the one-key case of the optimizer's draws: the grid
+requests of ``numerics.keyed_uniforms`` that ``stepsize_requests`` names,
+sample keys times labels, read by ``stepsize_draws``.  Every sampler
+takes task-gradient norms through ``_grad_norms``, so a norm whose square
+overflows stays finite.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig, NumericalFailure
-from .numerics import (NormalRows, RngStream, Vec, keyed_rows, normal_words, path_key, row_blocks,
-                       row_dots)
+from .numerics import (NormalRows, RngStream, Vec, indexed_labels, keyed_rows, normal_words,
+                       path_key, row_blocks, row_dots)
 from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
@@ -155,15 +156,8 @@ def check_stepsize_batches(
         )
 
 
-def beta_tilde(
-    family: TaskFamily,
-    profile: SmoothnessProfile,
-    w: Vec,
-    alpha: float,
-    B_prime: int,
-    D_beta: int,
-    rng: RngStream,
-) -> float:
+def beta_tilde(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: float,
+               B_prime: int, D_beta: int, rng: RngStream) -> float:
     """One sample of the adaptive stepsize beta_tilde(w) = 1 / L_tilde(w).
 
     Raises InvalidBatchConfig when the batch sizes cannot control the
@@ -172,22 +166,21 @@ def beta_tilde(
     is consumed, which keeps exact-oracle runs free of RNG cost.
     """
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
-    (rows,) = keyed_rows(stepsize_requests(profile, alpha, B_prime, family.dim, [path_key(rng)]))
+    (rows,) = keyed_rows(stepsize_requests(profile, alpha, B_prime, family.dim, [rng]))
     draw = stepsize_draws(family, profile, B_prime, D_beta, 1, rows)[0]
     return beta_sample(family, profile, w, alpha, draw)
 
 
 def stepsize_requests(profile: SmoothnessProfile, alpha: float, B_prime: int, d: int,
-                      keys: list[bytes]) -> dict:
-    """Label -> (keys, words) of the keyed draws of a sample per key: B'
-    task uniforms on key + TASKS and, at a nonzero sigma_tilde, slot j's
-    noise on key + (STEPSIZE, j).  Nothing when rho alpha = 0."""
+                      keys: list[RngStream | bytes]) -> dict:
+    """Label -> keyed_uniforms request of a sample per key: B' task uniforms
+    on key + TASKS and, at a nonzero sigma_tilde, slot j's noise on key +
+    (STEPSIZE, j).  Nothing when rho alpha = 0."""
     if 2.0 * profile.rho * alpha == 0.0:
         return {}
-    requests = {TASKS: ([path_key(key, TASKS) for key in keys], B_prime)}
+    requests = {TASKS: (keys, (path_key(b"", TASKS),), B_prime)}
     if profile.sigma_tilde != 0.0:
-        slots = [path_key(b"", STEPSIZE, j) for j in range(B_prime)]
-        requests[STEPSIZE] = ([key + slot for key in keys for slot in slots], normal_words(d))
+        requests[STEPSIZE] = (keys, indexed_labels(STEPSIZE, B_prime), normal_words(d))
     return requests
 
 
@@ -208,7 +201,7 @@ def beta_sample(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: f
     if draw is None:
         return 1.0 / (4.0 * profile.L)
     idx, noise = draw
-    g = noisy(family.grads(np.broadcast_to(w, (len(idx), family.dim)), idx), noise)
+    g = noisy(family.grads(w, idx), noise)
     # each norm as np.linalg.norm rounds it alone, added from zero in slot order
     acc = float(np.cumsum(_grad_norms(g, dots=True))[-1])
     return 1.0 / (4.0 * profile.L + 2.0 * profile.rho * alpha * acc / len(idx))

@@ -37,10 +37,10 @@ from .numerics import (
     RngStream,
     Vec,
     box_muller_rows,
+    indexed_labels,
     keyed_uniforms,
     max_spectral_norm,
     normal_words,
-    path_key,
     row_dots,
     spectral_norms,
     standard_normals,
@@ -309,7 +309,7 @@ def random_quadratic_family(
     if not (0.0 < lo <= hi):
         raise ValueError("eig_range must be positive and ordered")
     eigs, basis, bs = keyed_uniforms([
-        ([path_key(rng, "quad_task", i, site) for i in range(n)], words)
+        ([rng], indexed_labels("quad_task", n, site), words)
         for site, words in (("eigs", d), ("basis", normal_words((d, d))), ("b", normal_words(d)))])
     tasks = []
     for u, z, b in zip(eigs, box_muller_rows(basis, (d, d)), b_scale * box_muller_rows(bs, d)):
@@ -327,7 +327,7 @@ def rank1_mf_family(n: int, d: int, rng: RngStream, scale: float = 1.0) -> TaskF
     scale keeps the planted targets close together, large scale spreads
     them out.
     """
-    (u,) = keyed_uniforms([([path_key(rng, "mf_task", i) for i in range(n)], normal_words(d))])
+    (u,) = keyed_uniforms([([rng], indexed_labels("mf_task", n), normal_words(d))])
     return TaskFamily([MatrixFactorizationTask(g) for g in scale * box_muller_rows(u, d)])
 
 

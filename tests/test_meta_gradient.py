@@ -40,10 +40,10 @@ def quartic_family():
 def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
     """hvp_finite_diff on one row of a one-task family, both probe gradients
     with the noise of one batch drawn on rng."""
-    rows = None if rng is None else keyed_uniforms([([rng], normal_words(task.dim))])[0]
+    rows = None if rng is None else keyed_uniforms([([rng], [b""], normal_words(task.dim))])[0]
     noise = grad_noise((1, task.dim), 1, sigma_tilde, rows)
     return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]),
-                           (noise, noise))[0]
+                           noise)[0]
 
 
 def one_d_example_family():

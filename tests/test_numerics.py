@@ -22,7 +22,7 @@ def keyed_normal_rows(keys, shape):
     """Normals of shape (len(keys),) + shape, row j on keys[j], as the
     stochastic oracles draw a stack: one keyed_uniforms call, one
     Box-Muller pass."""
-    (u,) = numerics.keyed_uniforms([(keys, normal_words(shape))])
+    (u,) = numerics.keyed_uniforms([(keys, [b""], normal_words(shape))])
     return box_muller_rows(u, shape)
 
 
@@ -262,18 +262,20 @@ def test_stacked_rows_equal_streams_drawn_alone(shape, B):
 
 
 def test_each_stream_is_one_keyed_draw(monkeypatch):
-    # keyed draws are counted as the keys handed to keyed_uniforms, plus
-    # calls to uniforms and standard_normals; a stack hands each stream's
-    # key over once, as one (key, words) entry here
+    # keyed draws are counted as the keys handed to keyed_uniforms, a
+    # request's prefixes times its suffixes, plus calls to uniforms and
+    # standard_normals; a stack hands each stream's key over once, as one
+    # (prefix, suffix, words) entry here
     calls = []
     monkeypatch.setattr(numerics, "uniforms", lambda *a: calls.append(a) or uniforms(*a))
     monkeypatch.setattr(numerics, "keyed_uniforms", lambda requests: calls.extend(
-        (key, words) for keys, words in requests for key in keys) or keyed_uniforms(requests))
+        (prefix, suffix, words) for prefixes, suffixes, words in requests
+        for prefix in prefixes for suffix in suffixes) or keyed_uniforms(requests))
     standard_normals(RngStream(16), (3, 5))
     assert calls == []
     streams = [RngStream(16).child(j) for j in range(3)]
     keyed_normal_rows(streams, (5,))
-    assert [a[0] for a in calls] == streams
+    assert [a[0] for a in calls] == streams and {a[1] for a in calls} == {b""}
 
 
 def test_stacked_rows_edges():
@@ -295,8 +297,8 @@ def test_keyed_uniforms_rows_are_each_keys_own_draw(as_bytes):
     assert TOP_WORD_STREAMS
     streams = [RngStream(21).child("kernel", i) for i in range(5)] + TOP_WORD_STREAMS[:3]
     keys = [numerics.path_key(s) for s in streams] if as_bytes else streams
-    requests = [(keys, words) for words in range(34)]
-    for (_, words), rows in zip(requests, keyed_uniforms(requests)):
+    requests = [(keys, [b""], words) for words in range(34)]
+    for (*_, words), rows in zip(requests, keyed_uniforms(requests)):
         assert rows.shape == (len(keys), words) and rows.dtype == np.float64
         for j, stream in enumerate(streams):
             assert np.array_equal(rows[j], uniforms(stream, words))
@@ -313,16 +315,16 @@ def test_keyed_uniforms_mixes_requests_in_one_call(monkeypatch, slab):
     keys = [root.child("mix", i) for i in range(12)]
     requests = [(keys[:3], 6), ([], 5), (keys[3:4], 26), (keys[4:], 1), ([], 0),
                 (keys[:2], 33), (keys[2:3] * 2, 4)]
-    out = keyed_uniforms(requests)
+    out = keyed_uniforms([(ks, [b""], words) for ks, words in requests])
     assert len(out) == len(requests)
     for (ks, words), rows in zip(requests, out):
         assert rows.shape == (len(ks), words)
         for j, key in enumerate(ks):
             assert np.array_equal(rows[j], uniforms(key, words))
     assert keyed_uniforms([]) == []
-    assert [r.shape for r in keyed_uniforms([([], 3), ([], 0)])] == [(0, 3), (0, 0)]
+    assert [r.shape for r in keyed_uniforms([([], [b""], 3), ([], [b""], 0)])] == [(0, 3), (0, 0)]
     with pytest.raises(ValueError):
-        keyed_uniforms([(keys[:1], -1)])
+        keyed_uniforms([(keys[:1], [b""], -1)])
 
 
 def test_keyed_rows_draws_every_group_in_one_call(monkeypatch):
@@ -331,12 +333,39 @@ def test_keyed_rows_draws_every_group_in_one_call(monkeypatch):
     monkeypatch.setattr(numerics, "keyed_uniforms",
                         lambda requests: calls.append(requests) or keyed_uniforms(requests))
     a, b = [root.child("a", i) for i in range(3)], [root.child("b")]
-    first, empty, second = numerics.keyed_rows({"x": (a, 4), "y": (b, 7)}, {}, {"x": (b, 2)})
+    first, empty, second = numerics.keyed_rows(
+        {"x": (a, [b""], 4), "y": (b, [b""], 7)}, {}, {"x": (b, [b""], 2)})
     assert len(calls) == 1 and empty == {}
     assert np.array_equal(first["x"], np.array([uniforms(k, 4) for k in a]))
     assert np.array_equal(first["y"][0], uniforms(b[0], 7))
     assert np.array_equal(second["x"][0], uniforms(b[0], 2))
     assert numerics.keyed_rows({}, {}) == [{}, {}] and len(calls) == 1
+
+
+@pytest.mark.parametrize("slab", [numerics.SLAB_LANES, 3])
+def test_keyed_uniforms_grid_rows_are_prefix_plus_suffix_draws(monkeypatch, slab):
+    # row i S + j of a request is the draw on prefixes[i] + suffixes[j]:
+    # prefixes as streams or key bytes, a b"" suffix among the labels,
+    # grids that are empty on either side, and a slab that splits keys
+    monkeypatch.setattr(numerics, "SLAB_LANES", slab)
+    root = RngStream(24)
+    prefixes = [root.child("step", 0), numerics.path_key(root, "step", 1), root.child("step", 2)]
+    suffixes = [b"", numerics.path_key(b"", "slot", 0, "inner"), numerics.path_key(b"", 7)]
+    requests = [(prefixes, suffixes, 9), (prefixes[1:2], suffixes, 2), (prefixes, suffixes[:1], 0),
+                ([], suffixes, 4), (prefixes, [], 5)]
+    out = keyed_uniforms(requests)
+    for (ps, ss, words), rows in zip(requests, out):
+        assert rows.shape == (len(ps) * len(ss), words)
+        for i, prefix in enumerate(ps):
+            for j, suffix in enumerate(ss):
+                key = numerics.path_key(prefix) + suffix
+                assert np.array_equal(rows[i * len(ss) + j], uniforms(key, words))
+    stream = root.child("step", 0, "slot", 0, "inner")
+    assert np.array_equal(out[0][1], uniforms(stream, 9))
+    with pytest.raises(ValueError):
+        keyed_uniforms([(prefixes, suffixes, -1)])
+    with pytest.raises(ValueError):
+        keyed_uniforms([([], [], -1)])
 
 
 def test_uniforms_range_and_mean():

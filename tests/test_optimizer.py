@@ -152,8 +152,7 @@ def step_draw(family, cfg, oracle, rng):
     else:
         B = cfg.batches.B
         idx = sample_task_batch(family, B, rng.child("tasks").generator())
-    keys = [numerics.path_key(rng, "slot", j) for j in range(B)]
-    (rows,) = numerics.keyed_rows(slot_requests(cfg.algorithm, family.dim, oracle, keys))
+    (rows,) = numerics.keyed_rows(slot_requests(cfg.algorithm, family.dim, oracle, [rng], B))
     return idx, slot_noise(cfg.algorithm, B, family.dim, oracle, cfg.batches, rows)
 
 
@@ -338,13 +337,15 @@ class TestSlotLoopReplay:
 
 
 class TestKeyedDraws:
-    """Keyed RNG draws per step of run(), the counts the benchmark was sized
-    with: one per key handed to keyed_uniforms, and one per uniforms or
-    standard_normals call, wherever a metagrad module calls them from."""
+    """Keyed RNG draws per step of run(): one per key handed to
+    keyed_uniforms (a request's prefixes times its suffixes), and one per
+    uniforms or standard_normals call, wherever a metagrad module calls
+    them from.  HF-MAML draws its probe once per slot, so its step draws
+    as many keys as MAML's."""
 
     @pytest.mark.parametrize("name, per_step", [
         ("fig1", {MAML: 0, FOMAML: 0, HFMAML: 0}),
-        ("fig2", {MAML: 31, FOMAML: 21, HFMAML: 41}),
+        ("fig2", {MAML: 31, FOMAML: 21, HFMAML: 31}),
     ])
     def test_draws_per_step_at_seed_0(self, monkeypatch, name, per_step):
         self.check_draws(monkeypatch, name, per_step)
@@ -360,10 +361,10 @@ class TestKeyedDraws:
         assert calls == []
 
     def test_adaptive_stepsize_draws_per_step(self, monkeypatch):
-        # audit-mf's shape: 1 + 3 B for a MAML step, and 1 + B' for the
-        # stepsize sample, one key per slot stream of beta_tilde
+        # audit-mf's shape: 1 + 3 B for a MAML or HF-MAML step, and 1 + B'
+        # for the stepsize sample, one key per slot stream of beta_tilde
         batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
-        self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 102},
+        self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 82},
                          stepsize=StepsizeRule(kind="adaptive"), batches=batches)
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
@@ -373,19 +374,19 @@ class TestKeyedDraws:
         if adaptive:
             monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * 20)
             batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
-            self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 102},
+            self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 82},
                              stepsize=StepsizeRule(kind="adaptive"), batches=batches)
         else:
             monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * FIG2["batches"]["B"])
-            self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 41})
+            self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 31})
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
     def test_a_target_run_draws_only_the_steps_its_blocks_take(self, monkeypatch, adaptive):
         # a run with a target grows its blocks from one step, so one that
         # stops at row s has drawn at most 2 s + 1 steps, not max_iters
-        per_step, overrides = {MAML: 31, FOMAML: 21, HFMAML: 41}, {}
+        per_step, overrides = {MAML: 31, FOMAML: 21, HFMAML: 31}, {}
         if adaptive:
-            per_step = {MAML: 82, FOMAML: 62, HFMAML: 102}
+            per_step = {MAML: 82, FOMAML: 62, HFMAML: 82}
             overrides = {"stepsize": StepsizeRule(kind="adaptive"),
                          "batches": BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)}
         resolved, config_dir = load_config(str(CONFIGS / "fig2.json"), argparse.Namespace())
@@ -409,11 +410,15 @@ class TestKeyedDraws:
     @staticmethod
     def counted_draws(monkeypatch):
         """A list that gains an entry per keyed draw from here on: per key
-        handed to keyed_uniforms, and per uniforms or standard_normals call."""
+        handed to keyed_uniforms, and per uniforms or standard_normals call.
+        No kernel call may be handed the same key twice."""
         calls = []
 
         def keyed(requests, _draw=numerics.keyed_uniforms):
-            calls.extend(1 for keys, _ in requests for _ in keys)
+            keys = [numerics.path_key(prefix) + suffix for prefixes, suffixes, _ in requests
+                    for prefix in prefixes for suffix in suffixes]
+            assert len(set(keys)) == len(keys), "a kernel call draws a key twice"
+            calls.extend(1 for _ in keys)
             return _draw(requests)
 
         def counted(*args, _draw, **kwargs):
