@@ -26,13 +26,13 @@ The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
 
-``slot_requests`` names the keyed draws of many slots as grid requests
-of ``numerics.keyed_uniforms``, step keys times ("slot", j, site) labels,
-and ``slot_noise`` turns the drawn rows into noise, so a slot's noise is
-the same floats in any block.  The probe site is drawn once per slot: both
-probe gradients add it.  ``slot_directions`` and ``hvp_finite_diff`` add
-the noise they are given with ``noisy``; ``direction`` is the one-slot
-case.  Everything here is a pure function of its inputs and the keys, so
+``slot_sites`` names the sites of a step's slot draws under its key,
+("slot", j, site), for ``numerics.keyed_uniforms``, and ``slot_noise``
+turns the sites drawn into noise, so a slot's noise is the same floats in
+any block.  The probe site is drawn once per slot: both probe gradients
+add it.  ``slot_directions`` and ``hvp_finite_diff`` add the noise they
+are given with ``noisy``; ``direction`` is slot 0 of the step on its key.
+Everything here is a pure function of its inputs and the keys, so
 repeated evaluation is reproducible and parallel evaluation is safe.
 """
 
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (Mat, NormalRows, RngStream, Vec, indexed_labels, keyed_rows,
-                       normal_words, path_key, row_blocks, row_dots)
+from .numerics import (Mat, NormalRows, RngStream, Vec, indexed_labels, keyed_uniforms,
+                       normal_words, row_blocks, row_dots)
 from .stochastic import (
     HESS,
     INNER,
@@ -114,33 +114,28 @@ def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> 
     return delta if delta.all() else np.where(delta == 0.0, np.nan, delta)  # 1 / inf is 0
 
 
-def slot_requests(algorithm: str, d: int, oracle: StochasticOracle,
-                  keys: list[RngStream | bytes], slots: int | None = None) -> dict:
-    """Site label -> keyed_uniforms request of the draws slot_noise reads:
-    slot j of keys[i] on keys[i] + ("slot", j, site), or with slots None
-    one slot per key on keys[i] + (site,).  A zero noise level draws nothing."""
+def slot_sites(algorithm: str, d: int, oracle: StochasticOracle, slots: int) -> dict:
+    """Site label -> (suffixes, words) of the draws slot_noise reads, named
+    under a step key: slot j's on ("slot", j, site).  A zero noise level
+    draws nothing."""
     sites = []  # (purpose, normals per draw)
     if oracle.sigma_tilde != 0.0:
         sites += [(INNER, d), (OUTER, d)] + ([(PROBE, d)] if algorithm == HFMAML else [])
     if algorithm == MAML and oracle.sigma_H != 0.0:
         sites.append((HESS, d * d))
-    return {purpose: (keys, (path_key(b"", purpose),) if slots is None
-                      else indexed_labels("slot", slots, purpose), normal_words(size))
+    return {purpose: (indexed_labels(("slot",), slots, purpose), normal_words(size))
             for purpose, size in sites}
 
 
-def slot_noise(algorithm: str, n: int, d: int, oracle: StochasticOracle, batches: BatchSpec,
-               rows: dict) -> dict:
-    """Site label -> noise (or None) of each site the algorithm reads, for n
-    slots, from the rows drawn on slot_requests: one Box-Muller pass and
+def slot_noise(n: int, d: int, oracle: StochasticOracle, batches: BatchSpec, rows: dict) -> dict:
+    """Site label -> noise of each slot site drawn in rows (keyed_uniforms'
+    rows of slot_sites, among others), for n slots: one Box-Muller pass and
     scaling per site.  A probe row is one draw for both probe gradients."""
-    t = oracle.sigma_tilde
-    noise = {INNER: grad_noise((n, d), batches.D_in, t, rows.get(INNER)),
-             OUTER: grad_noise((n, d), batches.D_o, t, rows.get(OUTER))}
-    if algorithm == MAML:
-        noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, rows.get(HESS))
-    elif algorithm == HFMAML:
-        noise[PROBE] = grad_noise((n, d), batches.D_h, t, rows.get(PROBE))
+    budgets = {INNER: batches.D_in, OUTER: batches.D_o, PROBE: batches.D_h}
+    noise = {site: grad_noise((n, d), D, oracle.sigma_tilde, rows[site])
+             for site, D in budgets.items() if site in rows}
+    if HESS in rows:
+        noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, rows[HESS])
     return noise
 
 
@@ -151,33 +146,33 @@ def slot_directions(
     in the module docstring), shape (B, d).
 
     Slot j is task idx[j] (an index array, or a slice for every task in
-    order) and row j of each site of a ``slot_noise``, so algorithms run on
-    the same keys share w_i and v bit for bit.  Every slot is probed; a slot
-    whose ||v|| is at or below ZERO_PROBE_TOL discards its probe and
-    returns v.
+    order) and row j of each site of a ``slot_noise`` (a site it lacks adds
+    no noise), so algorithms run on the same keys share w_i and v bit for
+    bit.  Every slot is probed; a slot whose ||v|| is at or below
+    ZERO_PROBE_TOL discards its probe and returns v.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    w_i = w - alpha * noisy(family.grads(w, idx), noise[INNER])
-    v = noisy(family.grads(w_i, idx), noise[OUTER])
+    w_i = w - alpha * noisy(family.grads(w, idx), noise.get(INNER))
+    v = noisy(family.grads(w_i, idx), noise.get(OUTER))
     if algorithm == MAML:
-        h = noisy(family.hessians(w, idx), noise[HESS])
+        h = noisy(family.hessians(w, idx), noise.get(HESS))
         return v - alpha * (h @ v[:, :, None])[..., 0]
     if algorithm == HFMAML:
         nv, probing = probe_norms(v)
         delta = probe_delta(rho, alpha, nv, w)
-        hv = hvp_finite_diff(family, idx, w, v, delta, noise[PROBE])
+        hv = hvp_finite_diff(family, idx, w, v, delta, noise.get(PROBE))
         return np.where(probing[:, None], v - alpha * hv, v)
     return v
 
 
 def direction(algorithm: str, task, w: Vec, alpha: float, rho: float, oracle: StochasticOracle,
-              batches: BatchSpec, rng: RngStream) -> Vec:
-    """One task's direction at w: slot_directions with one slot, its noise
-    drawn by slot_noise on rng's key."""
+              batches: BatchSpec, rng: RngStream | bytes) -> Vec:
+    """One task's direction at w: slot 0 of the step whose key is rng, its
+    noise drawn on the slot sites as run() draws that step's."""
     family = TaskFamily([task])
-    (rows,) = keyed_rows(slot_requests(algorithm, family.dim, oracle, [rng]))
-    noise = slot_noise(algorithm, 1, family.dim, oracle, batches, rows)
+    rows = keyed_uniforms([rng], slot_sites(algorithm, family.dim, oracle, 1))
+    noise = slot_noise(1, family.dim, oracle, batches, rows)
     return slot_directions(algorithm, family, slice(None), w, alpha, rho, noise)[0]
 
 

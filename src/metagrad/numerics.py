@@ -16,14 +16,15 @@ and ``_philox_keys`` is the one place either becomes a Philox key.
 
 A key becomes uniforms in one of two ways, and the shape of the draw
 picks the way.  Many keys with a few words each (a block of optimizer
-steps, a generated family) go through one ``keyed_uniforms`` call on
-grids of keys, prefixes times suffixes (``indexed_labels`` makes repeated
-suffixes once): each prefix is absorbed once into a copy of the root
-blake2b state and each key hashes only its suffix from there.  One pass
-computes every 4-word Philox4x64-10 block of every key, each row that
-key's ``uniforms`` bit for bit.  Philox is counter-based (Salmon et al.,
-SC 2011), so block b of a key is a pure function of (key, b + 1): numpy's
-Philox bumps its counter before it makes a block.  ``box_muller_rows``
+steps, a generated family) go through one ``keyed_uniforms`` call: one
+list of prefixes, and sites of suffixes under them (``indexed_labels``
+makes repeated suffixes once).  Each prefix is absorbed once into a copy
+of the root blake2b state for all sites, and each key hashes only its
+suffix from there.  One pass computes every 4-word Philox4x64-10 block of
+every key, each row that key's ``uniforms`` bit for bit.  Philox is
+counter-based (Salmon et al., SC 2011), so block b of a key is a pure
+function of (key, b + 1): numpy's Philox bumps its counter before it
+makes a block.  ``box_muller_rows``
 turns such rows into the normals ``standard_normals`` draws on each key.
 A single stream, read whole or forward, draws on a numpy Philox of its
 own, made fresh for that draw: ``uniforms``, ``standard_normals``, a
@@ -100,7 +101,7 @@ class RngStream:
         return RngStream(self.base_seed, self.path + labels)
 
     def _key(self) -> int:
-        return int.from_bytes(_philox_keys([self]), "little")
+        return int.from_bytes(_philox_keys([self])[0], "little")
 
     def generator(self) -> np.random.Generator:
         """Materialize the stream from its start.
@@ -114,24 +115,28 @@ class RngStream:
 _ROOT = blake2b(digest_size=16)  # the hash state before any key byte
 
 
-def _philox_keys(prefixes: list[RngStream | bytes], suffixes=(b"",)) -> bytes:
-    """The 16-byte Philox keys, as Philox(key=...) splits an int key, of
-    prefixes[i] + suffixes[j], i major, end to end: a copy of _ROOT absorbs
-    each prefix once, and a copy of that state each suffix, before the digest."""
-    keys = []
+def _philox_keys(prefixes: Sequence[RngStream | bytes],
+                 suffixes: Sequence[Sequence[bytes]] = ((b"",),)) -> list[bytes]:
+    """Per list of suffixes, the 16-byte Philox keys, as Philox(key=...)
+    splits an int key, of prefixes[i] + suffixes[j], i major, end to end: a
+    copy of _ROOT absorbs each prefix once for every list, and a copy of
+    that state each suffix, before the digest."""
+    keys = [[] for _ in suffixes]
     for prefix in prefixes:
         state = _ROOT.copy()
         state.update(path_key(prefix))
-        for suffix in suffixes:
-            key = state.copy()
-            key.update(suffix)
-            keys.append(key.digest())
-    return b"".join(keys)
+        for out, group in zip(keys, suffixes):
+            for suffix in group:
+                key = state.copy()
+                key.update(suffix)
+                out.append(key.digest())
+    return [b"".join(k) for k in keys]
 
 
 def _generator(rng: RngStream | bytes) -> np.random.Generator:
     """A fresh generator at the start of the stream, for one draw."""
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(_philox_keys([rng]), "little")))
+    key = int.from_bytes(_philox_keys([rng])[0], "little")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
@@ -140,9 +145,9 @@ def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
 
 
 @lru_cache(maxsize=16)
-def indexed_labels(label: PathLabel, n: int, *tail: PathLabel) -> tuple[bytes, ...]:
-    """path_key(b"", label, j, *tail) for j < n, made once: n draws' suffixes."""
-    return tuple(path_key(b"", label, j, *tail) for j in range(n))
+def indexed_labels(head: tuple[PathLabel, ...], n: int, *tail: PathLabel) -> tuple[bytes, ...]:
+    """path_key(b"", *head, j, *tail) for j < n, made once: n draws' suffixes."""
+    return tuple(path_key(b"", *head, j, *tail) for j in range(n))
 
 
 def uniforms(rng: RngStream | bytes, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -228,24 +233,25 @@ def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     return words
 
 
-def keyed_uniforms(requests: list[tuple[Sequence, Sequence[bytes], int]]) -> list[np.ndarray]:
-    """Uniform [0, 1) rows of many keys at once: for each request
-    (prefixes, suffixes, words) a (len(prefixes) * len(suffixes), words)
+def keyed_uniforms(prefixes: Sequence[RngStream | bytes], sites: dict) -> dict:
+    """Uniform [0, 1) rows of many keys at once: for each site label ->
+    (suffixes, words), label -> a (len(prefixes) * len(suffixes), words)
     array whose row i * len(suffixes) + j is, bit for bit,
     ``uniforms(prefixes[i] + suffixes[j], words)``, a prefix being a stream
     or key bytes and a suffix label bytes (``path_key(b"", ...)``).
 
-    The keys are hashed by _philox_keys; then one vectorized Philox pass
-    makes every 4-word block of every key, block b on counter b + 1, and
-    each word becomes (word >> 11) 2^-53 as ``Generator.random`` makes it.
-    Memory is O(total words): the pass runs SLAB_LANES blocks at a time.
+    The keys are hashed by _philox_keys, each prefix absorbed once for all
+    sites; then one vectorized Philox pass makes every 4-word block of every
+    key, block b on counter b + 1, and each word becomes (word >> 11) 2^-53
+    as ``Generator.random`` makes it.  Memory is O(total words): the pass
+    runs SLAB_LANES blocks at a time.
     """
-    words = [operator.index(words) for *_, words in requests]
+    words = [operator.index(words) for _, words in sites.values()]
     if min(words, default=0) < 0:
-        raise ValueError("a request asks for a negative number of words")
-    sizes = [(len(r[0]) * len(r[1]), -(-n // 4)) for r, n in zip(requests, words)]  # keys, blocks
-    digests = b"".join(_philox_keys(p, s) for p, s, _ in requests)
-    key_words = np.frombuffer(digests, "<u8").reshape(-1, 2).T  # low word first, as Philox(key=)
+        raise ValueError("a site asks for a negative number of words")
+    digests = _philox_keys(prefixes, [suffixes for suffixes, _ in sites.values()])
+    sizes = [(len(keys) // 16, -(-n // 4)) for keys, n in zip(digests, words)]  # keys, blocks
+    key_words = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T  # low word first
     blocks = np.repeat(np.array([b for _, b in sizes], dtype=np.intp),
                        np.array([n for n, _ in sizes], dtype=np.intp))  # per key
     lane_key = np.repeat(np.arange(len(blocks)), blocks)
@@ -257,20 +263,11 @@ def keyed_uniforms(requests: list[tuple[Sequence, Sequence[bytes], int]]) -> lis
         u[lanes] = _philox(counter[lanes], key_words[:, lane_key[lanes]]) >> np.uint64(11)
     u *= 2.0**-53  # exact: the words are integers below 2^53
     u = u.reshape(-1)
-    rows, start = [], 0
-    for (n, b), m in zip(sizes, words):
-        rows.append(u[start:start + 4 * n * b].reshape(n, 4 * b)[:, :m])
+    rows, start = {}, 0
+    for label, (n, b), m in zip(sites, sizes, words):
+        rows[label] = u[start:start + 4 * n * b].reshape(n, 4 * b)[:, :m]
         start += 4 * n * b
     return rows
-
-
-def keyed_rows(*groups: dict) -> list[dict]:
-    """Each group of label -> request drawn as label -> rows of
-    ``keyed_uniforms``, every group in one call; no call when no group
-    requests anything."""
-    requests = [request for group in groups for request in group.values()]
-    rows = iter(keyed_uniforms(requests) if requests else ())
-    return [{label: next(rows) for label in group} for group in groups]
 
 
 class NormalRows:

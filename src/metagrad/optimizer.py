@@ -26,17 +26,17 @@ take it and the block logs those rows; both round differently from the
 slot sum in the last bits, and fig1's recorded bytes depend on that
 rounding.
 
-Randomness is organized so paired runs are comparable: iteration k of a
-run with seed s derives the task batch from (s, k, "tasks"), the
-stepsize estimate from (s, k, "stepsize"), and the per-task noise for
-batch slot j from (s, k, "slot", j, purpose).  Two algorithms run with
-the same seed therefore see identical task batches and identical
-inner/outer gradient noise, isolating the algorithmic difference.  A
-draw depends only on its key, so a block's steps are drawn at once on
-these keys, step keys times labels, by one ``numerics.keyed_uniforms``
-call, and records do not depend on the block length.  The loop raises no
-numpy overflow warning: an overflow ends the run as a non-finite or
-diverging iterate.
+Randomness is organized so paired runs are comparable: every keyed draw
+of iteration k of a run with seed s is a site under the step key (s, k),
+the task batch on "tasks", the stepsize estimate on ("stepsize", ...)
+and the per-task noise for batch slot j on ("slot", j, purpose).  Two
+algorithms run with the same seed therefore see identical task batches
+and identical inner/outer gradient noise, isolating the algorithmic
+difference.  A draw depends only on its key, so every site of a block's
+steps is drawn at once by one ``numerics.keyed_uniforms`` call on the
+step keys, and records do not depend on the block length.  The loop
+raises no numpy overflow warning: an overflow ends the run as a
+non-finite or diverging iterate.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ from .meta_gradient import (
     exact_sweep,
     slot_directions,
     slot_noise,
-    slot_requests,
+    slot_sites,
 )
-from .numerics import RngStream, Vec, keyed_rows, path_key, row_blocks, row_dots
+from .numerics import RngStream, Vec, keyed_uniforms, path_key, row_blocks, row_dots
 from .stepsize import (ALPHA_CAPS, StepsizeRule, beta_sample, check_stepsize_batches,
-                       required_D_h, stepsize_draws, stepsize_requests)
-from .stochastic import (STEPSIZE, TASKS, BatchSpec, StochasticOracle, positive_int,
-                         sample_task_batch)
+                       required_D_h, stepsize_draws, stepsize_sites)
+from .stochastic import TASKS, BatchSpec, StochasticOracle, positive_int, sample_task_batch
 from .tasks import QUADRATIC, SmoothnessProfile, TaskFamily, local_smoothness
 
 CSV_HEADER = "iter,grad_norm_F,loss_F,beta,dist_wstar,dist_wfo"
@@ -239,28 +238,28 @@ def _drawn_steps(family, config, profile, oracle, slots, keys):
     (seed, k), with None where a step draws nothing.  A slot draw is
     (idx, site -> noise rows) of the given number of slots: B tasks on
     key + "tasks" (a full batch's are 0..n-1), slot j's noise on key +
-    ("slot", j).  Every keyed draw of the steps is made by one
-    ``keyed_uniforms`` call on the step keys, none if they draw nothing."""
+    ("slot", j).  Every site of the steps is named under the step key and
+    drawn by one ``keyed_uniforms`` call on the step keys, none if no site
+    draws anything."""
     b, n = config.batches, len(keys)
     if not n:  # a block of the terminal row alone takes no step
         return []
     adaptive = config.stepsize.kind == "adaptive"
     sampled = slots > 0 and not config.full_task_batch
-    stepsize_rows, task_rows, slot_rows = keyed_rows(
-        stepsize_requests(profile, config.alpha, b.B_prime, family.dim,
-                          [path_key(key, STEPSIZE) for key in keys]) if adaptive else {},
-        {TASKS: (keys, (path_key(b"", TASKS),), slots)} if sampled else {},
-        slot_requests(config.algorithm, family.dim, oracle, keys, slots)
-        if not oracle.exact else {})
-    betas = (stepsize_draws(family, profile, b.B_prime, b.D_beta, n, stepsize_rows) if adaptive
+    sites = slot_sites(config.algorithm, family.dim, oracle, slots)
+    if sampled:
+        sites[TASKS] = ((path_key(b"", TASKS),), slots)
+    if adaptive:
+        sites.update(stepsize_sites(profile, config.alpha, b.B_prime, family.dim))
+    rows = keyed_uniforms(keys, sites) if sites else {}
+    betas = (stepsize_draws(family, profile, b.B_prime, b.D_beta, n, rows) if adaptive
              else [None] * n)
     if not slots:
         return [(beta, None) for beta in betas]
-    tasks = (sample_task_batch(family, (n, slots), task_rows[TASKS]) if sampled
+    tasks = (sample_task_batch(family, (n, slots), rows[TASKS]) if sampled
              else [slice(None)] * n)
-    noise = slot_noise(config.algorithm, n * slots, family.dim, oracle, b, slot_rows)
-    return [(beta, (idx, {site: None if a is None else a[r * slots:(r + 1) * slots]
-                          for site, a in noise.items()}))
+    noise = slot_noise(n * slots, family.dim, oracle, b, rows)
+    return [(beta, (idx, {site: a[r * slots:(r + 1) * slots] for site, a in noise.items()}))
             for r, (beta, idx) in enumerate(zip(betas, tasks))]
 
 

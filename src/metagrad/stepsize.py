@@ -21,9 +21,10 @@ under which E[beta_tilde] >= 0.8 / L(w) and
 E[beta_tilde^2] <= 3.125 / L(w)^2.  ``check_stepsize_batches`` raises
 when either inequality fails, or when L, rho or sigma is not finite; the
 samplers and the optimizer's config validation all go through it.
-``beta_tilde`` is the one-key case of the optimizer's draws: the grid
-requests of ``numerics.keyed_uniforms`` that ``stepsize_requests`` names,
-sample keys times labels, read by ``stepsize_draws``.  Every sampler
+``stepsize_sites`` names a step's sample under its key, (STEPSIZE, TASKS)
+and (STEPSIZE, STEPSIZE, j), for ``numerics.keyed_uniforms``, and
+``stepsize_draws`` reads the rows; ``beta_tilde`` is the sample of the
+step on its key, as the optimizer draws it.  Every sampler
 takes task-gradient norms through ``_grad_norms``, so a norm whose square
 overflows stays finite.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig, NumericalFailure
-from .numerics import (NormalRows, RngStream, Vec, indexed_labels, keyed_rows, normal_words,
+from .numerics import (NormalRows, RngStream, Vec, indexed_labels, keyed_uniforms, normal_words,
                        path_key, row_blocks, row_dots)
 from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
@@ -45,6 +46,8 @@ from .tasks import SmoothnessProfile, TaskFamily
 # inner-stepsize caps (alpha * L at most this) its guarantee assumes.
 ADAPTIVE_FRACTIONS = {"maml": 1.0 / 12.0, "fomaml": 1.0 / 18.0, "hfmaml": 1.0 / 25.0}
 ALPHA_CAPS = {"maml": 1.0 / 6.0, "fomaml": 1.0 / 10.0, "hfmaml": 1.0 / 6.0}
+# A step's stepsize sites, each its labels under the step key.
+BETA_TASKS, BETA_NOISE = (STEPSIZE, TASKS), (STEPSIZE, STEPSIZE)
 
 
 def _ceil(x: float) -> int | float:
@@ -157,8 +160,10 @@ def check_stepsize_batches(
 
 
 def beta_tilde(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: float,
-               B_prime: int, D_beta: int, rng: RngStream) -> float:
-    """One sample of the adaptive stepsize beta_tilde(w) = 1 / L_tilde(w).
+               B_prime: int, D_beta: int, rng: RngStream | bytes) -> float:
+    """One sample of the adaptive stepsize beta_tilde(w) = 1 / L_tilde(w):
+    that of the step whose key is rng, drawn on the stepsize sites as run()
+    draws that step's.
 
     Raises InvalidBatchConfig when the batch sizes cannot control the
     estimate's moments.  With rho = 0 (or alpha = 0) the dispersion term
@@ -166,32 +171,33 @@ def beta_tilde(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: fl
     is consumed, which keeps exact-oracle runs free of RNG cost.
     """
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
-    (rows,) = keyed_rows(stepsize_requests(profile, alpha, B_prime, family.dim, [rng]))
+    rows = keyed_uniforms([rng], stepsize_sites(profile, alpha, B_prime, family.dim))
     draw = stepsize_draws(family, profile, B_prime, D_beta, 1, rows)[0]
     return beta_sample(family, profile, w, alpha, draw)
 
 
-def stepsize_requests(profile: SmoothnessProfile, alpha: float, B_prime: int, d: int,
-                      keys: list[RngStream | bytes]) -> dict:
-    """Label -> keyed_uniforms request of a sample per key: B' task uniforms
-    on key + TASKS and, at a nonzero sigma_tilde, slot j's noise on key +
-    (STEPSIZE, j).  Nothing when rho alpha = 0."""
+def stepsize_sites(profile: SmoothnessProfile, alpha: float, B_prime: int, d: int) -> dict:
+    """Label -> (suffixes, words) of a step's stepsize sample, named under
+    the step key: B' task uniforms on BETA_TASKS and, at a nonzero
+    sigma_tilde, slot j's noise on BETA_NOISE + (j,).  Nothing when
+    rho alpha = 0."""
     if 2.0 * profile.rho * alpha == 0.0:
         return {}
-    requests = {TASKS: (keys, (path_key(b"", TASKS),), B_prime)}
+    sites = {BETA_TASKS: ((path_key(b"", *BETA_TASKS),), B_prime)}
     if profile.sigma_tilde != 0.0:
-        requests[STEPSIZE] = (keys, indexed_labels(STEPSIZE, B_prime), normal_words(d))
-    return requests
+        sites[BETA_NOISE] = (indexed_labels(BETA_NOISE, B_prime), normal_words(d))
+    return sites
 
 
 def stepsize_draws(family: TaskFamily, profile: SmoothnessProfile, B_prime: int, D_beta: int,
                    n: int, rows: dict) -> list:
     """(tasks, noise) of each of n samples from the rows drawn on
-    stepsize_requests; None per sample where it requested nothing."""
-    if not rows:
+    stepsize_sites; None per sample where they name nothing."""
+    if BETA_TASKS not in rows:
         return [None] * n
-    idx = sample_task_batch(family, (n, B_prime), rows[TASKS])
-    noise = grad_noise((n * B_prime, family.dim), D_beta, profile.sigma_tilde, rows.get(STEPSIZE))
+    idx = sample_task_batch(family, (n, B_prime), rows[BETA_TASKS])
+    noise = grad_noise((n * B_prime, family.dim), D_beta, profile.sigma_tilde,
+                       rows.get(BETA_NOISE))
     return list(zip(idx, [None] * n if noise is None else noise.reshape(n, B_prime, -1)))
 
 

@@ -16,10 +16,10 @@ return the noise of a whole stack of draws, or None at a zero noise
 level, for ``noisy`` to add; the stacked oracles ``noisy_grad`` and
 ``noisy_hess``, the optimizer's draws and the vectorized samplers all
 call them.  A stack's normals come either from uniform rows that
-``numerics.keyed_uniforms`` drew on a grid of keys (a block of optimizer
-steps), row j through Box-Muller into the normals of the j-th key, or as
-the next rows of a ``numerics.NormalRows`` reader of one draw on one
-stream, bit for bit those rows of the whole draw.  The Monte Carlo
+``numerics.keyed_uniforms`` drew for one site on many keys (a block of
+optimizer steps), row j through Box-Muller into the normals of the j-th
+key, or as the next rows of a ``numerics.NormalRows`` reader of one draw
+on one stream, bit for bit those rows of the whole draw.  The Monte Carlo
 samplers read their draws so, in windows of at most ``numerics.BLOCK_ROWS``
 rows where the sample is large, and read task indices forward from a
 stream's own generator.  ``sample_task_batch``
@@ -92,7 +92,7 @@ def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
 def _keyed(keys: list[RngStream | bytes] | None, shape: tuple[int, ...], level: float):
     """The uniform rows of a normal draw of shape[1:] on each key, by one
     ``keyed_uniforms`` call; None at a zero noise level, which draws nothing."""
-    return None if level == 0.0 else keyed_uniforms([(keys, [b""], normal_words(shape[1:]))])[0]
+    return None if level == 0.0 else keyed_uniforms(keys, {0: ([b""], normal_words(shape[1:]))})[0]
 
 
 def grad_noise(shape: tuple[int, ...], D: int, sigma_tilde: float,

@@ -308,9 +308,10 @@ def random_quadratic_family(
     lo, hi = eig_range
     if not (0.0 < lo <= hi):
         raise ValueError("eig_range must be positive and ordered")
-    eigs, basis, bs = keyed_uniforms([
-        ([rng], indexed_labels("quad_task", n, site), words)
-        for site, words in (("eigs", d), ("basis", normal_words((d, d))), ("b", normal_words(d)))])
+    eigs, basis, bs = keyed_uniforms([rng], {
+        site: (indexed_labels(("quad_task",), n, site), words)
+        for site, words in (("eigs", d), ("basis", normal_words((d, d))), ("b", normal_words(d)))
+    }).values()
     tasks = []
     for u, z, b in zip(eigs, box_muller_rows(basis, (d, d)), b_scale * box_muller_rows(bs, d)):
         q, _ = np.linalg.qr(z)
@@ -327,7 +328,7 @@ def rank1_mf_family(n: int, d: int, rng: RngStream, scale: float = 1.0) -> TaskF
     scale keeps the planted targets close together, large scale spreads
     them out.
     """
-    (u,) = keyed_uniforms([([rng], indexed_labels("mf_task", n), normal_words(d))])
+    (u,) = keyed_uniforms([rng], {0: (indexed_labels(("mf_task",), n), normal_words(d))}).values()
     return TaskFamily([MatrixFactorizationTask(g) for g in scale * box_muller_rows(u, d)])
 
 

@@ -40,7 +40,7 @@ def quartic_family():
 def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
     """hvp_finite_diff on one row of a one-task family, both probe gradients
     with the noise of one batch drawn on rng."""
-    rows = None if rng is None else keyed_uniforms([([rng], [b""], normal_words(task.dim))])[0]
+    rows = None if rng is None else keyed_uniforms([rng], {0: ([b""], normal_words(task.dim))})[0]
     noise = grad_noise((1, task.dim), 1, sigma_tilde, rows)
     return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]),
                            noise)[0]
@@ -228,26 +228,28 @@ def test_hfmaml_zero_probe_returns_zero():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_direction_replays_documented_streams(algorithm):
     # white box: each rule written out on one task with the noise of every
-    # site drawn on its documented child stream and the scales spelled out
+    # site drawn on its documented child stream, slot 0 of the step key, and
+    # the scales spelled out
     task = MatrixFactorizationTask(np.array([0.9, -0.4, 0.3, 0.6]))
     d, alpha, rho, st, sH = 4, 0.05, 3.0, 0.7, 0.4
     batches = BatchSpec(D_in=2, D_o=3, D_h=5)
-    rng = RngStream(80).child("slot", 3)
+    rng = RngStream(80).child("step", 3)
     for k in range(10):
         w = 0.7 * np.random.default_rng(81 + k).normal(size=d)
         got = direction(algorithm, task, w, alpha, rho, StochasticOracle(st, sH), batches,
                         rng.child(k))
-        z_in = st / np.sqrt(d * 2) * standard_normals(rng.child(k, "inner"), d)
+        slot = rng.child(k, "slot", 0)
+        z_in = st / np.sqrt(d * 2) * standard_normals(slot.child("inner"), d)
         w_i = w - alpha * (task_grad(task, w) + z_in)
-        v = task_grad(task, w_i) + st / np.sqrt(d * 3) * standard_normals(rng.child(k, "outer"), d)
+        v = task_grad(task, w_i) + st / np.sqrt(d * 3) * standard_normals(slot.child("outer"), d)
         want = v
         if algorithm == MAML:
-            raw = standard_normals(rng.child(k, "hess"), (d, d))
+            raw = standard_normals(slot.child("hess"), (d, d))
             kappa = sH * np.sqrt(2.0 / (5 * d * (d + 1)))
             want = v - alpha * ((task_hess(task, w) + kappa * 0.5 * (raw + raw.T)) @ v)
         if algorithm == HFMAML:
             delta = 1.0 / (6.0 * (rho * alpha * float(np.linalg.norm(v))))
-            z = st / np.sqrt(d * 5) * standard_normals(rng.child(k, "hvp"), d)
+            z = st / np.sqrt(d * 5) * standard_normals(slot.child("hvp"), d)
             gp, gm = task_grad(task, w + delta * v) + z, task_grad(task, w - delta * v) + z
             want = v - alpha * ((gp - gm) / (2.0 * delta))
         assert np.array_equal(got, want)

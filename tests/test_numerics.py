@@ -22,7 +22,7 @@ def keyed_normal_rows(keys, shape):
     """Normals of shape (len(keys),) + shape, row j on keys[j], as the
     stochastic oracles draw a stack: one keyed_uniforms call, one
     Box-Muller pass."""
-    (u,) = numerics.keyed_uniforms([(keys, [b""], normal_words(shape))])
+    (u,) = numerics.keyed_uniforms(keys, {0: ([b""], normal_words(shape))}).values()
     return box_muller_rows(u, shape)
 
 
@@ -262,15 +262,15 @@ def test_stacked_rows_equal_streams_drawn_alone(shape, B):
 
 
 def test_each_stream_is_one_keyed_draw(monkeypatch):
-    # keyed draws are counted as the keys handed to keyed_uniforms, a
-    # request's prefixes times its suffixes, plus calls to uniforms and
+    # keyed draws are counted as the keys handed to keyed_uniforms, its
+    # prefixes times each site's suffixes, plus calls to uniforms and
     # standard_normals; a stack hands each stream's key over once, as one
     # (prefix, suffix, words) entry here
     calls = []
     monkeypatch.setattr(numerics, "uniforms", lambda *a: calls.append(a) or uniforms(*a))
-    monkeypatch.setattr(numerics, "keyed_uniforms", lambda requests: calls.extend(
-        (prefix, suffix, words) for prefixes, suffixes, words in requests
-        for prefix in prefixes for suffix in suffixes) or keyed_uniforms(requests))
+    monkeypatch.setattr(numerics, "keyed_uniforms", lambda prefixes, sites: calls.extend(
+        (prefix, suffix, words) for prefix in prefixes for suffixes, words in sites.values()
+        for suffix in suffixes) or keyed_uniforms(prefixes, sites))
     standard_normals(RngStream(16), (3, 5))
     assert calls == []
     streams = [RngStream(16).child(j) for j in range(3)]
@@ -293,12 +293,13 @@ TOP_WORD_STREAMS = [s for s in (RngStream(8).child("top", i) for i in range(64))
 @pytest.mark.parametrize("as_bytes", [False, True], ids=["streams", "bytes"])
 def test_keyed_uniforms_rows_are_each_keys_own_draw(as_bytes):
     # every word count from 0 to 33 (0 to 9 blocks, each remainder mod 4),
-    # one request each, on keys given as streams or as their key bytes
+    # one site each, on keys given as streams or as their key bytes
     assert TOP_WORD_STREAMS
     streams = [RngStream(21).child("kernel", i) for i in range(5)] + TOP_WORD_STREAMS[:3]
     keys = [numerics.path_key(s) for s in streams] if as_bytes else streams
-    requests = [(keys, [b""], words) for words in range(34)]
-    for (*_, words), rows in zip(requests, keyed_uniforms(requests)):
+    out = keyed_uniforms(keys, {words: ([b""], words) for words in range(34)})
+    assert list(out) == list(range(34))
+    for words, rows in out.items():
         assert rows.shape == (len(keys), words) and rows.dtype == np.float64
         for j, stream in enumerate(streams):
             assert np.array_equal(rows[j], uniforms(stream, words))
@@ -307,65 +308,56 @@ def test_keyed_uniforms_rows_are_each_keys_own_draw(as_bytes):
 
 @pytest.mark.parametrize("slab", [numerics.SLAB_LANES, 5, 1])
 def test_keyed_uniforms_mixes_requests_in_one_call(monkeypatch, slab):
-    # requests of mixed key counts and sizes, empty key lists among them,
-    # keep their own rows; a key in two requests draws from its start in
-    # each; passes of a few blocks split keys and requests anywhere
+    # sites of mixed key counts and sizes, empty key lists among them, keep
+    # their own rows; a key in two sites draws from its start in each;
+    # passes of a few blocks split keys and sites anywhere.  Each site's
+    # keys are its suffixes under the one empty prefix.
     monkeypatch.setattr(numerics, "SLAB_LANES", slab)
     root = RngStream(22)
     keys = [root.child("mix", i) for i in range(12)]
     requests = [(keys[:3], 6), ([], 5), (keys[3:4], 26), (keys[4:], 1), ([], 0),
                 (keys[:2], 33), (keys[2:3] * 2, 4)]
-    out = keyed_uniforms([(ks, [b""], words) for ks, words in requests])
+    out = keyed_uniforms([b""], {site: ([numerics.path_key(k) for k in ks], words)
+                                 for site, (ks, words) in enumerate(requests)})
     assert len(out) == len(requests)
-    for (ks, words), rows in zip(requests, out):
+    for (ks, words), rows in zip(requests, out.values()):
         assert rows.shape == (len(ks), words)
         for j, key in enumerate(ks):
             assert np.array_equal(rows[j], uniforms(key, words))
-    assert keyed_uniforms([]) == []
-    assert [r.shape for r in keyed_uniforms([([], [b""], 3), ([], [b""], 0)])] == [(0, 3), (0, 0)]
+    assert keyed_uniforms(keys, {}) == {}
+    assert [r.shape for r in keyed_uniforms([], {0: ([b""], 3), 1: ([b""], 0)}).values()] == [
+        (0, 3), (0, 0)]
     with pytest.raises(ValueError):
-        keyed_uniforms([(keys[:1], [b""], -1)])
-
-
-def test_keyed_rows_draws_every_group_in_one_call(monkeypatch):
-    root = RngStream(23)
-    calls = []
-    monkeypatch.setattr(numerics, "keyed_uniforms",
-                        lambda requests: calls.append(requests) or keyed_uniforms(requests))
-    a, b = [root.child("a", i) for i in range(3)], [root.child("b")]
-    first, empty, second = numerics.keyed_rows(
-        {"x": (a, [b""], 4), "y": (b, [b""], 7)}, {}, {"x": (b, [b""], 2)})
-    assert len(calls) == 1 and empty == {}
-    assert np.array_equal(first["x"], np.array([uniforms(k, 4) for k in a]))
-    assert np.array_equal(first["y"][0], uniforms(b[0], 7))
-    assert np.array_equal(second["x"][0], uniforms(b[0], 2))
-    assert numerics.keyed_rows({}, {}) == [{}, {}] and len(calls) == 1
+        keyed_uniforms(keys[:1], {0: ([b""], -1)})
 
 
 @pytest.mark.parametrize("slab", [numerics.SLAB_LANES, 3])
 def test_keyed_uniforms_grid_rows_are_prefix_plus_suffix_draws(monkeypatch, slab):
-    # row i S + j of a request is the draw on prefixes[i] + suffixes[j]:
+    # row i S + j of a site is the draw on prefixes[i] + suffixes[j]:
     # prefixes as streams or key bytes, a b"" suffix among the labels,
     # grids that are empty on either side, and a slab that splits keys
     monkeypatch.setattr(numerics, "SLAB_LANES", slab)
     root = RngStream(24)
     prefixes = [root.child("step", 0), numerics.path_key(root, "step", 1), root.child("step", 2)]
     suffixes = [b"", numerics.path_key(b"", "slot", 0, "inner"), numerics.path_key(b"", 7)]
-    requests = [(prefixes, suffixes, 9), (prefixes[1:2], suffixes, 2), (prefixes, suffixes[:1], 0),
-                ([], suffixes, 4), (prefixes, [], 5)]
-    out = keyed_uniforms(requests)
-    for (ps, ss, words), rows in zip(requests, out):
-        assert rows.shape == (len(ps) * len(ss), words)
-        for i, prefix in enumerate(ps):
-            for j, suffix in enumerate(ss):
-                key = numerics.path_key(prefix) + suffix
-                assert np.array_equal(rows[i * len(ss) + j], uniforms(key, words))
+    sites = {"all": (suffixes, 9), "first": (suffixes[:1], 0), "none": ([], 5)}
+    calls = [(prefixes, sites), (prefixes[1:2], {"all": (suffixes, 2)}),
+             ([], {"all": (suffixes, 4)})]
+    for ps, call_sites in calls:
+        out = keyed_uniforms(ps, call_sites)
+        assert list(out) == list(call_sites)
+        for (ss, words), rows in zip(call_sites.values(), out.values()):
+            assert rows.shape == (len(ps) * len(ss), words)
+            for i, prefix in enumerate(ps):
+                for j, suffix in enumerate(ss):
+                    key = numerics.path_key(prefix) + suffix
+                    assert np.array_equal(rows[i * len(ss) + j], uniforms(key, words))
     stream = root.child("step", 0, "slot", 0, "inner")
-    assert np.array_equal(out[0][1], uniforms(stream, 9))
+    assert np.array_equal(keyed_uniforms(prefixes, sites)["all"][1], uniforms(stream, 9))
     with pytest.raises(ValueError):
-        keyed_uniforms([(prefixes, suffixes, -1)])
+        keyed_uniforms(prefixes, {0: (suffixes, -1)})
     with pytest.raises(ValueError):
-        keyed_uniforms([([], [], -1)])
+        keyed_uniforms([], {0: ([], -1)})
 
 
 def test_uniforms_range_and_mean():

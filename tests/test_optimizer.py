@@ -18,8 +18,8 @@ from metagrad.cli import generate_family, load_config, prepare
 
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
-from metagrad.meta_gradient import (FOMAML, HFMAML, MAML, direction, exact_grad_F, exact_sweep,
-                                    slot_noise, slot_requests, value_F)
+from metagrad.meta_gradient import (ALGORITHMS, FOMAML, HFMAML, MAML, direction, exact_grad_F,
+                                    exact_sweep, slot_directions, slot_noise, slot_sites, value_F)
 from metagrad.numerics import RngStream
 from metagrad.optimizer import (
     CSV_HEADER,
@@ -152,8 +152,17 @@ def step_draw(family, cfg, oracle, rng):
     else:
         B = cfg.batches.B
         idx = sample_task_batch(family, B, rng.child("tasks").generator())
-    (rows,) = numerics.keyed_rows(slot_requests(cfg.algorithm, family.dim, oracle, [rng], B))
-    return idx, slot_noise(cfg.algorithm, B, family.dim, oracle, cfg.batches, rows)
+    rows = numerics.keyed_uniforms([rng], slot_sites(cfg.algorithm, family.dim, oracle, B))
+    return idx, slot_noise(B, family.dim, oracle, cfg.batches, rows)
+
+
+def slot_direction(algorithm, task, w, alpha, rho, oracle, batches, slot_key):
+    """One task's direction with each site's noise drawn on slot_key + (site,):
+    slot j of step k's for slot_key (seed, k, "slot", j)."""
+    sites = {site: ([numerics.path_key(b"", site)], words)
+             for site, (_, words) in slot_sites(algorithm, task.dim, oracle, 1).items()}
+    noise = slot_noise(1, task.dim, oracle, batches, numerics.keyed_uniforms([slot_key], sites))
+    return slot_directions(algorithm, TaskFamily([task]), slice(None), w, alpha, rho, noise)[0]
 
 
 class TestStackedExactSweep:
@@ -234,8 +243,8 @@ class TestSlotLoopReplay:
         root = RngStream(cfg.seed)
 
         def slot(j, i):
-            return direction(cfg.algorithm, family.tasks[i], w, cfg.alpha, rho, oracle,
-                             cfg.batches, root.child(k, "slot", j))
+            return slot_direction(cfg.algorithm, family.tasks[i], w, cfg.alpha, rho, oracle,
+                                  cfg.batches, root.child(k, "slot", j))
 
         acc = np.zeros(family.dim)
         if cfg.full_task_batch:
@@ -252,7 +261,7 @@ class TestSlotLoopReplay:
         if cfg.stepsize.kind == "constant":
             return cfg.stepsize.beta
         b = cfg.batches
-        rng = RngStream(cfg.seed).child(k, "stepsize")
+        rng = numerics.path_key(RngStream(cfg.seed), k)  # the step key
         return cfg.stepsize.resolve_fraction(cfg.algorithm) * beta_tilde(
             family, profile, w, cfg.alpha, b.B_prime, b.D_beta, rng)
 
@@ -298,6 +307,23 @@ class TestSlotLoopReplay:
             algorithm, stepsize=StepsizeRule(kind="adaptive"),
             batches=BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)))
 
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    def test_direction_on_the_step_key_replays_a_one_slot_step(self, algorithm):
+        # read on step k's key (seed, k), direction is the step's slot 0 as
+        # run() draws it, so with B = 1 it is the step itself; beta_tilde on
+        # that key replays the stepsize in the adaptive replays above
+        family = generate_family(FIG2["family"]["generate"])
+        cfg = self.fig2_config(algorithm, batches=BatchSpec(B=1, D_in=4, D_o=4, D_h=4))
+        profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
+        oracle = StochasticOracle(cfg.sigma_tilde, cfg.sigma_H)
+        rec, root = run(family, cfg, profile=profile), RngStream(cfg.seed)
+        for k in (0, 1, 7, 19):
+            w = rec.iterates[k]
+            (i,) = sample_task_batch(family, 1, root.child(k, "tasks").generator())
+            step = direction(algorithm, family.tasks[i], w, cfg.alpha, profile.rho, oracle,
+                             cfg.batches, numerics.path_key(root, k))
+            assert np.array_equal(rec.iterates[k + 1], w - rec.beta[k] * step)
+
     @pytest.mark.parametrize("case", ["sampled", "full-batch", "adaptive", "exact-sampled"])
     def test_records_do_not_depend_on_block_length(self, monkeypatch, case):
         overrides = {
@@ -338,7 +364,7 @@ class TestSlotLoopReplay:
 
 class TestKeyedDraws:
     """Keyed RNG draws per step of run(): one per key handed to
-    keyed_uniforms (a request's prefixes times its suffixes), and one per
+    keyed_uniforms (its prefixes times every site's suffixes), and one per
     uniforms or standard_normals call, wherever a metagrad module calls
     them from.  HF-MAML draws its probe once per slot, so its step draws
     as many keys as MAML's."""
@@ -353,7 +379,7 @@ class TestKeyedDraws:
     def test_a_run_that_draws_nothing_makes_no_kernel_call(self, monkeypatch):
         # fig1's exact full batches draw no key, so no block calls the kernel
         calls = []
-        monkeypatch.setattr(numerics, "keyed_uniforms", calls.append)
+        monkeypatch.setattr(optimizer, "keyed_uniforms", lambda *args: calls.append(args))
         resolved, config_dir = load_config(str(CONFIGS / "fig1.json"), argparse.Namespace())
         family, base, profile = prepare(resolved, config_dir)
         for algorithm in (MAML, FOMAML, HFMAML):
@@ -407,6 +433,46 @@ class TestKeyedDraws:
                 assert np.array_equal(rec.loss_F, full.loss_F[:stop + 1])
                 assert np.array_equal(rec.beta[:stop], full.beta[:stop])
 
+    @pytest.mark.parametrize("case", ["constant", "adaptive", "full-batch"])
+    def test_each_block_draws_in_one_kernel_call_on_its_step_keys(self, monkeypatch, case):
+        # blocks of 7 steps: 20 steps are three kernel calls, each handed its
+        # block's step keys as the one prefix list with every site of the
+        # steps, and the kernel absorbs each key into the root state once
+        sites = {MAML: 4, FOMAML: 3, HFMAML: 4}  # task batch, inner, outer, hess or probe
+        overrides = {
+            "constant": {},
+            "adaptive": {"stepsize": StepsizeRule(kind="adaptive"),
+                         "batches": BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)},
+            "full-batch": {"full_task_batch": True},
+        }[case]
+        extra = {"constant": 0, "adaptive": 2, "full-batch": -1}[case]
+        resolved, config_dir = load_config(str(CONFIGS / "fig2.json"), argparse.Namespace())
+        family, base, profile = prepare(resolved, config_dir)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * family.n_tasks)
+        copies, calls = [], []
+
+        class CountedRoot:
+            def copy(self, _root=numerics._ROOT):
+                copies.append(1)
+                return _root.copy()
+
+        def keyed(prefixes, call_sites, _draw=numerics.keyed_uniforms):
+            before = len(copies)
+            rows = _draw(prefixes, call_sites)
+            calls.append((list(prefixes), len(copies) - before, len(call_sites)))
+            return rows
+
+        monkeypatch.setattr(numerics, "_ROOT", CountedRoot())
+        monkeypatch.setattr(optimizer, "keyed_uniforms", keyed)
+        keys = [numerics.path_key(RngStream(0), k) for k in range(20)]
+        for algorithm in ALGORITHMS:
+            calls.clear()
+            run(family, replace(base, algorithm=algorithm, seed=0, max_iters=20, **overrides),
+                profile=profile)
+            assert [prefixes for prefixes, *_ in calls] == [keys[:7], keys[7:14], keys[14:]]
+            assert [n for _, n, _ in calls] == [7, 7, 6]
+            assert {n for *_, n in calls} == {sites[algorithm] + extra}
+
     @staticmethod
     def counted_draws(monkeypatch):
         """A list that gains an entry per keyed draw from here on: per key
@@ -414,12 +480,12 @@ class TestKeyedDraws:
         No kernel call may be handed the same key twice."""
         calls = []
 
-        def keyed(requests, _draw=numerics.keyed_uniforms):
-            keys = [numerics.path_key(prefix) + suffix for prefixes, suffixes, _ in requests
-                    for prefix in prefixes for suffix in suffixes]
+        def keyed(prefixes, sites, _draw=numerics.keyed_uniforms):
+            keys = [numerics.path_key(prefix) + suffix for prefix in prefixes
+                    for suffixes, _ in sites.values() for suffix in suffixes]
             assert len(set(keys)) == len(keys), "a kernel call draws a key twice"
             calls.extend(1 for _ in keys)
-            return _draw(requests)
+            return _draw(prefixes, sites)
 
         def counted(*args, _draw, **kwargs):
             calls.append(1)

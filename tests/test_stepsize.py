@@ -209,8 +209,9 @@ def test_sample_beta_tilde_replays_documented_streams(monkeypatch):
 
 
 def test_beta_tilde_replays_slot_loop_bit_for_bit():
-    # white box: slot j's gradient is task idx[j]'s at w plus noise on
-    # (STEPSIZE, j), and the norms are added from zero in slot order
+    # white box: slot j's gradient is task idx[j]'s at w plus noise on the
+    # step key + (STEPSIZE, STEPSIZE, j), its tasks drawn on the step key +
+    # (STEPSIZE, TASKS), and the norms are added from zero in slot order
     fam, prof = mf_setup(seed=108)
     # a small L lets the summed norms, not 4L, set the last bits of L_tilde
     prof = SmoothnessProfile(L=1e-3, rho=prof.rho, sigma=0.0, sigma_tilde=1.0)
@@ -222,8 +223,10 @@ def test_beta_tilde_replays_slot_loop_bit_for_bit():
         rng = RngStream(110).child(k)
         got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
         acc = 0.0
-        for slot, i in enumerate(sample_task_batch(fam, bp, rng.child(TASKS).generator())):
-            z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(rng.child(STEPSIZE, slot), d)
+        beta_rng = rng.child(STEPSIZE)
+        for slot, i in enumerate(sample_task_batch(fam, bp, beta_rng.child(TASKS).generator())):
+            z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(
+                beta_rng.child(STEPSIZE, slot), d)
             acc += float(np.linalg.norm(task_grad(fam.tasks[i], w) + z))
         l_tilde = 4.0 * prof.L + 2.0 * prof.rho * alpha * acc / bp
         assert got == 1.0 / l_tilde
@@ -245,8 +248,8 @@ def test_beta_tilde_moment_bounds_light():
 
 
 def test_inflated_gradient_norms_weakly_decrease_beta_tilde():
-    # Rebuild one draw from its streams and recompute with norms doubled:
-    # the implied stepsize must not increase.
+    # Rebuild one draw from its streams (the step key + STEPSIZE) and
+    # recompute with norms doubled: the implied stepsize must not increase.
     fam, prof = mf_setup(seed=102)
     alpha = 1.0 / (6.0 * prof.L)
     bp, db = 3, 2
@@ -255,11 +258,11 @@ def test_inflated_gradient_norms_weakly_decrease_beta_tilde():
     rng = RngStream(104).child("draw")
     got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
 
-    idx = sample_task_batch(fam, bp, rng.child(TASKS).generator())
+    beta_rng = rng.child(STEPSIZE)
+    idx = sample_task_batch(fam, bp, beta_rng.child(TASKS).generator())
     norms = [
-        np.linalg.norm(
-            noisy_grad(fam, [i], w[None], db, prof.sigma_tilde, [rng.child(STEPSIZE, slot)])[0]
-        )
+        np.linalg.norm(noisy_grad(fam, [i], w[None], db, prof.sigma_tilde,
+                                  [beta_rng.child(STEPSIZE, slot)])[0])
         for slot, i in enumerate(idx)
     ]
     rebuilt = 1.0 / (4.0 * prof.L + 2.0 * prof.rho * alpha * np.mean(norms))

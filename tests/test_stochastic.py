@@ -222,8 +222,8 @@ def test_noise_laws_on_keyed_rows_replay_per_key_draws(d):
     # and even normal counts, keys as streams and as bytes
     streams = [RngStream(1010).child("slot", j, "x") for j in range(7)]
     keys = streams[:4] + [path_key(s) for s in streams[4:]]
-    grad_u, hess_u = keyed_uniforms([(keys, [b""], normal_words(d)),
-                                     (keys, [b""], normal_words((d, d)))])
+    grad_u, hess_u = keyed_uniforms(keys, {"grad": ([b""], normal_words(d)),
+                                           "hess": ([b""], normal_words((d, d)))}).values()
     grads = grad_noise((7, d), 3, 0.7, grad_u)
     hess = hess_noise((7, d, d), 2, 0.4, hess_u)
     kappa = 0.4 * np.sqrt(2.0 / (2 * d * (d + 1)))
@@ -239,7 +239,7 @@ def test_sample_task_batch_on_keyed_rows_replays_per_key_draws():
                      weights=np.array([0.1, 0.4, 0.2, 0.05, 0.25]))
     keys = [path_key(RngStream(1011), k, "tasks") for k in range(9)]
     for B in (1, 3, 4, 10):
-        (u,) = keyed_uniforms([(keys, [b""], B)])
+        (u,) = keyed_uniforms(keys, {0: ([b""], B)}).values()
         idx = sample_task_batch(fam, (9, B), u)
         assert idx.shape == (9, B)
         for j, key in enumerate(keys):
