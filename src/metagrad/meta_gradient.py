@@ -61,6 +61,7 @@ HFMAML = "hfmaml"
 ALGORITHMS = (MAML, FOMAML, HFMAML)
 
 ZERO_PROBE_TOL = 1e-12
+PROBE_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two probe points of each row
 
 
 def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray,
@@ -73,13 +74,14 @@ def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray,
     Both probe gradients of a row share its batch and add its noise, which
     cancels in the difference; the surviving error is curvature-only, at
     most rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
+    Both are taken in one (2, B, d) gradient call at W + s delta V, s = +-1;
+    negation is exact, so each row is the float of W +- delta V.
     """
     if (delta <= 0.0).any():
         raise ValueError("delta must be positive")
     delta = delta[:, None]
-    gp = noisy(family.grads(W + delta * V, idx), noise)
-    gm = noisy(family.grads(W - delta * V, idx), noise)
-    return (gp - gm) / (2.0 * delta)
+    g = noisy(family.grads(W + PROBE_SIGNS * (delta * V), idx), noise)
+    return (g[0] - g[1]) / (2.0 * delta)
 
 
 def probe_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,27 +181,46 @@ def direction(algorithm: str, task, w: Vec, alpha: float, rho: float, oracle: St
 # --------------------------------------------------------- exact oracles
 
 
-def exact_sweep(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, Mat, Mat]:
-    """Exact grad F at one point W (d,) or at each row of a stack (K, d):
-    grad F (..., d), the adapted points U = w - alpha grad f_i(w) (row i
+def outer_stage(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, Mat]:
+    """The first stage of the exact sweep at one point W (d,) or at each row
+    of a stack (K, d): the adapted points U = w - alpha grad f_i(w) (row i
     is task i's) and the outer gradients grad f_i(U[i]), (..., n, d) each.
 
-    Each point of a stack is the float that point swept alone gives.  The
-    outer gradients' weighted sum is the exact full-batch FO-MAML direction,
-    and ``adapted_value`` reads F off U, so a caller that needs several of
-    these sweeps the tasks once.  Memory is O(K n d^2): the Hessians of
-    every task at every point are built at once.
+    The outer gradients' weighted sum is the exact full-batch FO-MAML
+    direction, and ``adapted_value`` reads F off U; neither needs a Hessian.
+    Each point of a stack is the float that point alone gives.
     """
     W = W[..., None, :]  # each point against every task
     adapted = W - alpha * family.grads(W)
-    go = family.grads_rowwise(adapted)
-    h = family.hessians(W)  # (..., n, d, d)
-    dirs = go - alpha * np.einsum("...ij,...j->...i", h, go)
-    return np.matmul(family.weights, dirs), adapted, go
+    return adapted, family.grads_rowwise(adapted)
+
+
+def hessian_stage(family: TaskFamily, W: np.ndarray, alpha: float,
+                  outer: np.ndarray) -> np.ndarray:
+    """The second stage of the exact sweep: grad F (..., d) at W (d,) or at
+    each row of a stack (K, d), from outer_stage's outer gradients there.
+
+    Each point of a stack is the float that point alone gives, so a caller
+    may sweep a stack of points whose outer stages it took one at a time.
+    Memory is O(K n d^2): the Hessians of every task at every point are
+    built at once.
+    """
+    h = family.hessians(W[..., None, :])  # (..., n, d, d)
+    dirs = outer - alpha * np.einsum("...ij,...j->...i", h, outer)
+    return np.matmul(family.weights, dirs)
+
+
+def exact_sweep(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, Mat, Mat]:
+    """Exact grad F at one point W (d,) or at each row of a stack (K, d),
+    with the adapted points and outer gradients it was built from: the
+    outer stage, then the Hessian stage, each point of a stack the float
+    that point swept alone gives."""
+    adapted, outer = outer_stage(family, W, alpha)
+    return hessian_stage(family, W, alpha, outer), adapted, outer
 
 
 def adapted_value(family: TaskFamily, adapted: np.ndarray) -> np.ndarray:
-    """F = sum_i p_i f_i(U[..., i, :]) from exact_sweep's adapted points U,
+    """F = sum_i p_i f_i(U[..., i, :]) from outer_stage's adapted points U,
     shape (...): the stacked (1, n) @ (n, 1) matmul rounds each sweep as
     the dot product of that sweep alone."""
     vals = family.values_rowwise(adapted)[..., :, None]

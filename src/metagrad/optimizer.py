@@ -21,10 +21,12 @@ Every step but two is one call of the stacked slot estimator
 its B tasks only: sampled task batches, noisy full batches and HF-MAML's
 exact full batch.  With full_task_batch and an exact oracle, MAML's step
 is the exact meta-gradient itself and FO-MAML's the weighted sum of the
-same sweep's outer gradients, so those steps sweep each iterate as they
-take it and the block logs those rows; both round differently from the
-slot sum in the last bits, and fig1's recorded bytes depend on that
-rounding.
+outer gradients of the sweep's outer stage; both round differently from
+the slot sum in the last bits, and fig1's recorded bytes depend on that
+rounding.  So MAML sweeps each iterate whole as it steps (``fused``),
+while FO-MAML takes only each iterate's ``outer_stage`` and builds no
+Hessian to step: the block runs the ``hessian_stage`` once, on its
+stacked iterates and their outer gradients.  The block logs those rows.
 
 Randomness is organized so paired runs are comparable: every keyed draw
 of iteration k of a run with seed s is a site under the step key (s, k),
@@ -54,6 +56,8 @@ from .meta_gradient import (
     MAML,
     adapted_value,
     exact_sweep,
+    hessian_stage,
+    outer_stage,
     slot_directions,
     slot_noise,
     slot_sites,
@@ -300,10 +304,12 @@ def run(
             analysis = None  # degenerate alpha: log NaN distances
 
     # the exact full-batch MAML and FO-MAML steps are read off the sweep at
-    # their iterate and draw no slots; width is the most rows an iterate
-    # puts into a stacked call: its sweep, slot draws or stepsize draws
-    fused = config.full_task_batch and oracle.exact and config.algorithm != HFMAML
-    slots = 0 if fused else family.n_tasks if config.full_task_batch else config.batches.B
+    # their iterate and draw no slots: FO-MAML's off its outer stage, MAML's
+    # off the whole sweep.  width is the most rows an iterate puts into a
+    # stacked call: its sweep, slot draws or stepsize draws
+    swept = config.full_task_batch and oracle.exact and config.algorithm != HFMAML
+    fused = swept and config.algorithm == MAML
+    slots = 0 if swept else family.n_tasks if config.full_task_batch else config.batches.B
     width = max(family.n_tasks, slots, config.batches.B_prime if adaptive else 1)
     root = RngStream(config.seed)
     w = w0.copy()
@@ -315,18 +321,26 @@ def run(
     d_fo = np.full(n_rows, np.nan)
     trail = np.empty((n_rows, d))
 
+    limit = DIVERGENCE_FACTOR * config.trust_radius
     stop_reason, last, failure = "max_iters", config.max_iters, None
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in row_blocks(n_rows, width, grow=config.target_grad_norm > 0.0):
             drawn = _drawn_steps(family, config, profile, oracle, slots,
                                  [path_key(root, k) for k in range(k0, min(k1, config.max_iters))])
-            if fused:  # the step is the sweep: keep its rows as the block's
-                grad_F = np.empty((k1 - k0, d))
+            if swept:  # the step is read off the sweep: keep its rows as the block's
                 adapted = np.empty((k1 - k0, family.n_tasks, d))
+                if fused:
+                    grad_F = np.empty((k1 - k0, d))
+                else:  # the outer gradients, for the block's Hessian stage
+                    outer = np.empty((k1 - k0, family.n_tasks, d))
             for k in range(k0, k1):
                 trail[k] = w
-                if fused:
-                    grad_F[k - k0], adapted[k - k0], outer = exact_sweep(family, w, config.alpha)
+                if swept:
+                    adapted[k - k0], o = outer_stage(family, w, config.alpha)
+                    if fused:
+                        grad_F[k - k0] = hessian_stage(family, w, config.alpha, o)
+                    else:
+                        outer[k - k0] = o
                 if k == config.max_iters:
                     break
 
@@ -338,30 +352,33 @@ def run(
                     beta_k = config.stepsize.beta
                 betas[k] = beta_k
 
-                if not fused:
+                if not swept:
                     step_dir = _slot_direction(family, config, w, profile.rho, slot_draw)
-                elif config.algorithm == MAML:
+                elif fused:
                     step_dir = grad_F[k - k0]
                 else:
-                    step_dir = family.weights @ outer
+                    step_dir = family.weights @ o
 
                 w = w - beta_k * step_dir
-                dist = np.linalg.norm(w - w0)  # inf for a finite w far enough out
-                if not np.all(np.isfinite(w)):
-                    failure = NumericalFailure(f"non-finite iterate at iteration {k + 1}")
-                elif dist > DIVERGENCE_FACTOR * config.trust_radius:
-                    failure = DivergenceDetected(
-                        f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration {k + 1} "
-                        f"(||w - w0|| = {dist:.3g}, "
-                        f"radius = {config.trust_radius:g})"
-                    )
-                if failure is not None:  # raised once the block's rows before it are logged
+                # inf for a finite w far enough out, non-finite for a non-finite w
+                dist = np.linalg.norm(w - w0)
+                if not dist <= limit:  # raised once the block's rows before it are logged
+                    if not np.all(np.isfinite(w)):
+                        failure = NumericalFailure(f"non-finite iterate at iteration {k + 1}")
+                    else:
+                        failure = DivergenceDetected(
+                            f"iterate left {DIVERGENCE_FACTOR:g}x trust region at iteration "
+                            f"{k + 1} (||w - w0|| = {dist:.3g}, "
+                            f"radius = {config.trust_radius:g})"
+                        )
                     k1 = k + 1
                     break
 
             rows = slice(k0, k1)
-            if not fused:
+            if not swept:
                 grad_F, adapted, _ = exact_sweep(family, trail[rows], config.alpha)
+            elif not fused:  # FO-MAML: the Hessian stage of the block's iterates at once
+                grad_F = hessian_stage(family, trail[rows], config.alpha, outer[:k1 - k0])
             grad_norms[rows] = np.sqrt(row_dots(grad_F[:k1 - k0]))
             losses[rows] = adapted_value(family, adapted[:k1 - k0])
             if analysis is not None:

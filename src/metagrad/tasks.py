@@ -178,6 +178,7 @@ class TaskFamily:
         else:
             self._Ms = np.stack([t.M for t in self.tasks])  # (n, d, d)
             self._m2 = np.einsum("nij,nij->n", self._Ms, self._Ms)  # ||M_i||_F^2
+            self._eye = np.eye(self.dim)  # the Hessians' identity term
         for value in vars(self).values():  # the oracles hand out views of these
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -208,7 +209,7 @@ class TaskFamily:
         if self.kind == QUADRATIC:
             return self._As[idx]
         outer = 2.0 * (W[..., :, None] * W[..., None, :])
-        return row_dots(W)[..., None, None] * np.eye(self.dim) + outer - self._Ms[idx]
+        return row_dots(W)[..., None, None] * self._eye + outer - self._Ms[idx]
 
     def grads_rowwise(self, W: np.ndarray) -> np.ndarray:
         """Gradient of task i at row W[..., i, :], shape (..., n, d).

@@ -25,9 +25,9 @@ import numpy as np
 
 from .meta_gradient import (
     exact_grad_F,
-    exact_sweep,
     hvp_finite_diff,
     mc_grad_F_hat_draws,
+    outer_stage,
     probe_delta,
     probe_norms,
 )
@@ -184,7 +184,7 @@ def audit_second_moment(
     _, sq = _adapted_outer_draws(
         family, w, alpha, D_in, D_o, profile.sigma_tilde, n_mc, rng
     )
-    exact_sq = np.linalg.norm(exact_sweep(family, w, alpha)[2], axis=1) ** 2
+    exact_sq = np.linalg.norm(outer_stage(family, w, alpha)[1], axis=1) ** 2
     # float_power squares as float ** 2 does, but gives inf past the float range
     st2 = np.float_power(profile.sigma_tilde, 2)
     bound = (
@@ -283,7 +283,7 @@ def audit_smoothness_ratio(
     for r0, r1 in row_blocks(n_pairs, family.n_tasks):
         w, u = ws[r0:r1], us[r0:r1]
         sep = np.sqrt(row_dots(w - u))
-        gap = exact_sweep(family, w, alpha)[0] - exact_sweep(family, u, alpha)[0]
+        gap = exact_grad_F(family, w, alpha) - exact_grad_F(family, u, alpha)
         modulus = np.minimum(smoothness_L_of_w(family, profile, w, alpha),
                              smoothness_L_of_w(family, profile, u, alpha))
         # coincident draws carry no information: ratio 0

@@ -13,14 +13,16 @@ from metagrad.meta_gradient import (
     direction,
     exact_grad_F,
     exact_sweep,
+    hessian_stage,
     hvp_finite_diff,
     mc_grad_F_hat_draws,
+    outer_stage,
     probe_delta,
     value_F,
 )
 from metagrad.closed_form import analyze_quadratic
 from metagrad.numerics import RngStream, keyed_uniforms, normal_words, row_dots, standard_normals
-from metagrad.stochastic import BatchSpec, StochasticOracle, grad_noise
+from metagrad.stochastic import BatchSpec, StochasticOracle, grad_noise, noisy
 from metagrad.tasks import (
     MatrixFactorizationTask,
     QuadraticTask,
@@ -166,6 +168,36 @@ def test_hvp_error_bound_and_shrinks_on_mf():
         assert err <= prof.rho * delta * 1.0**2
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
+
+
+def two_call_hvp(family, idx, W, V, delta, noise):
+    """hvp_finite_diff's central difference with one gradient call per probe point."""
+    delta = delta[:, None]
+    gp = noisy(family.grads(W + delta * V, idx), noise)
+    gm = noisy(family.grads(W - delta * V, idx), noise)
+    return (gp - gm) / (2.0 * delta)
+
+
+@pytest.mark.parametrize("noised", [False, True], ids=["exact", "noise"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-w", "per-row-w"])
+@pytest.mark.parametrize("tasks", ["array", "slice"])
+@pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
+def test_stacked_probe_equals_two_gradient_calls_bit_for_bit(kind, tasks, shared, noised):
+    # both probe points go through one (2, B, d) gradient call; each row
+    # must be the float the two separate calls give
+    make = rank1_mf_family if kind == "rank1mf" else random_quadratic_family
+    family, d = make(20, 5, RngStream(12)), 5
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        idx = rng.integers(0, 20, size=8) if tasks == "array" else slice(None)
+        B = 8 if tasks == "array" else 20
+        scale = rng.uniform(0.1, 3.0)
+        W = scale * rng.normal(size=d if shared else (B, d))
+        V = rng.normal(size=(B, d)) * rng.uniform(1e-3, 2.0, size=(B, 1))
+        delta = rng.uniform(1e-6, 0.5, size=B)
+        noise = rng.normal(size=(B, d)) if noised else None
+        assert np.array_equal(hvp_finite_diff(family, idx, W, V, delta, noise),
+                              two_call_hvp(family, idx, W, V, delta, noise))
 
 
 def test_hvp_rejects_bad_delta():
@@ -330,14 +362,20 @@ def test_exact_grad_F_alpha_zero_is_mean_gradient():
 @pytest.mark.parametrize("K", [1, 2, 7, numerics.BLOCK_ROWS])
 @pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
 def test_stacked_exact_sweep_is_per_point_bit_for_bit(kind, K):
-    # the optimizer logs a block of iterates from one stacked sweep: each
-    # row, its norm, its loss and (on quadratics) its distances must be the
-    # floats of that iterate swept alone
+    # the optimizer logs a block of iterates from one stacked sweep, or from
+    # one stacked Hessian stage on outer stages taken one iterate at a time:
+    # each row, its norm, its loss and (on quadratics) its distances must be
+    # the floats of that iterate swept alone
     make = rank1_mf_family if kind == "rank1mf" else random_quadratic_family
     family, alpha = make(20, 5, RngStream(11)), 0.05
     rng = np.random.default_rng(K)
     W = rng.normal(size=(K, 5)) * rng.uniform(0.1, 2.0, size=(K, 1))
     grad_F, adapted, outer = exact_sweep(family, W, alpha)
+    stacked_adapted, stacked_outer = outer_stage(family, W, alpha)
+    per_point_outer = np.stack([outer_stage(family, w.copy(), alpha)[1] for w in W])
+    stacked_grad_F = hessian_stage(family, W, alpha, per_point_outer)
+    assert np.array_equal(stacked_adapted, adapted) and np.array_equal(stacked_outer, outer)
+    assert np.array_equal(stacked_grad_F, grad_F)
     loss = adapted_value(family, adapted)
     assert grad_F.shape == (K, 5) and adapted.shape == outer.shape == (K, 20, 5)
     assert loss.shape == (K,)
@@ -349,6 +387,10 @@ def test_stacked_exact_sweep_is_per_point_bit_for_bit(kind, K):
     for k in range(K):
         w = W[k].copy()
         g, u, o = exact_sweep(family, w, alpha)
+        # each stage at the point alone gives that point's rows of the stack
+        u1, o1 = outer_stage(family, w, alpha)
+        assert np.array_equal(u1, u) and np.array_equal(o1, o)
+        assert np.array_equal(hessian_stage(family, w, alpha, o1), g)
         assert np.array_equal(grad_F[k], exact_grad_F(family, w, alpha))
         assert np.array_equal(grad_F[k], g) and norms[k] == np.linalg.norm(g)
         assert np.array_equal(adapted[k], u) and np.array_equal(outer[k], o)

@@ -514,6 +514,60 @@ class TestKeyedDraws:
             assert len(calls) == 20 * expected, algorithm
 
 
+class TestOracleWork:
+    """Oracle calls per run, counted rather than timed: exact FO-MAML reads
+    its step off the outer stage and builds the Hessians once per block of
+    iterates; exact MAML's step is grad F, so it builds them at each iterate."""
+
+    @staticmethod
+    def counted(monkeypatch, family, method):
+        """The arguments of every call of family.method from here on."""
+        calls, oracle = [], getattr(family, method)
+
+        def counting(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(family, method, counting)
+        return calls
+
+    @staticmethod
+    def fig1():
+        resolved, config_dir = load_config(str(CONFIGS / "fig1.json"), argparse.Namespace())
+        return prepare(resolved, config_dir)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+    def test_exact_fomaml_builds_hessians_once_per_block(self, monkeypatch, block):
+        family, base, profile = self.fig1()
+        if block is not None:
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", block * family.n_tasks)
+        calls = self.counted(monkeypatch, family, "hessians")
+        rec = run(family, replace(base, algorithm=FOMAML, max_iters=25), profile=profile)
+        assert rec.steps_taken == 25
+        blocks = list(numerics.row_blocks(26, family.n_tasks))
+        assert [len(W) for W, *_ in calls] == [r1 - r0 for r0, r1 in blocks]
+
+    def test_exact_maml_builds_hessians_once_per_iterate(self, monkeypatch):
+        family, base, profile = self.fig1()
+        calls = self.counted(monkeypatch, family, "hessians")
+        rec = run(family, replace(base, algorithm=MAML, max_iters=25), profile=profile)
+        assert rec.steps_taken == 25
+        assert len(calls) == 26 and all(W.shape == (1, family.dim) for W, *_ in calls)
+
+    @pytest.mark.parametrize("algorithm, per_step", [(MAML, 2), (FOMAML, 2), (HFMAML, 3)])
+    def test_sampled_step_gradient_calls(self, monkeypatch, algorithm, per_step):
+        # inner and outer, and HF-MAML's one call for both probe points; the
+        # block's exact sweep adds one call for its outer stage
+        resolved, config_dir = load_config(str(CONFIGS / "fig2.json"), argparse.Namespace())
+        family, base, profile = prepare(resolved, config_dir)
+        calls = self.counted(monkeypatch, family, "grads")
+        rec = run(family, replace(base, algorithm=algorithm, max_iters=25), profile=profile)
+        assert rec.steps_taken == 25
+        width = max(family.n_tasks, base.batches.B)  # an iterate's rows in its sweep or slots
+        blocks = len(list(numerics.row_blocks(26, width)))
+        assert len(calls) == per_step * 25 + blocks
+
+
 class TestStochasticRuns:
     def noisy_config(self, algorithm, seed=0, **kw):
         defaults = dict(
