@@ -32,8 +32,12 @@ turns the sites drawn into noise, so a slot's noise is the same floats in
 any block.  The probe site is drawn once per slot: both probe gradients
 add it.  ``slot_directions`` and ``hvp_finite_diff`` add the noise they
 are given with ``noisy``; ``direction`` is slot 0 of the step on its key.
-Everything here is a pure function of its inputs and the keys, so
-repeated evaluation is reproducible and parallel evaluation is safe.
+The audits' one Monte Carlo sampler, ``mc_direction_draws``, draws n_mc
+rows per task on per-task streams: FO-MAML's direction for the bias and
+second-moment audits, MAML's with an exact outer gradient for the
+surrogate (``mc_grad_F_hat_draws``).  Everything here is a pure function
+of its inputs and the keys, so repeated evaluation is reproducible and
+parallel evaluation is safe.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ ALGORITHMS = (MAML, FOMAML, HFMAML)
 
 ZERO_PROBE_TOL = 1e-12
 PROBE_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two probe points of each row
+NO_NOISE = (1, 0.0, None)  # (D, level, reader) of a site that adds no noise
 
 
 def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray,
@@ -237,34 +242,63 @@ def value_F(family: TaskFamily, w: Vec, alpha: float) -> float:
     return float(adapted_value(family, w - alpha * family.grads(w)))
 
 
-def mc_grad_F_hat_draws(
-    family: TaskFamily,
-    w: Vec,
-    alpha: float,
-    D_test: int,
-    n_mc: int,
-    oracle: StochasticOracle,
-    rng: RngStream,
-) -> Mat:
-    """Per-draw realizations of the evaluation-time surrogate gradient.
+def mc_direction_draws(algorithm: str, family: TaskFamily, w: Vec, alpha: float, n_mc: int,
+                       sites: dict, rng: RngStream) -> tuple[Mat, np.ndarray]:
+    """n_mc Monte Carlo draws at w of the task-weighted FO-MAML or MAML
+    direction, (n_mc, d), and of the weighted per-task squared norms, (n_mc,).
 
-    Row m is the weighted task sweep under the m-th independent noise
-    realization; the mean over rows is the Monte Carlo estimate and the
-    row dispersion yields its standard error.  The (n_mc, d, d) Hessian
-    noise is read forward and contracted in windows of ``numerics.BLOCK_ROWS``
-    rows, each equal bit for bit to those rows of the whole draw, so
-    memory is O(n_mc * d + BLOCK_ROWS * d^2).  The (n_mc, d) products
-    stay whole: BLAS may round a row differently by where it falls in a
-    call, while the einsum contraction rounds each row alone.
+    Task i's rows take noisy inner steps u = w - alpha (grad f_i(w) + z) and
+    the outer gradients grad f_i(u) + z_o in one ``task_grads`` product;
+    MAML applies (I - alpha (H_i(w) + E)) to them.  sites maps INNER, OUTER
+    and HESS to (label, D, level): the batch-D noise law at that level,
+    drawn on rng.child("task", i, label).  A site that is absent or at a
+    zero level adds no noise and builds no reader.  With no inner noise u
+    is one broadcast row, so every row is the float of the n_mc = 1 draw.
+    E is read in windows of ``numerics.BLOCK_ROWS`` rows, each equal bit for
+    bit to those rows of the whole draw, so memory is O(n_mc * d +
+    BLOCK_ROWS * d^2).  The (n_mc, d) products stay whole: BLAS may round a
+    row differently by where it falls in a call.
+    """
+    if algorithm not in (MAML, FOMAML):
+        raise ValueError(f"no Monte Carlo sampler for {algorithm!r}")
+    d = family.dim
+    draws, sq = np.zeros((n_mc, d)), np.zeros(n_mc)
+    hessians = family.hessians(w) if algorithm == MAML else [None] * family.n_tasks
+    for i, (p, g, h) in enumerate(zip(family.weights, family.grads(w), hessians)):
+        rows = {site: (D, level, NormalRows(rng.child("task", i, label),
+                                            (n_mc, d, d) if site == HESS else (n_mc, d)))
+                for site, (label, D, level) in sites.items() if level > 0.0}
+        z = grad_noise((n_mc, d), *rows.get(INNER, NO_NOISE))
+        u = np.broadcast_to(w - alpha * g, (n_mc, d)) if z is None else w - alpha * (g + z)
+        go = family.task_grads(i, u)
+        del z, u  # freed before the outer noise is drawn, which sets the heap peak
+        go = noisy(go, grad_noise((n_mc, d), *rows.get(OUTER, NO_NOISE)))
+        if algorithm == MAML:
+            corr = go @ h.T
+            if HESS in rows:
+                for r0, r1 in row_blocks(n_mc):
+                    e = hess_noise((r1 - r0, d, d), *rows[HESS])
+                    corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
+            go = go - alpha * corr
+        draws += p * go
+        sq += p * np.einsum("md,md->m", go, go)
+    return draws, sq
 
-    The surrogate replaces the exact inner step and Hessian with
-    batch-D_test noisy versions while keeping the outer gradient exact:
+
+def mc_grad_F_hat_draws(family: TaskFamily, w: Vec, alpha: float, D_test: int, n_mc: int,
+                        oracle: StochasticOracle, rng: RngStream) -> Mat:
+    """Per-draw realizations of the evaluation-time surrogate gradient,
+    which replaces the exact inner step and Hessian with batch-D_test noisy
+    versions while keeping the outer gradient exact:
 
         grad F_hat(w) = E [ (I - alpha H_tilde(w)) grad f_i(w - alpha g_tilde(w)) ].
 
-    The expectation over tasks is a finite weighted sum and is computed
-    exactly; only the data noise is sampled.  A noiseless oracle has no
-    noise to sample, so every row is exact_grad_F itself.
+    Row m is the weighted task sum under the m-th noise realization, one of
+    ``mc_direction_draws``' MAML rows with inner noise on the "test_grad"
+    stream, Hessian noise on "test_hess" and no outer noise: the mean over
+    rows is the Monte Carlo estimate and their dispersion its standard
+    error.  A noiseless oracle has no noise to sample, so every row is
+    exact_grad_F itself.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
@@ -272,19 +306,6 @@ def mc_grad_F_hat_draws(
         raise ValueError("D_test must be >= 1")
     if oracle.exact:
         return np.tile(exact_grad_F(family, w, alpha), (n_mc, 1))
-    d = family.dim
-    draws = np.zeros((n_mc, d))
-    tasks = zip(family.weights, family.grads(w), family.hessians(w))
-    for i, (p, g, h) in enumerate(tasks):
-        g = np.broadcast_to(g, (n_mc, d))
-        g_in = noisy(g, grad_noise(g.shape, D_test, oracle.sigma_tilde,
-                                   NormalRows(rng.child("task", i, "test_grad"), g.shape)))
-        go = family.task_grads(i, w - alpha * g_in)  # exact outer gradient, (n_mc, d)
-        corr = go @ h.T
-        if oracle.sigma_H > 0.0:
-            hess_rows = NormalRows(rng.child("task", i, "test_hess"), (n_mc, d, d))
-            for r0, r1 in row_blocks(n_mc):
-                e = hess_noise((r1 - r0, d, d), D_test, oracle.sigma_H, hess_rows)
-                corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
-        draws += p * (go - alpha * corr)
-    return draws
+    sites = {INNER: ("test_grad", D_test, oracle.sigma_tilde),
+             HESS: ("test_hess", D_test, oracle.sigma_H)}
+    return mc_direction_draws(MAML, family, w, alpha, n_mc, sites, rng)[0]

@@ -228,8 +228,8 @@ class TaskFamily:
         """Gradient of task i at each row of X, shape (m, d).
 
         One (m, d) @ (d, d) product, which BLAS rounds differently from
-        ``grads``' stacked mat-vecs in some rows; the audits' Monte Carlo
-        sweeps are built on this form.
+        ``grads``' stacked mat-vecs in some rows; the audits' one Monte
+        Carlo sampler, ``meta_gradient.mc_direction_draws``, is built on it.
         """
         if self.kind == QUADRATIC:
             return X @ self._As[i].T + self._bs[i]

@@ -13,6 +13,8 @@ of a mean vector from an exact value (bias, surrogate gradient gap),
 _mean_audit a scalar mean against a bound (second moments), and
 _worst_audit the largest of deterministic ratios against 1 (probe error,
 smoothness), whose points are (K, d) stacks, each row as that point alone.
+The bias and second-moment audits sample FO-MAML's direction, and the
+surrogate gap MAML's, through one sampler, meta_gradient.mc_direction_draws.
 
 All audits are deterministic functions of their RngStream argument.
 """
@@ -24,17 +26,19 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .meta_gradient import (
+    FOMAML,
     exact_grad_F,
     hvp_finite_diff,
+    mc_direction_draws,
     mc_grad_F_hat_draws,
     outer_stage,
     probe_delta,
     probe_norms,
 )
-from .numerics import NormalRows, RngStream, Vec, row_blocks, row_dots, standard_normals
+from .numerics import RngStream, Vec, row_blocks, row_dots, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
-from .stochastic import StochasticOracle, grad_noise, noisy
+from .stochastic import INNER, OUTER, StochasticOracle
 from .tasks import SmoothnessProfile, TaskFamily, ball_points
 
 
@@ -87,44 +91,6 @@ def _worst_audit(name: str, ratios: np.ndarray) -> BoundAudit:
     return BoundAudit(name, float(np.max(ratios)), 1.0, 0.0, len(ratios))
 
 
-def _adapted_outer_draws(
-    family: TaskFamily,
-    w: Vec,
-    alpha: float,
-    D_in: int,
-    D_o: int,
-    sigma_tilde: float,
-    n_mc: int,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy adapted-point gradient estimates, vectorized over draws.
-
-    Returns (draws, sq) where draws[m] is the weighted task sweep of
-    grad_tilde f_i(w - alpha grad_tilde f_i(w; D_in); D_o) under the
-    m-th noise realization and sq[m] is the weighted per-task squared
-    norm (the second-moment integrand, which is not ||draws[m]||^2).
-    """
-    d = family.dim
-    draws = np.zeros((n_mc, d))
-    sq = np.zeros(n_mc)
-    for i, (p, g) in enumerate(zip(family.weights, family.grads(w))):
-        if sigma_tilde > 0.0:
-            g_in = np.broadcast_to(g, (n_mc, d))
-            noise = grad_noise(g_in.shape, D_in, sigma_tilde,
-                               NormalRows(rng.child("task", i, "inner"), g_in.shape))
-            go = family.task_grads(i, w - alpha * noisy(g_in, noise))
-            go = go + grad_noise(go.shape, D_o, sigma_tilde,
-                                 NormalRows(rng.child("task", i, "outer"), go.shape))
-        else:
-            # one shared point as a broadcast view: task_grads then
-            # computes every row identically, so noiseless draws agree
-            # bit for bit with the n_mc = 1 reference in audit_bias
-            go = family.task_grads(i, np.broadcast_to(w - alpha * g, (n_mc, d)))
-        draws += p * go
-        sq += p * np.einsum("md,md->m", go, go)
-    return draws, sq
-
-
 def audit_bias(
     family: TaskFamily,
     w: Vec,
@@ -145,14 +111,14 @@ def audit_bias(
     """
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2 to estimate a margin")
-    draws, _ = _adapted_outer_draws(
-        family, w, alpha, D_in, D_o, profile.sigma_tilde, n_mc, rng
-    )
+    st = profile.sigma_tilde
+    sites = {INNER: ("inner", D_in, st), OUTER: ("outer", D_o, st)}
+    draws, _ = mc_direction_draws(FOMAML, family, w, alpha, n_mc, sites, rng)
     # reference through the same code path: at sigma_tilde = 0 every draw
     # is this row bit for bit and the measured bias is exactly zero
-    exact = _adapted_outer_draws(family, w, alpha, D_in, D_o, 0.0, 1, rng)[0][0]
-    bound = alpha * profile.L * profile.sigma_tilde / np.sqrt(D_in)
-    return _gap_audit("estimator_bias", draws, exact, profile.sigma_tilde == 0.0, bound)
+    exact = mc_direction_draws(FOMAML, family, w, alpha, 1, {}, rng)[0][0]
+    return _gap_audit("estimator_bias", draws, exact, st == 0.0,
+                      alpha * profile.L * st / np.sqrt(D_in))
 
 
 def audit_second_moment(
@@ -181,12 +147,12 @@ def audit_second_moment(
         raise ValueError("phi must be positive")
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2 to estimate a margin")
-    _, sq = _adapted_outer_draws(
-        family, w, alpha, D_in, D_o, profile.sigma_tilde, n_mc, rng
-    )
+    st = profile.sigma_tilde
+    sites = {INNER: ("inner", D_in, st), OUTER: ("outer", D_o, st)}
+    _, sq = mc_direction_draws(FOMAML, family, w, alpha, n_mc, sites, rng)
     exact_sq = np.linalg.norm(outer_stage(family, w, alpha)[1], axis=1) ** 2
     # float_power squares as float ** 2 does, but gives inf past the float range
-    st2 = np.float_power(profile.sigma_tilde, 2)
+    st2 = np.float_power(st, 2)
     bound = (
         (1.0 + 1.0 / phi) * float(family.weights @ exact_sq)
         + (1.0 + phi) * np.float_power(alpha * profile.L, 2) * st2 / D_in

@@ -5,7 +5,8 @@ Both Monte Carlo samplers draw their per-sample noise in windows of
 numerics.BLOCK_ROWS rows, so at 2e4 samples on fig2's family their peak is a
 few (n, d) arrays and one window.  Drawn whole, the stepsize sampler's
 (n, B', d) noise stack peaks near 75 MB and the surrogate's (n_mc, d, d)
-Hessian noise near 21 MB.  The smoothness audit sweeps its 2e4 pairs in
+Hessian noise near 21 MB.  The direction sampler's FO-MAML rows, the bias
+and second-moment audits' draws, hold only (n_mc, d) arrays.  The smoothness audit sweeps its 2e4 pairs in
 windows too, where one stack would hold 200 MB of Hessians.  The smoothness sweep bounds its Hessians
 numerics.PRUNE_BLOCK points or pairs at a time: on 400 tasks in 12
 dimensions it peaks near 12 MB, where one stack of all 96 points'
@@ -25,11 +26,11 @@ import pytest
 
 from metagrad import numerics
 from metagrad.cli import generate_family
-from metagrad.meta_gradient import mc_grad_F_hat_draws
+from metagrad.meta_gradient import FOMAML, MAML, mc_direction_draws, mc_grad_F_hat_draws
 from metagrad.numerics import RngStream
 from metagrad.optimizer import OptimizerConfig, run
 from metagrad.stepsize import StepsizeRule, sample_beta_tilde
-from metagrad.stochastic import BatchSpec, StochasticOracle
+from metagrad.stochastic import INNER, OUTER, BatchSpec, StochasticOracle
 from metagrad.tasks import local_smoothness, rank1_mf_family
 from metagrad.verification import audit_smoothness_ratio
 
@@ -64,12 +65,19 @@ def test_sample_beta_tilde_peak_is_bounded(fig2):
     assert peak < BUDGET_MB
 
 
-def test_mc_grad_F_hat_draws_peak_is_bounded(fig2):
+@pytest.mark.parametrize("integrand", [MAML, FOMAML])
+def test_mc_grad_F_hat_draws_peak_is_bounded(fig2, integrand):
+    # MAML's is the surrogate's; FO-MAML's the bias and second-moment
+    # audits' draws, at the battery's default D_o
     family, profile, w0 = fig2
-    oracle = StochasticOracle(profile.sigma_tilde, profile.sigma_H)
-    peak = peak_mb(lambda: mc_grad_F_hat_draws(family, w0, CONFIG["alpha"], 4, N, oracle,
-                                               RngStream(0, ("memory",))))
-    assert peak < BUDGET_MB
+    st, rng = profile.sigma_tilde, RngStream(0, ("memory",))
+    if integrand == MAML:
+        oracle = StochasticOracle(st, profile.sigma_H)
+        draw = lambda: mc_grad_F_hat_draws(family, w0, CONFIG["alpha"], 4, N, oracle, rng)
+    else:
+        sites = {INNER: ("inner", 4, st), OUTER: ("outer", 1_000_000, st)}
+        draw = lambda: mc_direction_draws(FOMAML, family, w0, CONFIG["alpha"], N, sites, rng)
+    assert peak_mb(draw) < BUDGET_MB
 
 
 def test_audit_smoothness_ratio_peak_is_bounded(fig2):

@@ -15,6 +15,7 @@ from metagrad.meta_gradient import (
     exact_sweep,
     hessian_stage,
     hvp_finite_diff,
+    mc_direction_draws,
     mc_grad_F_hat_draws,
     outer_stage,
     probe_delta,
@@ -22,7 +23,8 @@ from metagrad.meta_gradient import (
 )
 from metagrad.closed_form import analyze_quadratic
 from metagrad.numerics import RngStream, keyed_uniforms, normal_words, row_dots, standard_normals
-from metagrad.stochastic import BatchSpec, StochasticOracle, grad_noise, noisy
+from metagrad.stochastic import (HESS, INNER, OUTER, BatchSpec, StochasticOracle, grad_noise,
+                                 noisy)
 from metagrad.tasks import (
     MatrixFactorizationTask,
     QuadraticTask,
@@ -445,36 +447,88 @@ def test_mc_grad_F_hat_deterministic():
 
 
 @pytest.mark.parametrize("sigma_H", [0.6, 0.0])
-def test_mc_grad_F_hat_draws_replay_documented_streams(monkeypatch, sigma_H):
-    # white box: rebuild every row from the per-task streams
-    # ("task", i, "test_grad") and ("task", i, "test_hess") with the noise
-    # scales written out; sigma_H = 0 must add no Hessian term at all.
+def test_mc_direction_draws_replay_documented_streams(monkeypatch, sigma_H):
+    # white box: rebuild every row of both integrands from the per-task
+    # streams with the noise scales written out.  MAML's (the surrogate's)
+    # reads ("task", i, "test_grad") and ("task", i, "test_hess"), and
+    # sigma_H = 0 must add no Hessian term at all; FO-MAML's (the bias and
+    # second-moment audits') reads ("task", i, "inner") and ("task", i,
+    # "outer").  Each squared-norm integrand is rounded as einsum rounds it.
     # Both family kinds, drawn in one block, in 4-row blocks (3 windows of
     # which the last has one row) and in 3-row blocks; at d = 3 a 3-row
     # window holds 27 normals, so the first ends inside a Box-Muller pair
     # and the next opens on its second normal.
-    alpha, D, n_mc, sigma_tilde = 0.05, 3, 9, 0.8
+    alpha, D, D_o, n_mc, sigma_tilde = 0.05, 3, 2, 9, 0.8
     rng = RngStream(69)
+    maml_sites = {INNER: ("test_grad", D, sigma_tilde), HESS: ("test_hess", D, sigma_H)}
+    fo_sites = {INNER: ("inner", D, sigma_tilde), OUTER: ("outer", D_o, sigma_tilde)}
     for fam in (rank1_mf_family(3, 4, RngStream(67)), random_quadratic_family(3, 4, RngStream(67)),
-                rank1_mf_family(2, 3, RngStream(70))):
+                rank1_mf_family(2, 3, RngStream(70)), random_quadratic_family(2, 3, RngStream(5))):
         d = fam.dim
         w = 0.3 * np.random.default_rng(68).normal(size=d)
-        want = np.zeros((n_mc, d))
+        want, want_fo = np.zeros((n_mc, d)), np.zeros((n_mc, d))
+        want_sq, want_fo_sq = np.zeros(n_mc), np.zeros(n_mc)
         for i, task in enumerate(fam.tasks):
-            z = sigma_tilde / np.sqrt(d * D) * standard_normals(rng.child("task", i, "test_grad"),
-                                                                (n_mc, d))
+            p, s_in = fam.weights[i], sigma_tilde / np.sqrt(d * D)
+            z = s_in * standard_normals(rng.child("task", i, "test_grad"), (n_mc, d))
             go = fam.task_grads(i, w - alpha * (task_grad(task, w) + z))
             corr = np.zeros((n_mc, d))
             if sigma_H > 0.0:
                 raw = standard_normals(rng.child("task", i, "test_hess"), (n_mc, d, d))
                 kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
                 corr = np.einsum("mij,mj->mi", kappa * 0.5 * (raw + np.swapaxes(raw, 1, 2)), go)
-            want += fam.weights[i] * (go - alpha * (go @ task_hess(task, w).T + corr))
+            row = go - alpha * (go @ task_hess(task, w).T + corr)
+            want += p * row
+            want_sq += p * np.einsum("md,md->m", row, row)
+            z_in = s_in * standard_normals(rng.child("task", i, "inner"), (n_mc, d))
+            z_out = sigma_tilde / np.sqrt(d * D_o) * standard_normals(rng.child("task", i, "outer"),
+                                                                      (n_mc, d))
+            go = fam.task_grads(i, w - alpha * (task_grad(task, w) + z_in)) + z_out
+            want_fo += p * go
+            want_fo_sq += p * np.einsum("md,md->m", go, go)
         for block_rows in (numerics.BLOCK_ROWS, 4, 3):
             monkeypatch.setattr(numerics, "BLOCK_ROWS", block_rows)
             oracle = StochasticOracle(sigma_tilde, sigma_H)
             got = mc_grad_F_hat_draws(fam, w, alpha, D, n_mc, oracle, rng)
             assert np.array_equal(got, want), (fam.kind, d, block_rows)
+            draws, sq = mc_direction_draws(MAML, fam, w, alpha, n_mc, maml_sites, rng)
+            assert np.array_equal(draws, want) and np.array_equal(sq, want_sq)
+            draws, sq = mc_direction_draws(FOMAML, fam, w, alpha, n_mc, fo_sites, rng)
+            assert np.array_equal(draws, want_fo), (fam.kind, d, block_rows)
+            assert np.array_equal(sq, want_fo_sq), (fam.kind, d, block_rows)
+
+
+def test_mc_direction_draws_build_readers_only_for_noisy_sites(monkeypatch):
+    # a NormalRows reader costs two Philox constructions, so a site that is
+    # absent or at a zero noise level must build none: the surrogate at
+    # sigma_tilde = 0 builds only its Hessian readers, one per task
+    built = []
+    init = numerics.NormalRows.__init__
+
+    def counted(self, rng, shape):
+        built.append(tuple(shape))
+        init(self, rng, shape)
+
+    monkeypatch.setattr(numerics.NormalRows, "__init__", counted)
+    fam = rank1_mf_family(3, 4, RngStream(67))
+    w = 0.3 * np.random.default_rng(68).normal(size=4)
+    n, n_mc = fam.n_tasks, 5
+    for (sigma_tilde, sigma_H), shapes in {(0.0, 0.6): [(n_mc, 4, 4)],
+                                           (0.8, 0.0): [(n_mc, 4)],
+                                           (0.8, 0.6): [(n_mc, 4), (n_mc, 4, 4)],
+                                           (0.0, 0.0): []}.items():
+        built.clear()
+        mc_grad_F_hat_draws(fam, w, 0.05, 3, n_mc, StochasticOracle(sigma_tilde, sigma_H),
+                            RngStream(1))
+        assert built == shapes * n, (sigma_tilde, sigma_H)
+    for sites, readers in (({}, 0), ({INNER: ("inner", 3, 0.0), OUTER: ("outer", 2, 0.0)}, 0),
+                           ({OUTER: ("outer", 2, 0.8)}, n),
+                           ({INNER: ("inner", 3, 0.8), OUTER: ("outer", 2, 0.8)}, 2 * n)):
+        built.clear()
+        mc_direction_draws(FOMAML, fam, w, 0.05, n_mc, sites, RngStream(1))
+        assert built == [(n_mc, 4)] * readers, sites
+    with pytest.raises(ValueError):  # HF-MAML has no Monte Carlo integrand here
+        mc_direction_draws(HFMAML, fam, w, 0.05, n_mc, {}, RngStream(1))
 
 
 # -------------------------------------------------------------- dispatch

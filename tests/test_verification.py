@@ -25,7 +25,6 @@ from metagrad.tasks import (
 )
 from metagrad.verification import (
     BoundAudit,
-    _adapted_outer_draws,
     audit_bias,
     audit_grad_gap_F_hat,
     audit_hvp_probe_error,
@@ -72,30 +71,6 @@ class TestBoundAudit:
         assert back[0]["passed"] is True and back[1]["passed"] is False
         assert back[0]["measured"] == 0.25
         assert json.dumps([a.to_dict() for a in audits], sort_keys=True) == text
-
-
-class TestAdaptedOuterDraws:
-    def test_statistics_match_manual_stream_replay(self):
-        # white box: rebuild the draws from the same stream layout and
-        # confirm both the vector sweep and the squared-norm integrand
-        family = random_quadratic_family(2, 3, RngStream(5))
-        w = np.array([0.4, -0.1, 0.2])
-        alpha, D_in, D_o, st = 0.1, 4, 2, 0.8
-        rng = RngStream(77)
-        draws, sq = _adapted_outer_draws(family, w, alpha, D_in, D_o, st, 6, rng)
-        d = family.dim
-        s_in = st / np.sqrt(d * D_in)
-        s_out = st / np.sqrt(d * D_o)
-        want = np.zeros((6, d))
-        want_sq = np.zeros(6)
-        for i, task in enumerate(family.tasks):
-            z_in = s_in * standard_normals(rng.child("task", i, "inner"), (6, d))
-            z_out = s_out * standard_normals(rng.child("task", i, "outer"), (6, d))
-            go = family.task_grads(i, w - alpha * (task_grad(task, w) + z_in)) + z_out
-            want += family.weights[i] * go
-            want_sq += family.weights[i] * (go * go).sum(axis=1)
-        assert np.allclose(draws, want, atol=1e-15)
-        assert np.allclose(sq, want_sq, atol=1e-15)
 
 
 class TestBiasAudit:
