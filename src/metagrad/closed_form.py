@@ -14,7 +14,8 @@ On a heterogeneous family the two differ, and ||grad F(w_fo)|| is the
 exact convergence floor that the first-order method cannot descend
 below.  Both coefficient matrices are symmetric positive definite when
 alpha < 1 / max_i ||A_i||; a Cholesky factorization checks that, and
-the solve is refined iteratively down to a 1e-12 residual.
+the solve is refined iteratively down to a 1e-12 residual.  Each sum over
+tasks is one stack of task terms, added in task order by task_order_sum.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import IllConditioned
 from .meta_gradient import exact_grad_F
-from .numerics import Mat, Vec
+from .numerics import Mat, Vec, task_order_sum
 from .tasks import QUADRATIC, TaskFamily
 
 RESIDUAL_TOL = 1e-12
@@ -59,24 +60,14 @@ def _weighted_systems(family: TaskFamily, alpha: float):
     """
     if family.kind != QUADRATIC:
         raise ValueError("closed forms exist only for quadratic families")
-    d = family.dim
-    eye = np.eye(d)
-    meta_m = np.zeros((d, d))
-    meta_r = np.zeros(d)
-    fo_m = np.zeros((d, d))
-    fo_r = np.zeros(d)
+    A, p = family._As, family.weights[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, task in zip(family.weights, family.tasks):
-            m = eye - alpha * task.A
-            m2 = m @ m
-            meta_m += p * (m2 @ task.A)
-            meta_r += p * (m2 @ task.b)
-            fo_m += p * (m @ task.A)
-            fo_r += p * (m @ task.b)
+        m = np.eye(family.dim) - alpha * A  # (n, d, d), task i's I - alpha A_i
+        m2 = m @ m
+        meta_m, fo_m = (task_order_sum(p * (x @ A)) for x in (m2, m))
+        meta_r, fo_r = (task_order_sum(p * (x @ family._bs[..., None]))[:, 0] for x in (m2, m))
     # Polynomials in symmetric A_i are symmetric; kill rounding skew.
-    meta_m = 0.5 * (meta_m + meta_m.T)
-    fo_m = 0.5 * (fo_m + fo_m.T)
-    return meta_m, meta_r, fo_m, fo_r
+    return 0.5 * (meta_m + meta_m.T), meta_r, 0.5 * (fo_m + fo_m.T), fo_r
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ are given with ``noisy``; ``direction`` is slot 0 of the step on its key.
 The audits' one Monte Carlo sampler, ``mc_direction_draws``, draws n_mc
 rows per task on per-task streams: FO-MAML's direction for the bias and
 second-moment audits, MAML's with an exact outer gradient for the
-surrogate (``mc_grad_F_hat_draws``).  Everything here is a pure function
-of its inputs and the keys, so repeated evaluation is reproducible and
-parallel evaluation is safe.
+surrogate (``mc_grad_F_hat_draws``).  ``exact_grad_F`` composes the exact
+sweep's two stages, ``outer_stage`` and ``hessian_stage``.  Everything here
+is a pure function of its inputs and the keys, so repeated evaluation is
+reproducible and parallel evaluation is safe.
 """
 
 from __future__ import annotations
@@ -215,15 +216,6 @@ def hessian_stage(family: TaskFamily, W: np.ndarray, alpha: float,
     return np.matmul(family.weights, dirs)
 
 
-def exact_sweep(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, Mat, Mat]:
-    """Exact grad F at one point W (d,) or at each row of a stack (K, d),
-    with the adapted points and outer gradients it was built from: the
-    outer stage, then the Hessian stage, each point of a stack the float
-    that point swept alone gives."""
-    adapted, outer = outer_stage(family, W, alpha)
-    return hessian_stage(family, W, alpha, outer), adapted, outer
-
-
 def adapted_value(family: TaskFamily, adapted: np.ndarray) -> np.ndarray:
     """F = sum_i p_i f_i(U[..., i, :]) from outer_stage's adapted points U,
     shape (...): the stacked (1, n) @ (n, 1) matmul rounds each sweep as
@@ -233,8 +225,9 @@ def adapted_value(family: TaskFamily, adapted: np.ndarray) -> np.ndarray:
 
 
 def exact_grad_F(family: TaskFamily, w: Vec, alpha: float) -> Vec:
-    """Exact meta-gradient, the weighted sum of per-task meta-gradients."""
-    return exact_sweep(family, w, alpha)[0]
+    """Exact meta-gradient, the weighted sum of per-task meta-gradients, at
+    one point or at each row of a stack: the outer, then the Hessian stage."""
+    return hessian_stage(family, w, alpha, outer_stage(family, w, alpha)[1])
 
 
 def value_F(family: TaskFamily, w: Vec, alpha: float) -> float:

@@ -43,6 +43,8 @@ optimizer's blocks of iterates, whose steps are drawn, taken and swept in
 one window.  Windows that grow from one item serve a caller that may stop
 early.
 
+``task_order_sum`` is the one sum over tasks or slots, from zero in order:
+the optimizer's slot sums, the stepsize sample and the closed forms use it.
 ``max_spectral_norm`` takes the largest spectral norm over groups of
 symmetric matrices, the same float as decomposing them all, while it
 decomposes only the groups whose Frobenius bound can still set it.
@@ -330,6 +332,12 @@ def row_dots(X: np.ndarray) -> np.ndarray:
     ``np.linalg.norm(x)`` do on that row alone; einsum and np.sum do not.
     """
     return X @ X if X.ndim == 1 else (X[..., None, :] @ X[..., :, None])[..., 0, 0]
+
+
+def task_order_sum(terms: np.ndarray) -> np.ndarray:
+    """sum_i terms[i] over axis 0, any trailing shape, added from zero in order
+    as a per-task loop adds it (a matmul or np.sum would round differently)."""
+    return np.add.accumulate(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]))[-1]
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:

@@ -3,30 +3,29 @@
 Every iteration logs the exact meta-gradient norm and meta-objective
 value (cheap on finite synthetic families), so convergence floors are
 measured against ground truth rather than against the noisy estimates
-the algorithm itself consumes.  On quadratic families the per-iterate
-distances to both closed-form fixed points are logged as well.  The log
-never steers the run, so ``run`` has one loop over blocks of iterates:
-it draws a block's steps, takes them, and then logs the block's iterates
-from one stacked ``exact_sweep``, whose rows are the floats of each
-iterate swept alone.  A block holds at most BLOCK_ROWS // width iterates,
-width being the most rows one iterate puts into a stacked call, so the
-draws and the sweep share one O(BLOCK_ROWS d^2) memory bound.  The first
-row at or below the target ends the run there; a step of the block that
-left the trust region or the float range raises only after that check.
-A run with a target grows its blocks from one iterate, so the steps it
-draws and discards are at most as many as the steps it keeps, plus one.
+the algorithm itself consumes; on quadratic families the kept iterates'
+distances to both closed-form fixed points are logged once the loop ends.
+The log never steers the run, so ``run`` has one loop over blocks of
+iterates: it draws a block's steps, takes them, and logs the block's
+iterates from one set of rows of the exact sweep's two stages,
+``outer_stage`` and ``hessian_stage``, each row the float of its iterate
+swept alone.  A block holds at most BLOCK_ROWS // width iterates, width
+being the most rows one iterate puts into a stacked call, so the draws
+and the stages share one O(BLOCK_ROWS d^2) memory bound.  The first row
+at or below the target ends the run there; a step of the block that left
+the trust region or the float range raises only after that check.  A run
+with a target grows its blocks from one iterate, so the steps it draws
+and discards are at most as many as the steps it keeps, plus one.
 
 Every step but two is one call of the stacked slot estimator
 ``slot_directions`` (see _slot_direction), which reads the gradients of
-its B tasks only: sampled task batches, noisy full batches and HF-MAML's
-exact full batch.  With full_task_batch and an exact oracle, MAML's step
-is the exact meta-gradient itself and FO-MAML's the weighted sum of the
-outer gradients of the sweep's outer stage; both round differently from
-the slot sum in the last bits, and fig1's recorded bytes depend on that
-rounding.  So MAML sweeps each iterate whole as it steps (``fused``),
-while FO-MAML takes only each iterate's ``outer_stage`` and builds no
-Hessian to step: the block runs the ``hessian_stage`` once, on its
-stacked iterates and their outer gradients.  The block logs those rows.
+its B tasks only; such a block takes the outer stage of its stacked
+iterates once it has stepped.  With full_task_batch and an exact oracle,
+MAML's step is grad F itself and FO-MAML's the weighted sum of the outer
+gradients, which round unlike the slot sum in the last bits that fig1's
+bytes record.  So these two fill the block's outer-stage rows as they
+step, MAML its Hessian-stage row too; every other run takes the Hessian
+stage once per block, on its stacked iterates, and builds none to step.
 
 Randomness is organized so paired runs are comparable: every keyed draw
 of iteration k of a run with seed s is a site under the step key (s, k),
@@ -55,14 +54,14 @@ from .meta_gradient import (
     HFMAML,
     MAML,
     adapted_value,
-    exact_sweep,
     hessian_stage,
     outer_stage,
     slot_directions,
     slot_noise,
     slot_sites,
 )
-from .numerics import RngStream, Vec, keyed_uniforms, path_key, row_blocks, row_dots
+from .numerics import (RngStream, Vec, keyed_uniforms, path_key, row_blocks, row_dots,
+                       task_order_sum)
 from .stepsize import (ALPHA_CAPS, StepsizeRule, beta_sample, check_stepsize_batches,
                        required_D_h, stepsize_draws, stepsize_sites)
 from .stochastic import TASKS, BatchSpec, StochasticOracle, positive_int, sample_task_batch
@@ -220,12 +219,6 @@ class RunRecord:
         }
 
 
-def _task_order_sum(dirs: np.ndarray) -> Vec:
-    """sum_i dirs[i], added from zero in task order as a per-task loop adds
-    it (a matmul or np.sum would round differently)."""
-    return np.add.accumulate(np.concatenate([np.zeros((1, dirs.shape[1])), dirs]))[-1]
-
-
 def _slot_direction(family, config, w, rho, draw):
     """sum_j p_j direction_j / B, added from zero in slot order, for a
     slot draw of _drawn_steps: task weights p and B = 1 for a full batch,
@@ -233,8 +226,8 @@ def _slot_direction(family, config, w, rho, draw):
     idx, noise = draw
     dirs = slot_directions(config.algorithm, family, idx, w, config.alpha, rho, noise)
     if config.full_task_batch:
-        return _task_order_sum(family.weights[:, None] * dirs)
-    return _task_order_sum(dirs) / config.batches.B
+        return task_order_sum(family.weights[:, None] * dirs)
+    return task_order_sum(dirs) / config.batches.B
 
 
 def _drawn_steps(family, config, profile, oracle, slots, keys):
@@ -296,17 +289,17 @@ def run(
         )
     oracle = StochasticOracle(sigma_tilde=config.sigma_tilde, sigma_H=config.sigma_H)
 
-    analysis = None
+    fixed_points = np.full((2, d), np.nan)  # w* and w_fo; NaN distances without them
     if family.kind == QUADRATIC:
         try:
             analysis = analyze_quadratic(family, config.alpha)
+            fixed_points = np.stack([analysis.w_star, analysis.w_fo])
         except IllConditioned:
-            analysis = None  # degenerate alpha: log NaN distances
+            pass  # degenerate alpha: log NaN distances
 
-    # the exact full-batch MAML and FO-MAML steps are read off the sweep at
-    # their iterate and draw no slots: FO-MAML's off its outer stage, MAML's
-    # off the whole sweep.  width is the most rows an iterate puts into a
-    # stacked call: its sweep, slot draws or stepsize draws
+    # the exact full-batch MAML and FO-MAML steps are read off their iterate's
+    # stage rows and draw no slots.  width is the most rows an iterate puts
+    # into a stacked call: its stages, slot draws or stepsize draws
     swept = config.full_task_batch and oracle.exact and config.algorithm != HFMAML
     fused = swept and config.algorithm == MAML
     slots = 0 if swept else family.n_tasks if config.full_task_batch else config.batches.B
@@ -317,8 +310,6 @@ def run(
     grad_norms = np.empty(n_rows)
     losses = np.empty(n_rows)
     betas = np.full(n_rows, np.nan)
-    d_star = np.full(n_rows, np.nan)
-    d_fo = np.full(n_rows, np.nan)
     trail = np.empty((n_rows, d))
 
     limit = DIVERGENCE_FACTOR * config.trust_radius
@@ -327,20 +318,16 @@ def run(
         for k0, k1 in row_blocks(n_rows, width, grow=config.target_grad_norm > 0.0):
             drawn = _drawn_steps(family, config, profile, oracle, slots,
                                  [path_key(root, k) for k in range(k0, min(k1, config.max_iters))])
-            if swept:  # the step is read off the sweep: keep its rows as the block's
-                adapted = np.empty((k1 - k0, family.n_tasks, d))
-                if fused:
-                    grad_F = np.empty((k1 - k0, d))
-                else:  # the outer gradients, for the block's Hessian stage
-                    outer = np.empty((k1 - k0, family.n_tasks, d))
+            if swept:  # the stage rows of the block, filled as it steps
+                adapted, outer = np.empty((2, k1 - k0, family.n_tasks, d))
+                grad_F = np.empty((k1 - k0, d))
             for k in range(k0, k1):
                 trail[k] = w
                 if swept:
-                    adapted[k - k0], o = outer_stage(family, w, config.alpha)
+                    u, o = outer_stage(family, w, config.alpha)
+                    adapted[k - k0], outer[k - k0] = u, o
                     if fused:
                         grad_F[k - k0] = hessian_stage(family, w, config.alpha, o)
-                    else:
-                        outer[k - k0] = o
                 if k == config.max_iters:
                     break
 
@@ -352,12 +339,10 @@ def run(
                     beta_k = config.stepsize.beta
                 betas[k] = beta_k
 
-                if not swept:
-                    step_dir = _slot_direction(family, config, w, profile.rho, slot_draw)
-                elif fused:
-                    step_dir = grad_F[k - k0]
+                if swept:
+                    step_dir = grad_F[k - k0] if fused else family.weights @ o
                 else:
-                    step_dir = family.weights @ o
+                    step_dir = _slot_direction(family, config, w, profile.rho, slot_draw)
 
                 w = w - beta_k * step_dir
                 # inf for a finite w far enough out, non-finite for a non-finite w
@@ -374,16 +359,13 @@ def run(
                     k1 = k + 1
                     break
 
-            rows = slice(k0, k1)
-            if not swept:
-                grad_F, adapted, _ = exact_sweep(family, trail[rows], config.alpha)
-            elif not fused:  # FO-MAML: the Hessian stage of the block's iterates at once
-                grad_F = hessian_stage(family, trail[rows], config.alpha, outer[:k1 - k0])
-            grad_norms[rows] = np.sqrt(row_dots(grad_F[:k1 - k0]))
-            losses[rows] = adapted_value(family, adapted[:k1 - k0])
-            if analysis is not None:
-                d_star[rows] = np.sqrt(row_dots(trail[rows] - analysis.w_star))
-                d_fo[rows] = np.sqrt(row_dots(trail[rows] - analysis.w_fo))
+            rows, m = slice(k0, k1), k1 - k0
+            if not swept:  # the outer stage of the block's iterates at once
+                adapted, outer = outer_stage(family, trail[rows], config.alpha)
+            if not fused:  # and their Hessian stage
+                grad_F = hessian_stage(family, trail[rows], config.alpha, outer[:m])
+            grad_norms[rows] = np.sqrt(row_dots(grad_F[:m]))
+            losses[rows] = adapted_value(family, adapted[:m])
             if config.target_grad_norm > 0.0:
                 hits = np.flatnonzero(grad_norms[rows] <= config.target_grad_norm)
                 if hits.size:
@@ -393,7 +375,8 @@ def run(
             if failure is not None:
                 raise failure
 
-    rows = slice(last + 1)
+        rows = slice(last + 1)
+        d_star, d_fo = np.sqrt(row_dots(trail[rows] - fixed_points[:, None]))
     return RunRecord(
         algorithm=config.algorithm,
         seed=config.seed,
@@ -401,8 +384,8 @@ def run(
         grad_norm_F=grad_norms[rows],
         loss_F=losses[rows],
         beta=betas[rows],
-        dist_wstar=d_star[rows],
-        dist_wfo=d_fo[rows],
+        dist_wstar=d_star,
+        dist_wfo=d_fo,
         stop_reason=stop_reason,
         iterates=trail[rows],
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidBatchConfig, NumericalFailure
 from .numerics import (NormalRows, RngStream, Vec, indexed_labels, keyed_uniforms, normal_words,
-                       path_key, row_blocks, row_dots)
+                       path_key, row_blocks, row_dots, task_order_sum)
 from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
@@ -209,7 +209,7 @@ def beta_sample(family: TaskFamily, profile: SmoothnessProfile, w: Vec, alpha: f
     idx, noise = draw
     g = noisy(family.grads(w, idx), noise)
     # each norm as np.linalg.norm rounds it alone, added from zero in slot order
-    acc = float(np.cumsum(_grad_norms(g, dots=True))[-1])
+    acc = float(task_order_sum(_grad_norms(g, dots=True)))
     return 1.0 / (4.0 * profile.L + 2.0 * profile.rho * alpha * acc / len(idx))
 
 

@@ -11,7 +11,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy.optimize
 
 from metagrad.cli import main

@@ -8,7 +8,7 @@ import pytest
 from metagrad.errors import IllConditioned
 from metagrad.meta_gradient import FOMAML, direction, exact_grad_F
 from metagrad.numerics import RngStream
-from metagrad.closed_form import QuadraticAnalysis, analyze_quadratic
+from metagrad.closed_form import QuadraticAnalysis, _weighted_systems, analyze_quadratic
 from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
     QuadraticTask,
@@ -159,3 +159,36 @@ def test_overflowing_alpha_raises_ill_conditioned_quietly():
         warnings.simplefilter("error")
         with pytest.raises(IllConditioned, match="non-finite"):
             analyze_quadratic(fam, 1e200)
+
+
+def looped_weighted_systems(family, alpha):
+    """The per-task loop the stacked systems replace, kept as their reference."""
+    d = family.dim
+    eye = np.eye(d)
+    meta_m, meta_r, fo_m, fo_r = np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, task in zip(family.weights, family.tasks):
+            m = eye - alpha * task.A
+            m2 = m @ m
+            meta_m += p * (m2 @ task.A)
+            meta_r += p * (m2 @ task.b)
+            fo_m += p * (m @ task.A)
+            fo_r += p * (m @ task.b)
+    return 0.5 * (meta_m + meta_m.T), meta_r, 0.5 * (fo_m + fo_m.T), fo_r
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (5, 4), (12, 4), (20, 7)])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.1, 1e200])
+def test_stacked_systems_equal_the_per_task_loop_bit_for_bit(n, d, alpha):
+    # 1e200 overflows (I - alpha A)^2: both forms must overflow alike
+    for seed in range(4):
+        fam = random_quadratic_family(n, d, RngStream(seed, ("systems", n, d)))
+        if seed % 2:  # a nonuniform p as well
+            weights = np.arange(1.0, n + 1.0)
+            fam = TaskFamily(fam.tasks, weights=weights / weights.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _weighted_systems(fam, alpha)
+        for a, b in zip(got, looped_weighted_systems(fam, alpha)):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)

@@ -12,7 +12,6 @@ from metagrad.meta_gradient import (
     adapted_value,
     direction,
     exact_grad_F,
-    exact_sweep,
     hessian_stage,
     hvp_finite_diff,
     mc_direction_draws,
@@ -364,20 +363,19 @@ def test_exact_grad_F_alpha_zero_is_mean_gradient():
 @pytest.mark.parametrize("K", [1, 2, 7, numerics.BLOCK_ROWS])
 @pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
 def test_stacked_exact_sweep_is_per_point_bit_for_bit(kind, K):
-    # the optimizer logs a block of iterates from one stacked sweep, or from
-    # one stacked Hessian stage on outer stages taken one iterate at a time:
-    # each row, its norm, its loss and (on quadratics) its distances must be
-    # the floats of that iterate swept alone
+    # the optimizer logs a block of iterates from one stacked outer stage
+    # and Hessian stage, or from one stacked Hessian stage on outer stages
+    # taken one iterate at a time: each row, its norm, its loss and (on
+    # quadratics) its distances must be the floats of that iterate swept alone
     make = rank1_mf_family if kind == "rank1mf" else random_quadratic_family
     family, alpha = make(20, 5, RngStream(11)), 0.05
     rng = np.random.default_rng(K)
     W = rng.normal(size=(K, 5)) * rng.uniform(0.1, 2.0, size=(K, 1))
-    grad_F, adapted, outer = exact_sweep(family, W, alpha)
-    stacked_adapted, stacked_outer = outer_stage(family, W, alpha)
+    grad_F = exact_grad_F(family, W, alpha)
+    adapted, outer = outer_stage(family, W, alpha)
     per_point_outer = np.stack([outer_stage(family, w.copy(), alpha)[1] for w in W])
-    stacked_grad_F = hessian_stage(family, W, alpha, per_point_outer)
-    assert np.array_equal(stacked_adapted, adapted) and np.array_equal(stacked_outer, outer)
-    assert np.array_equal(stacked_grad_F, grad_F)
+    assert np.array_equal(hessian_stage(family, W, alpha, outer), grad_F)
+    assert np.array_equal(hessian_stage(family, W, alpha, per_point_outer), grad_F)
     loss = adapted_value(family, adapted)
     assert grad_F.shape == (K, 5) and adapted.shape == outer.shape == (K, 20, 5)
     assert loss.shape == (K,)
@@ -385,15 +383,14 @@ def test_stacked_exact_sweep_is_per_point_bit_for_bit(kind, K):
     fixed_points = []
     if kind == "quadratic":
         an = analyze_quadratic(family, alpha)
-        fixed_points = [(p, np.sqrt(row_dots(W - p))) for p in (an.w_star, an.w_fo)]
+        points = np.stack([an.w_star, an.w_fo])  # one (2, K, d) stack, as run() takes it
+        fixed_points = list(zip(points, np.sqrt(row_dots(W - points[:, None]))))
     for k in range(K):
         w = W[k].copy()
-        g, u, o = exact_sweep(family, w, alpha)
         # each stage at the point alone gives that point's rows of the stack
-        u1, o1 = outer_stage(family, w, alpha)
-        assert np.array_equal(u1, u) and np.array_equal(o1, o)
-        assert np.array_equal(hessian_stage(family, w, alpha, o1), g)
-        assert np.array_equal(grad_F[k], exact_grad_F(family, w, alpha))
+        g = exact_grad_F(family, w, alpha)
+        u, o = outer_stage(family, w, alpha)
+        assert np.array_equal(hessian_stage(family, w, alpha, o), g)
         assert np.array_equal(grad_F[k], g) and norms[k] == np.linalg.norm(g)
         assert np.array_equal(adapted[k], u) and np.array_equal(outer[k], o)
         assert loss[k] == value_F(family, w, alpha)

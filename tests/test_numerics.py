@@ -14,6 +14,7 @@ from metagrad.numerics import (
     row_dots,
     spectral_norm,
     standard_normals,
+    task_order_sum,
     uniforms,
 )
 
@@ -246,6 +247,27 @@ def test_row_dots_round_each_row_as_the_row_alone(shape):
         for i in np.ndindex(shape):
             assert got[i] == X[i] @ X[i]
             assert np.sqrt(got[i]) == np.linalg.norm(X[i])
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (4, 4)], ids=["n", "n-d", "n-d-d"])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_task_order_sum_is_the_from_zero_loop(n, tail):
+    # bit for bit the loop acc = 0; acc = acc + terms[i], which np.sum's
+    # pairwise sum and a weights @ terms matmul need not be; a -0.0 first
+    # term added to zero is +0.0
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        terms = rng.normal(size=(n,) + tail) * 10.0 ** rng.integers(-8, 9, size=(n,) + tail)
+        if trial == 0:
+            terms[0] = -0.0
+        acc = np.zeros(tail)
+        for term in terms:
+            acc = acc + term
+        got = task_order_sum(terms)
+        assert got.shape == tail
+        assert np.array_equal(got, acc)
+        assert np.array_equal(np.signbit(got), np.signbit(acc))
+    assert not np.signbit(task_order_sum(np.full((1,) + tail, -0.0))).any()
 
 
 @pytest.mark.parametrize("B", [1, 10, 30])

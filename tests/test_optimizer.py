@@ -19,7 +19,7 @@ from metagrad.cli import generate_family, load_config, prepare
 from metagrad.closed_form import analyze_quadratic
 from metagrad.errors import DivergenceDetected, InvalidBatchConfig, NumericalFailure
 from metagrad.meta_gradient import (ALGORITHMS, FOMAML, HFMAML, MAML, direction, exact_grad_F,
-                                    exact_sweep, slot_directions, slot_noise, slot_sites, value_F)
+                                    outer_stage, slot_directions, slot_noise, slot_sites, value_F)
 from metagrad.numerics import RngStream
 from metagrad.optimizer import (
     CSV_HEADER,
@@ -59,6 +59,9 @@ def safe_constant_beta(family, alpha):
     analysis = analyze_quadratic(family, alpha)
     eigs = np.linalg.eigvalsh(analysis.meta_matrix)
     return 2.0 / (eigs[-1] + eigs[0])
+
+
+EXACT_FULL_BATCH = {"full_task_batch": True, "sigma_tilde": 0.0, "sigma_H": 0.0}
 
 
 def exact_config(algorithm, beta, **kw):
@@ -324,14 +327,17 @@ class TestSlotLoopReplay:
                              cfg.batches, numerics.path_key(root, k))
             assert np.array_equal(rec.iterates[k + 1], w - rec.beta[k] * step)
 
-    @pytest.mark.parametrize("case", ["sampled", "full-batch", "adaptive", "exact-sampled"])
+    @pytest.mark.parametrize("case", ["sampled", "full-batch", "adaptive", "exact-sampled",
+                                      "exact-full-batch"])
     def test_records_do_not_depend_on_block_length(self, monkeypatch, case):
+        # exact-full-batch MAML and FO-MAML fill the stage rows as they step
         overrides = {
             "sampled": {},
             "full-batch": {"full_task_batch": True},
             "adaptive": {"stepsize": StepsizeRule(kind="adaptive"),
                          "batches": BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)},
             "exact-sampled": {"sigma_tilde": 0.0, "sigma_H": 0.0},
+            "exact-full-batch": EXACT_FULL_BATCH,
         }[case]
         family = generate_family(FIG2["family"]["generate"])
         for algorithm in (MAML, FOMAML, HFMAML):
@@ -345,15 +351,21 @@ class TestSlotLoopReplay:
                 assert rec.to_csv() == records[0].to_csv()
                 assert np.array_equal(rec.iterates, records[0].iterates)
 
-    def test_target_stop_mid_block_is_a_prefix(self, monkeypatch):
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * 5)  # blocks of 7 steps
+    @pytest.mark.parametrize("algorithm, overrides", [
+        (MAML, {}), (MAML, EXACT_FULL_BATCH), (FOMAML, EXACT_FULL_BATCH)],
+        ids=["sampled-maml", "exact-full-batch-maml", "exact-full-batch-fomaml"])
+    def test_target_stop_mid_block_is_a_prefix(self, monkeypatch, algorithm, overrides):
         family = generate_family(FIG2["family"]["generate"])
-        cfg = self.fig2_config(MAML, max_iters=40)
+        # an iterate is n_tasks rows: blocks grow 1, 2, 4, then 7 iterates
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * family.n_tasks)
+        cfg = self.fig2_config(algorithm, max_iters=40, **overrides)
         profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
         full = run(family, cfg, profile=profile)
-        # the first new minimum inside a block: a target there stops the run at that row
-        stop = next(k for k in range(1, 41)
-                    if k % 7 and full.grad_norm_F[k] < np.min(full.grad_norm_F[:k]))
+        # the first new minimum inside a block, with block rows on both sides:
+        # a target there stops the run at that row
+        starts = {k0 for k0, _ in numerics.row_blocks(41, family.n_tasks, grow=True)}
+        stop = next(k for k in range(1, 40) if not {k, k + 1} & starts
+                    and full.grad_norm_F[k] < np.min(full.grad_norm_F[:k]))
         rec = run(family, replace(cfg, target_grad_norm=full.grad_norm_F[stop]), profile=profile)
         assert rec.stop_reason == "target" and rec.steps_taken == stop
         assert np.array_equal(rec.iterates, full.iterates[:stop + 1])
@@ -737,7 +749,7 @@ class TestBlockInstrumentation:
                 if cfg.algorithm == MAML:
                     step = exact_grad_F(family, w, cfg.alpha)
                 elif cfg.algorithm == FOMAML:
-                    step = family.weights @ exact_sweep(family, w, cfg.alpha)[2]
+                    step = family.weights @ outer_stage(family, w, cfg.alpha)[1]
                 else:
                     draw = step_draw(family, cfg, oracle, RngStream(cfg.seed).child(k))
                     step = _slot_direction(family, cfg, w, profile.rho, draw)
@@ -752,13 +764,20 @@ class TestBlockInstrumentation:
                 trail.append(w)
         return trail, None, None
 
-    def test_rows_are_per_iterate_sweeps_across_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("full_task_batch", [False, True], ids=["sampled", "exact-full-batch"])
+    @pytest.mark.parametrize("algorithm", [MAML, FOMAML, HFMAML])
+    def test_rows_are_per_iterate_sweeps_across_blocks(self, monkeypatch, algorithm,
+                                                       full_task_batch):
+        # the distance columns are taken once from the kept iterates: each row
+        # still reads as that iterate's own distance, across block edges
         monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * 20)  # blocks of 7 iterates
         family = random_quadratic_family(20, 4, RngStream(8))
         analysis = analyze_quadratic(family, 0.1)
-        cfg = OptimizerConfig(algorithm=HFMAML, alpha=0.1, max_iters=30, sigma_tilde=0.5,
+        noise = ({"full_task_batch": True} if full_task_batch
+                 else {"sigma_tilde": 0.5, "sigma_H": 0.5 if algorithm == MAML else 0.0})
+        cfg = OptimizerConfig(algorithm=algorithm, alpha=0.1, max_iters=30,
                               stepsize=StepsizeRule(kind="constant", beta=0.2),
-                              batches=BatchSpec(B=4, D_in=2, D_o=2, D_h=2))
+                              batches=BatchSpec(B=4, D_in=2, D_o=2, D_h=2), **noise)
         rec = run(family, cfg)
         assert rec.steps_taken == 30
         for k, w in enumerate(rec.iterates):

@@ -1,10 +1,10 @@
-"""Every name a metagrad module imports is used there.
+"""Every name a metagrad module or test module imports is used there.
 
 The repository runs no linter, so a deletion can leave an import behind.
-Each ``src/metagrad/*.py`` is parsed with ast; a name bound by an import
-must be read somewhere in the module (as a name, or as the root of an
-attribute chain), unless the module re-exports it through ``__all__``.
-``from __future__`` imports bind nothing.
+Each ``src/metagrad/*.py`` and ``tests/*.py`` is parsed with ast; a name
+bound by an import must be read somewhere in the module (as a name, or as
+the root of an attribute chain), unless the module re-exports it through
+``__all__``.  ``from __future__`` imports bind nothing.
 """
 
 import ast
@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "metagrad"
-MODULES = sorted(SRC.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "metagrad"
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -45,7 +46,8 @@ def read_names(tree: ast.Module) -> set[str]:
 
 
 def test_modules_found():
-    assert len(MODULES) > 1, f"no modules under {SRC}"
+    for root in (SRC, TESTS):
+        assert sum(p.parent == root for p in MODULES) > 1, f"no modules under {root}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

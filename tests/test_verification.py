@@ -13,16 +13,7 @@ from metagrad.numerics import RngStream, standard_normals
 from metagrad.optimizer import OptimizerConfig
 from metagrad.stepsize import StepsizeRule, required_B_prime, required_D_beta, sample_beta_tilde, smoothness_L_of_w
 from metagrad.stochastic import BatchSpec
-from metagrad.tasks import (
-    QUADRATIC,
-    QuadraticTask,
-    SmoothnessProfile,
-    TaskFamily,
-    ball_points,
-    local_smoothness,
-    random_quadratic_family,
-    rank1_mf_family,
-)
+from metagrad.tasks import ball_points, local_smoothness, random_quadratic_family, rank1_mf_family
 from metagrad.verification import (
     BoundAudit,
     audit_bias,
