@@ -33,12 +33,13 @@ any block.  The probe site is drawn once per slot: both probe gradients
 add it.  ``slot_directions`` and ``hvp_finite_diff`` add the noise they
 are given with ``noisy``; ``direction`` is slot 0 of the step on its key.
 The audits' one Monte Carlo sampler, ``mc_direction_draws``, draws n_mc
-rows per task on per-task streams: FO-MAML's direction for the bias and
-second-moment audits, MAML's with an exact outer gradient for the
-surrogate (``mc_grad_F_hat_draws``).  ``exact_grad_F`` composes the exact
-sweep's two stages, ``outer_stage`` and ``hessian_stage``.  Everything here
-is a pure function of its inputs and the keys, so repeated evaluation is
-reproducible and parallel evaluation is safe.
+rows per task on per-task streams: FO-MAML's direction for the bias audit
+and its squared norms for the second-moment audit, MAML's direction with
+an exact outer gradient for the surrogate (``mc_grad_F_hat_draws``).
+``exact_grad_F`` composes the exact sweep's two stages, ``outer_stage``
+and ``hessian_stage``.  Everything here is a pure function of its inputs
+and the keys, so repeated evaluation is reproducible and parallel
+evaluation is safe.
 """
 
 from __future__ import annotations
@@ -194,10 +195,12 @@ def outer_stage(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, M
 
     The outer gradients' weighted sum is the exact full-batch FO-MAML
     direction, and ``adapted_value`` reads F off U; neither needs a Hessian.
-    Each point of a stack is the float that point alone gives.
+    One point is swept as itself, not as a (1, d) stack: each point of a
+    stack is the float that point alone gives, since ``row_dots`` rounds a
+    vector's dot as it rounds a stacked row.
     """
-    W = W[..., None, :]  # each point against every task
-    adapted = W - alpha * family.grads(W)
+    X = W if W.ndim == 1 else W[:, None, :]  # each point against every task
+    adapted = X - alpha * family.grads(X)
     return adapted, family.grads_rowwise(adapted)
 
 
@@ -206,12 +209,12 @@ def hessian_stage(family: TaskFamily, W: np.ndarray, alpha: float,
     """The second stage of the exact sweep: grad F (..., d) at W (d,) or at
     each row of a stack (K, d), from outer_stage's outer gradients there.
 
-    Each point of a stack is the float that point alone gives, so a caller
-    may sweep a stack of points whose outer stages it took one at a time.
-    Memory is O(K n d^2): the Hessians of every task at every point are
-    built at once.
+    One point is swept as itself, as in outer_stage.  Each point of a stack
+    is the float that point alone gives, so a caller may sweep a stack of
+    points whose outer stages it took one at a time.  Memory is O(K n d^2):
+    the Hessians of every task at every point are built at once.
     """
-    h = family.hessians(W[..., None, :])  # (..., n, d, d)
+    h = family.hessians(W if W.ndim == 1 else W[:, None, :])  # (..., n, d, d)
     dirs = outer - alpha * np.einsum("...ij,...j->...i", h, outer)
     return np.matmul(family.weights, dirs)
 
@@ -236,9 +239,10 @@ def value_F(family: TaskFamily, w: Vec, alpha: float) -> float:
 
 
 def mc_direction_draws(algorithm: str, family: TaskFamily, w: Vec, alpha: float, n_mc: int,
-                       sites: dict, rng: RngStream) -> tuple[Mat, np.ndarray]:
+                       sites: dict, rng: RngStream, squares: bool = False) -> np.ndarray:
     """n_mc Monte Carlo draws at w of the task-weighted FO-MAML or MAML
-    direction, (n_mc, d), and of the weighted per-task squared norms, (n_mc,).
+    direction, (n_mc, d), or with squares of its weighted per-task squared
+    norms, (n_mc,): only the integrand the caller reads is summed.
 
     Task i's rows take noisy inner steps u = w - alpha (grad f_i(w) + z) and
     the outer gradients grad f_i(u) + z_o in one ``task_grads`` product;
@@ -255,7 +259,7 @@ def mc_direction_draws(algorithm: str, family: TaskFamily, w: Vec, alpha: float,
     if algorithm not in (MAML, FOMAML):
         raise ValueError(f"no Monte Carlo sampler for {algorithm!r}")
     d = family.dim
-    draws, sq = np.zeros((n_mc, d)), np.zeros(n_mc)
+    acc = np.zeros(n_mc if squares else (n_mc, d))
     hessians = family.hessians(w) if algorithm == MAML else [None] * family.n_tasks
     for i, (p, g, h) in enumerate(zip(family.weights, family.grads(w), hessians)):
         rows = {site: (D, level, NormalRows(rng.child("task", i, label),
@@ -273,9 +277,8 @@ def mc_direction_draws(algorithm: str, family: TaskFamily, w: Vec, alpha: float,
                     e = hess_noise((r1 - r0, d, d), *rows[HESS])
                     corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
             go = go - alpha * corr
-        draws += p * go
-        sq += p * np.einsum("md,md->m", go, go)
-    return draws, sq
+        acc += p * (np.einsum("md,md->m", go, go) if squares else go)
+    return acc
 
 
 def mc_grad_F_hat_draws(family: TaskFamily, w: Vec, alpha: float, D_test: int, n_mc: int,
@@ -301,4 +304,4 @@ def mc_grad_F_hat_draws(family: TaskFamily, w: Vec, alpha: float, D_test: int, n
         return np.tile(exact_grad_F(family, w, alpha), (n_mc, 1))
     sites = {INNER: ("test_grad", D_test, oracle.sigma_tilde),
              HESS: ("test_hess", D_test, oracle.sigma_H)}
-    return mc_direction_draws(MAML, family, w, alpha, n_mc, sites, rng)[0]
+    return mc_direction_draws(MAML, family, w, alpha, n_mc, sites, rng)

@@ -330,6 +330,9 @@ def row_dots(X: np.ndarray) -> np.ndarray:
 
     The stacked (1, d) @ (d, 1) matmul rounds every row as ``x @ x`` and
     ``np.linalg.norm(x)`` do on that row alone; einsum and np.sum do not.
+    The exact sweep's stages, ``meta_gradient.outer_stage`` and
+    ``hessian_stage``, rely on this: they sweep one point (d,) as itself,
+    through the 1-D dot, and give the floats of its row in a stack.
     """
     return X @ X if X.ndim == 1 else (X[..., None, :] @ X[..., :, None])[..., 0, 0]
 

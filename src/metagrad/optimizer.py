@@ -24,8 +24,9 @@ iterates once it has stepped.  With full_task_batch and an exact oracle,
 MAML's step is grad F itself and FO-MAML's the weighted sum of the outer
 gradients, which round unlike the slot sum in the last bits that fig1's
 bytes record.  So these two fill the block's outer-stage rows as they
-step, MAML its Hessian-stage row too; every other run takes the Hessian
-stage once per block, on its stacked iterates, and builds none to step.
+step, MAML its Hessian-stage row too, each stage sweeping the one iterate
+as a (d,) point; every other run takes the Hessian stage once per block,
+on its stacked iterates, and builds none to step.
 
 Randomness is organized so paired runs are comparable: every keyed draw
 of iteration k of a run with seed s is a site under the step key (s, k),
@@ -33,10 +34,13 @@ the task batch on "tasks", the stepsize estimate on ("stepsize", ...)
 and the per-task noise for batch slot j on ("slot", j, purpose).  Two
 algorithms run with the same seed therefore see identical task batches
 and identical inner/outer gradient noise, isolating the algorithmic
-difference.  A draw depends only on its key, so every site of a block's
-steps is drawn at once by one ``numerics.keyed_uniforms`` call on the
-step keys, and records do not depend on the block length.  The loop
-raises no numpy overflow warning: an overflow ends the run as a
+difference.  No site depends on k, so a run resolves its sites once; a
+draw depends only on its key, so every site of a block's steps is drawn
+at once by one ``numerics.keyed_uniforms`` call on the step keys, and
+records do not depend on the block length.  A run that draws nothing
+(an exact oracle on a full batch, its stepsize constant or adaptive at
+rho alpha = 0) has no site: it builds no step key and calls no drawer.
+The loop raises no numpy overflow warning: an overflow ends the run as a
 non-finite or diverging iterate.
 """
 
@@ -230,30 +234,19 @@ def _slot_direction(family, config, w, rho, draw):
     return task_order_sum(dirs) / config.batches.B
 
 
-def _drawn_steps(family, config, profile, oracle, slots, keys):
+def _drawn_steps(family, config, profile, oracle, slots, sites, keys):
     """(stepsize draw, slot draw) of the steps on keys, step k's key being
-    (seed, k), with None where a step draws nothing.  A slot draw is
-    (idx, site -> noise rows) of the given number of slots: B tasks on
-    key + "tasks" (a full batch's are 0..n-1), slot j's noise on key +
-    ("slot", j).  Every site of the steps is named under the step key and
-    drawn by one ``keyed_uniforms`` call on the step keys, none if no site
-    draws anything."""
+    (seed, k), every site of a step drawn by one ``keyed_uniforms`` call on
+    the keys.  A slot draw is (idx, site -> noise rows) of the given number
+    of slots: B tasks on key + "tasks" (a full batch's are 0..n-1), slot j's
+    noise on key + ("slot", j).  A stepsize draw is None where it draws
+    nothing."""
     b, n = config.batches, len(keys)
-    if not n:  # a block of the terminal row alone takes no step
-        return []
-    adaptive = config.stepsize.kind == "adaptive"
-    sampled = slots > 0 and not config.full_task_batch
-    sites = slot_sites(config.algorithm, family.dim, oracle, slots)
-    if sampled:
-        sites[TASKS] = ((path_key(b"", TASKS),), slots)
-    if adaptive:
-        sites.update(stepsize_sites(profile, config.alpha, b.B_prime, family.dim))
-    rows = keyed_uniforms(keys, sites) if sites else {}
-    betas = (stepsize_draws(family, profile, b.B_prime, b.D_beta, n, rows) if adaptive
-             else [None] * n)
+    rows = keyed_uniforms(keys, sites)
+    betas = stepsize_draws(family, profile, b.B_prime, b.D_beta, n, rows)
     if not slots:
         return [(beta, None) for beta in betas]
-    tasks = (sample_task_batch(family, (n, slots), rows[TASKS]) if sampled
+    tasks = (sample_task_batch(family, (n, slots), rows[TASKS]) if TASKS in rows
              else [slice(None)] * n)
     noise = slot_noise(n * slots, family.dim, oracle, b, rows)
     return [(beta, (idx, {site: a[r * slots:(r + 1) * slots] for site, a in noise.items()}))
@@ -304,6 +297,12 @@ def run(
     fused = swept and config.algorithm == MAML
     slots = 0 if swept else family.n_tasks if config.full_task_batch else config.batches.B
     width = max(family.n_tasks, slots, config.batches.B_prime if adaptive else 1)
+    sites = slot_sites(config.algorithm, d, oracle, slots)  # a step's draws, the same at every k
+    if slots and not config.full_task_batch:
+        sites[TASKS] = ((path_key(b"", TASKS),), slots)
+    if adaptive:
+        sites.update(stepsize_sites(profile, config.alpha, config.batches.B_prime, d))
+    undrawn = (None, (slice(None), {}) if slots else None)  # a step of a run that draws nothing
     root = RngStream(config.seed)
     w = w0.copy()
     n_rows = config.max_iters + 1
@@ -316,8 +315,10 @@ def run(
     stop_reason, last, failure = "max_iters", config.max_iters, None
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in row_blocks(n_rows, width, grow=config.target_grad_norm > 0.0):
-            drawn = _drawn_steps(family, config, profile, oracle, slots,
-                                 [path_key(root, k) for k in range(k0, min(k1, config.max_iters))])
+            steps = range(k0, min(k1, config.max_iters))  # none in a block of the terminal row
+            drawn = (_drawn_steps(family, config, profile, oracle, slots, sites,
+                                  [path_key(root, k) for k in steps]) if sites and steps
+                     else [undrawn] * len(steps))
             if swept:  # the stage rows of the block, filled as it steps
                 adapted, outer = np.empty((2, k1 - k0, family.n_tasks, d))
                 grad_F = np.empty((k1 - k0, d))
@@ -346,7 +347,8 @@ def run(
 
                 w = w - beta_k * step_dir
                 # inf for a finite w far enough out, non-finite for a non-finite w
-                dist = np.linalg.norm(w - w0)
+                dw = w - w0
+                dist = np.sqrt(dw.dot(dw))  # np.linalg.norm's float for a vector
                 if not dist <= limit:  # raised once the block's rows before it are logged
                     if not np.all(np.isfinite(w)):
                         failure = NumericalFailure(f"non-finite iterate at iteration {k + 1}")

@@ -97,8 +97,9 @@ def _grad_norms(g: np.ndarray, dots: bool = False) -> np.ndarray:
     past the float range; every other row keeps its float."""
     with np.errstate(over="ignore"):
         norms = np.sqrt(row_dots(g)) if dots else np.linalg.norm(g, axis=-1)
-    big = np.isinf(norms) & np.isfinite(g).all(axis=-1)
-    if big.any():
+    big = np.isinf(norms)
+    if big.any():  # the rows of finite entries among them
+        big &= np.isfinite(g).all(axis=-1)
         top = np.abs(g[big]).max(axis=-1)
         norms[big] = top * np.linalg.norm(g[big] / top[:, None], axis=-1)
     return norms

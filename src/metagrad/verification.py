@@ -113,10 +113,10 @@ def audit_bias(
         raise ValueError("n_mc must be >= 2 to estimate a margin")
     st = profile.sigma_tilde
     sites = {INNER: ("inner", D_in, st), OUTER: ("outer", D_o, st)}
-    draws, _ = mc_direction_draws(FOMAML, family, w, alpha, n_mc, sites, rng)
+    draws = mc_direction_draws(FOMAML, family, w, alpha, n_mc, sites, rng)
     # reference through the same code path: at sigma_tilde = 0 every draw
     # is this row bit for bit and the measured bias is exactly zero
-    exact = mc_direction_draws(FOMAML, family, w, alpha, 1, {}, rng)[0][0]
+    exact = mc_direction_draws(FOMAML, family, w, alpha, 1, {}, rng)[0]
     return _gap_audit("estimator_bias", draws, exact, st == 0.0,
                       alpha * profile.L * st / np.sqrt(D_in))
 
@@ -149,7 +149,7 @@ def audit_second_moment(
         raise ValueError("n_mc must be >= 2 to estimate a margin")
     st = profile.sigma_tilde
     sites = {INNER: ("inner", D_in, st), OUTER: ("outer", D_o, st)}
-    _, sq = mc_direction_draws(FOMAML, family, w, alpha, n_mc, sites, rng)
+    sq = mc_direction_draws(FOMAML, family, w, alpha, n_mc, sites, rng, squares=True)
     exact_sq = np.linalg.norm(outer_stage(family, w, alpha)[1], axis=1) ** 2
     # float_power squares as float ** 2 does, but gives inf past the float range
     st2 = np.float_power(st, 2)

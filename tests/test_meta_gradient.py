@@ -488,9 +488,11 @@ def test_mc_direction_draws_replay_documented_streams(monkeypatch, sigma_H):
             oracle = StochasticOracle(sigma_tilde, sigma_H)
             got = mc_grad_F_hat_draws(fam, w, alpha, D, n_mc, oracle, rng)
             assert np.array_equal(got, want), (fam.kind, d, block_rows)
-            draws, sq = mc_direction_draws(MAML, fam, w, alpha, n_mc, maml_sites, rng)
+            draws = mc_direction_draws(MAML, fam, w, alpha, n_mc, maml_sites, rng)
+            sq = mc_direction_draws(MAML, fam, w, alpha, n_mc, maml_sites, rng, squares=True)
             assert np.array_equal(draws, want) and np.array_equal(sq, want_sq)
-            draws, sq = mc_direction_draws(FOMAML, fam, w, alpha, n_mc, fo_sites, rng)
+            draws = mc_direction_draws(FOMAML, fam, w, alpha, n_mc, fo_sites, rng)
+            sq = mc_direction_draws(FOMAML, fam, w, alpha, n_mc, fo_sites, rng, squares=True)
             assert np.array_equal(draws, want_fo), (fam.kind, d, block_rows)
             assert np.array_equal(sq, want_fo_sq), (fam.kind, d, block_rows)
 

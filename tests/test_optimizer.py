@@ -168,6 +168,34 @@ def slot_direction(algorithm, task, w, alpha, rho, oracle, batches, slot_key):
     return slot_directions(algorithm, TaskFamily([task]), slice(None), w, alpha, rho, noise)[0]
 
 
+def run_width(family, cfg):
+    """The most rows one iterate of cfg's run puts into a stacked call: its
+    sweep over the tasks, its slots or its stepsize sample.  BLOCK_ROWS =
+    m * run_width gives run() blocks of m iterates."""
+    slots = 0 if cfg.full_task_batch else cfg.batches.B
+    adaptive = cfg.stepsize.kind == "adaptive"
+    return max(family.n_tasks, slots, cfg.batches.B_prime if adaptive else 1)
+
+
+def block_lengths(monkeypatch):
+    """A list that gains, per block of iterates run() logs from here on, the
+    block's number of iterates: run() reads a block's losses off one
+    stacked adapted_value call."""
+    lengths = []
+
+    def counted(family, adapted, _value=optimizer.adapted_value):
+        lengths.append(len(adapted))
+        return _value(family, adapted)
+
+    monkeypatch.setattr(optimizer, "adapted_value", counted)
+    return lengths
+
+
+def blocks_of(m, rows):
+    """The lengths of consecutive blocks of m iterates over rows iterates."""
+    return [min(m, rows - r) for r in range(0, rows, m)]
+
+
 class TestStackedExactSweep:
     """The exact full-batch steps against the public per-task and family oracles."""
 
@@ -280,12 +308,11 @@ class TestSlotLoopReplay:
     def check_replay(self, monkeypatch, cfg):
         family = generate_family(FIG2["family"]["generate"])
         profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
-        slots = family.n_tasks if cfg.full_task_batch else cfg.batches.B
-        if cfg.stepsize.kind == "adaptive":
-            slots = max(slots, cfg.batches.B_prime)
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * slots)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7 * run_width(family, cfg))
+        lengths = block_lengths(monkeypatch)
         rec = run(family, cfg, profile=profile)
         assert rec.steps_taken == 20
+        assert lengths == [7, 7, 7]  # the 20 steps' iterates and the terminal row
         noisy_profile = profile.with_noise(cfg.sigma_tilde, cfg.sigma_H)
         oracle = StochasticOracle(cfg.sigma_tilde, cfg.sigma_H)
         for k in range(rec.steps_taken):
@@ -340,13 +367,16 @@ class TestSlotLoopReplay:
             "exact-full-batch": EXACT_FULL_BATCH,
         }[case]
         family = generate_family(FIG2["family"]["generate"])
+        default, lengths = numerics.BLOCK_ROWS, block_lengths(monkeypatch)
         for algorithm in (MAML, FOMAML, HFMAML):
             cfg = self.fig2_config(algorithm, max_iters=30, **overrides)
             profile = local_smoothness(family, cfg.w0, cfg.trust_radius)
-            records = []
-            for rows in (numerics.BLOCK_ROWS, 1, 64):
+            width, records = run_width(family, cfg), []
+            for rows, m in ((default, default // width), (1, 1), (3 * width, 3), (7 * width, 7)):
                 monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
+                lengths.clear()
                 records.append(run(family, cfg, profile=profile))
+                assert lengths == blocks_of(m, 31), (algorithm, rows)
             for rec in records[1:]:
                 assert rec.to_csv() == records[0].to_csv()
                 assert np.array_equal(rec.iterates, records[0].iterates)
@@ -389,14 +419,32 @@ class TestKeyedDraws:
         self.check_draws(monkeypatch, name, per_step)
 
     def test_a_run_that_draws_nothing_makes_no_kernel_call(self, monkeypatch):
-        # fig1's exact full batches draw no key, so no block calls the kernel
-        calls = []
-        monkeypatch.setattr(optimizer, "keyed_uniforms", lambda *args: calls.append(args))
-        resolved, config_dir = load_config(str(CONFIGS / "fig1.json"), argparse.Namespace())
-        family, base, profile = prepare(resolved, config_dir)
-        for algorithm in (MAML, FOMAML, HFMAML):
-            run(family, replace(base, algorithm=algorithm, max_iters=20), profile=profile)
-        assert calls == []
+        # fig1's exact full batches draw no key, so no block calls the drawer
+        # or the kernel and no step builds its key (seed, k); a fig2 sampled
+        # run still builds each step's key once, in step order
+        calls, drawers, keys = [], [], []
+
+        def logged(log, fn):
+            def call(*args):
+                log.append(args)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(optimizer, "keyed_uniforms", logged(calls, optimizer.keyed_uniforms))
+        monkeypatch.setattr(optimizer, "_drawn_steps", logged(drawers, optimizer._drawn_steps))
+        monkeypatch.setattr(optimizer, "path_key", logged(keys, optimizer.path_key))
+        for name in ("fig1", "fig2"):
+            resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
+            family, base, profile = prepare(resolved, config_dir)
+            for algorithm in (MAML, FOMAML, HFMAML):
+                keys.clear()
+                run(family, replace(base, algorithm=algorithm, max_iters=20), profile=profile)
+                step_keys = [labels for rng, *labels in keys if isinstance(rng, RngStream)]
+                if name == "fig1":
+                    assert calls == [] and drawers == [] and keys == []
+                else:
+                    assert step_keys == [[k] for k in range(20)], algorithm
+        assert calls and drawers  # fig2's runs draw
 
     def test_adaptive_stepsize_draws_per_step(self, monkeypatch):
         # audit-mf's shape: 1 + 3 B for a MAML or HF-MAML step, and 1 + B'
@@ -410,13 +458,11 @@ class TestKeyedDraws:
         # blocks of 3 steps: 20 steps are six blocks and a short one, and
         # no block draws past max_iters
         if adaptive:
-            monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * 20)
             batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
-            self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 82},
+            self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 82}, block=3,
                              stepsize=StepsizeRule(kind="adaptive"), batches=batches)
         else:
-            monkeypatch.setattr(numerics, "BLOCK_ROWS", 3 * FIG2["batches"]["B"])
-            self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 31})
+            self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 31}, block=3)
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
     def test_a_target_run_draws_only_the_steps_its_blocks_take(self, monkeypatch, adaptive):
@@ -513,17 +559,24 @@ class TestKeyedDraws:
                     monkeypatch.setattr(module, draw, hook)
         return calls
 
-    def check_draws(self, monkeypatch, name, per_step, **overrides):
+    def check_draws(self, monkeypatch, name, per_step, block=None, **overrides):
+        """Keyed draws of 20-step runs at seed 0, in blocks of block
+        iterates when block is given."""
         resolved, config_dir = load_config(str(CONFIGS / f"{name}.json"), argparse.Namespace())
         family, base, profile = prepare(resolved, config_dir)
         base = replace(base, **overrides)
-        calls = self.counted_draws(monkeypatch)
+        calls, lengths = self.counted_draws(monkeypatch), block_lengths(monkeypatch)
         for algorithm, expected in per_step.items():
             calls.clear()
             cfg = replace(base, algorithm=algorithm, seed=0, max_iters=20)
+            if block is not None:
+                monkeypatch.setattr(numerics, "BLOCK_ROWS", block * run_width(family, cfg))
+            lengths.clear()
             rec = run(family, cfg, profile=profile)
             assert rec.steps_taken == 20
             assert len(calls) == 20 * expected, algorithm
+            if block is not None:
+                assert lengths == blocks_of(block, 21), algorithm
 
 
 class TestOracleWork:
@@ -564,7 +617,7 @@ class TestOracleWork:
         calls = self.counted(monkeypatch, family, "hessians")
         rec = run(family, replace(base, algorithm=MAML, max_iters=25), profile=profile)
         assert rec.steps_taken == 25
-        assert len(calls) == 26 and all(W.shape == (1, family.dim) for W, *_ in calls)
+        assert len(calls) == 26 and all(W.shape == (family.dim,) for W, *_ in calls)
 
     @pytest.mark.parametrize("algorithm, per_step", [(MAML, 2), (FOMAML, 2), (HFMAML, 3)])
     def test_sampled_step_gradient_calls(self, monkeypatch, algorithm, per_step):
