@@ -295,11 +295,13 @@ def _say(args, line: str) -> None:
         print(line)
 
 
-def _record_line(label: str, rec: RunRecord, path: Path) -> str:
-    return (
-        f"{label} seed={rec.seed}: steps={rec.steps_taken} stop={rec.stop_reason} "
-        f"floor={rec.floor:.6g} final={rec.final_grad_norm:.6g} -> {path}"
-    )
+def _emit_record(args, command: str, resolved: dict, rec: RunRecord) -> None:
+    """One run's CSV with its sidecar, and its progress line."""
+    path = Path(args.out) / f"{command}_{rec.algorithm}_seed{rec.seed}.csv"
+    _emit_with_sidecar(path, rec.to_csv(), command, resolved, rec.seed, rec.algorithm)
+    _say(args, f"{command} {rec.algorithm} seed={rec.seed}: steps={rec.steps_taken} "
+               f"stop={rec.stop_reason} floor={rec.floor:.6g} "
+               f"final={rec.final_grad_norm:.6g} -> {path}")
 
 
 def cmd_run(args) -> int:
@@ -309,15 +311,10 @@ def cmd_run(args) -> int:
             "run expects exactly one algorithm "
             f"(got {resolved['algorithms']}); use compare or --algorithms"
         )
-    algorithm = resolved["algorithms"][0]
     family, base, profile = prepare(resolved, config_dir)
-    out = Path(args.out)
-
     for seed in resolved["seeds"]:
         rec = run(family, dc_replace(base, seed=seed), profile=profile)
-        path = out / f"run_{algorithm}_seed{seed}.csv"
-        _emit_with_sidecar(path, rec.to_csv(), "run", resolved, seed, algorithm)
-        _say(args, _record_line(f"run {algorithm}", rec, path))
+        _emit_record(args, "run", resolved, rec)
     return 0
 
 
@@ -346,9 +343,7 @@ def cmd_compare(args) -> int:
             family, dc_replace(base, seed=seed), algorithms=algorithms, profile=profile
         )
         for algo in algorithms:
-            path = out / f"compare_{algo}_seed{seed}.csv"
-            _emit_with_sidecar(path, records[algo].to_csv(), "compare", resolved, seed, algo)
-            _say(args, _record_line(f"compare {algo}", records[algo], path))
+            _emit_record(args, "compare", resolved, records[algo])
         summary = {
             "seed": seed,
             "alpha": base.alpha,

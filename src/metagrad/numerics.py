@@ -18,7 +18,7 @@ A key becomes uniforms in one of two ways, and the shape of the draw
 picks the way.  Many keys with a few words each (a block of optimizer
 steps, a generated family) go through one ``keyed_uniforms`` call: one
 list of prefixes, and sites of suffixes under them (``indexed_labels``
-makes repeated suffixes once).  Each prefix is absorbed once into a copy
+makes n draws' suffixes).  Each prefix is absorbed once into a copy
 of the root blake2b state for all sites, and each key hashes only its
 suffix from there.  One pass computes every 4-word Philox4x64-10 block of
 every key, each row that key's ``uniforms`` bit for bit.  Philox is
@@ -57,7 +57,6 @@ import operator
 import struct
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from hashlib import blake2b
 
 import numpy as np
@@ -146,9 +145,8 @@ def path_key(rng: RngStream | bytes, *labels: PathLabel) -> bytes:
     return (rng if isinstance(rng, bytes) else rng._encoded) + b"".join(map(_encode_label, labels))
 
 
-@lru_cache(maxsize=16)
 def indexed_labels(head: tuple[PathLabel, ...], n: int, *tail: PathLabel) -> tuple[bytes, ...]:
-    """path_key(b"", *head, j, *tail) for j < n, made once: n draws' suffixes."""
+    """path_key(b"", *head, j, *tail) for j < n: n draws' suffixes."""
     return tuple(path_key(b"", *head, j, *tail) for j in range(n))
 
 

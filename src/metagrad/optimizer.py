@@ -145,13 +145,9 @@ def validate_config(config: OptimizerConfig, profile: SmoothnessProfile) -> None
     check_stepsize_batches(profile, config.alpha, b.B_prime, b.D_beta)
     if not config.full_task_batch and b.B < 20:
         raise InvalidBatchConfig(f"B={b.B} < 20 (task-batch precondition)")
-    need_dh = required_D_h(profile, config.alpha, config.algorithm)
+    need_dh, rule = required_D_h(profile, config.alpha, config.algorithm)
     if b.D_h < need_dh:
-        if config.algorithm == HFMAML:
-            detail = f"D_h={b.D_h} < ceil(36*(alpha*rho*sigma_tilde)^2)={need_dh}"
-        else:
-            detail = f"D_h={b.D_h} < ceil(2*alpha^2*sigma_H^2)={need_dh}"
-        raise InvalidBatchConfig(detail)
+        raise InvalidBatchConfig(f"D_h={b.D_h} < {rule}={need_dh}")
 
 
 @dataclass

@@ -123,8 +123,9 @@ def required_D_beta(profile: SmoothnessProfile, alpha: float) -> int | float:
     return max(1, _ceil(r * r))
 
 
-def required_D_h(profile: SmoothnessProfile, alpha: float, algorithm: str) -> int | float:
-    """Hessian-side batch the guarantees assume.
+def required_D_h(profile: SmoothnessProfile, alpha: float,
+                 algorithm: str) -> tuple[int | float, str]:
+    """Hessian-side batch the guarantees assume, with the rule it comes from.
 
     The probe-based variant needs ceil(36 (alpha rho sigma_tilde)^2)
     probe gradients; the variants drawing a noisy Hessian need
@@ -135,9 +136,9 @@ def required_D_h(profile: SmoothnessProfile, alpha: float, algorithm: str) -> in
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "hfmaml":
         r = alpha * profile.rho * profile.sigma_tilde
-        return max(1, _ceil(36.0 * (r * r)))
+        return max(1, _ceil(36.0 * (r * r))), "ceil(36*(alpha*rho*sigma_tilde)^2)"
     r = alpha * profile.sigma_H
-    return max(1, _ceil(2.0 * (r * r)))
+    return max(1, _ceil(2.0 * (r * r))), "ceil(2*alpha^2*sigma_H^2)"
 
 
 def check_stepsize_batches(

@@ -1,81 +1,51 @@
-"""fig1's, fig2's and audit-mf's outputs still hash to the benchmark's
-recorded fingerprint.
+"""Output files still hash as recorded, byte for byte (the harness is pins.py).
 
-perfbench/fingerprint.json is only read, never written.  Its hashes
-depend on the Python and numpy builds that took them, so the check is
-skipped when either version differs from the recorded environment.
-fig1 runs the exact full-batch steps, fig2 the sampled, noisy slots and
-audit-mf the audit battery's bulk Monte Carlo draws.
+fig1's, fig2's and audit-mf's outputs at the default seed must hash to
+the benchmark's perfbench/fingerprint.json, which is only read, never
+written: fig1 runs the exact full-batch steps, fig2 the sampled, noisy
+slots and audit-mf the audit battery's bulk Monte Carlo draws.  Each pin
+under tests/ (pins.PINS) must hash as its file records.
 """
 
-import hashlib
 import json
-import platform
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from metagrad.cli import main
+from pins import (PINS, ROOT, TESTS, audit_mf_config, output_hashes, pin_outputs,
+                  skip_unless_taken_here, write_config)
 
-ROOT = Path(__file__).resolve().parent.parent
 FINGERPRINT = json.loads((ROOT / "perfbench" / "fingerprint.json").read_text())
+SEED = FINGERPRINT["default_seed"]
 
 
-def skip_unless_recorded_environment():
-    recorded = FINGERPRINT["environment"]
-    here = {"python": platform.python_version(), "numpy": np.__version__}
-    if any(recorded[k] != v for k, v in here.items()):
-        pytest.skip(
-            f"fingerprint was taken with python {recorded['python']} and numpy "
-            f"{recorded['numpy']}, this is python {here['python']} and numpy {here['numpy']}"
-        )
-
-
-def assert_outputs_hash_as_recorded(out, workload):
-    hashes = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.iterdir())
-        if p.is_file()
-    }
+def check_compare(tmp_path, workload):
+    """compare at the default seed on the workload's config hashes as recorded."""
+    skip_unless_taken_here(FINGERPRINT)
+    config = ROOT / "configs" / f"{workload[:4]}.json"
+    hashes = output_hashes("compare", config, tmp_path, "--seed", str(SEED))
     assert hashes == FINGERPRINT["workloads"][workload]
 
 
-def check_workload(tmp_path, workload):
-    """compare at the default seed on the workload's config hashes as recorded."""
-    skip_unless_recorded_environment()
-    seed = str(FINGERPRINT["default_seed"])
-    config = ROOT / "configs" / f"{workload[:4]}.json"
-    argv = ["compare", "--config", str(config), "--seed", seed, "--out", str(tmp_path), "--quiet"]
-    assert main(argv) == 0
-    assert_outputs_hash_as_recorded(tmp_path, workload)
-
-
 def test_fig1_outputs_match_fingerprint(tmp_path):
-    check_workload(tmp_path, "fig1-exact")
+    check_compare(tmp_path, "fig1-exact")
 
 
 def test_fig2_outputs_match_fingerprint(tmp_path):
-    check_workload(tmp_path, "fig2-sampled")
+    check_compare(tmp_path, "fig2-sampled")
 
 
 def test_audit_mf_outputs_match_fingerprint(tmp_path):
-    # the audit battery at the default seed on fig2's family with the noise,
-    # adaptive stepsize and batches of the benchmark's audit-mf workload
-    skip_unless_recorded_environment()
-    seed = FINGERPRINT["default_seed"]
-    cfg = json.loads((ROOT / "configs" / "fig2.json").read_text())
-    cfg["family"]["generate"]["seed"] += seed
-    cfg.update({
-        "algorithms": ["maml"],
-        "stepsize": {"kind": "adaptive"},
-        "batches": {"B": 20, "D_in": 4, "D_o": 4, "D_h": 4, "B_prime": 20, "D_beta": 20},
-        "noise": {"sigma_tilde": 0.5, "sigma_H": 0.5},
-        "max_iters": 60,
-        "seeds": [seed],
-    })
-    config = tmp_path / "audit-mf.json"
-    config.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    out = tmp_path / "out"
-    assert main(["audit", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-    assert_outputs_hash_as_recorded(out, "audit-mf")
+    # the audit battery at the default seed, on the family the benchmark
+    # draws for that seed
+    skip_unless_taken_here(FINGERPRINT)
+    cfg = audit_mf_config(["maml"], [SEED])
+    cfg["family"]["generate"]["seed"] += SEED
+    hashes = output_hashes("audit", write_config(cfg, tmp_path), tmp_path / "out")
+    assert hashes == FINGERPRINT["workloads"]["audit-mf"]
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_outputs_match_pin(tmp_path, name):
+    pin = json.loads((TESTS / name).read_text())
+    skip_unless_taken_here(pin)
+    assert pin_outputs(name, tmp_path) == pin["outputs"]

@@ -411,9 +411,12 @@ class TestKeyedDraws:
     them from.  HF-MAML draws its probe once per slot, so its step draws
     as many keys as MAML's."""
 
+    PER_STEP = {MAML: 31, FOMAML: 21, HFMAML: 31}  # fig2 at seed 0
+    ADAPTIVE_PER_STEP = {MAML: 82, FOMAML: 62, HFMAML: 82}  # and with audit-mf's batches
+
     @pytest.mark.parametrize("name, per_step", [
         ("fig1", {MAML: 0, FOMAML: 0, HFMAML: 0}),
-        ("fig2", {MAML: 31, FOMAML: 21, HFMAML: 31}),
+        ("fig2", PER_STEP),
     ])
     def test_draws_per_step_at_seed_0(self, monkeypatch, name, per_step):
         self.check_draws(monkeypatch, name, per_step)
@@ -450,7 +453,7 @@ class TestKeyedDraws:
         # audit-mf's shape: 1 + 3 B for a MAML or HF-MAML step, and 1 + B'
         # for the stepsize sample, one key per slot stream of beta_tilde
         batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
-        self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 82},
+        self.check_draws(monkeypatch, "fig2", self.ADAPTIVE_PER_STEP,
                          stepsize=StepsizeRule(kind="adaptive"), batches=batches)
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
@@ -459,18 +462,18 @@ class TestKeyedDraws:
         # no block draws past max_iters
         if adaptive:
             batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
-            self.check_draws(monkeypatch, "fig2", {MAML: 82, FOMAML: 62, HFMAML: 82}, block=3,
+            self.check_draws(monkeypatch, "fig2", self.ADAPTIVE_PER_STEP, block=3,
                              stepsize=StepsizeRule(kind="adaptive"), batches=batches)
         else:
-            self.check_draws(monkeypatch, "fig2", {MAML: 31, FOMAML: 21, HFMAML: 31}, block=3)
+            self.check_draws(monkeypatch, "fig2", self.PER_STEP, block=3)
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["constant", "adaptive"])
     def test_a_target_run_draws_only_the_steps_its_blocks_take(self, monkeypatch, adaptive):
         # a run with a target grows its blocks from one step, so one that
         # stops at row s has drawn at most 2 s + 1 steps, not max_iters
-        per_step, overrides = {MAML: 31, FOMAML: 21, HFMAML: 31}, {}
+        per_step, overrides = self.PER_STEP, {}
         if adaptive:
-            per_step = {MAML: 82, FOMAML: 62, HFMAML: 82}
+            per_step = self.ADAPTIVE_PER_STEP
             overrides = {"stepsize": StepsizeRule(kind="adaptive"),
                          "batches": BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)}
         resolved, config_dir = load_config(str(CONFIGS / "fig2.json"), argparse.Namespace())
