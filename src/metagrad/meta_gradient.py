@@ -17,11 +17,11 @@ v = g~(w_i), then applies the algorithm's rule to v:
   * MAML       returns (I - alpha H~(w)) v with a noisy Hessian H~,
   * FO-MAML    returns v itself, the Hessian factor dropped,
   * HF-MAML    returns v - alpha d, where d estimates H v by a central
-               finite difference of two noisy gradients that share one
-               data batch.
+               finite difference of two gradients on one data batch.
 
-Sharing the batch means the additive noise cancels in the difference,
-so on quadratics the probe reproduces A v exactly for any probe width.
+That batch's noise does not depend on the point and cancels in exact
+arithmetic, so the probe draws none and, on quadratics, reproduces A v
+for any probe width.
 The probe width delta = 1/(6 rho alpha ||v||) calibrates the remaining
 curvature error to at most ||v|| / (6 alpha) times alpha, i.e. a sixth
 of the correction term's scale.
@@ -29,9 +29,9 @@ of the correction term's scale.
 ``slot_sites`` names the sites of a step's slot draws under its key,
 ("slot", j, site), for ``numerics.keyed_uniforms``, and ``slot_noise``
 turns the sites drawn into noise, so a slot's noise is the same floats in
-any block.  The probe site is drawn once per slot: both probe gradients
-add it.  ``slot_directions`` and ``hvp_finite_diff`` add the noise they
-are given with ``noisy``; ``direction`` is slot 0 of the step on its key.
+any block.  HF-MAML draws FO-MAML's sites, MAML adds its Hessian's.
+``slot_directions`` adds the noise it is given with ``noisy``;
+``direction`` is slot 0 of the step on its key.
 The audits' one Monte Carlo sampler, ``mc_direction_draws``, draws n_mc
 rows per task on per-task streams: FO-MAML's direction for the bias audit
 and its squared norms for the second-moment audit, MAML's direction with
@@ -52,7 +52,6 @@ from .stochastic import (
     HESS,
     INNER,
     OUTER,
-    PROBE,
     BatchSpec,
     StochasticOracle,
     grad_noise,
@@ -71,23 +70,21 @@ PROBE_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two probe points of ea
 NO_NOISE = (1, 0.0, None)  # (D, level, reader) of a site that adds no noise
 
 
-def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray,
-                    noise: Mat | None = None) -> Mat:
+def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray) -> Mat:
     """Central-difference estimates of hess f_idx[j](W[j]) @ V[j] from two
     gradients per row, row j with probe width delta[j].  W is one point per
-    row, or one point (d,) shared by every row.  noise, (B, d) or None for
-    none, is the drawn noise of each row's data batch.
+    row, or one point (d,) shared by every row.
 
-    Both probe gradients of a row share its batch and add its noise, which
-    cancels in the difference; the surviving error is curvature-only, at
-    most rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
+    Both probe gradients of a row share its batch, whose noise cancels in
+    the difference, so they are taken exact; the error is curvature-only,
+    at most rho * delta * ||v||^2 for a Hessian with Lipschitz modulus rho.
     Both are taken in one (2, B, d) gradient call at W + s delta V, s = +-1;
     negation is exact, so each row is the float of W +- delta V.
     """
     if (delta <= 0.0).any():
         raise ValueError("delta must be positive")
     delta = delta[:, None]
-    g = noisy(family.grads(W + PROBE_SIGNS * (delta * V), idx), noise)
+    g = family.grads(W + PROBE_SIGNS * (delta * V), idx)
     return (g[0] - g[1]) / (2.0 * delta)
 
 
@@ -127,9 +124,7 @@ def slot_sites(algorithm: str, d: int, oracle: StochasticOracle, slots: int) -> 
     """Site label -> (suffixes, words) of the draws slot_noise reads, named
     under a step key: slot j's on ("slot", j, site).  A zero noise level
     draws nothing."""
-    sites = []  # (purpose, normals per draw)
-    if oracle.sigma_tilde != 0.0:
-        sites += [(INNER, d), (OUTER, d)] + ([(PROBE, d)] if algorithm == HFMAML else [])
+    sites = [(INNER, d), (OUTER, d)] if oracle.sigma_tilde != 0.0 else []  # (purpose, normals)
     if algorithm == MAML and oracle.sigma_H != 0.0:
         sites.append((HESS, d * d))
     return {purpose: (indexed_labels(("slot",), slots, purpose), normal_words(size))
@@ -139,8 +134,8 @@ def slot_sites(algorithm: str, d: int, oracle: StochasticOracle, slots: int) -> 
 def slot_noise(n: int, d: int, oracle: StochasticOracle, batches: BatchSpec, rows: dict) -> dict:
     """Site label -> noise of each slot site drawn in rows (keyed_uniforms'
     rows of slot_sites, among others), for n slots: one Box-Muller pass and
-    scaling per site.  A probe row is one draw for both probe gradients."""
-    budgets = {INNER: batches.D_in, OUTER: batches.D_o, PROBE: batches.D_h}
+    scaling per site."""
+    budgets = {INNER: batches.D_in, OUTER: batches.D_o}
     noise = {site: grad_noise((n, d), D, oracle.sigma_tilde, rows[site])
              for site, D in budgets.items() if site in rows}
     if HESS in rows:
@@ -170,7 +165,7 @@ def slot_directions(
     if algorithm == HFMAML:
         nv, probing = probe_norms(v)
         delta = probe_delta(rho, alpha, nv, w)
-        hv = hvp_finite_diff(family, idx, w, v, delta, noise.get(PROBE))
+        hv = hvp_finite_diff(family, idx, w, v, delta)
         return np.where(probing[:, None], v - alpha * hv, v)
     return v
 

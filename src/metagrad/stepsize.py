@@ -130,7 +130,9 @@ def required_D_h(profile: SmoothnessProfile, alpha: float,
     The probe-based variant needs ceil(36 (alpha rho sigma_tilde)^2)
     probe gradients; the variants drawing a noisy Hessian need
     ceil(2 alpha^2 sigma_H^2) draws, alpha sigma_H being taken first so
-    that sigma_H = 0 needs one draw at any finite alpha.
+    that sigma_H = 0 needs one draw at any finite alpha.  Under the additive
+    noise law no HF-MAML draw reads D_h (its probe's noise cancels and is
+    not drawn), so the probe rule guards a batch that nothing draws.
     """
     if algorithm not in ADAPTIVE_FRACTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

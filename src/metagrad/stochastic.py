@@ -27,8 +27,9 @@ takes either kind of uniforms the same way: keyed rows or a generator.
 
 Noise is drawn from the streams passed in and nothing else, so a fixed
 (seed, path) reproduces the same batch no matter where or when it is
-consumed.  Two evaluations that share a data batch (the two probes of a
-finite-difference Hessian-vector product) add the same one draw.
+consumed.  It does not depend on the point, so the two probes of a
+finite-difference Hessian-vector product, which share a batch, would add
+one draw that cancels in exact arithmetic: the probe draws none.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .tasks import TaskFamily
 INNER = "inner"
 OUTER = "outer"
 HESS = "hess"
-PROBE = "hvp"
 STEPSIZE = "stepsize"
 TASKS = "tasks"
 
@@ -55,8 +55,8 @@ class BatchSpec:
     """Batch sizes for one optimizer configuration.
 
     B tasks per iteration; D_in, D_o, D_h data budgets for the inner
-    step, outer gradient, and Hessian (or probe) estimates; B_prime and
-    D_beta budgets for the adaptive stepsize estimate.
+    step, outer gradient, and Hessian estimates (HF-MAML's probe draws
+    none); B_prime and D_beta budgets for the adaptive stepsize estimate.
     """
 
     B: int = 1

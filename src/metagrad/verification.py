@@ -204,8 +204,8 @@ def audit_hvp_probe_error(
     For each probe: a random point in the trust ball, a random direction
     v, the production probe width delta, and the ratio of the actual
     error ||FD - hess(w) v|| to its guarantee rho * delta * ||v||^2.
-    The audit is deterministic (probe noise cancels by construction), so
-    the margin is zero and measured is the max ratio against bound 1.
+    The audit is deterministic (the probe draws no noise), so the margin
+    is zero and measured is the max ratio against bound 1.
     """
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")

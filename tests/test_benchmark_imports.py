@@ -159,7 +159,7 @@ def test_benchmark_calls_bind_to_signatures(path):
 
 
 @pytest.mark.xfail(strict=True, reason="perfbench/run.py still expects 41 keyed draws per fig2 "
-                   "HF-MAML step; HF-MAML draws its probe once per slot, 31 keys")
+                   "HF-MAML step; HF-MAML's probe draws no noise, so its step draws 21 keys")
 def test_benchmark_draw_counts_match_the_tested_counts():
     # the traced check's expected keys per fig2 step, against the counts
     # TestKeyedDraws pins by counting the keys the kernel is handed

@@ -18,12 +18,14 @@ from metagrad.meta_gradient import (
     mc_grad_F_hat_draws,
     outer_stage,
     probe_delta,
+    slot_directions,
+    slot_noise,
+    slot_sites,
     value_F,
 )
 from metagrad.closed_form import analyze_quadratic
-from metagrad.numerics import RngStream, keyed_uniforms, normal_words, row_dots, standard_normals
-from metagrad.stochastic import (HESS, INNER, OUTER, BatchSpec, StochasticOracle, grad_noise,
-                                 noisy)
+from metagrad.numerics import RngStream, keyed_uniforms, row_dots, standard_normals
+from metagrad.stochastic import HESS, INNER, OUTER, BatchSpec, StochasticOracle
 from metagrad.tasks import (
     MatrixFactorizationTask,
     QuadraticTask,
@@ -40,13 +42,9 @@ def quartic_family():
     return TaskFamily([MatrixFactorizationTask(np.array([0.0]))])
 
 
-def one_task_hvp(task, w, v, delta, sigma_tilde=0.0, rng=None):
-    """hvp_finite_diff on one row of a one-task family, both probe gradients
-    with the noise of one batch drawn on rng."""
-    rows = None if rng is None else keyed_uniforms([rng], {0: ([b""], normal_words(task.dim))})[0]
-    noise = grad_noise((1, task.dim), 1, sigma_tilde, rows)
-    return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]),
-                           noise)[0]
+def one_task_hvp(task, w, v, delta):
+    """hvp_finite_diff on one row of a one-task family."""
+    return hvp_finite_diff(TaskFamily([task]), [0], w[None], v[None], np.array([delta]))[0]
 
 
 def one_d_example_family():
@@ -139,16 +137,15 @@ def test_hvp_scalar_quartic_example():
     assert abs(got[0] - exact[0]) <= 9.0 * 0.5 * 1.0
 
 
-def test_hvp_exact_on_quadratic_for_any_delta_even_with_noise():
-    # Shared-batch probes cancel the noise bit-for-bit; only the linear
-    # gradient remains, so the central difference is A v to rounding.
+def test_hvp_exact_on_quadratic_for_any_delta():
+    # the gradient is linear, so the central difference is A v to rounding
     t = make_quad_task(20)
     gen = np.random.default_rng(21)
     w = gen.normal(size=t.dim)
     v = gen.normal(size=t.dim)
     want = t.A @ v
-    for j, delta in enumerate([1e-3, 0.1, 10.0]):
-        got = one_task_hvp(t, w, v, delta, sigma_tilde=5.0, rng=RngStream(22).child(j))
+    for delta in (1e-3, 0.1, 10.0):
+        got = one_task_hvp(t, w, v, delta)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
@@ -171,19 +168,18 @@ def test_hvp_error_bound_and_shrinks_on_mf():
     assert errs[0] > errs[1] > errs[2]
 
 
-def two_call_hvp(family, idx, W, V, delta, noise):
+def two_call_hvp(family, idx, W, V, delta):
     """hvp_finite_diff's central difference with one gradient call per probe point."""
     delta = delta[:, None]
-    gp = noisy(family.grads(W + delta * V, idx), noise)
-    gm = noisy(family.grads(W - delta * V, idx), noise)
+    gp = family.grads(W + delta * V, idx)
+    gm = family.grads(W - delta * V, idx)
     return (gp - gm) / (2.0 * delta)
 
 
-@pytest.mark.parametrize("noised", [False, True], ids=["exact", "noise"])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-w", "per-row-w"])
 @pytest.mark.parametrize("tasks", ["array", "slice"])
 @pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
-def test_stacked_probe_equals_two_gradient_calls_bit_for_bit(kind, tasks, shared, noised):
+def test_stacked_probe_equals_two_gradient_calls_bit_for_bit(kind, tasks, shared):
     # both probe points go through one (2, B, d) gradient call; each row
     # must be the float the two separate calls give
     make = rank1_mf_family if kind == "rank1mf" else random_quadratic_family
@@ -196,9 +192,8 @@ def test_stacked_probe_equals_two_gradient_calls_bit_for_bit(kind, tasks, shared
         W = scale * rng.normal(size=d if shared else (B, d))
         V = rng.normal(size=(B, d)) * rng.uniform(1e-3, 2.0, size=(B, 1))
         delta = rng.uniform(1e-6, 0.5, size=B)
-        noise = rng.normal(size=(B, d)) if noised else None
-        assert np.array_equal(hvp_finite_diff(family, idx, W, V, delta, noise),
-                              two_call_hvp(family, idx, W, V, delta, noise))
+        assert np.array_equal(hvp_finite_diff(family, idx, W, V, delta),
+                              two_call_hvp(family, idx, W, V, delta))
 
 
 def test_hvp_rejects_bad_delta():
@@ -282,8 +277,7 @@ def test_direction_replays_documented_streams(algorithm):
             want = v - alpha * ((task_hess(task, w) + kappa * 0.5 * (raw + raw.T)) @ v)
         if algorithm == HFMAML:
             delta = 1.0 / (6.0 * (rho * alpha * float(np.linalg.norm(v))))
-            z = st / np.sqrt(d * 5) * standard_normals(slot.child("hvp"), d)
-            gp, gm = task_grad(task, w + delta * v) + z, task_grad(task, w - delta * v) + z
+            gp, gm = task_grad(task, w + delta * v), task_grad(task, w - delta * v)
             want = v - alpha * ((gp - gm) / (2.0 * delta))
         assert np.array_equal(got, want)
 
@@ -546,6 +540,27 @@ def test_direction_dispatch_consistency():
         assert np.array_equal(got, again)
     with pytest.raises(ValueError):
         direction("sgd", t, w, 0.04, 1.0, oracle, batches, RngStream(0))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
+def test_every_slot_site_moves_the_directions(kind, algorithm):
+    # a site whose noise cancels would be a draw spent on nothing: leaving
+    # out any one site that slot_sites names must move the directions
+    make = rank1_mf_family if kind == "rank1mf" else random_quadratic_family
+    family, d, B, alpha = make(20, 5, RngStream(90)), 5, 10, 0.05
+    oracle = StochasticOracle(sigma_tilde=0.5, sigma_H=0.5)
+    rho = local_smoothness(family, np.zeros(d), radius=2.0).rho
+    w = np.random.default_rng(91).normal(size=d)
+    idx = np.arange(B)
+    sites = slot_sites(algorithm, d, oracle, B)
+    noise = slot_noise(B, d, oracle, BatchSpec(B=B), keyed_uniforms([RngStream(92)], sites))
+    full = slot_directions(algorithm, family, idx, w, alpha, rho, noise)
+    assert sites
+    for site in sites:
+        rest = {s: z for s, z in noise.items() if s != site}
+        moved = np.linalg.norm(slot_directions(algorithm, family, idx, w, alpha, rho, rest) - full)
+        assert moved > 1e-9 * np.linalg.norm(full), site
 
 
 def test_directions_share_inner_outer_noise_across_algorithms():

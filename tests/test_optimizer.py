@@ -408,11 +408,11 @@ class TestKeyedDraws:
     """Keyed RNG draws per step of run(): one per key handed to
     keyed_uniforms (its prefixes times every site's suffixes), and one per
     uniforms or standard_normals call, wherever a metagrad module calls
-    them from.  HF-MAML draws its probe once per slot, so its step draws
-    as many keys as MAML's."""
+    them from.  HF-MAML's probe draws no noise, so its step draws as many
+    keys as FO-MAML's."""
 
-    PER_STEP = {MAML: 31, FOMAML: 21, HFMAML: 31}  # fig2 at seed 0
-    ADAPTIVE_PER_STEP = {MAML: 82, FOMAML: 62, HFMAML: 82}  # and with audit-mf's batches
+    PER_STEP = {MAML: 31, FOMAML: 21, HFMAML: 21}  # fig2 at seed 0
+    ADAPTIVE_PER_STEP = {MAML: 82, FOMAML: 62, HFMAML: 62}  # and with audit-mf's batches
 
     @pytest.mark.parametrize("name, per_step", [
         ("fig1", {MAML: 0, FOMAML: 0, HFMAML: 0}),
@@ -450,7 +450,7 @@ class TestKeyedDraws:
         assert calls and drawers  # fig2's runs draw
 
     def test_adaptive_stepsize_draws_per_step(self, monkeypatch):
-        # audit-mf's shape: 1 + 3 B for a MAML or HF-MAML step, and 1 + B'
+        # audit-mf's shape: 1 + 3 B for a MAML step, 1 + 2 B for the others, and 1 + B'
         # for the stepsize sample, one key per slot stream of beta_tilde
         batches = BatchSpec(B=20, D_in=4, D_o=4, D_h=4, B_prime=20, D_beta=20)
         self.check_draws(monkeypatch, "fig2", self.ADAPTIVE_PER_STEP,
@@ -499,7 +499,7 @@ class TestKeyedDraws:
         # blocks of 7 steps: 20 steps are three kernel calls, each handed its
         # block's step keys as the one prefix list with every site of the
         # steps, and the kernel absorbs each key into the root state once
-        sites = {MAML: 4, FOMAML: 3, HFMAML: 4}  # task batch, inner, outer, hess or probe
+        sites = {MAML: 4, FOMAML: 3, HFMAML: 3}  # task batch, inner, outer, MAML's hess
         overrides = {
             "constant": {},
             "adaptive": {"stepsize": StepsizeRule(kind="adaptive"),
@@ -660,9 +660,9 @@ class TestStochasticRuns:
         assert not np.array_equal(a.w_final, c.w_final)
 
     def test_probe_variant_tracks_full_second_order_under_shared_noise(self):
-        # sigma_H = 0 and paired streams: the finite-difference probe sees
-        # the same data noise at both probe points, so it cancels and the
-        # probe equals the exact Hessian-vector product on quadratics
+        # sigma_H = 0 and paired streams: the finite-difference probe's
+        # shared data noise cancels, so it draws none, and the probe
+        # equals the exact Hessian-vector product on quadratics
         family = random_quadratic_family(5, 3, RngStream(7))
         base = self.noisy_config(MAML, max_iters=80)
         recs = run_comparison(family, base, algorithms=(MAML, HFMAML))
@@ -677,6 +677,22 @@ class TestStochasticRuns:
         direct = run(family, self.noisy_config(FOMAML, sigma_H=0.3))
         assert np.array_equal(recs[FOMAML].w_final, direct.w_final)
         assert np.array_equal(recs[FOMAML].grad_norm_F, direct.grad_norm_F)
+
+    @pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
+    def test_hfmaml_records_do_not_depend_on_D_h(self, kind):
+        # the probe's shared batch noise cancels and is not drawn, so no
+        # HF-MAML draw reads the Hessian-side budget
+        if kind == "rank1mf":
+            family = rank1_mf_family(20, 5, RngStream(14))
+        else:
+            family = random_quadratic_family(12, 4, RngStream(14))
+        recs = [run(family, self.noisy_config(HFMAML, sigma_H=0.5, max_iters=200,
+                                              batches=BatchSpec(B=10, D_h=D_h)))
+                for D_h in (1, 4, 400)]
+        assert all(rec.steps_taken == 200 for rec in recs)
+        for rec in recs[1:]:
+            assert np.array_equal(rec.iterates, recs[0].iterates)
+            assert rec.to_csv() == recs[0].to_csv()
 
     def test_noise_floor_above_exact_run(self):
         # the noisy run stalls at a strictly positive floor while the

@@ -72,7 +72,7 @@ def test_noisy_grad_exact_when_sigma_zero():
 
 def test_noisy_grad_shared_stream_shares_noise():
     # Same stream at two different points: identical additive noise.
-    # This is the shared-batch semantics the probe-based Hessian product relies on.
+    # Under these shared-batch semantics a finite-difference probe's noise cancels.
     fam, idx = rows_of(zero_grad_task(3), 1)
     rng = RngStream(7).child("shared")
     z1 = noisy_grad(fam, idx, np.zeros((1, 3)), 2, 1.0, [rng])
