@@ -28,14 +28,16 @@ of the correction term's scale.
 
 ``slot_sites`` names the sites of a step's slot draws under its key,
 ("slot", j, site), for ``numerics.keyed_uniforms``, and ``slot_noise``
-turns the sites drawn into noise, so a slot's noise is the same floats in
-any block.  HF-MAML draws FO-MAML's sites, MAML adds its Hessian's.
+turns each site's rows into normals (``numerics.box_muller_rows``) and
+the normals into noise by the site's law, so a slot's noise is the same
+floats in any block.  HF-MAML draws FO-MAML's sites, MAML adds its Hessian's.
 ``slot_directions`` adds the noise it is given with ``noisy``;
 ``direction`` is slot 0 of the step on its key.
 The audits' one Monte Carlo sampler, ``mc_direction_draws``, draws n_mc
-rows per task on per-task streams: FO-MAML's direction for the bias audit
-and its squared norms for the second-moment audit, MAML's direction with
-an exact outer gradient for the surrogate (``mc_grad_F_hat_draws``).
+rows per task, each site's normals from a ``numerics.NormalRows`` reader
+on a per-task stream: FO-MAML's direction for the bias audit and its
+squared norms for the second-moment audit, MAML's direction with an
+exact outer gradient for the surrogate (``mc_grad_F_hat_draws``).
 ``exact_grad_F`` composes the exact sweep's two stages, ``outer_stage``
 and ``hessian_stage``.  Everything here is a pure function of its inputs
 and the keys, so repeated evaluation is reproducible and parallel
@@ -46,8 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (Mat, NormalRows, RngStream, Vec, indexed_labels, keyed_uniforms,
-                       normal_words, row_blocks, row_dots)
+from .numerics import (Mat, NormalRows, RngStream, Vec, box_muller_rows, indexed_labels,
+                       keyed_uniforms, normal_words, row_blocks, row_dots)
 from .stochastic import (
     HESS,
     INNER,
@@ -67,7 +69,6 @@ ALGORITHMS = (MAML, FOMAML, HFMAML)
 
 ZERO_PROBE_TOL = 1e-12
 PROBE_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the two probe points of each row
-NO_NOISE = (1, 0.0, None)  # (D, level, reader) of a site that adds no noise
 
 
 def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray) -> Mat:
@@ -131,15 +132,15 @@ def slot_sites(algorithm: str, d: int, oracle: StochasticOracle, slots: int) -> 
             for purpose, size in sites}
 
 
-def slot_noise(n: int, d: int, oracle: StochasticOracle, batches: BatchSpec, rows: dict) -> dict:
+def slot_noise(d: int, oracle: StochasticOracle, batches: BatchSpec, rows: dict) -> dict:
     """Site label -> noise of each slot site drawn in rows (keyed_uniforms'
-    rows of slot_sites, among others), for n slots: one Box-Muller pass and
-    scaling per site."""
+    rows of slot_sites, among others), a row per slot: one Box-Muller pass
+    of a site's rows into its normals, then the site's noise law."""
     budgets = {INNER: batches.D_in, OUTER: batches.D_o}
-    noise = {site: grad_noise((n, d), D, oracle.sigma_tilde, rows[site])
+    noise = {site: grad_noise(box_muller_rows(rows[site], d), D, oracle.sigma_tilde)
              for site, D in budgets.items() if site in rows}
     if HESS in rows:
-        noise[HESS] = hess_noise((n, d, d), batches.D_h, oracle.sigma_H, rows[HESS])
+        noise[HESS] = hess_noise(box_muller_rows(rows[HESS], (d, d)), batches.D_h, oracle.sigma_H)
     return noise
 
 
@@ -176,7 +177,7 @@ def direction(algorithm: str, task, w: Vec, alpha: float, rho: float, oracle: St
     noise drawn on the slot sites as run() draws that step's."""
     family = TaskFamily([task])
     rows = keyed_uniforms([rng], slot_sites(algorithm, family.dim, oracle, 1))
-    noise = slot_noise(1, family.dim, oracle, batches, rows)
+    noise = slot_noise(family.dim, oracle, batches, rows)
     return slot_directions(algorithm, family, slice(None), w, alpha, rho, noise)[0]
 
 
@@ -257,19 +258,23 @@ def mc_direction_draws(algorithm: str, family: TaskFamily, w: Vec, alpha: float,
     acc = np.zeros(n_mc if squares else (n_mc, d))
     hessians = family.hessians(w) if algorithm == MAML else [None] * family.n_tasks
     for i, (p, g, h) in enumerate(zip(family.weights, family.grads(w), hessians)):
-        rows = {site: (D, level, NormalRows(rng.child("task", i, label),
-                                            (n_mc, d, d) if site == HESS else (n_mc, d)))
-                for site, (label, D, level) in sites.items() if level > 0.0}
-        z = grad_noise((n_mc, d), *rows.get(INNER, NO_NOISE))
+        readers = {site: NormalRows(rng.child("task", i, label),
+                                    (n_mc, d, d) if site == HESS else (n_mc, d))
+                   for site, (label, _, level) in sites.items() if level > 0.0}
+
+        def draw(site, law, k=n_mc):  # the site's noise on its next k rows; None if it has none
+            return law(readers[site].take(k), *sites[site][1:]) if site in readers else None
+
+        z = draw(INNER, grad_noise)
         u = np.broadcast_to(w - alpha * g, (n_mc, d)) if z is None else w - alpha * (g + z)
         go = family.task_grads(i, u)
         del z, u  # freed before the outer noise is drawn, which sets the heap peak
-        go = noisy(go, grad_noise((n_mc, d), *rows.get(OUTER, NO_NOISE)))
+        go = noisy(go, draw(OUTER, grad_noise))
         if algorithm == MAML:
             corr = go @ h.T
-            if HESS in rows:
+            if HESS in readers:
                 for r0, r1 in row_blocks(n_mc):
-                    e = hess_noise((r1 - r0, d, d), *rows[HESS])
+                    e = draw(HESS, hess_noise, r1 - r0)
                     corr[r0:r1] += np.einsum("mij,mj->mi", e, go[r0:r1])
             go = go - alpha * corr
         acc += p * (np.einsum("md,md->m", go, go) if squares else go)

@@ -242,9 +242,8 @@ def _drawn_steps(family, config, profile, oracle, slots, sites, keys):
     betas = stepsize_draws(family, profile, b.B_prime, b.D_beta, n, rows)
     if not slots:
         return [(beta, None) for beta in betas]
-    tasks = (sample_task_batch(family, (n, slots), rows[TASKS]) if TASKS in rows
-             else [slice(None)] * n)
-    noise = slot_noise(n * slots, family.dim, oracle, b, rows)
+    tasks = sample_task_batch(family, rows[TASKS]) if TASKS in rows else [slice(None)] * n
+    noise = slot_noise(family.dim, oracle, b, rows)
     return [(beta, (idx, {site: a[r * slots:(r + 1) * slots] for site, a in noise.items()}))
             for r, (beta, idx) in enumerate(zip(betas, tasks))]
 

@@ -23,9 +23,9 @@ when either inequality fails, or when L, rho or sigma is not finite; the
 samplers and the optimizer's config validation all go through it.
 ``stepsize_sites`` names a step's sample under its key, (STEPSIZE, TASKS)
 and (STEPSIZE, STEPSIZE, j), for ``numerics.keyed_uniforms``, and
-``stepsize_draws`` reads the rows; ``beta_tilde`` is the sample of the
-step on its key, as the optimizer draws it.  Every sampler
-takes task-gradient norms through ``_grad_norms``, so a norm whose square
+``stepsize_draws`` turns the rows into tasks and noise; ``beta_tilde`` is
+the sample of the step on its key, as the optimizer draws it.  Every
+sampler takes task-gradient norms through ``_grad_norms``, so a norm whose square
 overflows stays finite.
 """
 
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBatchConfig, NumericalFailure
-from .numerics import (NormalRows, RngStream, Vec, indexed_labels, keyed_uniforms, normal_words,
-                       path_key, row_blocks, row_dots, task_order_sum)
+from .numerics import (NormalRows, RngStream, Vec, box_muller_rows, indexed_labels, keyed_uniforms,
+                       normal_words, path_key, row_blocks, row_dots, task_order_sum)
 from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
@@ -128,14 +128,17 @@ def required_D_h(profile: SmoothnessProfile, alpha: float,
     """Hessian-side batch the guarantees assume, with the rule it comes from.
 
     The probe-based variant needs ceil(36 (alpha rho sigma_tilde)^2)
-    probe gradients; the variants drawing a noisy Hessian need
+    probe gradients; MAML, which draws a noisy Hessian, needs
     ceil(2 alpha^2 sigma_H^2) draws, alpha sigma_H being taken first so
-    that sigma_H = 0 needs one draw at any finite alpha.  Under the additive
-    noise law no HF-MAML draw reads D_h (its probe's noise cancels and is
-    not drawn), so the probe rule guards a batch that nothing draws.
+    that sigma_H = 0 needs one draw at any finite alpha.  FO-MAML drops the
+    Hessian factor and needs any batch.  Under the additive noise law no
+    HF-MAML draw reads D_h (its probe's noise cancels and is not drawn), so
+    the probe rule guards a batch that nothing draws.
     """
     if algorithm not in ADAPTIVE_FRACTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "fomaml":
+        return 1, "1"
     if algorithm == "hfmaml":
         r = alpha * profile.rho * profile.sigma_tilde
         return max(1, _ceil(36.0 * (r * r))), "ceil(36*(alpha*rho*sigma_tilde)^2)"
@@ -199,9 +202,9 @@ def stepsize_draws(family: TaskFamily, profile: SmoothnessProfile, B_prime: int,
     stepsize_sites; None per sample where they name nothing."""
     if BETA_TASKS not in rows:
         return [None] * n
-    idx = sample_task_batch(family, (n, B_prime), rows[BETA_TASKS])
-    noise = grad_noise((n * B_prime, family.dim), D_beta, profile.sigma_tilde,
-                       rows.get(BETA_NOISE))
+    idx = sample_task_batch(family, rows[BETA_TASKS])
+    z = box_muller_rows(rows[BETA_NOISE], family.dim) if BETA_NOISE in rows else None
+    noise = grad_noise(z, D_beta, profile.sigma_tilde)
     return list(zip(idx, [None] * n if noise is None else noise.reshape(n, B_prime, -1)))
 
 
@@ -233,9 +236,10 @@ def sample_beta_tilde(
     task sampling, same noise law), batched so moment audits with 1e5
     samples stay fast.  Draw r's tasks are row r of an (n, B') uniform
     draw on the TASKS stream and its noise row r of an (n, B', d) normal
-    draw on the STEPSIZE stream.  Both are read forward in windows of
-    ``numerics.BLOCK_ROWS`` rows, each equal bit for bit to those rows of
-    the whole draw, so memory is O(BLOCK_ROWS * B' * d) plus the (n,) output.
+    draw on the STEPSIZE stream (none at sigma_tilde = 0).  Both are read
+    forward in windows of ``numerics.BLOCK_ROWS`` rows, each equal bit for
+    bit to those rows of the whole draw, so memory is
+    O(BLOCK_ROWS * B' * d) plus the (n,) output.
     """
     check_stepsize_batches(profile, alpha, B_prime, D_beta)
     coeff = 2.0 * profile.rho * alpha
@@ -243,12 +247,13 @@ def sample_beta_tilde(
         return np.full(n, 0.25 / profile.L)
     grads = family.grads(w)
     tasks = rng.child(TASKS).generator()
-    noise = NormalRows(rng.child(STEPSIZE), (n, B_prime, family.dim))
+    noise = (NormalRows(rng.child(STEPSIZE), (n, B_prime, family.dim))
+             if profile.sigma_tilde != 0.0 else None)
     norms = np.empty(n)
     for r0, r1 in row_blocks(n):
-        idx = sample_task_batch(family, (r1 - r0, B_prime), tasks)
-        sel = noisy(grads[idx], grad_noise(idx.shape + (family.dim,), D_beta,
-                                           profile.sigma_tilde, noise))
+        idx = sample_task_batch(family, tasks.random((r1 - r0, B_prime)))
+        z = None if noise is None else noise.take(r1 - r0)
+        sel = noisy(grads[idx], grad_noise(z, D_beta, profile.sigma_tilde))
         norms[r0:r1] = _grad_norms(sel).mean(axis=1)
     return 1.0 / (4.0 * profile.L + coeff * norms)
 

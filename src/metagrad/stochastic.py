@@ -12,22 +12,17 @@ so E||z||^2 = sigma_tilde^2 / D, and
                  E||E||_F^2 = sigma_H^2 / D.
 
 These two laws live only in ``grad_noise`` and ``hess_noise``, which
-return the noise of a whole stack of draws, or None at a zero noise
-level, for ``noisy`` to add; the stacked oracles ``noisy_grad`` and
+scale the standard normals they are handed into the noise of a whole
+stack of draws, or give None at a zero noise level, where nothing was
+drawn, for ``noisy`` to add; the stacked oracles ``noisy_grad`` and
 ``noisy_hess``, the optimizer's draws and the vectorized samplers all
-call them.  A stack's normals come either from uniform rows that
-``numerics.keyed_uniforms`` drew for one site on many keys (a block of
-optimizer steps), row j through Box-Muller into the normals of the j-th
-key, or as the next rows of a ``numerics.NormalRows`` reader of one draw
-on one stream, bit for bit those rows of the whole draw.  The Monte Carlo
-samplers read their draws so, in windows of at most ``numerics.BLOCK_ROWS``
-rows where the sample is large, and read task indices forward from a
-stream's own generator.  ``sample_task_batch``
-takes either kind of uniforms the same way: keyed rows or a generator.
+call them.  Likewise ``sample_task_batch`` inverts the uniforms it is
+handed.  Each caller draws and decodes its own normals and uniforms, in
+the module that names their draw sites.
 
-Noise is drawn from the streams passed in and nothing else, so a fixed
-(seed, path) reproduces the same batch no matter where or when it is
-consumed.  It does not depend on the point, so the two probes of a
+Every normal and uniform is drawn on a keyed stream and nothing else, so
+a fixed (seed, path) reproduces the same batch no matter where or when it
+is consumed.  It does not depend on the point, so the two probes of a
 finite-difference Hessian-vector product, which share a batch, would add
 one draw that cancels in exact arithmetic: the probe draws none.
 """
@@ -38,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NormalRows, RngStream, box_muller_rows, keyed_uniforms, normal_words
+from .numerics import RngStream, box_muller_rows, keyed_uniforms, normal_words
 from .tasks import TaskFamily
 
 # Purpose labels appended to RNG paths; one per draw site so streams
@@ -78,51 +73,42 @@ def positive_int(v, name: str) -> int:
     return int(v)
 
 
-Streams = NormalRows | np.ndarray | None
-
-
-def _normals(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of the given shape: the next shape[0] rows of a
-    reader, or row j from row j of ``keyed_uniforms`` rows, which hold
-    ``normal_words(shape[1:])`` uniforms each, in one Box-Muller pass."""
-    return (rng.take(shape[0]) if isinstance(rng, NormalRows)
-            else box_muller_rows(rng, shape[1:]).reshape(shape))
-
-
 def _keyed(keys: list[RngStream | bytes] | None, shape: tuple[int, ...], level: float):
-    """The uniform rows of a normal draw of shape[1:] on each key, by one
-    ``keyed_uniforms`` call; None at a zero noise level, which draws nothing."""
-    return None if level == 0.0 else keyed_uniforms(keys, {0: ([b""], normal_words(shape[1:]))})[0]
+    """Standard normals of shape[1:] on each key, (len(keys),) + shape[1:], by
+    one ``keyed_uniforms`` call; None at a zero noise level, which draws nothing."""
+    if level == 0.0:
+        return None
+    return box_muller_rows(keyed_uniforms(keys, {0: ([b""], normal_words(shape[1:]))})[0],
+                           shape[1:])
 
 
-def grad_noise(shape: tuple[int, ...], D: int, sigma_tilde: float,
-               rng: Streams) -> np.ndarray | None:
-    """Batch-size-D gradient noise of the given shape, i.i.d.
-    N(0, sigma_tilde^2 / (d D)) along the last axis, drawn on rng as
-    ``_normals`` draws them.  With sigma_tilde = 0 it is None (``noisy``
-    adds nothing), nothing is drawn and rng may be None."""
+def grad_noise(z: np.ndarray | None, D: int, sigma_tilde: float) -> np.ndarray | None:
+    """Batch-size-D gradient noise from the standard normals z: i.i.d.
+    N(0, sigma_tilde^2 / (d D)) along the last axis, of z's shape.  With
+    sigma_tilde = 0 it is None (``noisy`` adds nothing), and z, which
+    nothing drew, may be None."""
     if D < 1:
         raise ValueError("D must be >= 1")
     if sigma_tilde == 0.0:
         return None
-    return sigma_tilde / np.sqrt(shape[-1] * D) * _normals(rng, shape)
+    return sigma_tilde / np.sqrt(z.shape[-1] * D) * z
 
 
-def hess_noise(shape: tuple[int, ...], D: int, sigma_H: float, rng: Streams) -> np.ndarray | None:
-    """Symmetric batch-size-D Hessian noise over the last two axes.
+def hess_noise(g: np.ndarray | None, D: int, sigma_H: float) -> np.ndarray | None:
+    """Symmetric batch-size-D Hessian noise over the last two axes of the
+    standard normals g.
 
     E = kappa (G + G') / 2 with i.i.d. standard normal G has Frobenius
     energy kappa^2 d (d + 1) / 2, so kappa = sigma_H sqrt(2 / (D d (d + 1))).
-    G is drawn on rng as ``_normals`` draws it; with sigma_H = 0 it is None
-    (``noisy`` adds nothing), nothing is drawn and rng may be None.
+    With sigma_H = 0 it is None (``noisy`` adds nothing), and g, which
+    nothing drew, may be None.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
     if sigma_H == 0.0:
         return None
-    d = shape[-1]
+    d = g.shape[-1]
     kappa = sigma_H * np.sqrt(2.0 / (D * d * (d + 1)))
-    g = _normals(rng, shape)
     return kappa * 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
@@ -137,7 +123,7 @@ def noisy_grad(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_tilde: floa
     Gaussian noise drawn on key rng[j], shape (B, d); row j is that task's
     gradient alone.  rng may be None at sigma_tilde = 0."""
     g = family.grads(W, idx)
-    return noisy(g, grad_noise(g.shape, D, sigma_tilde, _keyed(rng, g.shape, sigma_tilde)))
+    return noisy(g, grad_noise(_keyed(rng, g.shape, sigma_tilde), D, sigma_tilde))
 
 
 def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
@@ -145,7 +131,7 @@ def noisy_hess(family: TaskFamily, idx, W: np.ndarray, D: int, sigma_H: float,
     """Hessian of task idx[j] at W or at row W[j] plus symmetric Gaussian
     noise drawn on key rng[j], shape (B, d, d).  rng may be None at sigma_H = 0."""
     h = family.hessians(W, idx)
-    return noisy(h, hess_noise(h.shape, D, sigma_H, _keyed(rng, h.shape, sigma_H)))
+    return noisy(h, hess_noise(_keyed(rng, h.shape, sigma_H), D, sigma_H))
 
 
 @dataclass(frozen=True)
@@ -164,13 +150,7 @@ class StochasticOracle:
         return self.sigma_tilde == 0.0 and self.sigma_H == 0.0
 
 
-def sample_task_batch(family: TaskFamily, shape: int | tuple[int, ...],
-                      rng: np.ndarray | np.random.Generator) -> np.ndarray:
-    """Task indices of the given shape, i.i.d. from the family weights by
-    inverse CDF on the uniforms of rng: ``keyed_uniforms`` rows of that
-    shape (row j on the j-th key), or a generator read forward (a stream's
-    own, for the next rows of one draw on it)."""
-    shape = tuple(positive_int(n, "a batch dimension")
-                  for n in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    u = rng.reshape(shape) if isinstance(rng, np.ndarray) else rng.random(shape)
+def sample_task_batch(family: TaskFamily, u: np.ndarray) -> np.ndarray:
+    """Task indices i.i.d. from the family weights, of u's shape: each
+    uniform of u inverted through the weights' CDF."""
     return np.minimum(np.searchsorted(family.cum_weights, u, side="right"), family.n_tasks - 1)

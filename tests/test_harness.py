@@ -269,6 +269,51 @@ class TestRunCommand:
         assert len(cols["iter"]) == 6
 
 
+class TestConfigForms:
+    def test_family_path_is_read_beside_the_config(self, tmp_path, monkeypatch, capsys):
+        # a relative {"path": ...} names a file in the config's directory,
+        # not the working one; the run is the inline family's, byte for byte
+        (tmp_path / "cfgs").mkdir()
+        (tmp_path / "cfgs" / "fam.json").write_text(json.dumps(quad_family_dict()))
+        by_path = write_config(tmp_path / "cfgs", family={"path": "fam.json"})
+        inline = write_config(tmp_path, name="inline.json")
+        monkeypatch.chdir(tmp_path)
+        for cfg, out in ((by_path, "p"), (inline, "i")):
+            assert main(["run", "--config", str(cfg), "--out", out, "--quiet"]) == 0
+        name = "run_maml_seed0.csv"
+        assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "i" / name).read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"algorithms": ["maml"]}', "family is required"),
+        ('{"family": [1, 2], "algorithms": ["maml"]}', "family must be an object"),
+        ('{"family": {"generate": {"kind": "cubic"}}, "algorithms": ["maml"]}',
+         "unknown family kind 'cubic'"),
+    ], ids=["list-root", "no-family", "family-not-object", "unknown-generated-kind"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_quadratic_oracle_refuses_a_rank1_family(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family={"generate": {"kind": "rank1mf", "n": 3, "dim": 2}})
+        assert main(["quadratic-oracle", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: quadratic-oracle needs a quadratic family\n"
+        assert captured.out == ""
+
+    def test_out_naming_a_file_is_io_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("i/o failure:")
+        assert out.read_text() == "kept"
+
+
 class TestExitCodes:
     def test_small_task_batch_names_precondition(self, tmp_path, capsys):
         cfg = write_config(

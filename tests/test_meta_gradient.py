@@ -554,7 +554,7 @@ def test_every_slot_site_moves_the_directions(kind, algorithm):
     w = np.random.default_rng(91).normal(size=d)
     idx = np.arange(B)
     sites = slot_sites(algorithm, d, oracle, B)
-    noise = slot_noise(B, d, oracle, BatchSpec(B=B), keyed_uniforms([RngStream(92)], sites))
+    noise = slot_noise(d, oracle, BatchSpec(B=B), keyed_uniforms([RngStream(92)], sites))
     full = slot_directions(algorithm, family, idx, w, alpha, rho, noise)
     assert sites
     for site in sites:

@@ -72,6 +72,10 @@ def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
+def test_spectral_norm_empty_matrix():
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
 def test_spectral_norm_vs_jacobi():
     gen = np.random.default_rng(3)
     for _ in range(25):

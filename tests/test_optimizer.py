@@ -154,9 +154,9 @@ def step_draw(family, cfg, oracle, rng):
         idx, B = slice(None), family.n_tasks
     else:
         B = cfg.batches.B
-        idx = sample_task_batch(family, B, rng.child("tasks").generator())
+        idx = sample_task_batch(family, rng.child("tasks").generator().random(B))
     rows = numerics.keyed_uniforms([rng], slot_sites(cfg.algorithm, family.dim, oracle, B))
-    return idx, slot_noise(B, family.dim, oracle, cfg.batches, rows)
+    return idx, slot_noise(family.dim, oracle, cfg.batches, rows)
 
 
 def slot_direction(algorithm, task, w, alpha, rho, oracle, batches, slot_key):
@@ -164,7 +164,7 @@ def slot_direction(algorithm, task, w, alpha, rho, oracle, batches, slot_key):
     slot j of step k's for slot_key (seed, k, "slot", j)."""
     sites = {site: ([numerics.path_key(b"", site)], words)
              for site, (_, words) in slot_sites(algorithm, task.dim, oracle, 1).items()}
-    noise = slot_noise(1, task.dim, oracle, batches, numerics.keyed_uniforms([slot_key], sites))
+    noise = slot_noise(task.dim, oracle, batches, numerics.keyed_uniforms([slot_key], sites))
     return slot_directions(algorithm, TaskFamily([task]), slice(None), w, alpha, rho, noise)[0]
 
 
@@ -282,7 +282,7 @@ class TestSlotLoopReplay:
             for i in range(family.n_tasks):
                 acc += family.weights[i] * slot(i, i)
             return acc
-        tasks = sample_task_batch(family, cfg.batches.B, root.child(k, "tasks").generator())
+        tasks = sample_task_batch(family, root.child(k, "tasks").generator().random(cfg.batches.B))
         for j, i in enumerate(tasks):
             acc += slot(j, i)
         return acc / cfg.batches.B
@@ -349,7 +349,7 @@ class TestSlotLoopReplay:
         rec, root = run(family, cfg, profile=profile), RngStream(cfg.seed)
         for k in (0, 1, 7, 19):
             w = rec.iterates[k]
-            (i,) = sample_task_batch(family, 1, root.child(k, "tasks").generator())
+            (i,) = sample_task_batch(family, root.child(k, "tasks").generator().random(1))
             step = direction(algorithm, family.tasks[i], w, cfg.alpha, profile.rho, oracle,
                              cfg.batches, numerics.path_key(root, k))
             assert np.array_equal(rec.iterates[k + 1], w - rec.beta[k] * step)
@@ -742,6 +742,22 @@ class TestRecordAndStops:
         assert np.all(np.isnan(rec.dist_wfo))
         assert np.all(np.isfinite(rec.grad_norm_F))
 
+    def test_distance_columns_nan_where_the_fixed_points_are_ill_conditioned(self):
+        # at alpha = 1 this quadratic family's fixed-point system is not
+        # positive definite, so it has no w*: the run goes on and logs no distance
+        family = random_quadratic_family(4, 3, RngStream(5))
+        cfg = OptimizerConfig(
+            algorithm=FOMAML,
+            alpha=1.0,
+            stepsize=StepsizeRule(kind="constant", beta=0.01),
+            full_task_batch=True,
+            max_iters=20,
+        )
+        rec = run(family, cfg)
+        assert rec.stop_reason == "max_iters" and rec.steps_taken == 20
+        assert np.all(np.isnan(rec.dist_wstar))
+        assert np.all(np.isnan(rec.dist_wfo))
+
     def test_beta_column_semantics(self):
         family = one_d_example_family()
         rec = run(family, exact_config(MAML, 0.3, max_iters=10))
@@ -970,6 +986,23 @@ class TestGuards:
         with pytest.raises(InvalidBatchConfig, match=r"D_h=1 < ceil\(36"):
             validate_config(cfg, profile.with_noise(1.0, 0.0))
 
+    def test_only_maml_sizes_its_hessian_batch_by_sigma_H(self):
+        # FO-MAML drops the Hessian factor and HF-MAML draws no Hessian, so
+        # the noisy-Hessian rule ceil(2 alpha^2 sigma_H^2) = 8 binds MAML alone
+        profile = SmoothnessProfile(L=0.2, rho=0.0, sigma=0.0).with_noise(0.0, 4.0)
+        cfg = OptimizerConfig(
+            algorithm=MAML,
+            alpha=0.5,
+            stepsize=StepsizeRule(kind="adaptive"),
+            batches=BatchSpec(B=20, D_h=1),
+            sigma_H=4.0,
+        )
+        with pytest.raises(InvalidBatchConfig,
+                           match=r"^D_h=1 < ceil\(2\*alpha\^2\*sigma_H\^2\)=8$"):
+            validate_config(cfg, profile)
+        for algorithm in (FOMAML, HFMAML):
+            validate_config(replace(cfg, algorithm=algorithm), profile)
+
     def test_comparison_checks_every_algorithm_before_the_first_run(self, monkeypatch):
         # sigma_H = 0 leaves MAML and FO-MAML needing D_h = 1; only HF-MAML's
         # ceil(36 (alpha rho sigma_tilde)^2) = 46 probe gradients are short
@@ -1027,6 +1060,9 @@ class TestGuards:
             OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, trust_radius=0.0)
+        for noise in ({"sigma_tilde": -0.5}, {"sigma_H": -0.5}):
+            with pytest.raises(ValueError, match="noise levels must be nonnegative"):
+                OptimizerConfig(algorithm=MAML, alpha=0.1, stepsize=rule, **noise)
 
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 2.5), ("max_iters", True), ("max_iters", 0), ("max_iters", 3.0),

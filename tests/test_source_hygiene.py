@@ -5,6 +5,10 @@ Each ``src/metagrad/*.py`` and ``tests/*.py`` is parsed with ast; a name
 bound by an import must be read somewhere in the module (as a name, or as
 the root of an attribute chain), unless the module re-exports it through
 ``__all__``.  ``from __future__`` imports bind nothing.
+
+The noise laws and the task sampler of ``stochastic`` are kept free of the
+random-number layer: they only transform the normals and uniforms they are
+handed, so their bodies read nothing ``stochastic`` imports from ``numerics``.
 """
 
 import ast
@@ -63,3 +67,19 @@ def test_an_unused_import_is_caught():
                      "__all__ = ['zeros']\nos.getcwd()\n")
     used = read_names(tree) | exported_names(tree)
     assert {n for n in imported_names(tree) if n not in used} == {"arr"}
+
+
+# stochastic's functions that take their draws as arrays and draw nothing
+LAWS = ("grad_noise", "hess_noise", "sample_task_batch")
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_noise_laws_read_no_rng(name):
+    tree = ast.parse((SRC / "stochastic.py").read_text())
+    rng_names = {alias.asname or alias.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.module == "numerics"
+                 for alias in node.names}
+    assert rng_names, "stochastic imports nothing from numerics"
+    (law,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    drawn = read_names(ast.Module(body=law.body, type_ignores=[])) & (rng_names | {"_normals"})
+    assert not drawn, f"{name} reads the random-number layer: {drawn}"

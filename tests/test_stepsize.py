@@ -17,6 +17,7 @@ from metagrad.stepsize import (
     check_stepsize_batches,
     required_B_prime,
     required_D_beta,
+    required_D_h,
     sample_beta_tilde,
     smoothness_L_of_w,
 )
@@ -164,6 +165,12 @@ def test_batch_condition_thresholds():
         check_stepsize_batches(prof, alpha, 2, 3)
 
 
+def test_required_D_h_refuses_an_unknown_algorithm():
+    prof = SmoothnessProfile(L=1.0, rho=2.0, sigma=0.0, sigma_tilde=0.1, sigma_H=4.0)
+    with pytest.raises(ValueError, match="unknown algorithm 'newton'"):
+        required_D_h(prof, 0.5, "newton")
+
+
 def test_vectorized_sampler_matches_looped_rule_in_distribution():
     fam, prof = mf_setup(seed=95)
     alpha = 1.0 / (6.0 * prof.L)
@@ -224,7 +231,7 @@ def test_beta_tilde_replays_slot_loop_bit_for_bit():
         got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
         acc = 0.0
         beta_rng = rng.child(STEPSIZE)
-        for slot, i in enumerate(sample_task_batch(fam, bp, beta_rng.child(TASKS).generator())):
+        for slot, i in enumerate(sample_task_batch(fam, beta_rng.child(TASKS).generator().random(bp))):
             z = prof.sigma_tilde / np.sqrt(d * db) * standard_normals(
                 beta_rng.child(STEPSIZE, slot), d)
             acc += float(np.linalg.norm(task_grad(fam.tasks[i], w) + z))
@@ -259,7 +266,7 @@ def test_inflated_gradient_norms_weakly_decrease_beta_tilde():
     got = beta_tilde(fam, prof, w, alpha, bp, db, rng)
 
     beta_rng = rng.child(STEPSIZE)
-    idx = sample_task_batch(fam, bp, beta_rng.child(TASKS).generator())
+    idx = sample_task_batch(fam, beta_rng.child(TASKS).generator().random(bp))
     norms = [
         np.linalg.norm(noisy_grad(fam, [i], w[None], db, prof.sigma_tilde,
                                   [beta_rng.child(STEPSIZE, slot)])[0])

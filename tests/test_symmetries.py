@@ -91,8 +91,8 @@ def probe_width_from_squared_norm(original):
 
 
 def hessian_noise_at_gradient_level(original):
-    return lambda n, d, oracle, batches, rows: original(
-        n, d, replace(oracle, sigma_H=oracle.sigma_tilde), batches, rows)
+    return lambda d, oracle, batches, rows: original(
+        d, replace(oracle, sigma_H=oracle.sigma_tilde), batches, rows)
 
 
 def adaptive_estimate_without_alpha(original):

@@ -390,6 +390,23 @@ def test_quadratic_generator_respects_eig_range():
         assert eigs.max() <= 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("eig_range", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
+def test_quadratic_generator_refuses_a_bad_eig_range(eig_range):
+    with pytest.raises(ValueError, match="eig_range must be positive and ordered"):
+        random_quadratic_family(2, 2, RngStream(63), eig_range=eig_range)
+
+
+def test_rank1_task_needs_a_vector():
+    with pytest.raises(ValueError, match="g must be a vector"):
+        MatrixFactorizationTask(np.ones((2, 2)))
+
+
+def test_family_from_dict_refuses_an_unknown_kind():
+    data = {**rank1_mf_family(2, 2, RngStream(64)).to_dict(), "kind": "cubic"}
+    with pytest.raises(ValueError, match="unknown family kind 'cubic'"):
+        TaskFamily.from_dict(data)
+
+
 # ------------------------------------------------------ local_smoothness
 
 

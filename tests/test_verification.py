@@ -105,6 +105,24 @@ class TestBiasAudit:
             audit_bias(family, center, 0.05, 4, 2, 1, profile, RngStream(0))
 
 
+@pytest.mark.parametrize("audit, message", [
+    (lambda f, c, p: audit_second_moment(f, c, 0.05, 4, 2, 1.0, 1, p, RngStream(0)),
+     "n_mc must be >= 2"),
+    (lambda f, c, p: audit_grad_gap_F_hat(f, c, 0.05, 4, 1, p, RngStream(0)),
+     "n_mc must be >= 2"),
+    (lambda f, c, p: audit_hvp_probe_error(f, p, 0.05, c, 1.5, 0, RngStream(0)),
+     "n_probes must be >= 1"),
+    (lambda f, c, p: audit_smoothness_ratio(f, p, 0.05, c, 1.5, 0, RngStream(0)),
+     "n_pairs must be >= 1"),
+    (lambda f, c, p: audit_stepsize_moments(f, p, 0.05, c, 1, 1, 1, RngStream(0)),
+     "n_samples must be >= 2"),
+], ids=["second-moment", "grad-gap", "hvp-probe", "smoothness", "stepsize-moments"])
+def test_audits_refuse_too_few_samples(audit, message):
+    family, center, profile = mf_setup()
+    with pytest.raises(ValueError, match=message):
+        audit(family, center, profile)
+
+
 class TestSecondMomentAudit:
     def test_noise_free_equals_adapted_norm(self):
         family, center, profile = mf_setup(sigma_tilde=0.0)
