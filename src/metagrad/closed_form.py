@@ -40,13 +40,16 @@ def _solve_spd(h: Mat, rhs: Vec) -> Vec:
         np.linalg.cholesky(h)  # the positive-definiteness check
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"coefficient matrix is not positive definite: {exc}") from exc
-    x = np.linalg.solve(h, rhs)
     scale = max(1.0, float(np.linalg.norm(rhs)))
-    for _ in range(3):  # iterative refinement, usually a no-op
-        r = rhs - h @ x
-        if float(np.linalg.norm(r)) <= RESIDUAL_TOL * scale:
-            return x
-        x = x + np.linalg.solve(h, r)
+    try:  # LU can still meet an exact zero pivot on a matrix that Cholesky passed
+        x = np.linalg.solve(h, rhs)
+        for _ in range(3):  # iterative refinement, usually a no-op
+            r = rhs - h @ x
+            if float(np.linalg.norm(r)) <= RESIDUAL_TOL * scale:
+                return x
+            x = x + np.linalg.solve(h, r)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"linear solve failed: {exc}") from exc
     if float(np.linalg.norm(rhs - h @ x)) > RESIDUAL_TOL * scale:
         raise IllConditioned("linear solve residual exceeds 1e-12 after refinement")
     return x

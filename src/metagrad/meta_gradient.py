@@ -89,18 +89,6 @@ def hvp_finite_diff(family: TaskFamily, idx, W: Mat, V: Mat, delta: np.ndarray) 
     return (g[0] - g[1]) / (2.0 * delta)
 
 
-def probe_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||v|| = sqrt(v . v), of one vector or of each row of a stack, and
-    whether it exceeds ZERO_PROBE_TOL (at or below it there is nothing to
-    probe along and the correction is zero).
-
-    Each norm is rounded as np.linalg.norm rounds that row alone, so a
-    stacked row's norm equals the norm of that vector on its own.
-    """
-    nv = np.sqrt(row_dots(v))
-    return nv, nv > ZERO_PROBE_TOL
-
-
 def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Probe width for the Hessian-free correction, per probe norm.
 
@@ -164,10 +152,9 @@ def slot_directions(
         h = noisy(family.hessians(w, idx), noise.get(HESS))
         return v - alpha * (h @ v[:, :, None])[..., 0]
     if algorithm == HFMAML:
-        nv, probing = probe_norms(v)
-        delta = probe_delta(rho, alpha, nv, w)
-        hv = hvp_finite_diff(family, idx, w, v, delta)
-        return np.where(probing[:, None], v - alpha * hv, v)
+        nv = np.sqrt(row_dots(v))  # each row's norm rounds as np.linalg.norm of it alone
+        hv = hvp_finite_diff(family, idx, w, v, probe_delta(rho, alpha, nv, w))
+        return np.where((nv > ZERO_PROBE_TOL)[:, None], v - alpha * hv, v)
     return v
 
 

@@ -155,8 +155,8 @@ class RunRecord:
     """Per-iteration log plus summary of one optimizer run.
 
     Arrays share length K + 1 where K is the number of steps taken; row
-    k describes iterate w_k = iterates[k] before stepping, and w_final
-    is the last row.  beta[k] is the stepsize used to leave w_k, NaN on
+    k describes iterate w_k = iterates[k] before stepping, the last row
+    being the final iterate.  beta[k] is the stepsize used to leave w_k, NaN on
     the terminal row.  Distance columns are NaN for families without
     closed-form fixed points.
     """
@@ -175,10 +175,6 @@ class RunRecord:
     @property
     def steps_taken(self) -> int:
         return len(self.grad_norm_F) - 1
-
-    @property
-    def w_final(self) -> Vec:
-        return self.iterates[-1]
 
     @property
     def final_grad_norm(self) -> float:
@@ -235,13 +231,11 @@ def _drawn_steps(family, config, profile, oracle, slots, sites, keys):
     (seed, k), every site of a step drawn by one ``keyed_uniforms`` call on
     the keys.  A slot draw is (idx, site -> noise rows) of the given number
     of slots: B tasks on key + "tasks" (a full batch's are 0..n-1), slot j's
-    noise on key + ("slot", j).  A stepsize draw is None where it draws
-    nothing."""
+    noise on key + ("slot", j); a run with no slots draws no noise.  A
+    stepsize draw is None where it draws nothing."""
     b, n = config.batches, len(keys)
     rows = keyed_uniforms(keys, sites)
     betas = stepsize_draws(family, profile, b.B_prime, b.D_beta, n, rows)
-    if not slots:
-        return [(beta, None) for beta in betas]
     tasks = sample_task_batch(family, rows[TASKS]) if TASKS in rows else [slice(None)] * n
     noise = slot_noise(family.dim, oracle, b, rows)
     return [(beta, (idx, {site: a[r * slots:(r + 1) * slots] for site, a in noise.items()}))
@@ -297,7 +291,7 @@ def run(
         sites[TASKS] = ((path_key(b"", TASKS),), slots)
     if adaptive:
         sites.update(stepsize_sites(profile, config.alpha, config.batches.B_prime, d))
-    undrawn = (None, (slice(None), {}) if slots else None)  # a step of a run that draws nothing
+    undrawn = (None, (slice(None), {}))  # a step of a run that draws nothing
     root = RngStream(config.seed)
     w = w0.copy()
     n_rows = config.max_iters + 1

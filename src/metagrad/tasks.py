@@ -296,19 +296,15 @@ def random_quadratic_family(
     n: int,
     d: int,
     rng: RngStream,
-    eig_range: tuple[float, float] = (0.5, 2.0),
     b_scale: float = 1.0,
 ) -> TaskFamily:
-    """n random SPD quadratics with eigenvalues drawn in eig_range.
+    """n random SPD quadratics with eigenvalues drawn uniformly in [0.5, 2].
 
     Task i draws its eigenvalues, its basis and its b on the keys of
     rng.child("quad_task", i, "eigs" | "basis" | "b"), all 3n keys in one
     ``keyed_uniforms`` call: A_i = Q diag(lams) Q' with Q from the QR of a
     (d, d) normal draw.
     """
-    lo, hi = eig_range
-    if not (0.0 < lo <= hi):
-        raise ValueError("eig_range must be positive and ordered")
     eigs, basis, bs = keyed_uniforms([rng], {
         site: (indexed_labels(("quad_task",), n, site), words)
         for site, words in (("eigs", d), ("basis", normal_words((d, d))), ("b", normal_words(d)))
@@ -316,7 +312,7 @@ def random_quadratic_family(
     tasks = []
     for u, z, b in zip(eigs, box_muller_rows(basis, (d, d)), b_scale * box_muller_rows(bs, d)):
         q, _ = np.linalg.qr(z)
-        a = (q * (lo + (hi - lo) * u)) @ q.T
+        a = (q * (0.5 + 1.5 * u)) @ q.T
         tasks.append(QuadraticTask(0.5 * (a + a.T), b))  # symmetrized: kills rounding asymmetry
     return TaskFamily(tasks)
 

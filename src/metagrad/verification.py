@@ -33,7 +33,6 @@ from .meta_gradient import (
     mc_grad_F_hat_draws,
     outer_stage,
     probe_delta,
-    probe_norms,
 )
 from .numerics import RngStream, Vec, row_blocks, row_dots, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
@@ -46,8 +45,8 @@ from .tasks import SmoothnessProfile, TaskFamily, ball_points
 class BoundAudit:
     """One measured quantity against one theoretical bound.
 
-    passed is derived: measured <= bound + mc_margin.  mc_margin is the
-    sampling allowance (0 for exhaustive or deterministic audits).
+    passed (a property, in to_dict too) is measured <= bound + mc_margin.
+    mc_margin is the sampling allowance (0 for exhaustive or deterministic audits).
     """
 
     name: str
@@ -55,17 +54,19 @@ class BoundAudit:
     bound: float
     mc_margin: float
     samples: int
-    passed: bool = False
 
     def __post_init__(self):
         if self.mc_margin < 0.0:
             raise ValueError("mc_margin must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        object.__setattr__(self, "passed", bool(self.measured <= self.bound + self.mc_margin))
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.measured <= self.bound + self.mc_margin)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "passed": self.passed}
 
 
 def _gap_audit(name: str, draws: np.ndarray, exact: Vec, noiseless: bool, bound) -> BoundAudit:
@@ -214,7 +215,7 @@ def audit_hvp_probe_error(
     points = ball_points(center, radius, n_probes, rng.child("points"))
     dirs = standard_normals(rng.child("dirs"), (n_probes, family.dim))
     idx = np.arange(n_probes) % family.n_tasks  # probe j tests task j mod n
-    nv = probe_norms(dirs)[0]
+    nv = np.sqrt(row_dots(dirs))
     delta = probe_delta(profile.rho, alpha, nv, points)
     fd = hvp_finite_diff(family, idx, points, dirs, delta)
     err = np.sqrt(row_dots(fd - (family.hessians(points, idx) @ dirs[:, :, None])[..., 0]))

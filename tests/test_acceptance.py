@@ -112,8 +112,8 @@ def test_criterion_01_quadratic_fixed_points(capsys):
             analysis.fo_matrix, float(np.linalg.norm(analysis.w_fo)) + 1.0, 1e-10
         )
         rec_f = exact_run(family, "fomaml", alpha, beta_f, iters_f)
-        worst_maml = max(worst_maml, float(np.linalg.norm(rec_m.w_final - analysis.w_star)))
-        worst_fo = max(worst_fo, float(np.linalg.norm(rec_f.w_final - analysis.w_fo)))
+        worst_maml = max(worst_maml, float(np.linalg.norm(rec_m.iterates[-1] - analysis.w_star)))
+        worst_fo = max(worst_fo, float(np.linalg.norm(rec_f.iterates[-1] - analysis.w_fo)))
 
         root = scipy.optimize.root(
             lambda w: exact_grad_F(family, w, alpha), np.zeros(d), tol=1e-13

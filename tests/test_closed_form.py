@@ -8,7 +8,8 @@ import pytest
 from metagrad.errors import IllConditioned
 from metagrad.meta_gradient import FOMAML, direction, exact_grad_F
 from metagrad.numerics import RngStream
-from metagrad.closed_form import QuadraticAnalysis, _weighted_systems, analyze_quadratic
+from metagrad.closed_form import (RESIDUAL_TOL, QuadraticAnalysis, _solve_spd, _weighted_systems,
+                                  analyze_quadratic)
 from metagrad.stochastic import BatchSpec, StochasticOracle
 from metagrad.tasks import (
     QuadraticTask,
@@ -70,7 +71,7 @@ def test_one_dimensional_star_against_bisection():
 
 
 def test_w_fo_against_fixed_point_iteration():
-    fam = random_quadratic_family(6, 3, RngStream(200), eig_range=(0.5, 2.0))
+    fam = random_quadratic_family(6, 3, RngStream(200))
     alpha = 0.08
     w = np.zeros(3)
     beta = 0.25
@@ -86,7 +87,7 @@ def test_w_fo_against_fixed_point_iteration():
 
 def test_w_star_against_gradient_descent_root_finding():
     for seed in (201, 202, 203):
-        fam = random_quadratic_family(5, 4, RngStream(seed), eig_range=(0.5, 2.0))
+        fam = random_quadratic_family(5, 4, RngStream(seed))
         alpha = 0.08
         w = np.zeros(4)
         eta = 1.0 / (8.0 * 2.0)  # safe for ||meta matrix|| <= 4 L, L <= 2
@@ -118,7 +119,7 @@ def test_fo_gap_consistent_with_meta_matrix():
 
 
 def test_system_matrices_positive_definite():
-    fam = random_quadratic_family(6, 4, RngStream(206), eig_range=(0.4, 1.8))
+    fam = random_quadratic_family(6, 4, RngStream(206))
     an = analyze_quadratic(fam, 0.1)
     assert isinstance(an, QuadraticAnalysis)
     assert np.min(np.linalg.eigvalsh(an.meta_matrix)) > 0.0
@@ -159,6 +160,51 @@ def test_overflowing_alpha_raises_ill_conditioned_quietly():
         warnings.simplefilter("error")
         with pytest.raises(IllConditioned, match="non-finite"):
             analyze_quadratic(fam, 1e200)
+
+
+SPD = np.array([[4.0, 1.0], [1.0, 3.0]])
+RHS = SPD @ np.array([1.0, -2.0])
+
+
+def patched_solve(monkeypatch, answer):
+    """Make np.linalg.solve return answer(call number, its exact answer); the calls made."""
+    exact, calls = np.linalg.solve, []
+
+    def solve(h, r):
+        calls.append(r)
+        return answer(len(calls), exact(h, r))
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
+
+
+def test_refinement_repairs_an_inexact_first_solve(monkeypatch):
+    # the first answer is off by about 1e-6 relative, every later one exact
+    calls = patched_solve(monkeypatch, lambda k, x: x + 1e-6 if k == 1 else x)
+    x = _solve_spd(SPD, RHS)
+    assert len(calls) >= 2
+    assert np.linalg.norm(RHS - SPD @ x) <= RESIDUAL_TOL * np.linalg.norm(RHS)
+
+
+def test_refinement_that_never_meets_the_residual_raises(monkeypatch):
+    calls = patched_solve(monkeypatch, lambda k, x: x + 1e-6)
+    with pytest.raises(IllConditioned, match="after refinement"):
+        _solve_spd(SPD, RHS)
+    assert len(calls) == 4  # the solve and three refinement steps
+
+
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["solve", "refinement"])
+def test_a_failed_solve_raises_ill_conditioned(monkeypatch, failing_call):
+    # LU can meet an exact zero pivot on a matrix that passed the Cholesky check
+
+    def answer(k, x):
+        if k == failing_call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return x + 1e-6  # never meets the residual, so a second solve follows
+
+    patched_solve(monkeypatch, answer)
+    with pytest.raises(IllConditioned, match="linear solve failed: Singular matrix"):
+        _solve_spd(SPD, RHS)
 
 
 def looped_weighted_systems(family, alpha):

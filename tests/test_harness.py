@@ -413,6 +413,32 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("runtime failure:")
 
+    # alpha * lambda_max = 1 - 1e-9: the MAML system passes the Cholesky check,
+    # then LU meets an exact zero pivot on it
+    ZERO_PIVOT = {"family": {"kind": "quadratic", "dim": 2, "tasks": [
+                      {"A": [[2.4843855352539506, -1.49991872531586],
+                             [-1.49991872531586, 2.515614460746051]], "b": [1.0, 1.0]}]},
+                  "alpha": 0.25, "stepsize": {"kind": "constant", "beta": 0.01}, "max_iters": 5}
+
+    def test_an_unsolvable_closed_form_logs_nan_distances(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps(self.ZERO_PIVOT))
+        argv = ["compare", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        for algorithm in ("maml", "fomaml", "hfmaml"):
+            cols = parse_csv((tmp_path / "o" / f"compare_{algorithm}_seed0.csv").read_text())
+            assert len(cols["iter"]) == 6
+            assert np.isnan(cols["dist_wstar"]).all() and np.isnan(cols["dist_wfo"]).all()
+
+    def test_an_unsolvable_closed_form_fails_the_oracle_in_one_line(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps(self.ZERO_PIVOT))
+        code = main(["quadratic-oracle", "--config", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        if code:  # another LAPACK may pivot past the zero and solve
+            assert code == 1 and err.startswith("runtime failure:") and err.count("\n") == 1
+        else:
+            assert err == ""
+
     HUGE_ALPHA = {"family": {"generate": {"kind": "quadratic", "n": 3, "dim": 2, "seed": 1}},
                   "alpha": 1e200}
     HUGE_PROBE = {"family": {"kind": "rank1mf", "dim": 2, "tasks": [

@@ -83,7 +83,7 @@ class TestExactConvergence:
         beta = safe_constant_beta(family, 0.1)
         rec = run(family, exact_config(MAML, beta, target_grad_norm=1e-13))
         assert rec.stop_reason == "target"
-        assert np.linalg.norm(rec.w_final - analysis.w_star) <= 1e-10
+        assert np.linalg.norm(rec.iterates[-1] - analysis.w_star) <= 1e-10
         assert rec.dist_wstar[-1] <= 1e-10
 
     @pytest.mark.parametrize("gap", [1e-7, 1e-5])
@@ -111,7 +111,7 @@ class TestExactConvergence:
         family = one_d_example_family()
         analysis = analyze_quadratic(family, 0.1)
         rec = run(family, exact_config(FOMAML, 0.4, max_iters=600))
-        assert abs(rec.w_final[0] - analysis.w_fo[0]) <= 1e-12
+        assert abs(rec.iterates[-1][0] - analysis.w_fo[0]) <= 1e-12
         # the exact meta-gradient norm stalls at the fixed-point gap
         assert abs(rec.final_grad_norm - analysis.fo_gap) <= 1e-10
         assert rec.floor >= analysis.fo_gap - 1e-12
@@ -133,7 +133,7 @@ class TestExactConvergence:
                     algo, task, w0, 0.1, 0.0, oracle, batches, RngStream(0).child(0, "slot", i)
                 )
             manual = w0 - beta * acc
-            assert np.linalg.norm(rec.w_final - manual) <= 1e-12
+            assert np.linalg.norm(rec.iterates[-1] - manual) <= 1e-12
 
     def test_loss_monotone_under_safe_step(self):
         family = random_quadratic_family(5, 4, RngStream(11))
@@ -655,9 +655,9 @@ class TestStochasticRuns:
         a = run(family, self.noisy_config(MAML, sigma_H=0.4))
         b = run(family, self.noisy_config(MAML, sigma_H=0.4))
         assert np.array_equal(a.grad_norm_F, b.grad_norm_F)
-        assert np.array_equal(a.w_final, b.w_final)
+        assert np.array_equal(a.iterates[-1], b.iterates[-1])
         c = run(family, self.noisy_config(MAML, sigma_H=0.4, seed=1))
-        assert not np.array_equal(a.w_final, c.w_final)
+        assert not np.array_equal(a.iterates[-1], c.iterates[-1])
 
     def test_probe_variant_tracks_full_second_order_under_shared_noise(self):
         # sigma_H = 0 and paired streams: the finite-difference probe's
@@ -675,7 +675,7 @@ class TestStochasticRuns:
         recs = run_comparison(family, base)
         assert set(recs) == {MAML, FOMAML, HFMAML}
         direct = run(family, self.noisy_config(FOMAML, sigma_H=0.3))
-        assert np.array_equal(recs[FOMAML].w_final, direct.w_final)
+        assert np.array_equal(recs[FOMAML].iterates[-1], direct.iterates[-1])
         assert np.array_equal(recs[FOMAML].grad_norm_F, direct.grad_norm_F)
 
     @pytest.mark.parametrize("kind", ["rank1mf", "quadratic"])
@@ -789,9 +789,8 @@ class TestRecordAndStops:
             rec = run(family, cfg)
             assert rec.iterates.shape == (rec.steps_taken + 1, family.dim)
             assert np.array_equal(rec.iterates[0], np.zeros(family.dim))
-            assert np.array_equal(rec.w_final, rec.iterates[-1])
             # the last row is the point the final exact gradient was taken at
-            grad = np.linalg.norm(exact_grad_F(family, rec.w_final, 0.1))
+            grad = np.linalg.norm(exact_grad_F(family, rec.iterates[-1], 0.1))
             assert rec.final_grad_norm == grad
         assert rec.stop_reason == "target" and rec.steps_taken < 500
 
