@@ -63,12 +63,12 @@ def _weighted_systems(family: TaskFamily, alpha: float):
     """
     if family.kind != QUADRATIC:
         raise ValueError("closed forms exist only for quadratic families")
-    A, p = family._As, family.weights[:, None, None]
+    A, p = family._As, family.weights[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.eye(family.dim) - alpha * A  # (n, d, d), task i's I - alpha A_i
         m2 = m @ m
-        meta_m, fo_m = (task_order_sum(p * (x @ A)) for x in (m2, m))
-        meta_r, fo_r = (task_order_sum(p * (x @ family._bs[..., None]))[:, 0] for x in (m2, m))
+        meta_m, fo_m = (task_order_sum(p[:, None] * (x @ A)) for x in (m2, m))
+        meta_r, fo_r = (task_order_sum(p * np.matvec(x, family._bs)) for x in (m2, m))
     # Polynomials in symmetric A_i are symmetric; kill rounding skew.
     return 0.5 * (meta_m + meta_m.T), meta_r, 0.5 * (fo_m + fo_m.T), fo_r
 

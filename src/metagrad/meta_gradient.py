@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import (Mat, NormalRows, RngStream, Vec, box_muller_rows, indexed_labels,
-                       keyed_uniforms, normal_words, row_blocks, row_dots)
+                       keyed_uniforms, normal_words, row_blocks)
 from .stochastic import (
     HESS,
     INNER,
@@ -102,7 +102,7 @@ def probe_delta(rho: float, alpha: float, v_norm: np.ndarray, w: np.ndarray) -> 
     base = rho * alpha * np.asarray(v_norm, dtype=float)
     flat = base <= 0.0
     if flat.any():
-        fallback = 1e-3 * (1.0 + np.sqrt(row_dots(w)))
+        fallback = 1e-3 * (1.0 + np.sqrt(np.vecdot(w, w)))
         delta = np.where(flat, fallback, 1.0 / (6.0 * np.where(flat, 1.0, base)))
     else:
         delta = 1.0 / (6.0 * base)
@@ -150,11 +150,12 @@ def slot_directions(
     v = noisy(family.grads(w_i, idx), noise.get(OUTER))
     if algorithm == MAML:
         h = noisy(family.hessians(w, idx), noise.get(HESS))
-        return v - alpha * (h @ v[:, :, None])[..., 0]
+        return v - alpha * np.matvec(h, v)
     if algorithm == HFMAML:
-        nv = np.sqrt(row_dots(v))  # each row's norm rounds as np.linalg.norm of it alone
+        nv = np.sqrt(np.vecdot(v, v))  # each row's norm rounds as np.linalg.norm of it alone
         hv = hvp_finite_diff(family, idx, w, v, probe_delta(rho, alpha, nv, w))
-        return np.where((nv > ZERO_PROBE_TOL)[:, None], v - alpha * hv, v)
+        step, probed = v - alpha * hv, nv > ZERO_PROBE_TOL
+        return step if probed.all() else np.where(probed[:, None], step, v)
     return v
 
 
@@ -179,8 +180,8 @@ def outer_stage(family: TaskFamily, W: np.ndarray, alpha: float) -> tuple[Mat, M
     The outer gradients' weighted sum is the exact full-batch FO-MAML
     direction, and ``adapted_value`` reads F off U; neither needs a Hessian.
     One point is swept as itself, not as a (1, d) stack: each point of a
-    stack is the float that point alone gives, since ``row_dots`` rounds a
-    vector's dot as it rounds a stacked row.
+    stack is the float that point alone gives, since ``np.vecdot`` and
+    ``np.matvec`` round a vector as they round a stacked row.
     """
     X = W if W.ndim == 1 else W[:, None, :]  # each point against every task
     adapted = X - alpha * family.grads(X)
@@ -204,10 +205,9 @@ def hessian_stage(family: TaskFamily, W: np.ndarray, alpha: float,
 
 def adapted_value(family: TaskFamily, adapted: np.ndarray) -> np.ndarray:
     """F = sum_i p_i f_i(U[..., i, :]) from outer_stage's adapted points U,
-    shape (...): the stacked (1, n) @ (n, 1) matmul rounds each sweep as
-    the dot product of that sweep alone."""
-    vals = family.values_rowwise(adapted)[..., :, None]
-    return (family.weights[None, :] @ vals)[..., 0, 0]
+    shape (...): np.vecdot rounds each sweep as the dot product of that
+    sweep alone."""
+    return np.vecdot(family.values_rowwise(adapted), family.weights)
 
 
 def exact_grad_F(family: TaskFamily, w: Vec, alpha: float) -> Vec:

@@ -45,6 +45,11 @@ early.
 
 ``task_order_sum`` is the one sum over tasks or slots, from zero in order:
 the optimizer's slot sums, the stepsize sample and the closed forms use it.
+
+Row dots and row mat-vecs over a stack go through ``np.vecdot`` and
+``np.matvec``: one BLAS call per row, so each row rounds as that row alone
+(``x @ x``, ``np.linalg.norm(x)``, ``m @ x``) and one vector (d,) as a row
+of a stack, which the exact sweep's stages rely on; einsum does not.
 ``max_spectral_norm`` takes the largest spectral norm over groups of
 symmetric matrices, the same float as decomposing them all, while it
 decomposes only the groups whose Frobenius bound can still set it.
@@ -323,22 +328,11 @@ def row_blocks(n: int, width: int = 1, grow: bool = False) -> Iterator[tuple[int
         r0, size = r1, min(2 * size, cap)
 
 
-def row_dots(X: np.ndarray) -> np.ndarray:
-    """x . x for each row x of X along the last axis (a scalar for one vector).
-
-    The stacked (1, d) @ (d, 1) matmul rounds every row as ``x @ x`` and
-    ``np.linalg.norm(x)`` do on that row alone; einsum and np.sum do not.
-    The exact sweep's stages, ``meta_gradient.outer_stage`` and
-    ``hessian_stage``, rely on this: they sweep one point (d,) as itself,
-    through the 1-D dot, and give the floats of its row in a stack.
-    """
-    return X @ X if X.ndim == 1 else (X[..., None, :] @ X[..., :, None])[..., 0, 0]
-
-
 def task_order_sum(terms: np.ndarray) -> np.ndarray:
-    """sum_i terms[i] over axis 0, any trailing shape, added from zero in order
-    as a per-task loop adds it (a matmul or np.sum would round differently)."""
-    return np.add.accumulate(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]))[-1]
+    """sum_i terms[i] over axis 0, any trailing shape, added in order as the
+    loop acc = 0; acc = acc + terms[i] adds it (a matmul or np.sum would
+    round differently): + 0.0 gives an all-(-0.0) entry the loop's +0.0."""
+    return np.add.accumulate(terms)[-1] + 0.0
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:

@@ -64,8 +64,7 @@ from .meta_gradient import (
     slot_noise,
     slot_sites,
 )
-from .numerics import (RngStream, Vec, keyed_uniforms, path_key, row_blocks, row_dots,
-                       task_order_sum)
+from .numerics import RngStream, Vec, keyed_uniforms, path_key, row_blocks, task_order_sum
 from .stepsize import (ALPHA_CAPS, StepsizeRule, beta_sample, check_stepsize_batches,
                        required_D_h, stepsize_draws, stepsize_sites)
 from .stochastic import TASKS, BatchSpec, StochasticOracle, positive_int, sample_task_batch
@@ -355,7 +354,7 @@ def run(
                 adapted, outer = outer_stage(family, trail[rows], config.alpha)
             if not fused:  # and their Hessian stage
                 grad_F = hessian_stage(family, trail[rows], config.alpha, outer[:m])
-            grad_norms[rows] = np.sqrt(row_dots(grad_F[:m]))
+            grad_norms[rows] = np.sqrt(np.vecdot(grad_F[:m], grad_F[:m]))
             losses[rows] = adapted_value(family, adapted[:m])
             if config.target_grad_norm > 0.0:
                 hits = np.flatnonzero(grad_norms[rows] <= config.target_grad_norm)
@@ -367,7 +366,8 @@ def run(
                 raise failure
 
         rows = slice(last + 1)
-        d_star, d_fo = np.sqrt(row_dots(trail[rows] - fixed_points[:, None]))
+        gaps = trail[rows] - fixed_points[:, None]
+        d_star, d_fo = np.sqrt(np.vecdot(gaps, gaps))
     return RunRecord(
         algorithm=config.algorithm,
         seed=config.seed,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidBatchConfig, NumericalFailure
 from .numerics import (NormalRows, RngStream, Vec, box_muller_rows, indexed_labels, keyed_uniforms,
-                       normal_words, path_key, row_blocks, row_dots, task_order_sum)
+                       normal_words, path_key, row_blocks, task_order_sum)
 from .stochastic import STEPSIZE, TASKS, grad_noise, noisy, sample_task_batch
 from .tasks import SmoothnessProfile, TaskFamily
 
@@ -91,12 +91,12 @@ class StepsizeRule:
 
 
 def _grad_norms(g: np.ndarray, dots: bool = False) -> np.ndarray:
-    """||x|| of each row x of g along the last axis: np.sqrt(row_dots(g))
+    """||x|| of each row x of g along the last axis: np.sqrt(np.vecdot(g, g))
     with dots, else np.linalg.norm's float.  A row of finite entries whose
     squares overflow has norm max|x| ||x / max|x|||, so a norm is inf only
     past the float range; every other row keeps its float."""
     with np.errstate(over="ignore"):
-        norms = np.sqrt(row_dots(g)) if dots else np.linalg.norm(g, axis=-1)
+        norms = np.sqrt(np.vecdot(g, g)) if dots else np.linalg.norm(g, axis=-1)
     big = np.isinf(norms)
     if big.any():  # the rows of finite entries among them
         big &= np.isfinite(g).all(axis=-1)
@@ -109,7 +109,7 @@ def smoothness_L_of_w(family: TaskFamily, profile: SmoothnessProfile, W: np.ndar
     """Exact modulus 4L + 2 rho alpha E_i ||grad f_i(w)||: a float at one point W (d,), one per
     row of a stack (K, d), each the float of that point alone; inf only past the float range."""
     norms = _grad_norms(family.grads(W[..., None, :]))  # (..., n)
-    mean = (family.weights[None, :] @ norms[..., :, None])[..., 0, 0]
+    mean = np.vecdot(norms, family.weights)
     return 4.0 * profile.L + 2.0 * profile.rho * alpha * (float(mean) if W.ndim == 1 else mean)
 
 

@@ -41,7 +41,6 @@ from .numerics import (
     keyed_uniforms,
     max_spectral_norm,
     normal_words,
-    row_dots,
     spectral_norms,
     standard_normals,
     uniforms,
@@ -193,15 +192,16 @@ class TaskFamily:
 
     # ------------------------------------------------ vectorized oracles
     # W is one point (d,) or one per row (B, d); idx is an index array or a
-    # slice of the tasks.  Each row is rounded as that task alone would be,
-    # so a stacked sweep reproduces a per-task loop bit for bit.
+    # slice of the tasks.  Each row is rounded as that task alone would be
+    # (in grads and hessians, one BLAS call per row through np.vecdot and
+    # np.matvec), so a stacked sweep reproduces a per-task loop bit for bit.
 
     def grads(self, W: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """Gradient of task idx[j] at W or at row W[j], shape (B, d)."""
-        X = W[..., None]
+        """Gradient of task idx[j] at W or at row W[j], shape (B, d); W may
+        also broadcast, as (K, 1, d) against every task."""
         if self.kind == QUADRATIC:
-            return (self._As[idx] @ X)[..., 0] + self._bs[idx]
-        return row_dots(W)[..., None] * W - (self._Ms[idx] @ X)[..., 0]
+            return np.matvec(self._As[idx], W) + self._bs[idx]
+        return np.vecdot(W, W)[..., None] * W - np.matvec(self._Ms[idx], W)
 
     def hessians(self, W: np.ndarray, idx=slice(None)) -> np.ndarray:
         """Hessian of task idx[j] at W or at row W[j], shape (B, d, d).
@@ -209,7 +209,7 @@ class TaskFamily:
         if self.kind == QUADRATIC:
             return self._As[idx]
         outer = 2.0 * (W[..., :, None] * W[..., None, :])
-        return row_dots(W)[..., None, None] * self._eye + outer - self._Ms[idx]
+        return np.vecdot(W, W)[..., None, None] * self._eye + outer - self._Ms[idx]
 
     def grads_rowwise(self, W: np.ndarray) -> np.ndarray:
         """Gradient of task i at row W[..., i, :], shape (..., n, d).

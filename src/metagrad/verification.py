@@ -34,7 +34,7 @@ from .meta_gradient import (
     outer_stage,
     probe_delta,
 )
-from .numerics import RngStream, Vec, row_blocks, row_dots, standard_normals
+from .numerics import RngStream, Vec, row_blocks, standard_normals
 from .optimizer import OptimizerConfig, RunRecord, run
 from .stepsize import sample_beta_tilde, smoothness_L_of_w
 from .stochastic import INNER, OUTER, StochasticOracle
@@ -215,10 +215,11 @@ def audit_hvp_probe_error(
     points = ball_points(center, radius, n_probes, rng.child("points"))
     dirs = standard_normals(rng.child("dirs"), (n_probes, family.dim))
     idx = np.arange(n_probes) % family.n_tasks  # probe j tests task j mod n
-    nv = np.sqrt(row_dots(dirs))
+    nv = np.sqrt(np.vecdot(dirs, dirs))
     delta = probe_delta(profile.rho, alpha, nv, points)
     fd = hvp_finite_diff(family, idx, points, dirs, delta)
-    err = np.sqrt(row_dots(fd - (family.hessians(points, idx) @ dirs[:, :, None])[..., 0]))
+    miss = fd - np.matvec(family.hessians(points, idx), dirs)
+    err = np.sqrt(np.vecdot(miss, miss))
     # float_power squares through libm's pow, as float ** 2 does; nv**2 is nv * nv,
     # which rounds differently in about one case in a thousand
     allowed = profile.rho * delta * np.float_power(nv, 2)
@@ -249,12 +250,13 @@ def audit_smoothness_ratio(
     # a window of pairs sweeps every task's Hessian at each of its points
     for r0, r1 in row_blocks(n_pairs, family.n_tasks):
         w, u = ws[r0:r1], us[r0:r1]
-        sep = np.sqrt(row_dots(w - u))
+        dw = w - u
+        sep = np.sqrt(np.vecdot(dw, dw))
         gap = exact_grad_F(family, w, alpha) - exact_grad_F(family, u, alpha)
         modulus = np.minimum(smoothness_L_of_w(family, profile, w, alpha),
                              smoothness_L_of_w(family, profile, u, alpha))
         # coincident draws carry no information: ratio 0
-        np.divide(np.sqrt(row_dots(gap)), modulus * sep, out=ratios[r0:r1], where=sep > 0.0)
+        np.divide(np.sqrt(np.vecdot(gap, gap)), modulus * sep, out=ratios[r0:r1], where=sep > 0.0)
     return _worst_audit("smoothness_ratio", ratios)
 
 

@@ -24,7 +24,7 @@ from metagrad.meta_gradient import (
     value_F,
 )
 from metagrad.closed_form import analyze_quadratic
-from metagrad.numerics import RngStream, keyed_uniforms, row_dots, standard_normals
+from metagrad.numerics import RngStream, keyed_uniforms, standard_normals
 from metagrad.stochastic import HESS, INNER, OUTER, BatchSpec, StochasticOracle
 from metagrad.tasks import (
     MatrixFactorizationTask,
@@ -291,6 +291,14 @@ def test_hfmaml_below_probe_tolerance_returns_v():
     assert 0.0 < np.linalg.norm(v) <= 1e-12
     got = direction(HFMAML, task, w, alpha, 20.0, EXACT, BatchSpec(), RngStream(0))
     assert np.array_equal(got, v)
+    # in a stack with a slot that is probed, that slot alone still returns
+    # v (its probed step would differ in every entry) and the other slot
+    # its own direction
+    other = rank1_mf_family(1, 4, RngStream(83)).tasks[0]
+    rows = slot_directions(HFMAML, TaskFamily([task, other]), slice(None), w, alpha, 20.0, {})
+    assert np.array_equal(rows[0], v)
+    assert np.array_equal(rows[1], direction(HFMAML, other, w, alpha, 20.0, EXACT, BatchSpec(),
+                                             RngStream(0)))
 
 
 def test_hfmaml_equals_maml_on_quadratic_with_shared_streams():
@@ -373,12 +381,13 @@ def test_stacked_exact_sweep_is_per_point_bit_for_bit(kind, K):
     loss = adapted_value(family, adapted)
     assert grad_F.shape == (K, 5) and adapted.shape == outer.shape == (K, 20, 5)
     assert loss.shape == (K,)
-    norms = np.sqrt(row_dots(grad_F))
+    norms = np.sqrt(np.vecdot(grad_F, grad_F))
     fixed_points = []
     if kind == "quadratic":
         an = analyze_quadratic(family, alpha)
         points = np.stack([an.w_star, an.w_fo])  # one (2, K, d) stack, as run() takes it
-        fixed_points = list(zip(points, np.sqrt(row_dots(W - points[:, None]))))
+        gaps = W - points[:, None]
+        fixed_points = list(zip(points, np.sqrt(np.vecdot(gaps, gaps))))
     for k in range(K):
         w = W[k].copy()
         # each stage at the point alone gives that point's rows of the stack

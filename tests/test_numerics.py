@@ -11,7 +11,6 @@ from metagrad.numerics import (
     keyed_uniforms,
     normal_words,
     row_blocks,
-    row_dots,
     spectral_norm,
     standard_normals,
     task_order_sum,
@@ -241,12 +240,12 @@ def test_sizes_accept_numpy_integers():
 
 @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)], ids=["vector", "1", "7", "3x4"])
 def test_row_dots_round_each_row_as_the_row_alone(shape):
-    # the task oracles rely on row_dots(W)[i] == W[i] @ W[i] bit for bit,
-    # for a stack of points and for one point alike
+    # the task oracles rely on np.vecdot(W, W)[i] == W[i] @ W[i] bit for
+    # bit, for a stack of points and for one point alike
     rng = np.random.default_rng(31)
     for d in range(1, 65):
         X = rng.normal(size=shape + (d,)) * rng.uniform(0.1, 10.0)
-        got = row_dots(X)
+        got = np.vecdot(X, X)
         assert got.shape == shape
         for i in np.ndindex(shape):
             assert got[i] == X[i] @ X[i]
@@ -259,11 +258,7 @@ def test_task_order_sum_is_the_from_zero_loop(n, tail):
     # bit for bit the loop acc = 0; acc = acc + terms[i], which np.sum's
     # pairwise sum and a weights @ terms matmul need not be; a -0.0 first
     # term added to zero is +0.0
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        terms = rng.normal(size=(n,) + tail) * 10.0 ** rng.integers(-8, 9, size=(n,) + tail)
-        if trial == 0:
-            terms[0] = -0.0
+    def check(terms):
         acc = np.zeros(tail)
         for term in terms:
             acc = acc + term
@@ -271,7 +266,21 @@ def test_task_order_sum_is_the_from_zero_loop(n, tail):
         assert got.shape == tail
         assert np.array_equal(got, acc)
         assert np.array_equal(np.signbit(got), np.signbit(acc))
-    assert not np.signbit(task_order_sum(np.full((1,) + tail, -0.0))).any()
+
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        terms = rng.normal(size=(n,) + tail) * 10.0 ** rng.integers(-8, 9, size=(n,) + tail)
+        if trial == 0:
+            terms[0] = -0.0
+        check(terms)
+    # the only stacks on which a sum begun at terms[0] differs from the
+    # loop: an entry that is -0.0 in every term, where the loop gives +0.0,
+    # in an all-(-0.0) stack and as one such column among nonzero ones
+    column = rng.normal(size=(n,) + tail)
+    column.reshape(n, -1)[:, 0] = -0.0
+    for terms in (np.full((n,) + tail, -0.0), column):
+        check(terms)
+        assert not np.signbit(task_order_sum(terms).reshape(-1)[0])
 
 
 @pytest.mark.parametrize("B", [1, 10, 30])

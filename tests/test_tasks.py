@@ -188,7 +188,7 @@ def test_task_grads_rowwise_is_task_grad_bit_for_bit(family):
         grads, hessians = family.grads(*args), family.hessians(*args)
         assert grads.shape == (len(tasks), d) and hessians.shape == (len(tasks), d, d)
         V = rng.normal(size=(len(tasks), d))
-        hv = (hessians @ V[:, :, None])[..., 0]
+        hv = np.matvec(hessians, V)
         for j, (t, x) in enumerate(zip(tasks, points)):
             assert np.array_equal(grads[j], task_grad(t, x))
             assert np.array_equal(hessians[j], task_hess(t, x))
@@ -205,6 +205,16 @@ def test_task_grads_rowwise_is_task_grad_bit_for_bit(family):
         check(w, idx)
         check(np.broadcast_to(w, (idx.size, d)), idx)
         check(scale * rng.normal(size=(idx.size, d)), idx)
+        for K in (1, 7):  # every task at each of K points, as outer_stage sweeps a stack
+            P = scale * rng.normal(size=(K, d))
+            grads, hessians = family.grads(P[:, None, :]), family.hessians(P[:, None, :])
+            assert grads.shape == (K, n, d)
+            # a quadratic family's Hessians are its one (n, d, d) stack at every point
+            assert hessians.shape == ((n, d, d) if family.kind == QUADRATIC else (K, n, d, d))
+            hessians = np.broadcast_to(hessians, (K, n, d, d))
+            for k, i in np.ndindex(K, n):
+                assert np.array_equal(grads[k, i], task_grad(family.tasks[i], P[k]))
+                assert np.array_equal(hessians[k, i], task_hess(family.tasks[i], P[k]))
 
 
 @pytest.mark.parametrize("family", [rank1_mf_family(3, 2, RngStream(105)),
